@@ -156,7 +156,7 @@ def restore_replayer(recording: Recording, state: ReplayState,
         engine = Engine(recording.program)
         engine.restore_arch(data["engine"])
         withheld = WithheldStores(replayer.memory)
-        withheld.restore([tuple(entry) for entry in data["withheld"]])
+        withheld.restore(data["withheld"])
         port = ReplayPort(replayer.memory, withheld,
                           telemetry=replayer.telemetry)
         events = events_by_thread.setdefault(rthread, deque())

@@ -236,9 +236,12 @@ class ReplayInspector:
     def thread_word(self, rthread: int, symbol_or_address: str | int,
                     index: int = 0) -> int:
         """The value ``rthread`` would load right now — its withheld
-        (TSO-pending) stores forward over committed memory."""
+        (TSO-pending) stores forward over committed memory.
+
+        Reading never changes replay state: nothing commits, and an
+        instrumented port records no access."""
         ctx = self._ctx(rthread)
-        return ctx.port.load(self.resolve(symbol_or_address, index), 4)
+        return ctx.withheld.peek(self.resolve(symbol_or_address, index), 4)
 
     def thread_view(self, rthread: int) -> ThreadView:
         ctx = self._ctx(rthread)

@@ -1,11 +1,14 @@
 """Replay-state checkpoints: capture/restore fidelity, embedding, seek."""
 
+import copy
+
 import pytest
 
 from repro import session, workloads
 from repro.capo.recording import Recording
 from repro.errors import LogFormatError, ReproError
 from repro.replay.checkpoint import (
+    ReplayState,
     build_checkpoints,
     capture_state,
     decode_state,
@@ -113,6 +116,46 @@ def test_decode_state_rejects_garbage():
         decode_state(b"")
     with pytest.raises(LogFormatError):
         decode_state(b"\xff\xff\xff\xff")
+
+
+def _forge_withheld(recording, entries) -> bytes:
+    """A checkpoint payload whose first thread withholds ``entries``."""
+    state = decode_state(recording.checkpoints[0].payload)
+    header = copy.deepcopy(state.header)
+    first = min(header["threads"], key=int)
+    header["threads"][first]["withheld"] = entries
+    return encode_state(ReplayState(state.position, header, state.memory))
+
+
+def test_restore_accepts_well_formed_withheld_stores(recording):
+    payload = _forge_withheld(recording, [[0, 4, 0xFFFFFFFF], [7, 1, 0xFF]])
+    replayer = restore_replayer(recording, decode_state(payload))
+    first = min(replayer.threads)
+    assert replayer.threads[first].withheld.snapshot() == \
+        [(0, 4, 0xFFFFFFFF), (7, 1, 0xFF)]
+
+
+@pytest.mark.parametrize("forge", [
+    lambda top: [[0, 4]],               # two fields
+    lambda top: [[0, 4, 1, 0]],         # four fields
+    lambda top: [[0, "4", 1]],          # a field that is not an int
+    lambda top: [[0, 4, None]],
+    lambda top: [[0, 2, 1]],            # size neither 1 nor 4
+    lambda top: [[6, 4, 1]],            # misaligned word
+    lambda top: [[top, 1, 1]],          # past the end of memory
+    lambda top: [[top - 2, 4, 1]],
+    lambda top: [[-4, 4, 1]],
+    lambda top: [[8, 1, 0x100]],        # value wider than a byte
+    lambda top: [[8, 4, 1 << 32]],      # value wider than a word
+    lambda top: "[[8, 4, 1]]",          # not a list of entries
+], ids=["two-fields", "four-fields", "str-field", "null-field", "size-2",
+        "misaligned", "past-end", "straddles-end", "negative",
+        "wide-byte", "wide-word", "not-a-list"])
+def test_restore_rejects_forged_withheld_stores(recording, forge):
+    top = recording.config.machine.memory_bytes
+    payload = _forge_withheld(recording, forge(top))
+    with pytest.raises(LogFormatError):
+        restore_replayer(recording, decode_state(payload))
 
 
 def test_checkpoints_survive_save_load(recording, tmp_path):

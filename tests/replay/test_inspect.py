@@ -6,6 +6,7 @@ from repro import session
 from repro.errors import ReproError
 from repro.isa.builder import KernelBuilder
 from repro.mrr.chunk import Reason
+from repro.replay.checkpoint import capture_state, state_digest
 from repro.replay.inspect import ReplayInspector
 
 
@@ -131,6 +132,27 @@ def test_thread_views_and_words(recorded):
         assert view.completed_chunks >= 0
     value = inspector.thread_word(1, "shared")
     assert 0 <= value <= 80
+
+
+def test_thread_word_does_not_change_replay_state(recorded):
+    """Reading a word that only partly overlaps a withheld store must not
+    commit the thread's FIFO: the next boundary would then find fewer
+    withheld stores than its RSW and raise a spurious divergence."""
+    inspector = ReplayInspector(recorded.recording)
+    inspector.run_to_index(inspector.total_chunks // 2)
+    replayer = inspector._replayer
+    withheld = replayer.threads[1].withheld
+    address = inspector.resolve("shared")
+    committed = inspector.read_word("shared")
+    withheld.push(address, 4, 0x01020304)
+    withheld.push(address + 1, 1, 0xFF)
+    pending = len(withheld)
+    before = state_digest(capture_state(replayer))
+    assert inspector.thread_word(1, "shared") == 0x0102FF04
+    assert state_digest(capture_state(replayer)) == before
+    assert inspector.read_word("shared") == committed
+    # a boundary that keeps every withheld store is still consistent
+    withheld.commit_keep_last(pending)
 
 
 def test_unknown_thread_rejected(recorded):
