@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..config import SimConfig
-from ..errors import LogFormatError
+from ..errors import ConfigError, LogFormatError
 from ..isa.program import Program
 from ..mrr.chunk import ChunkEntry
 from ..mrr.compression import compress_chunks, decompress_chunks
@@ -67,6 +67,18 @@ INPUT_NAME = "input.bin"
 CHUNKS_NAME = "chunks.bin"
 CHUNKS_COMPRESSED_NAME = "chunks.qrz"
 CHECKPOINTS_NAME = "checkpoints.bin"
+
+
+def _read_json(path: Path, what: str) -> Any:
+    """Parse one JSON file of a bundle; a missing, truncated or non-UTF-8
+    file raises :class:`LogFormatError` naming ``what`` and the bundle."""
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"))
+    except FileNotFoundError as exc:
+        raise LogFormatError(f"no {what} in {path.parent}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise LogFormatError(
+            f"malformed {what} in {path.parent}: {exc}") from exc
 
 
 class Recording:
@@ -253,18 +265,19 @@ class Recording:
     @classmethod
     def load(cls, directory: str | Path) -> "Recording":
         directory = Path(directory)
-        try:
-            manifest = json.loads((directory / MANIFEST_NAME).read_text())
-        except FileNotFoundError as exc:
-            raise LogFormatError(f"no manifest in {directory}") from exc
-        if manifest.get("format") != "quickrec-recording":
+        manifest = _read_json(directory / MANIFEST_NAME, "manifest")
+        if (not isinstance(manifest, dict)
+                or manifest.get("format") != "quickrec-recording"):
             raise LogFormatError("not a quickrec recording directory")
-        config = SimConfig.from_dict(manifest["config"])
         try:
-            program = Program.from_dict(
-                json.loads((directory / PROGRAM_NAME).read_text()))
-        except FileNotFoundError as exc:
-            raise LogFormatError(f"no program image in {directory}") from exc
+            config = SimConfig.from_dict(manifest["config"])
+        except (KeyError, TypeError, AttributeError, ValueError,
+                ConfigError) as exc:
+            raise LogFormatError(
+                f"bad config in manifest of {directory}: "
+                f"{type(exc).__name__}: {exc}") from exc
+        program = Program.from_dict(
+            _read_json(directory / PROGRAM_NAME, "program image"))
 
         def load_chunks() -> list[ChunkEntry]:
             chunk_path = directory / CHUNKS_NAME

@@ -23,7 +23,6 @@ from ..errors import RecordingError
 from ..machine.machine import Core, Machine
 from ..mrr.chunk import ChunkEntry, Reason
 from ..mrr.recorder import MemoryRaceRecorder
-from ..mrr.signature import BloomSignature
 from ..telemetry import get_logger
 from .chunk_buffer import ChunkBuffer
 from .events import (
@@ -52,8 +51,6 @@ class RSMStats:
     #: Payload bytes whose content was already in the recording's pool
     #: (copy avoidance: stored once, referenced again).
     input_payload_dedup_bytes: int = 0
-    #: Batched-logging buffer drains (0 on the per-event path).
-    input_batch_flushes: int = 0
     cbuf_drains: int = 0
     cycles_interpose: int = 0
     cycles_input_log: int = 0
@@ -82,23 +79,16 @@ class ReplaySphereManager:
         self.config = config
         self.mode = mode
         self.sphere = ReplaySphere()
+        # The one chunk log, in CBUF drain order: what digests, codecs and
+        # replay are defined over. A single log suffices because every
+        # timestamp comes from the fabric's global order clock.
         self.chunk_log: list[ChunkEntry] = []
-        # Per-core chunk streams: each core's entries in emission order
-        # (strictly timestamp-monotonic per stream, since the order clock
-        # is global). Additional references only — ``chunk_log`` keeps the
-        # CBUF drain order the digests and codecs are defined over; a
-        # k-way merge of these streams reconstructs the global replay
-        # schedule without the shared log (replay.schedule.
-        # merge_core_streams).
-        self.core_chunk_logs: list[list[ChunkEntry]] = [
-            [] for _ in machine.cores]
         self.events: list[InputEvent] = []
         # Bounded-retention mode: when a FlightRing is attached (see
         # attach_flight), the ring becomes the retention authority —
         # chunks and events flow into it instead of the unbounded
-        # chunk_log/core_chunk_logs/events lists, and per-core order logs
-        # are trimmed at each eviction. Execution, logging *content* and
-        # every cycle charge are identical either way.
+        # chunk_log/events lists. Execution, logging *content* and every
+        # cycle charge are identical either way.
         self.flight = None
         self.stats = RSMStats()
         self.telemetry = machine.telemetry
@@ -107,26 +97,10 @@ class ReplaySphereManager:
         # telemetry object (zero-cost-when-disabled contract).
         self._tm_on = self.telemetry.enabled
         self._seq = 0
-        # rr-style batched input logging: events stage in per-thread
-        # buffers of ``input_batch_events`` entries and drain at
-        # chunk/kernel boundaries (and finalize), amortizing the per-event
-        # interposition charge across each batch. 0 = per-event path.
-        self._batch_size = config.capo.input_batch_events
-        self._batched = self._batch_size > 0
-        self._event_buffers: dict[int, list[InputEvent]] = {}
         # Copy avoidance: content-keyed pool of copy payloads. Identical
         # syscall buffers are stored once and shared by every event that
-        # carries them (and, in batched mode, re-copies are charged at the
-        # cheaper duplicate rate).
+        # carries them.
         self._payload_pool: dict[bytes, bytes] = {}
-        # Per-rthread stash of signature state across deschedules (the
-        # virtualization path): captured at kernel entry, folded back in at
-        # dispatch via BloomSignature.merge. Every deschedule is preceded by
-        # a kernel entry, whose terminate() empties the live signatures, so
-        # the stash carries no bits today — the merge is a bit-identical
-        # no-op that keeps the protocol explicit (and conservative if the
-        # terminate-before-undispatch sequencing ever changes).
-        self._virt_sigs: dict[int, tuple[BloomSignature, BloomSignature]] = {}
         self._cbufs: list[ChunkBuffer] = []
         self.recorders: list[MemoryRaceRecorder] = []
         for core in machine.cores:
@@ -145,7 +119,6 @@ class ReplaySphereManager:
             self._tm_events = metrics.counter("capo.input_events")
             self._tm_payload = metrics.counter("capo.input_payload_bytes")
             self._tm_threads = metrics.counter("capo.sphere_threads")
-            self._tm_flushes = metrics.counter("capo.input_batch_flushes")
             self._tm_dedup = metrics.counter("capo.input_payload_dedup_bytes")
             # Pre-created per-kind counters: the logging hot path indexes
             # this dict instead of paying a registry lookup (and an f-string
@@ -155,27 +128,14 @@ class ReplaySphereManager:
 
     # -- wiring ---------------------------------------------------------------
 
-    def order_logs(self) -> list:
-        """Each core's :class:`~repro.mrr.orderlog.CoreOrderLog`, indexed
-        by core id."""
-        return [recorder.order_log for recorder in self.recorders]
-
     def attach_flight(self, ring) -> None:
         """Switch to bounded retention through ``ring``
         (:class:`~repro.flight.ring.FlightRing`). Must be attached before
-        the run starts; evictions trim the per-core order logs to the
-        retained window."""
+        the run starts."""
         self.flight = ring
-
-        def trim_order_logs(base_timestamp: int) -> None:
-            for recorder in self.recorders:
-                recorder.order_log.trim_before(base_timestamp)
-
-        ring.on_evict = trim_order_logs
 
     def _make_sink(self, core: Core, cbuf: ChunkBuffer):
         cost = self.machine.cost
-        core_stream = self.core_chunk_logs[core.core_id]
 
         def sink(entry: ChunkEntry) -> None:
             self.sphere.note_chunk(entry.rthread)
@@ -183,9 +143,7 @@ class ReplaySphereManager:
             core.cycles += cost.cbuf_entry_write
             self.stats.cycles_cbuf_write += cost.cbuf_entry_write
             flight = self.flight
-            if flight is None:
-                core_stream.append(entry)
-            else:
+            if flight is not None:
                 # Sink calls happen at termination under the fabric's
                 # serialized order clock, so ring arrivals are already in
                 # global schedule order (the CBUF drain below is not).
@@ -206,12 +164,6 @@ class ReplaySphereManager:
                           + cost.cbuf_drain_per_entry * len(batch))
                 core.cycles += charge
                 self.stats.cycles_cbuf_drain += charge
-                if self._batched:
-                    # The drain interrupt already runs RSM code: piggyback
-                    # the staged input events of every thread (a chunk
-                    # boundary is a batch boundary).
-                    for rthread in list(self._event_buffers):
-                        self._flush_events(rthread, core)
             if self._tm_on:
                 self._tm_drains.inc()
                 self._tm_batch.observe(len(batch))
@@ -235,22 +187,8 @@ class ReplaySphereManager:
 
     # -- kernel crossings ------------------------------------------------------------
 
-    def _virt_slot(self, rthread: int) -> tuple[BloomSignature, BloomSignature]:
-        slot = self._virt_sigs.get(rthread)
-        if slot is None:
-            mrr = self.config.mrr
-            slot = (BloomSignature(mrr.signature_bits, mrr.signature_hashes),
-                    BloomSignature(mrr.signature_bits, mrr.signature_hashes))
-            self._virt_sigs[rthread] = slot
-        return slot
-
     def on_kernel_entry(self, core: Core, task, reason: str) -> None:
         core.recorder.terminate(reason)
-        stash_read, stash_write = self._virt_slot(task.rthread)
-        stash_read.clear()
-        stash_write.clear()
-        stash_read.merge(core.recorder.read_sig)
-        stash_write.merge(core.recorder.write_sig)
         if self.mode != MODE_FULL:
             return
         cost = self.machine.cost
@@ -261,15 +199,8 @@ class ReplaySphereManager:
             core.cycles += cost.rsm_nondet_interpose
             self.stats.cycles_interpose += cost.rsm_nondet_interpose
 
-    def on_kernel_exit(self, core: Core, task) -> None:
-        """Hook for symmetry with on_kernel_entry (no recording work is
-        needed at kernel exit: timestamps come from the global clock)."""
-
     def on_dispatch(self, core: Core, task) -> None:
         core.recorder.set_thread(task.rthread)
-        slot = self._virt_sigs.get(task.rthread)
-        if slot is not None:
-            core.recorder.absorb_signatures(*slot)
 
     def on_undispatch(self, core: Core, task) -> None:
         core.recorder.clear_thread()
@@ -277,32 +208,8 @@ class ReplaySphereManager:
             cost = self.machine.cost
             core.cycles += cost.context_switch_flush
             self.stats.cycles_ctx_flush += cost.context_switch_flush
-            if self._batched:
-                # Kernel boundary: the departing thread's staged events
-                # drain with the context-switch flush.
-                self._flush_events(task.rthread, core)
 
     # -- input logging -----------------------------------------------------------------
-
-    def _flush_events(self, rthread: int, core: Core | None) -> None:
-        """Drain one thread's staged events into the log (batched mode)."""
-        buffer = self._event_buffers.get(rthread)
-        if not buffer:
-            return
-        if self.flight is None:
-            self.events.extend(buffer)
-        drained = len(buffer)
-        buffer.clear()
-        charge = self.machine.cost.input_log_flush
-        if core is not None:
-            core.cycles += charge
-        self.stats.cycles_input_log += charge
-        self.stats.input_batch_flushes += 1
-        if self._tm_on:
-            self._tm_flushes.inc()
-            self.telemetry.tracer.instant(
-                "input.flush", cat="capo", tid=rthread,
-                args={"events": drained})
 
     def _log(self, event: InputEvent, core: Core | None,
              fresh_payload_bytes: int | None = None) -> None:
@@ -315,30 +222,12 @@ class ReplaySphereManager:
         stats.input_events += 1
         stats.input_payload_bytes += payload_bytes
         stats.input_payload_dedup_bytes += payload_bytes - fresh
-        if self.flight is not None:
-            # Tap before batching: _log is called in kernel seq order,
-            # batch flushes are not, and a window event must reach the
-            # ring before the chunk needing it could ever be evicted.
+        if self.flight is None:
+            self.events.append(event)
+        else:
             self.flight.push_event(event)
         cost = self.machine.cost
-        if self._batched:
-            # Stage into the per-thread buffer; the interposition charge is
-            # amortized by _flush_events. Copy avoidance: only content not
-            # already pooled pays the full per-byte copy-out.
-            buffer = self._event_buffers.get(event.rthread)
-            if buffer is None:
-                buffer = self._event_buffers[event.rthread] = []
-            buffer.append(event)
-            charge = (cost.input_log_event_batched
-                      + cost.input_log_per_byte * fresh
-                      + cost.input_log_dup_per_byte * (payload_bytes - fresh))
-            full = len(buffer) >= self._batch_size
-        else:
-            if self.flight is None:
-                self.events.append(event)
-            charge = (cost.input_log_event
-                      + cost.input_log_per_byte * payload_bytes)
-            full = False
+        charge = cost.input_log_event + cost.input_log_per_byte * payload_bytes
         if core is not None:
             core.cycles += charge
         stats.cycles_input_log += charge
@@ -351,8 +240,6 @@ class ReplaySphereManager:
                 f"input:{event.kind}", cat="capo", tid=event.rthread,
                 args={"seq": event.seq, "chunk_seq": event.chunk_seq,
                       "payload_bytes": payload_bytes})
-        if full:
-            self._flush_events(event.rthread, core)
 
     def _event(self, task, kind: str, **fields) -> InputEvent:
         self._seq += 1
@@ -410,17 +297,9 @@ class ReplaySphereManager:
     # -- finish ---------------------------------------------------------------------------
 
     def finalize(self) -> None:
-        """Flush every CBUF and staged event buffer (end of recording)."""
+        """Flush every CBUF (end of recording)."""
         for cbuf in self._cbufs:
             cbuf.drain()
-        if self._batched:
-            for rthread in list(self._event_buffers):
-                self._flush_events(rthread, None)
-            # Buffers drain at different boundaries per thread, so the
-            # global log is flush-ordered; restore the canonical kernel
-            # sequence order (seq is globally unique and assigned in
-            # append order, so this is exactly the per-event path's log).
-            self.events.sort(key=lambda event: event.seq)
         logger.debug(
             "finalized sphere: %d chunks, %d input events, %d payload "
             "bytes, %d CBUF drains, %d software cycles",

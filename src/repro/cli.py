@@ -148,13 +148,12 @@ def _cmd_record(args: argparse.Namespace) -> int:
     program, inputs = workloads.build(args.workload, threads=args.threads,
                                       scale=args.scale)
     config = _traced_config(args) if args.trace else DEFAULT_CONFIG
-    if args.log_version != 1 or args.batch:
+    if args.log_version != 1:
         config = dataclasses.replace(
             config,
             capo=dataclasses.replace(config.capo,
                                      input_log_version=args.log_version,
-                                     chunk_log_version=args.log_version,
-                                     input_batch_events=args.batch))
+                                     chunk_log_version=args.log_version))
     config = _flight_overrides(args, _machine_overrides(args, config))
     outcome = session.record(program, seed=args.seed, policy=args.policy,
                              input_files=inputs, config=config)
@@ -321,18 +320,11 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
         program, inputs = workloads.build(name, threads=args.threads,
                                           scale=args.scale)
         result = measure_overhead(program, seed=args.seed, policy=args.policy,
-                                  input_files=inputs, name=name,
-                                  batch_events=args.batch or None)
-        row = [name, result.native.total_cycles,
-               100 * result.hw_overhead, 100 * result.full_overhead]
-        if args.batch:
-            row.append(100 * result.batched_overhead)
-        rows.append(tuple(row))
-    headers = ["workload", "native cycles", "hw ovh %", "full ovh %"]
-    if args.batch:
-        headers.append(f"batched({args.batch}) %")
+                                  input_files=inputs, name=name)
+        rows.append((name, result.native.total_cycles,
+                     100 * result.hw_overhead, 100 * result.full_overhead))
     print(render_table(
-        tuple(headers), rows,
+        ("workload", "native cycles", "hw ovh %", "full ovh %"), rows,
         title="recording overhead (cycles, identical interleavings)"))
     return 0
 
@@ -569,10 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=LOG_VERSIONS, metavar="V",
                           help="input/chunk log serialization version "
                                "(1 = row-packed, 2 = columnar; default 1)")
-    p_record.add_argument("--batch", type=int, default=0, metavar="N",
-                          help="batch input logging in per-thread buffers "
-                               "of N events (0 = per-event; logs are "
-                               "bit-identical either way)")
     p_record.add_argument("--flight-capture", action="store_true",
                           help="with --flight-window: write a crash bundle "
                                "even when the run looks clean (explicit "
@@ -620,9 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ovh = sub.add_parser("overhead", help="native/hw/full cycle comparison")
     p_ovh.add_argument("workloads", nargs="+")
-    p_ovh.add_argument("--batch", type=int, default=0, metavar="N",
-                       help="also measure a full-stack run with input "
-                            "logging batched N events per flush")
     _add_workload_args(p_ovh)
     p_ovh.set_defaults(fn=_cmd_overhead)
 

@@ -198,12 +198,6 @@ LOG_VERSIONS = (1, 2)
 class CapoConfig:
     """The Capo3 software stack (Replay Sphere Manager) behaviour.
 
-    ``input_batch_events`` selects rr-style batched input logging: events
-    are staged in per-thread buffers of this many entries and drained at
-    chunk/kernel boundaries, amortizing the per-event interposition charge
-    across each batch. 0 keeps the per-event path (and its legacy cycle
-    accounting; the logs themselves are bit-identical either way).
-
     ``input_log_version`` / ``chunk_log_version`` pick the serialization
     format a bundle is *written* in (1 = row-packed, 2 = columnar
     delta-varint with streaming zlib); loading negotiates from the stream
@@ -221,15 +215,12 @@ class CapoConfig:
     compress_chunk_log: bool = True
     log_copy_to_user: bool = True
     drain_on_context_switch: bool = True
-    input_batch_events: int = 0
     input_log_version: int = 1
     chunk_log_version: int = 1
     flight_window: int = 0
     flight_epoch_chunks: int = 64
 
     def __post_init__(self) -> None:
-        _require(self.input_batch_events >= 0,
-                 "input_batch_events must be >= 0 (0 disables batching)")
         _require(self.flight_window >= 0,
                  "flight_window must be >= 0 (0 disables the flight ring)")
         _require(self.flight_epoch_chunks >= 1,

@@ -361,8 +361,6 @@ class Kernel:
             self.rsm.on_kernel_entry(core, task, reason)
 
     def _kernel_exit(self, core: Core, task: Task) -> None:
-        if self.rsm is not None and task.recorded:
-            self.rsm.on_kernel_exit(core, task)
         self._deliver_signal(core, task)
 
     def _handle_syscall(self, core: Core, task: Task) -> None:

@@ -239,8 +239,6 @@ class Machine:
             core.cycles += self._cost_writeback
         if core.cache.fill(line, MODIFIED if is_write else result.fill_state):
             core.cycles += self._cost_writeback
-        if core.recorder is not None and result.victim_timestamps:
-            core.recorder.observe_victims(result.victim_timestamps)
         if self._tm_enabled:
             telemetry = self.telemetry
             if upgrade:

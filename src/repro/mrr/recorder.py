@@ -9,9 +9,8 @@ Responsibilities (matching the prototype's MRR block):
   request hits the signatures — guaranteeing that no two conflicting
   accesses ever inhabit a pair of *open* chunks;
 - timestamp each chunk from the fabric's globally synchronized order
-  clock (the prototype reads the invariant TSC at termination), and
-  append a matching record to this core's own order log. Because the
-  clock is strictly increasing across cores, timestamps order chunks by
+  clock (the prototype reads the invariant TSC at termination). Because
+  the clock is strictly increasing across cores, timestamps order chunks by
   real termination time: a dependence on a *closed* chunk is ordered for
   free, and a dependence on an *open* chunk forces it closed first via
   the signature hit — so replaying in timestamp order respects every
@@ -33,7 +32,6 @@ from ..config import MRRConfig, TsoMode
 from ..errors import RecordingError
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .chunk import ChunkEntry, Reason
-from .orderlog import CoreOrderLog
 from .signature import BloomSignature
 
 
@@ -53,13 +51,6 @@ class MemoryRaceRecorder:
         # retired-count at which the size cap fires; kept in step with
         # _icnt_start so the machine's per-unit gate is one compare.
         self._icnt_limit = config.max_chunk_instructions
-        # Diagnostics for the evaluation figures.
-        self.chunks_logged = 0
-        self.conflicts_caused = 0
-        # This core's own order stream: one record per terminated chunk,
-        # with predecessor timestamps from victim notifications. Purely
-        # additive metadata — the shared chunk log is unchanged.
-        self.order_log = CoreOrderLog(core.core_id)
         self.telemetry = telemetry or NULL_TELEMETRY
         # Hot-path hoists: telemetry enablement and the termination
         # thresholds are fixed for the recorder's lifetime, so the per-unit
@@ -181,25 +172,6 @@ class MemoryRaceRecorder:
             if self._tm_on:
                 self._exact_reads.add(line)
 
-    def absorb_signatures(self, read_sig: BloomSignature,
-                          write_sig: BloomSignature) -> None:
-        """Merge stashed signature state into the live filters.
-
-        The RSM's virtualization path stashes a thread's signatures when it
-        is descheduled and folds them back in here on redispatch. Merging is
-        purely additive (strictly more conservative conflict detection), so
-        this can never miss a race. Chunks always terminate on kernel entry
-        before a thread is descheduled, so today the stash is provably empty
-        and the merge is a bit-identical no-op; the hook keeps the chunk
-        protocol honest if that sequencing ever changes. Absorbed lines are
-        Bloom-only (no exact shadow entry), so telemetry may classify a
-        snoop hit on an absorbed line as a false positive.
-        """
-        if self.rthread is None:
-            raise RecordingError("absorb_signatures with no active rthread")
-        self.read_sig.merge(read_sig)
-        self.write_sig.merge(write_sig)
-
     # -- conflict detection ----------------------------------------------------
 
     def snoop(self, line: int, is_write: bool) -> int | None:
@@ -237,15 +209,6 @@ class MemoryRaceRecorder:
                 "mrr.bloom_fp", cat="mrr", tid=self.rthread or 0,
                 args={"line": line, "reason": reason,
                       "core": self.core.core_id})
-
-    def observe_victims(self, victim_timestamps: list[int]) -> None:
-        """This core's transaction terminated remote chunks: count them,
-        and raise the order log's remote high-water mark — the piggybacked
-        predecessor timestamps the per-core order records carry. Ordering
-        itself is still carried by the global timestamp clock."""
-        self.conflicts_caused += len(victim_timestamps)
-        if victim_timestamps:
-            self.order_log.observe_remote(max(victim_timestamps))
 
     # -- self-initiated terminations -----------------------------------------
 
@@ -328,7 +291,5 @@ class MemoryRaceRecorder:
                       "read_sat_pct": round(read_pct, 2),
                       "write_sat_pct": round(write_pct, 2)})
         self.sink(entry)
-        self.chunks_logged += 1
-        self.order_log.append(entry.rthread, timestamp)
         self._begin_chunk()
         return timestamp

@@ -40,22 +40,6 @@ class BloomSignature:
         mask = self._hasher.mask(key)
         return word & mask == mask
 
-    def merge(self, other: BloomSignature) -> None:
-        """OR another signature of identical geometry into this one.
-
-        Used by the recorder's virtualization path: when a replay thread is
-        scheduled back onto a core, signature state stashed at undispatch is
-        folded into the live filters. Purely additive — merging can only add
-        members (more conservative conflict detection), never drop them.
-        """
-        if other.bits != self.bits or other.hashes != self.hashes:
-            raise ValueError(
-                f"cannot merge {other.bits}x{other.hashes} signature into "
-                f"{self.bits}x{self.hashes}")
-        self._word |= other._word
-        self.bits_set = self._word.bit_count()
-        self.inserts += other.inserts
-
     def clear(self) -> None:
         self._word = 0
         self.bits_set = 0

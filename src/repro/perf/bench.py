@@ -55,11 +55,6 @@ SLOWDOWN_WARN_RATIO = 0.7
 #: parallelism for 4 jobs without drowning small logs in snapshot cost.
 CHECKPOINT_INTERVALS = 16
 
-#: Per-thread buffer size for the batched leg of the overhead trajectory
-#: (rr's syscall buffer holds far more; 64 already amortizes the
-#: interposition charge to noise at these workload sizes).
-OVERHEAD_BATCH_EVENTS = 64
-
 #: Core counts for the many-core scaling series (directory vs snooping).
 SCALING_CORES = (4, 8, 16, 32, 64)
 
@@ -101,8 +96,8 @@ def run_bench(spec: tuple) -> dict:
     simulator itself is nondeterministic, which is blocking by definition).
     Then embeds checkpoints, times a serial replay, and saves the bundle
     under ``bundle_dir`` for the parent's parallel-replay pass. Finally
-    runs the recording-overhead trajectory (native / hw-only / full /
-    full-batched, plus v1-vs-v2 log bandwidth) and nests it under the
+    runs the recording-overhead trajectory (native / hw-only / full, plus
+    v1-vs-v2 log bandwidth) and nests it under the
     ``overhead`` key, so the bench history tracks recorded-vs-native cost
     alongside throughput.
     """
@@ -151,7 +146,7 @@ def run_bench(spec: tuple) -> dict:
         gc.enable()
     recording.save(Path(bundle_dir) / name)
     overhead = measure_overhead(program, seed=seed, input_files=inputs,
-                                name=name, batch_events=OVERHEAD_BATCH_EVENTS)
+                                name=name)
     overhead_row = overhead.as_row()
     overhead_row.pop("workload", None)
     return {
@@ -473,8 +468,7 @@ def run(args: argparse.Namespace) -> int:
         o = r.get("overhead")
         if o:
             print(f"{'':<{width}}  overhead hw {o['hw_overhead_pct']:+.2f}% "
-                  f"full {o['full_overhead_pct']:+.2f}% "
-                  f"batched {o.get('batched_overhead_pct', 0.0):+.2f}%  "
+                  f"full {o['full_overhead_pct']:+.2f}%  "
                   f"log bytes v1 {o.get('total_bytes_v1', 0)} "
                   f"-> v2 {o.get('total_bytes_v2', 0)}")
     for row in scaling_rows:

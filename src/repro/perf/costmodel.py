@@ -45,19 +45,6 @@ class CostModel:
     cbuf_drain_per_entry: int = 4
     context_switch_flush: int = 150
 
-    # -- batched input logging (rr-style syscall-buffer amortization; used
-    #    when ``capo.input_batch_events > 0``) ------------------------------
-    # Appending one event to the per-thread buffer: a user-space store, no
-    # kernel crossing, no log-cursor maintenance.
-    input_log_event_batched: int = 8
-    # Draining one full batch into the log: a single interposition charge
-    # amortized across the whole batch instead of paid per event.
-    input_log_flush: int = 120
-    # Copy avoidance: a payload whose content is already in the recording's
-    # pool pays this per byte instead of ``input_log_per_byte`` (a content
-    # compare against the pooled copy, not a second copy-out).
-    input_log_dup_per_byte: int = 0
-
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
 

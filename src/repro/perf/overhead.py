@@ -7,17 +7,13 @@ instructions under the same interleaving; the cycle deltas are pure
 recording cost. This regenerates the paper's central overhead figure (F1)
 and its breakdown (F2).
 
-An optional *fourth* run measures the batched input-logging path
-(``capo.input_batch_events > 0``): same execution, same logs, but the
-per-event interposition charge amortized rr-style across each batch. The
-native/hw/full/full-batched series is the "overhead trajectory" the bench
-history tracks, together with the v1-vs-v2 log-bandwidth figures computed
-from the full run's recording.
+The native/hw/full series is the "overhead trajectory" the bench history
+tracks, together with the v1-vs-v2 log-bandwidth figures computed from the
+full run's recording.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -38,7 +34,6 @@ class OverheadResult:
     native: RunOutcome
     hw_only: RunOutcome
     full: RunOutcome
-    full_batched: RunOutcome | None = None
 
     def __post_init__(self) -> None:
         if not (self.native.final_memory_digest
@@ -46,11 +41,6 @@ class OverheadResult:
                 == self.full.final_memory_digest):
             raise ReproError(
                 f"{self.name}: modes diverged — recording altered execution")
-        if self.full_batched is not None and (
-                self.full_batched.final_memory_digest
-                != self.full.final_memory_digest):
-            raise ReproError(
-                f"{self.name}: batched logging altered execution")
 
     @property
     def hw_overhead(self) -> float:
@@ -61,14 +51,6 @@ class OverheadResult:
     def full_overhead(self) -> float:
         """Fractional slowdown of the full software stack vs native."""
         return self.full.total_cycles / self.native.total_cycles - 1.0
-
-    @property
-    def batched_overhead(self) -> float | None:
-        """Full-stack slowdown with batched input logging (None if the
-        batched run was not requested)."""
-        if self.full_batched is None:
-            return None
-        return self.full_batched.total_cycles / self.native.total_cycles - 1.0
 
     def software_breakdown(self) -> dict[str, float]:
         """Full-stack overhead cycles attributed to each software component,
@@ -111,9 +93,6 @@ class OverheadResult:
             "hw_overhead_pct": 100.0 * self.hw_overhead,
             "full_overhead_pct": 100.0 * self.full_overhead,
         }
-        batched = self.batched_overhead
-        if batched is not None:
-            row["batched_overhead_pct"] = 100.0 * batched
         row.update(self.log_bandwidth())
         return row
 
@@ -123,19 +102,13 @@ def measure_overhead(program: Program, config: SimConfig | None = None,
                      input_files: Mapping[str, bytes] | None = None,
                      name: str | None = None,
                      max_units: int = 200_000_000,
-                     telemetry: Telemetry | None = None,
-                     batch_events: int | None = None) -> OverheadResult:
+                     telemetry: Telemetry | None = None) -> OverheadResult:
     """Run the three-mode comparison for one program.
 
     ``telemetry`` (or ``config.telemetry.enabled``) instruments all three
     runs with the same tracer/metrics, so the trace shows the native, the
     hardware-only and the full-stack pass back to back — the raw material
     of the paper's F2 breakdown.
-
-    ``batch_events`` adds a fourth MODE_FULL run with
-    ``capo.input_batch_events`` set to that value, measuring how much of
-    the software overhead batched logging recovers. The batched run must
-    reproduce the unbatched digest exactly (it only changes accounting).
     """
     label = name or program.name
     runs: dict[str, RunOutcome] = {}
@@ -146,25 +119,10 @@ def measure_overhead(program: Program, config: SimConfig | None = None,
         runs[mode] = outcome
         logger.debug("%s: mode=%s units=%d cycles=%d", label, mode,
                      outcome.units, outcome.total_cycles)
-    full_batched = None
-    if batch_events:
-        base_config = config if config is not None else SimConfig()
-        batched_config = dataclasses.replace(
-            base_config,
-            capo=dataclasses.replace(base_config.capo,
-                                     input_batch_events=batch_events))
-        full_batched = simulate(program, config=batched_config, seed=seed,
-                                policy=policy, mode=MODE_FULL,
-                                input_files=input_files, max_units=max_units,
-                                telemetry=telemetry)
-        logger.debug("%s: mode=full(batch=%d) units=%d cycles=%d", label,
-                     batch_events, full_batched.units,
-                     full_batched.total_cycles)
     result = OverheadResult(name=label,
                             native=runs[MODE_OFF],
                             hw_only=runs[MODE_HW],
-                            full=runs[MODE_FULL],
-                            full_batched=full_batched)
+                            full=runs[MODE_FULL])
     logger.info("%s: hw overhead %.2f%%, full overhead %.2f%%", label,
                 100 * result.hw_overhead, 100 * result.full_overhead)
     run_telemetry = runs[MODE_FULL].telemetry
@@ -173,9 +131,6 @@ def measure_overhead(program: Program, config: SimConfig | None = None,
         gauges.gauge("overhead.native_cycles").set(result.native.total_cycles)
         gauges.gauge("overhead.hw_pct").set(100 * result.hw_overhead)
         gauges.gauge("overhead.full_pct").set(100 * result.full_overhead)
-        batched = result.batched_overhead
-        if batched is not None:
-            gauges.gauge("overhead.full_batched_pct").set(100 * batched)
         for component, fraction in result.software_breakdown().items():
             gauges.gauge(f"overhead.breakdown.{component}_pct").set(
                 100 * fraction)

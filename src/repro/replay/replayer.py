@@ -141,10 +141,9 @@ class Replayer:
         self.memory = PhysicalMemory(self.config.machine.memory_bytes)
         self.memory.load_blob(recording.program.data_base,
                               recording.program.data)
-        # ``schedule`` lets a caller supply a pre-merged global order —
-        # e.g. merge_core_streams over per-core logs — instead of sorting
-        # the shared chunk log; it must contain the same chunks and is
-        # validated identically.
+        # ``schedule`` lets a caller supply the global order directly —
+        # the flight ring's shadow replayer extends it epoch by epoch —
+        # instead of sorting the chunk log; it is validated identically.
         if schedule is None:
             schedule = build_schedule(recording.chunks)
         self.schedule = list(schedule)

@@ -4,18 +4,9 @@ Replay executes chunks in total (timestamp, rthread) order. Equal-timestamp
 chunks are mutually unordered by construction (any true conflict forces a
 strict timestamp inequality), so the rthread tie-break is safe; validation
 checks the per-thread invariants the recorder guarantees.
-
-Two equivalent schedule sources: :func:`build_schedule` sorts the single
-shared chunk log (the v1 path), and :func:`merge_core_streams` k-way-merges
-the per-core order streams — each strictly timestamp-monotonic, so the
-merge is O(n log k) and needs no global sort. The property suite pins that
-both produce the identical schedule.
 """
 
 from __future__ import annotations
-
-import heapq
-from typing import Iterable, Sequence
 
 from ..errors import ReplayDivergenceError
 from ..mrr.chunk import ChunkEntry, Reason
@@ -24,30 +15,6 @@ from ..mrr.chunk import ChunkEntry, Reason
 def build_schedule(chunks: list[ChunkEntry]) -> list[ChunkEntry]:
     """Global replay order: sort by (timestamp, rthread), stably."""
     return sorted(chunks, key=lambda chunk: chunk.sort_key)
-
-
-def merge_core_streams(streams: Sequence[Iterable]) -> list:
-    """Merge per-core chunk (or order-record) streams into the global
-    schedule.
-
-    Each stream must be strictly timestamp-monotonic — which per-core
-    emission order guarantees, because the fabric's order clock is global
-    — so a k-way heap merge on ``sort_key`` reconstructs exactly the
-    (timestamp, rthread)-sorted schedule ``build_schedule`` derives from
-    the shared log. A non-monotonic stream means a corrupt per-core log
-    and raises.
-    """
-    checked: list[list] = []
-    for core_id, stream in enumerate(streams):
-        items = list(stream)
-        for previous, item in zip(items, items[1:]):
-            if item.timestamp <= previous.timestamp:
-                raise ReplayDivergenceError(
-                    f"core {core_id} order stream not monotonic: "
-                    f"{previous.timestamp} -> {item.timestamp}",
-                    rthread=item.rthread)
-        checked.append(items)
-    return list(heapq.merge(*checked, key=lambda item: item.sort_key))
 
 
 def validate_schedule(chunks: list[ChunkEntry]) -> None:

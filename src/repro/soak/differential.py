@@ -214,8 +214,7 @@ def run_case_checks(case: FuzzCase, matrix: bool = False,
             base_fingerprint = fingerprint
         elif variant.bit_identical and base_fingerprint is not None:
             differing = sorted(key for key in fingerprint
-                               if fingerprint[key] != base_fingerprint[key]
-                               and key not in variant.identical_except)
+                               if fingerprint[key] != base_fingerprint[key])
             if differing:
                 failures.append(SeedFailure(
                     "divergence", variant.name,

@@ -5,11 +5,9 @@ Variants come in two strengths:
 - **bit-identical** variants toggle mechanisms that are documented as
   observationally free — the decode cache, presence-based snoop
   filtering, the directory coherence fabric, telemetry, chunk-log
-  compression-on-save. A run under any of
+  compression-on-save, the log format version. A run under any of
   these must produce exactly the baseline's digest (memory image, chunk
-  log, input log, outputs, exit codes, cycle and unit counts). A variant
-  may carve out named fingerprint components via ``identical_except`` —
-  batched input logging, for instance, changes only cycle accounting.
+  log, input log, outputs, exit codes, cycle and unit counts).
 - **self-verifying** variants change real machine/kernel shape
   (store-buffer depth and drain cadence, scheduler quantum), so they
   legitimately execute a different interleaving. For those the oracle is
@@ -50,11 +48,6 @@ class Variant:
     #: Checkpoints are built post-hoc from the logs, so the recorded
     #: outcome itself stays bit-identical to the baseline's.
     checkpoint_every: int = 0
-    #: Batch input logging in per-thread buffers of this many events
-    #: (None keeps the case's setting; 0 = per-event). Batching changes
-    #: only cycle accounting, never the logs — pair with
-    #: ``identical_except=("cycles",)``.
-    input_batch_events: int | None = None
     #: Serialize the recording bundle with this input/chunk log format
     #: version (None keeps the case's). Serialization happens at save
     #: time, so the outcome is fully bit-identical; the save/load
@@ -62,9 +55,6 @@ class Variant:
     log_version: int | None = None
     #: Must this variant's outcome digest equal the baseline's?
     bit_identical: bool = True
-    #: Fingerprint components allowed to differ for a bit-identical
-    #: variant (e.g. ``("cycles",)`` for accounting-only changes).
-    identical_except: tuple[str, ...] = ()
 
     def apply(self, config: SimConfig) -> SimConfig:
         """The case config with this variant's overrides folded in."""
@@ -89,9 +79,6 @@ class Variant:
         if self.compress_chunk_log is not None:
             capo = dataclasses.replace(
                 capo, compress_chunk_log=self.compress_chunk_log)
-        if self.input_batch_events is not None:
-            capo = dataclasses.replace(
-                capo, input_batch_events=self.input_batch_events)
         if self.log_version is not None:
             capo = dataclasses.replace(capo,
                                        input_log_version=self.log_version,
@@ -116,8 +103,6 @@ MATRIX_VARIANTS: tuple[Variant, ...] = (
     Variant("zlib-off", compress_chunk_log=False),
     Variant("checkpointed", checkpoint_every=8),
     Variant("log-v2", log_version=2),
-    Variant("log-batched", input_batch_events=64,
-            identical_except=("cycles",)),
     Variant("sb-shallow", store_buffer_entries=1, store_buffer_drain=1,
             bit_identical=False),
     Variant("sb-deep", store_buffer_entries=16, store_buffer_drain=33,

@@ -51,6 +51,49 @@ def test_load_rejects_foreign_manifest(tmp_path):
         Recording.load(directory)
 
 
+def _forge_manifest(mutate):
+    def forge(directory):
+        path = directory / "manifest.json"
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    return forge
+
+
+def _forge_capo(key, value):
+    def mutate(manifest):
+        manifest["config"]["capo"][key] = value
+        return manifest
+    return _forge_manifest(mutate)
+
+
+def _truncate(name):
+    def forge(directory):
+        path = directory / name
+        path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+    return forge
+
+
+@pytest.mark.parametrize("forge, match", [
+    (_truncate("manifest.json"), "malformed manifest"),
+    (lambda d: (d / "manifest.json").write_bytes(b'{"format": "\xff\xfe"}'),
+     "malformed manifest"),
+    (_forge_manifest(lambda m: [m]), "not a quickrec recording"),
+    (_forge_manifest(lambda m: {k: v for k, v in m.items()
+                                if k != "config"}), "bad config"),
+    # a bundle saved while CapoConfig still had this knob
+    (_forge_capo("input_batch_events", 0), "input_batch_events"),
+    (_forge_capo("flight_window", -1), "flight_window"),
+    (_truncate("program.json"), "malformed program image"),
+], ids=["truncated-manifest", "non-utf8-manifest", "list-manifest",
+        "no-config", "unknown-config-key", "out-of-range-config",
+        "truncated-program"])
+def test_malformed_manifest_or_program_is_log_format_error(
+        recording, tmp_path, forge, match):
+    directory = recording.save(tmp_path / "rec")
+    forge(directory)
+    with pytest.raises(LogFormatError, match=match):
+        Recording.load(directory)
+
+
 def test_manifest_count_mismatch_detected(recording, tmp_path):
     directory = recording.save(tmp_path / "rec")
     manifest = json.loads((directory / "manifest.json").read_text())

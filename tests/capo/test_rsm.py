@@ -112,62 +112,21 @@ def test_finalize_flushes_all_cbufs():
     assert len(outcome.recording.chunks) == outcome.rsm_stats["chunks"]
 
 
-# -- batched input logging ---------------------------------------------------
-
-def _record_counter(batch):
-    import dataclasses
-
-    from repro import workloads
-    from repro.config import CapoConfig
-
-    program, inputs = workloads.build("counter", threads=2)
-    config = dataclasses.replace(
-        SimConfig(), capo=CapoConfig(input_batch_events=batch))
-    return session.record(program, seed=1, input_files=inputs, config=config)
-
-
-def test_batched_logging_is_bit_identical_except_cycles():
-    base = _record_counter(0)
-    batched = _record_counter(64)
-    assert batched.recording.events == base.recording.events
-    assert batched.recording.chunks == base.recording.chunks
-    assert batched.final_memory_digest == base.final_memory_digest
-    assert batched.units == base.units
-    # the whole point: batching only cheapens the accounting
-    assert batched.total_cycles < base.total_cycles
-    assert batched.rsm_stats["cycles_input_log"] < \
-        base.rsm_stats["cycles_input_log"]
-    assert batched.rsm_stats["input_batch_flushes"] > 0
-    assert base.rsm_stats["input_batch_flushes"] == 0
-
-
-def test_batched_recording_replays_and_verifies():
-    outcome = _record_counter(8)
-    replayed = session.replay_recording(outcome.recording)
-    assert session.verify(outcome, replayed).ok
-
-
-def test_batch_of_one_still_orders_events():
-    base = _record_counter(0)
-    batched = _record_counter(1)
-    assert batched.recording.events == base.recording.events
-    seqs = [event.seq for event in batched.recording.events]
-    assert seqs == sorted(seqs)
-
-
 def test_payload_dedup_counts_repeated_content():
-    # two reads of the same file region copy in identical payloads; the
-    # pool charges the duplicate at the dup rate and counts the bytes
-    import dataclasses
-
-    from repro import workloads
-    from repro.config import CapoConfig
-
-    program, inputs = workloads.build("fft", threads=2)
-    config = dataclasses.replace(
-        SimConfig(), capo=CapoConfig(input_batch_events=16))
-    outcome = session.record(program, seed=1, input_files=inputs,
-                             config=config)
-    base = session.record(program, seed=1, input_files=inputs)
-    assert outcome.recording.events == base.recording.events
-    assert outcome.rsm_stats["input_payload_dedup_bytes"] >= 0
+    # two reads of the same file content copy in identical payloads; the
+    # pool stores the content once and counts the repeat as dedup bytes
+    b = KernelBuilder()
+    b.asciz("path", "f")
+    b.space("buf", 64)
+    b.label("main")
+    for _ in range(2):
+        b.syscall(10, "path")            # open
+        b.ins("mov", "r10", "rax")
+        b.syscall(3, "r10", "buf", 64)   # read 64 bytes
+    b.exit(0)
+    outcome = session.record(b.build("io2"), input_files={"f": b"z" * 64})
+    assert outcome.rsm_stats["input_payload_bytes"] == 128
+    assert outcome.rsm_stats["input_payload_dedup_bytes"] == 64
+    copies = [event.copies[0][1] for event in outcome.recording.events
+              if event.copies]
+    assert len(copies) == 2 and copies[0] is copies[1]

@@ -90,19 +90,6 @@ def test_flight_forensics_analyze(pair):
     assert report.as_dict()  # serializes cleanly
 
 
-def test_order_logs_trimmed_behind_ring(pair):
-    unbounded, flight = pair
-    trimmed = sum(log.trimmed for log in flight.order_logs)
-    total = sum(log.trimmed + len(log.records)
-                for log in flight.order_logs)
-    full_total = sum(len(log.records) for log in unbounded.order_logs)
-    # the RSM trims per-core order logs behind the ring base: retained
-    # records shrink, but trimmed + retained still covers the full run
-    assert trimmed > 0
-    assert total == full_total
-    assert sum(len(log.records) for log in flight.order_logs) < full_total
-
-
 def test_crasher_fault_captured_end_to_end(tmp_path):
     # the black-box story: a faulting workload under a flight ring yields
     # a crash bundle whose window replays to the recorded fault

@@ -23,6 +23,7 @@ import random
 import pytest
 
 from repro import session, workloads
+from repro.capo.chunk_buffer import ChunkBuffer
 from repro.config import (
     CacheConfig,
     MachineConfig,
@@ -33,7 +34,7 @@ from repro.config import (
 from repro.machine.bus import DirectoryBus, SnoopBus
 from repro.machine.cache import EXCLUSIVE, MESICache, MODIFIED, SHARED
 from repro.perf.bench import digest_of
-from repro.replay.schedule import build_schedule, merge_core_streams
+from repro.replay.schedule import build_schedule
 
 
 def _fabric_with_caches(bus_cls, num_cores=4, sets=4, ways=1,
@@ -188,21 +189,35 @@ def _config(num_cores, coherence):
 
 @pytest.mark.parametrize("num_cores", [4, 16])
 @pytest.mark.parametrize("workload", ["counter", "pingpong"])
-def test_directory_recording_is_bit_identical(workload, num_cores):
+def test_directory_recording_is_bit_identical(workload, num_cores,
+                                              monkeypatch):
+    # Capture the RSM sink's emission order: every sink call appends the
+    # terminated chunk to its core's CBUF.
+    emitted = []
+    append = ChunkBuffer.append
+
+    def recording_append(self, entry):
+        emitted.append(entry)
+        append(self, entry)
+
+    monkeypatch.setattr(ChunkBuffer, "append", recording_append)
     program, inputs = workloads.build(workload, threads=num_cores, scale=1)
-    runs = {}
+    runs, emissions = {}, {}
     for coherence in ("snoop", "directory"):
+        emitted.clear()
         runs[coherence] = session.record(
             program, seed=6, input_files=inputs,
             config=_config(num_cores, coherence))
+        emissions[coherence] = list(emitted)
     snoop, directory = runs["snoop"], runs["directory"]
     assert digest_of(snoop) == digest_of(directory)
     assert snoop.total_cycles == directory.total_cycles
     assert (build_schedule(snoop.recording.chunks)
             == build_schedule(directory.recording.chunks))
-    # Per-core streams merge to the same schedule under both fabrics.
-    assert (merge_core_streams(directory.core_chunk_logs)
-            == build_schedule(directory.recording.chunks))
+    # The sink sees chunks in (timestamp, rthread) schedule order under
+    # both fabrics — the order FlightRing.push_chunk relies on.
+    for coherence, run in runs.items():
+        assert emissions[coherence] == build_schedule(run.recording.chunks)
 
 
 def test_directory_under_stress_config_stays_identical():

@@ -75,40 +75,6 @@ def test_validation():
         BloomSignature(100, 2)
 
 
-def test_merge_is_union_of_members():
-    a = BloomSignature(256, 2)
-    b = BloomSignature(256, 2)
-    a_lines = list(range(0, 64 * 10, 64))
-    b_lines = list(range(64 * 100, 64 * 112, 64))
-    for line in a_lines:
-        a.insert(line)
-    for line in b_lines:
-        b.insert(line)
-    a.merge(b)
-    for line in a_lines + b_lines:
-        assert a.test(line)
-    assert a.bits_set == a._word.bit_count()
-    assert a.inserts == len(a_lines) + len(b_lines)
-    # merge never mutates the source
-    assert all(b.test(line) for line in b_lines)
-
-
-def test_merge_with_empty_is_identity():
-    sig = BloomSignature(256, 2)
-    sig.insert(64)
-    word_before = sig._word
-    sig.merge(BloomSignature(256, 2))
-    assert sig._word == word_before
-
-
-def test_merge_rejects_mismatched_geometry():
-    sig = BloomSignature(256, 2)
-    with pytest.raises(ValueError):
-        sig.merge(BloomSignature(128, 2))
-    with pytest.raises(ValueError):
-        sig.merge(BloomSignature(256, 3))
-
-
 def test_hasher_mask_matches_indices():
     hasher = H3Hasher(256, 2)
     for key in range(0, 64 * 30, 64):

@@ -1,132 +1,20 @@
-"""Per-core order streams merge to exactly the v1 global schedule.
+"""A replayer driven by a caller-supplied schedule reproduces the recording.
 
-The recorder emits two equivalent order representations: the shared chunk
-log (sorted by ``build_schedule``) and per-core streams — each core's
-chunks in emission order plus a :class:`CoreOrderLog` of
-(seq, rthread, timestamp, pred_ts) records. This suite pins
-
-- the merge identity, end-to-end on real recordings and on
-  hypothesis-generated synthetic streams (merge == global sort);
-- the per-core invariants the merge relies on: strict timestamp
-  monotonicity (violations raise), dense ``seq``, ``pred_ts < timestamp``;
-- that a replayer driven by the merged schedule reproduces the recording.
+``Replayer(schedule=)`` is how the flight ring's shadow replayer feeds the
+global chunk order epoch by epoch; replaying the whole
+``build_schedule`` order through it must verify like a default replay.
 """
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import session, workloads
 from repro.config import MachineConfig, SimConfig
-from repro.errors import ReplayDivergenceError
-from repro.mrr.orderlog import CoreOrderLog, OrderRecord
 from repro.replay.replayer import Replayer
-from repro.replay.schedule import build_schedule, merge_core_streams
+from repro.replay.schedule import build_schedule
 
 
-def _record(workload="pingpong", num_cores=4, seed=3, coherence="snoop"):
-    program, inputs = workloads.build(workload, threads=num_cores, scale=1)
-    config = SimConfig(machine=MachineConfig(num_cores=num_cores,
-                                             coherence=coherence))
-    return session.record(program, seed=seed, input_files=inputs,
-                          config=config)
-
-
-# -- end-to-end ---------------------------------------------------------------
-
-@pytest.mark.parametrize("coherence", ["snoop", "directory"])
-@pytest.mark.parametrize("workload", ["counter", "pingpong"])
-def test_core_streams_merge_to_the_global_schedule(workload, coherence):
-    out = _record(workload, coherence=coherence)
-    assert (merge_core_streams(out.core_chunk_logs)
-            == build_schedule(out.recording.chunks))
-
-
-def test_merge_at_many_cores():
-    out = _record("barnes", num_cores=16, coherence="directory")
-    merged = merge_core_streams(out.core_chunk_logs)
-    assert merged == build_schedule(out.recording.chunks)
-    # Real work landed on many streams, not one.
-    populated = sum(1 for stream in out.core_chunk_logs if stream)
-    assert populated > 1
-
-
-def test_order_logs_mirror_core_chunk_streams():
-    out = _record()
-    for core_log, chunks in zip(out.order_logs, out.core_chunk_logs):
-        assert [r.timestamp for r in core_log.records] \
-            == [c.timestamp for c in chunks]
-        assert [r.rthread for r in core_log.records] \
-            == [c.rthread for c in chunks]
-        assert [r.seq for r in core_log.records] \
-            == list(range(len(chunks)))
-        for record in core_log.records:
-            assert record.pred_ts < record.timestamp
-
-
-def test_order_records_merge_like_their_chunks():
-    out = _record()
-    merged = merge_core_streams(
-        [log.records for log in out.order_logs])
+def test_replayer_accepts_a_supplied_schedule():
+    program, inputs = workloads.build("pingpong", threads=4, scale=1)
+    config = SimConfig(machine=MachineConfig(num_cores=4))
+    out = session.record(program, seed=3, input_files=inputs, config=config)
     schedule = build_schedule(out.recording.chunks)
-    assert [r.sort_key for r in merged] == [c.sort_key for c in schedule]
-
-
-def test_replayer_accepts_a_merged_schedule():
-    out = _record()
-    schedule = merge_core_streams(out.core_chunk_logs)
     replayed = Replayer(out.recording, schedule=schedule).run()
-    report = session.verify(out, replayed)
-    assert report.ok
-
-
-# -- order-log bookkeeping ----------------------------------------------------
-
-def test_pred_ts_tracks_local_then_remote_observations():
-    log = CoreOrderLog(0)
-    first = log.append(rthread=1, timestamp=5)
-    assert first.pred_ts == 0
-    log.observe_remote(9)
-    log.observe_remote(7)  # high-water mark only moves up
-    second = log.append(rthread=1, timestamp=12)
-    assert second.pred_ts == 9
-    third = log.append(rthread=1, timestamp=13)
-    assert third.pred_ts == 12  # own previous chunk beats the stale remote
-
-
-# -- synthetic streams --------------------------------------------------------
-
-def _streams_strategy():
-    """Partition strictly-increasing unique timestamps across k streams."""
-    return st.integers(min_value=1, max_value=6).flatmap(
-        lambda k: st.tuples(
-            st.just(k),
-            st.lists(st.integers(min_value=1, max_value=10_000),
-                     unique=True, max_size=120),
-            st.lists(st.integers(min_value=0, max_value=k - 1),
-                     min_size=120, max_size=120),
-        ))
-
-
-@given(data=_streams_strategy())
-@settings(max_examples=120, deadline=None)
-def test_merge_equals_global_sort(data):
-    k, timestamps, owners = data
-    streams = [[] for _ in range(k)]
-    for timestamp, owner in zip(sorted(timestamps), owners):
-        streams[owner].append(
-            OrderRecord(seq=len(streams[owner]), rthread=owner,
-                        timestamp=timestamp, pred_ts=0))
-    merged = merge_core_streams(streams)
-    flat = [record for stream in streams for record in stream]
-    assert merged == sorted(flat, key=lambda r: r.sort_key)
-    assert [r.timestamp for r in merged] == sorted(timestamps)
-
-
-def test_non_monotonic_stream_raises():
-    stream = [
-        OrderRecord(seq=0, rthread=0, timestamp=5, pred_ts=0),
-        OrderRecord(seq=1, rthread=0, timestamp=5, pred_ts=0),
-    ]
-    with pytest.raises(ReplayDivergenceError, match="not monotonic"):
-        merge_core_streams([stream])
+    assert session.verify(out, replayed).ok

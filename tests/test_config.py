@@ -124,10 +124,7 @@ def test_configs_hashable_values():
 def test_capo_log_knobs_validated():
     from repro.config import CapoConfig
 
-    assert CapoConfig().input_batch_events == 0
     assert CapoConfig().input_log_version == 1
-    with pytest.raises(ConfigError):
-        CapoConfig(input_batch_events=-1)
     with pytest.raises(ConfigError):
         CapoConfig(input_log_version=3)
     with pytest.raises(ConfigError):
@@ -137,10 +134,8 @@ def test_capo_log_knobs_validated():
 def test_old_bundle_dicts_get_log_knob_defaults():
     # a config dict saved before the log knobs existed must still load
     data = SimConfig().to_dict()
-    for key in ("input_batch_events", "input_log_version",
-                "chunk_log_version"):
+    for key in ("input_log_version", "chunk_log_version"):
         del data["capo"][key]
     config = SimConfig.from_dict(data)
-    assert config.capo.input_batch_events == 0
     assert config.capo.input_log_version == 1
     assert config.capo.chunk_log_version == 1

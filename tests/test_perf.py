@@ -75,34 +75,11 @@ def test_custom_cost_model_scales_costs():
     assert pricey.final_memory_digest == cheap.final_memory_digest
 
 
-# -- overhead trajectory (batched leg + log bandwidth) -----------------------
+# -- overhead trajectory (log bandwidth) -------------------------------------
 
-@pytest.fixture(scope="module")
-def batched_overhead():
-    program, inputs = workloads.build("counter", threads=2)
-    return measure_overhead(program, seed=1, input_files=inputs,
-                            batch_events=64)
-
-
-def test_batched_leg_measured_and_cheaper(batched_overhead):
-    r = batched_overhead
-    assert r.full_batched is not None
-    assert r.batched_overhead is not None
-    assert r.batched_overhead <= r.full_overhead
-    # batching never alters execution
-    assert r.full_batched.final_memory_digest == r.full.final_memory_digest
-
-
-def test_batched_leg_optional(counter_overhead):
-    assert counter_overhead.full_batched is None
-    assert counter_overhead.batched_overhead is None
-    assert "batched_overhead_pct" not in counter_overhead.as_row()
-
-
-def test_log_bandwidth_fields(batched_overhead):
-    bw = batched_overhead.log_bandwidth()
+def test_log_bandwidth_fields(counter_overhead):
+    bw = counter_overhead.log_bandwidth()
     assert bw["total_bytes_v2"] <= bw["total_bytes_v1"]
     assert bw["total_B_per_ki_v2"] <= bw["total_B_per_ki_v1"]
-    row = batched_overhead.as_row()
-    assert row["batched_overhead_pct"] <= row["full_overhead_pct"]
+    row = counter_overhead.as_row()
     assert row["input_bytes_v2"] <= row["input_bytes_v1"]
