@@ -4,14 +4,21 @@ The rr lineage of the v2 formats: columnar delta-varint fields, a
 content-keyed pool for duplicate copy payloads, streaming zlib. This
 bench measures the size of the *same* recording serialized both ways —
 the compression ratio is the whole argument for the format — plus the
-throughput of the chunked XOR used by the checkpoint delta encoder.
+throughput of the page-delta checkpoint section codec.
 """
 
+import json
+import random
 import time
 
 from repro.analysis.logs import log_rates
 from repro.analysis.report import render_table
-from repro.mrr.logfmt import _xor_bytes
+from repro.mrr.logfmt import (
+    CHECKPOINT_PAGE,
+    CheckpointRecord,
+    decode_checkpoints,
+    encode_checkpoints,
+)
 
 from conftest import MICROS, SPLASH, BenchSuite, publish
 
@@ -44,19 +51,53 @@ def test_t4_log_bandwidth(benchmark, suite: BenchSuite):
         assert rate.input_bytes_v2 <= rate.input_bytes
 
 
-def test_t4_xor_throughput(benchmark):
-    # the checkpoint delta encoder XORs consecutive memory images; the
-    # chunked memoryview implementation must sustain large inputs
-    size = 1 << 22  # a full simulated memory image
-    data = bytes(i & 0xFF for i in range(size))
-    key = bytes((i * 7 + 3) & 0xFF for i in range(size))
+def checkpoint_sequence(count: int = 16, image: int = 1 << 22,
+                        seed: int = 4) -> list[CheckpointRecord]:
+    """``count`` replay-state-like payloads: a JSON header that grows
+    with the position in front of a 4 MiB memory image. The first image
+    has 8 non-zero pages; each later one rewrites 1-5 pages."""
+    rng = random.Random(seed)
+    memory = bytearray(image)
+    pages = image // CHECKPOINT_PAGE
 
-    result = benchmark(lambda: _xor_bytes(data, key))
-    assert len(result) == size
-    assert result[:4] == bytes(a ^ b for a, b in zip(data[:4], key[:4]))
+    def rewrite(page: int) -> None:
+        start = page * CHECKPOINT_PAGE
+        memory[start:start + CHECKPOINT_PAGE] = rng.randbytes(CHECKPOINT_PAGE)
+
+    for page in rng.sample(range(pages), 8):
+        rewrite(page)
+    records = []
+    for index in range(count):
+        if index:
+            for page in rng.sample(range(pages), rng.randint(1, 5)):
+                rewrite(page)
+        position = 500 * (index + 1)
+        header = json.dumps({"position": position,
+                             "threads": ["t" * 50] * (30 + index)}).encode()
+        records.append(CheckpointRecord.for_payload(
+            position, len(header).to_bytes(4, "little") + header
+            + bytes(memory)))
+    return records
+
+
+def test_t4_checkpoint_codec_throughput(benchmark):
+    # the checkpoint section codec stores, loads and verifies 16 full
+    # simulated memory images; its cost must follow the changed pages
+    records = checkpoint_sequence()
+    raw = sum(len(record.payload) for record in records)
+
+    blob = benchmark(lambda: encode_checkpoints(records))
+    assert decode_checkpoints(blob) == records
 
     start = time.perf_counter()
-    _xor_bytes(data, key)
-    elapsed = time.perf_counter() - start
-    publish("t4_xor", f"T4: xor {size / 1e6:.1f} MB in {elapsed * 1e3:.1f} ms"
-                      f" ({size / elapsed / 1e6:.0f} MB/s)")
+    encode_checkpoints(records)
+    encode_s = time.perf_counter() - start
+    start = time.perf_counter()
+    decode_checkpoints(blob)
+    decode_s = time.perf_counter() - start
+    publish("t4_checkpoints",
+            f"T4: checkpoint section, {len(records)} x "
+            f"{raw / len(records) / 1e6:.1f} MB payloads -> "
+            f"{len(blob) / 1e3:.0f} KB; encode {encode_s * 1e3:.0f} ms "
+            f"({raw / encode_s / 1e6:.0f} MB/s), decode with digest checks "
+            f"{decode_s * 1e3:.0f} ms ({raw / decode_s / 1e6:.0f} MB/s)")

@@ -16,7 +16,7 @@ Bundles round-trip to a directory::
       input.bin        input-event log
       chunks.bin       packed chunk log (raw format)
       chunks.qrz       compressed chunk log (when enabled)
-      checkpoints.bin  delta-encoded checkpoint section (when present)
+      checkpoints.bin  page-delta checkpoint section (when present)
 
 Loading is *lazy*: ``Recording.load`` reads and validates only the
 manifest and program image; each log section is read and decoded on first

@@ -23,15 +23,17 @@ near-monotone per thread, so deltas stay small), and the body zlib
 compressed. Entry order — including the CBUF drain interleaving — is
 preserved exactly, so the v2 round trip is entry-identical to v1's.
 
-The checkpoint section (magic ``QRCK``) carries periodic snapshots of the
-deterministic replay-visible machine state, keyed by chunk-schedule
-position. Payloads are opaque at this layer (see
-:mod:`repro.replay.checkpoint` for their contents); the section stores
-each one delta-encoded (XOR) against the previous checkpoint's payload and
-zlib-compressed — consecutive snapshots share most of their physical
-memory image, so deltas are overwhelmingly zero bytes. Every record
-carries the SHA-256 of its *raw* payload, verified on decode, which is
-also the seam digest parallel replay validates against.
+The checkpoint section (magic ``QRCK``, version 2) carries periodic
+snapshots of the deterministic replay-visible machine state, keyed by
+chunk-schedule position. Payloads are opaque at this layer (see
+:mod:`repro.replay.checkpoint` for their contents). The section cuts each
+payload into 4 KiB pages counted from the payload's end and stores only
+the pages that differ from the previous record's payload (the first
+record is diffed against zeros), zlib-compressed — consecutive snapshots
+share almost all of their physical memory image, so a record is a handful
+of pages. Every record carries the SHA-256 of its *raw* payload, verified
+on decode, which is also the seam digest parallel replay validates
+against.
 """
 
 from __future__ import annotations
@@ -225,10 +227,13 @@ def encoded_size(entries: Iterable[ChunkEntry],
 # -- checkpoint section -------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"QRCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+#: Delta granularity: payloads are diffed in pages of this many bytes.
+CHECKPOINT_PAGE = 4096
 _CKPT_HEADER = struct.Struct("<4sBBHI")
-_CKPT_ENTRY = struct.Struct("<IIIB32s")  # position, raw_len, comp_len, flags, digest
-_CKPT_FLAG_DELTA = 0x01
+#: position, raw length, changed-page count, body length, SHA-256.
+_CKPT_ENTRY = struct.Struct("<IIII32s")
+_ZERO_PAGE = bytes(CHECKPOINT_PAGE)
 
 
 @dataclass(frozen=True)
@@ -246,53 +251,76 @@ class CheckpointRecord:
                    digest=hashlib.sha256(payload).hexdigest())
 
 
-#: XOR block size: big enough to amortize the Python-level loop, small
-#: enough that the per-block big-int conversions stay cache-resident
-#: (multi-MB images previously went through two full-image
-#: ``int.from_bytes``/``to_bytes`` conversions, a checkpoint-encode
-#: hot spot that scaled super-linearly with image size).
-_XOR_BLOCK = 1 << 15
+def _page_lengths(raw_len: int) -> list[int]:
+    """Length of each page of a ``raw_len``-byte payload, page 0 being the
+    payload's last :data:`CHECKPOINT_PAGE` bytes; only the last page (the
+    payload's head) can be short."""
+    full, head = divmod(raw_len, CHECKPOINT_PAGE)
+    return [CHECKPOINT_PAGE] * full + ([head] if head else [])
 
 
-def _xor_bytes(data: bytes, key: bytes) -> bytes:
-    """``data XOR key`` over ``len(data)`` bytes; ``key`` is zero-padded or
-    truncated to fit (payload sizes drift as the JSON header grows).
-
-    XORs fixed-size blocks through ``int.from_bytes`` over memoryview
-    slices rather than converting the whole image to one big int.
-    """
-    if not data or not key:
-        return data
-    if len(key) < len(data):
-        key = key.ljust(len(data), b"\x00")
-    out = bytearray(len(data))
-    view_data = memoryview(data)
-    view_key = memoryview(key)
-    for start in range(0, len(data), _XOR_BLOCK):
-        end = min(start + _XOR_BLOCK, len(data))
-        block = (int.from_bytes(view_data[start:end], "little")
-                 ^ int.from_bytes(view_key[start:end], "little"))
-        out[start:end] = block.to_bytes(end - start, "little")
-    return bytes(out)
+def _split_pages(payload: bytes) -> list[bytes]:
+    """``payload`` cut into pages counted from its end (see
+    :func:`_page_lengths`), so a header that grows at the front shifts
+    no page boundary of the memory image behind it."""
+    pages = []
+    end = len(payload)
+    for length in _page_lengths(end):
+        pages.append(payload[end - length:end])
+        end -= length
+    return pages
 
 
 def encode_checkpoints(records: Sequence[CheckpointRecord]) -> bytes:
-    """Serialize checkpoint records (sorted by position) to the packed
-    delta-encoded section."""
+    """Serialize checkpoint records (sorted by position) to the page-delta
+    section: each record stores only the pages that differ from the
+    previous record's payload."""
     ordered = sorted(records, key=lambda record: record.position)
     out = bytearray(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                       0, 0, len(ordered)))
-    previous = b""
+    previous: list[bytes] = []
     for record in ordered:
-        delta = _xor_bytes(record.payload, previous)
-        flags = _CKPT_FLAG_DELTA if previous else 0
-        compressed = zlib.compress(delta, 6)
+        pages = _split_pages(record.payload)
+        # A page the previous record lacks (every page of the first
+        # record) is diffed against zeros.
+        changed = [index for index, page in enumerate(pages)
+                   if page != (previous[index] if index < len(previous)
+                               else _ZERO_PAGE[:len(page)])]
+        body = zlib.compress(b"".join(pages[index] for index in changed), 6) \
+            if changed else b""
         out += _CKPT_ENTRY.pack(record.position, len(record.payload),
-                                len(compressed), flags,
+                                len(changed), len(body),
                                 bytes.fromhex(record.digest))
-        out += compressed
-        previous = record.payload
+        out += struct.pack(f"<{len(changed)}I", *changed)
+        out += body
+        previous = pages
     return bytes(out)
+
+
+def _inflate_pages(body: bytes, expected: int, position: int) -> bytes:
+    """Decompress a record body that must hold exactly ``expected`` bytes."""
+    if not expected:
+        if body:
+            raise LogFormatError(
+                f"checkpoint at position {position} stores no pages but has "
+                f"a {len(body)}-byte body")
+        return b""
+    decompressor = zlib.decompressobj()
+    try:
+        data = decompressor.decompress(body, expected)
+        if not decompressor.eof and decompressor.unconsumed_tail:
+            # Output is full; anything more than the stream's end is excess.
+            data += decompressor.decompress(decompressor.unconsumed_tail, 1)
+    except zlib.error as exc:
+        raise LogFormatError(
+            f"corrupt checkpoint pages at position {position}: "
+            f"{exc}") from exc
+    if len(data) != expected or not decompressor.eof \
+            or decompressor.unused_data:
+        raise LogFormatError(
+            f"checkpoint pages at position {position} do not inflate to "
+            f"exactly {expected} bytes")
+    return data
 
 
 def decode_checkpoints(blob: bytes) -> list[CheckpointRecord]:
@@ -306,35 +334,56 @@ def decode_checkpoints(blob: bytes) -> list[CheckpointRecord]:
         raise LogFormatError(f"unsupported checkpoint section version {version}")
     records: list[CheckpointRecord] = []
     offset = _CKPT_HEADER.size
-    previous = b""
+    previous: list[bytes] = []
     for _ in range(count):
         if offset + _CKPT_ENTRY.size > len(blob):
             raise LogFormatError("checkpoint section truncated in entry header")
-        position, raw_len, comp_len, flags, digest_bytes = \
+        position, raw_len, changed_count, body_len, digest_bytes = \
             _CKPT_ENTRY.unpack_from(blob, offset)
         offset += _CKPT_ENTRY.size
-        if offset + comp_len > len(blob):
-            raise LogFormatError("checkpoint section truncated in payload")
-        try:
-            delta = zlib.decompress(blob[offset:offset + comp_len])
-        except zlib.error as exc:
+        lengths = _page_lengths(raw_len)
+        if changed_count > len(lengths):
             raise LogFormatError(
-                f"corrupt checkpoint payload at position {position}: "
-                f"{exc}") from exc
-        offset += comp_len
-        if len(delta) != raw_len:
+                f"checkpoint at position {position} changes {changed_count} "
+                f"pages of {len(lengths)}")
+        if offset + 4 * changed_count + body_len > len(blob):
+            raise LogFormatError("checkpoint section truncated in pages")
+        changed = struct.unpack_from(f"<{changed_count}I", blob, offset)
+        offset += 4 * changed_count
+        last = -1
+        for index in changed:
+            if not last < index < len(lengths):
+                raise LogFormatError(
+                    f"checkpoint at position {position}: page index {index} "
+                    f"out of order or outside its {len(lengths)} pages")
+            last = index
+        data = _inflate_pages(blob[offset:offset + body_len],
+                              sum(lengths[index] for index in changed),
+                              position)
+        offset += body_len
+        pages = previous[:len(lengths)]
+        pages += [_ZERO_PAGE[:length] for length in lengths[len(pages):]]
+        cursor = 0
+        for index in changed:
+            pages[index] = data[cursor:cursor + lengths[index]]
+            cursor += lengths[index]
+        # Every page but a payload's head is full, so the previous
+        # record's head is the only page that can be reused at the
+        # wrong length.
+        seam = len(previous) - 1
+        if 0 <= seam < len(lengths) and len(pages[seam]) != lengths[seam]:
             raise LogFormatError(
-                f"checkpoint payload at position {position} is {len(delta)} "
-                f"bytes, expected {raw_len}")
-        payload = _xor_bytes(delta, previous) if flags & _CKPT_FLAG_DELTA \
-            else delta
+                f"checkpoint at position {position}: unchanged page {seam} "
+                f"is {len(pages[seam])} bytes in the previous record, "
+                f"expected {lengths[seam]}")
+        payload = b"".join(reversed(pages))
         digest = digest_bytes.hex()
         if hashlib.sha256(payload).hexdigest() != digest:
             raise LogFormatError(
                 f"checkpoint digest mismatch at position {position}")
         records.append(CheckpointRecord(position=position, digest=digest,
                                         payload=payload))
-        previous = payload
+        previous = pages
     if offset != len(blob):
         raise LogFormatError(
             f"checkpoint section has {len(blob) - offset} trailing bytes")

@@ -104,13 +104,18 @@ def capture_state(replayer: Replayer) -> ReplayState:
 
 # -- wire format -------------------------------------------------------------
 
+def _header_bytes(state: ReplayState) -> bytes:
+    """The length-prefixed canonical-JSON header."""
+    header = json.dumps(state.header, sort_keys=True,
+                        separators=(",", ":")).encode()
+    return _LEN.pack(len(header)) + header
+
+
 def encode_state(state: ReplayState) -> bytes:
     """Canonical payload bytes: length-prefixed canonical-JSON header
     followed by the raw memory image. Equal states encode identically, so
     the payload's SHA-256 doubles as a state-equality digest."""
-    header = json.dumps(state.header, sort_keys=True,
-                        separators=(",", ":")).encode()
-    return _LEN.pack(len(header)) + header + state.memory
+    return _header_bytes(state) + state.memory
 
 
 def decode_state(payload: bytes) -> ReplayState:
@@ -132,17 +137,22 @@ def decode_state(payload: bytes) -> ReplayState:
 
 
 def state_digest(state: ReplayState) -> str:
-    """SHA-256 of the canonical encoding — the seam-verification digest."""
-    return hashlib.sha256(encode_state(state)).hexdigest()
+    """SHA-256 of the canonical encoding — the seam-verification digest —
+    hashed piecewise, without concatenating a copy of the memory image."""
+    digest = hashlib.sha256(_header_bytes(state))
+    digest.update(state.memory)
+    return digest.hexdigest()
 
 
 # -- restore -----------------------------------------------------------------
 
 def restore_replayer(recording: Recording, state: ReplayState,
-                     telemetry: Telemetry | None = None) -> Replayer:
+                     telemetry: Telemetry | None = None,
+                     schedule: list | None = None) -> Replayer:
     """A replayer positioned exactly as one that serially replayed
-    ``state.position`` chunks of ``recording``."""
-    replayer = Replayer(recording, telemetry=telemetry)
+    ``state.position`` chunks of ``recording``. ``schedule``, when given,
+    is ``recording``'s validated chunk schedule (see :class:`Replayer`)."""
+    replayer = Replayer(recording, telemetry=telemetry, schedule=schedule)
     start = time.perf_counter()
     replayer.memory.restore(state.memory)
     events_by_thread: dict[int, deque[InputEvent]] = {}
@@ -221,15 +231,17 @@ def flight_base_state(recording: Recording) -> ReplayState | None:
 
 
 def base_replayer(recording: Recording,
-                  telemetry: Telemetry | None = None) -> Replayer:
+                  telemetry: Telemetry | None = None,
+                  schedule: list | None = None) -> Replayer:
     """A replayer at position 0 of ``recording`` — fresh for ordinary
     recordings, restored from the embedded window-origin state for
     materialized flight windows. Every "replay from the start" path must
     come through here."""
     state = flight_base_state(recording)
     if state is None:
-        return Replayer(recording, telemetry=telemetry)
-    return restore_replayer(recording, state, telemetry=telemetry)
+        return Replayer(recording, telemetry=telemetry, schedule=schedule)
+    return restore_replayer(recording, state, telemetry=telemetry,
+                            schedule=schedule)
 
 
 # -- building ----------------------------------------------------------------

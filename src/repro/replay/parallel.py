@@ -15,10 +15,12 @@ whole run's result: stitching is verification, not reassembly. ``--jobs 1``
 and ``--jobs N`` therefore produce identical results by construction, and
 the test suite enforces it bit-for-bit.
 
-Workers are plain ``multiprocessing`` processes. Under the default
-``fork`` start method they inherit the already-decoded recording from the
-parent (no pickling, no re-reading); under ``spawn`` each worker loads the
-bundle from disk, so a directory is required (an in-memory recording is
+The chunk schedule is built and validated once, by the caller, and
+shared by every interval. Workers are plain ``multiprocessing`` processes.
+Under the default ``fork`` start method they inherit the already-decoded
+recording and its schedule from the parent (no pickling, no re-reading);
+under ``spawn`` each worker loads the bundle from disk and builds the
+schedule once, so a directory is required (an in-memory recording is
 spilled to a temporary bundle automatically).
 """
 
@@ -36,6 +38,7 @@ from ..telemetry import NULL_TELEMETRY, Telemetry
 from .checkpoint import base_replayer, capture_state, decode_state, \
     restore_replayer, state_digest
 from .replayer import ReplayResult
+from .schedule import build_schedule, validate_schedule
 
 
 @dataclass(frozen=True)
@@ -94,21 +97,28 @@ def plan_intervals(recording: Recording) -> list[Interval]:
     return intervals
 
 
-def _replay_one(recording: Recording, interval: Interval,
+def _checked_schedule(recording: Recording) -> list:
+    schedule = build_schedule(recording.chunks)
+    validate_schedule(schedule)
+    return schedule
+
+
+def _replay_one(recording: Recording, schedule: list, interval: Interval,
                 is_last: bool) -> IntervalOutcome | tuple:
-    """Replay one interval; returns its outcome (plus the final
-    ReplayResult when it is the last interval)."""
+    """Replay one interval of the validated ``schedule``; returns its
+    outcome (plus the final ReplayResult when it is the last interval)."""
     start_wall = time.perf_counter()
     if interval.start == 0:
         # base_replayer, not a bare Replayer: a flight window's position
         # 0 restores the embedded ring-base state.
-        replayer = base_replayer(recording)
+        replayer = base_replayer(recording, schedule=schedule)
     else:
         record = recording.checkpoint_at(interval.start)
         if record is None:
             raise ReproError(
                 f"no checkpoint at position {interval.start}")
-        replayer = restore_replayer(recording, decode_state(record.payload))
+        replayer = restore_replayer(recording, decode_state(record.payload),
+                                    schedule=schedule)
     units_before = replayer.stats.units
     while replayer.position < interval.end:
         if replayer.step_chunk() is None:
@@ -136,20 +146,24 @@ def _replay_one(recording: Recording, interval: Interval,
     return (outcome, result) if is_last else outcome
 
 
-# Recording shared with fork-started pool workers (set just before the
-# pool is created; children inherit the decoded sections copy-on-write).
+# Recording and schedule shared with pool workers: set just before a
+# fork-started pool is created (children inherit them copy-on-write), or
+# by _init_worker in each spawn-started worker.
 _WORKER_RECORDING: Recording | None = None
-_WORKER_DIRECTORY: str | None = None
+_WORKER_SCHEDULE: list | None = None
+
+
+def _init_worker(directory: str | Path | None) -> None:
+    global _WORKER_RECORDING, _WORKER_SCHEDULE
+    if _WORKER_RECORDING is None:
+        _WORKER_RECORDING = Recording.load(directory)
+        _WORKER_SCHEDULE = _checked_schedule(_WORKER_RECORDING)
 
 
 def _pool_replay_interval(spec: tuple):
     interval, is_last = spec
-    recording = _WORKER_RECORDING
-    if recording is None:
-        if _WORKER_DIRECTORY is None:
-            raise ReproError("parallel replay worker has no recording source")
-        recording = Recording.load(_WORKER_DIRECTORY)
-    return _replay_one(recording, interval, is_last)
+    return _replay_one(_WORKER_RECORDING, _WORKER_SCHEDULE, interval,
+                       is_last)
 
 
 def replay_parallel(recording: Recording | None = None,
@@ -170,6 +184,7 @@ def replay_parallel(recording: Recording | None = None,
             raise ReproError("replay_parallel needs a recording or directory")
         recording = Recording.load(directory)
     telemetry = telemetry or NULL_TELEMETRY
+    schedule = _checked_schedule(recording)
     intervals = plan_intervals(recording)
     is_last = {interval.index: interval.index == len(intervals) - 1
                for interval in intervals}
@@ -179,10 +194,11 @@ def replay_parallel(recording: Recording | None = None,
 
     start_wall = time.perf_counter()
     if effective_jobs <= 1:
-        raw = [_replay_one(recording, interval, is_last[interval.index])
+        raw = [_replay_one(recording, schedule, interval,
+                           is_last[interval.index])
                for interval in intervals]
     else:
-        raw = _fan_out(recording, directory, intervals, is_last,
+        raw = _fan_out(recording, schedule, directory, intervals, is_last,
                        effective_jobs)
 
     outcomes: list[IntervalOutcome] = []
@@ -210,29 +226,29 @@ def replay_parallel(recording: Recording | None = None,
     return result, report
 
 
-def _fan_out(recording: Recording, directory: str | Path | None,
-             intervals: list[Interval], is_last: dict[int, bool],
-             jobs: int) -> list:
+def _fan_out(recording: Recording, schedule: list,
+             directory: str | Path | None, intervals: list[Interval],
+             is_last: dict[int, bool], jobs: int) -> list:
     """Run the intervals over a process pool, largest first (greedy LPT
     keeps the pool busy when intervals are uneven)."""
-    global _WORKER_RECORDING, _WORKER_DIRECTORY
+    global _WORKER_RECORDING, _WORKER_SCHEDULE
     fork = multiprocessing.get_start_method(allow_none=False) == "fork"
     tmp = None
     try:
-        if not fork and directory is None:
+        if fork:
+            _WORKER_RECORDING, _WORKER_SCHEDULE = recording, schedule
+        elif directory is None:
             tmp = tempfile.TemporaryDirectory(prefix="qr-parallel-")
             recording.save(tmp.name)
             directory = tmp.name
-        _WORKER_RECORDING = recording if fork else None
-        _WORKER_DIRECTORY = str(directory) if directory is not None else None
         specs = [(interval, is_last[interval.index])
                  for interval in sorted(intervals,
                                         key=lambda iv: iv.start - iv.end)]
-        with multiprocessing.Pool(processes=jobs) as pool:
+        with multiprocessing.Pool(processes=jobs, initializer=_init_worker,
+                                  initargs=(directory,)) as pool:
             raw = pool.map(_pool_replay_interval, specs, chunksize=1)
     finally:
-        _WORKER_RECORDING = None
-        _WORKER_DIRECTORY = None
+        _WORKER_RECORDING = _WORKER_SCHEDULE = None
         if tmp is not None:
             tmp.cleanup()
     # Restore schedule order for the report.

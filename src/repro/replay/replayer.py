@@ -142,12 +142,14 @@ class Replayer:
         self.memory.load_blob(recording.program.data_base,
                               recording.program.data)
         # ``schedule`` lets a caller supply the global order directly —
-        # the flight ring's shadow replayer extends it epoch by epoch —
-        # instead of sorting the chunk log; it is validated identically.
+        # the flight ring's shadow replayer extends it epoch by epoch, and
+        # parallel replay shares one across its intervals — instead of
+        # sorting the chunk log. A supplied schedule is trusted to be
+        # validated already; the replayer never mutates it.
         if schedule is None:
             schedule = build_schedule(recording.chunks)
-        self.schedule = list(schedule)
-        validate_schedule(self.schedule)
+            validate_schedule(schedule)
+        self.schedule = schedule
         self._events_by_thread: dict[int, deque[InputEvent]] = {}
         for event in recording.events:
             self._events_by_thread.setdefault(event.rthread,

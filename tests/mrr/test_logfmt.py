@@ -129,17 +129,3 @@ def test_unknown_version_rejected():
     with pytest.raises(LogFormatError):
         encode_chunks([], version=3)
 
-
-def test_xor_obfuscation_chunked_matches_bigint():
-    # the chunked memoryview XOR must agree with the reference definition
-    from repro.mrr.logfmt import _XOR_BLOCK, _xor_bytes
-
-    data = bytes(range(256)) * 600  # > 4 blocks
-    key = bytes((i * 7 + 3) & 0xFF for i in range(len(data)))
-    expected = bytes(a ^ b for a, b in zip(data, key))
-    assert _xor_bytes(data, key) == expected
-    # short key is zero-extended; empty inputs pass through
-    assert _xor_bytes(data, key[:10])[10:] == data[10:]
-    assert _xor_bytes(b"", key) == b""
-    assert _xor_bytes(data[: _XOR_BLOCK + 1], key[: _XOR_BLOCK + 1]) == \
-        expected[: _XOR_BLOCK + 1]

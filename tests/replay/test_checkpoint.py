@@ -1,6 +1,7 @@
 """Replay-state checkpoints: capture/restore fidelity, embedding, seek."""
 
 import copy
+import hashlib
 
 import pytest
 
@@ -49,6 +50,17 @@ def test_state_encoding_round_trips(recording):
     assert encode_state(state) == record.payload
     assert state_digest(state) == record.digest
     assert state.position == record.position
+
+
+@pytest.mark.parametrize("prefix_len", [4095, 4096, 4097, 8191, 8192])
+def test_state_digest_hashes_the_encoding(prefix_len):
+    # the length prefix plus the header ends on either side of a 4 KiB
+    # page boundary; '{"pad":""}' is 10 bytes, the prefix 4
+    state = ReplayState(position=3, header={"pad": "x" * (prefix_len - 14)},
+                        memory=bytes(range(256)) * 40)
+    payload = encode_state(state)
+    assert len(payload) - len(state.memory) == prefix_len
+    assert state_digest(state) == hashlib.sha256(payload).hexdigest()
 
 
 def test_restore_then_capture_is_identity(recording):

@@ -1,6 +1,7 @@
 """Parallel interval replay: partitioning, seam verification, identity."""
 
 import dataclasses
+import multiprocessing
 
 import pytest
 
@@ -57,6 +58,32 @@ def test_pool_replay_matches_serial(recording, serial_digest):
     assert result.digest() == serial_digest
     assert report.jobs > 1
     assert report.seams_verified == len(report.intervals) - 1
+
+
+def test_spawn_workers_load_the_bundle_and_match_serial(recording,
+                                                        serial_digest):
+    # spawn-started workers inherit nothing: each loads the spilled
+    # bundle and builds its own schedule in the pool initializer
+    start_method = multiprocessing.get_start_method()
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        result, report = replay_parallel(recording=recording, jobs=2)
+    finally:
+        multiprocessing.set_start_method(start_method, force=True)
+    assert result.digest() == serial_digest
+    assert report.seams_verified == len(report.intervals) - 1
+
+
+def test_invalid_schedule_rejected_before_any_interval(recording):
+    chunks = list(recording.chunks)
+    last = max(i for i, c in enumerate(chunks) if c.rthread == 1)
+    chunks[last] = dataclasses.replace(chunks[last], reason="syscall")
+    broken = Recording(config=recording.config, program=recording.program,
+                       chunks=chunks, events=recording.events,
+                       metadata=recording.metadata,
+                       checkpoints=recording.checkpoints)
+    with pytest.raises(ReplayDivergenceError, match="not exit"):
+        replay_parallel(recording=broken, jobs=2)
 
 
 def test_jobs_capped_to_interval_count(recording):
