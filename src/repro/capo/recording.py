@@ -67,6 +67,10 @@ INPUT_NAME = "input.bin"
 CHUNKS_NAME = "chunks.bin"
 CHUNKS_COMPRESSED_NAME = "chunks.qrz"
 CHECKPOINTS_NAME = "checkpoints.bin"
+#: Bytes a checkpoint payload may hold beyond the memory image: its
+#: length-prefixed JSON header (thread contexts, withheld stores, output
+#: written so far). Loading rejects any checkpoint declaring more.
+CHECKPOINT_HEADER_ALLOWANCE = 16 << 20
 
 
 def _read_json(path: Path, what: str) -> Any:
@@ -308,7 +312,10 @@ class Recording:
             # file (and the manifest key): that is a valid, empty section.
             if not path.exists():
                 return []
-            records = decode_checkpoints(path.read_bytes())
+            records = decode_checkpoints(
+                path.read_bytes(),
+                max_payload=config.machine.memory_bytes
+                + CHECKPOINT_HEADER_ALLOWANCE)
             expected = manifest.get("checkpoint_count")
             if expected is not None and len(records) != expected:
                 raise LogFormatError(

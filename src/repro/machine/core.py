@@ -107,6 +107,12 @@ class Engine:
     def program(self) -> Program:
         return self._program
 
+    @property
+    def decode_cache(self) -> bool:
+        """Does this engine run compiled closures (and, in replay,
+        translation blocks) rather than the interpretive handlers?"""
+        return self._decode_cache
+
     @program.setter
     def program(self, program: Program) -> None:
         """Point the engine at ``program`` and rebind the dispatch table.

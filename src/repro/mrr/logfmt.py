@@ -323,8 +323,16 @@ def _inflate_pages(body: bytes, expected: int, position: int) -> bytes:
     return data
 
 
-def decode_checkpoints(blob: bytes) -> list[CheckpointRecord]:
-    """Parse a checkpoint section; verifies every payload digest."""
+def decode_checkpoints(blob: bytes,
+                       max_payload: int | None = None
+                       ) -> list[CheckpointRecord]:
+    """Parse a checkpoint section; verifies every payload digest.
+
+    Unchanged pages are rebuilt from the length a record declares, so a
+    few forged bytes could otherwise declare gigabytes of zeros:
+    ``max_payload`` (None: unbounded) rejects any record declaring a
+    longer payload before anything is built from it.
+    """
     if len(blob) < _CKPT_HEADER.size:
         raise LogFormatError("checkpoint section truncated before header")
     magic, version, _flags, _reserved, count = _CKPT_HEADER.unpack_from(blob, 0)
@@ -341,6 +349,10 @@ def decode_checkpoints(blob: bytes) -> list[CheckpointRecord]:
         position, raw_len, changed_count, body_len, digest_bytes = \
             _CKPT_ENTRY.unpack_from(blob, offset)
         offset += _CKPT_ENTRY.size
+        if max_payload is not None and raw_len > max_payload:
+            raise LogFormatError(
+                f"checkpoint at position {position} declares a {raw_len}-byte "
+                f"payload, over the {max_payload}-byte bound")
         lengths = _page_lengths(raw_len)
         if changed_count > len(lengths):
             raise LogFormatError(

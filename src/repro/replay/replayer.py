@@ -47,6 +47,7 @@ from ..kernel.syscalls import (
 )
 from ..kernel.vfs import STDOUT_FD, STDOUT_NAME
 from ..machine.core import Engine, OUTCOME_OK
+from ..machine.decode import block_table
 from ..machine.memory import PhysicalMemory
 from ..mrr.chunk import ChunkEntry, Reason
 from ..telemetry import NULL_TELEMETRY, Telemetry
@@ -55,6 +56,14 @@ from .schedule import build_schedule, validate_schedule
 
 MASK32 = 0xFFFFFFFF
 MAIN_RTHREAD = 1
+#: Chunks that retire fewer instructions than this step unit by unit: a
+#: translation block rarely fits in them, so a probe before every unit
+#: would buy little.
+BLOCK_MIN_CHUNK = 32
+#: Units one chunk may execute before replay calls its stop condition
+#: unreachable. rep_* iterations do not retire, so icount alone does not
+#: bound a chunk's units; this is only a runaway backstop.
+_CHUNK_UNIT_LIMIT = 1_000_000_000
 
 
 @dataclass
@@ -107,6 +116,10 @@ class _ReplayThread:
         self.withheld = withheld
         self.port = port
         self.events = events
+        # Translation blocks of the thread's program, indexed by pc; an
+        # engine without the decode cache runs none.
+        self.blocks = block_table(engine.program) \
+            if engine.decode_cache else None
         self.completed_chunks = 0
         self.boundary_retired = 0
         self.pending_copies: tuple[tuple[int, bytes], ...] = ()
@@ -347,9 +360,9 @@ class Replayer:
         engine = ctx.engine
         target = ctx.boundary_retired + chunk.icount
         guard = 0
-        # Units per chunk are unbounded by icount alone (rep_* iterations
-        # do not retire), so the guard is only a runaway backstop.
-        guard_limit = 1_000_000_000
+        guard_limit = _CHUNK_UNIT_LIMIT
+        if ctx.blocks is not None and chunk.icount >= BLOCK_MIN_CHUNK:
+            guard = self._run_blocks(ctx, target)
         while not (engine.retired == target
                    and engine.cur_memops == chunk.memops):
             if engine.retired > target:
@@ -359,20 +372,54 @@ class Replayer:
             outcome = engine.step(ctx.port)
             self.stats.units += 1
             guard += 1
-            if outcome != OUTCOME_OK:
-                raise ReplayDivergenceError(
-                    f"trap ({outcome}) inside a chunk at pc {engine.pc}",
-                    rthread=ctx.rthread, icount=engine.retired)
-            if guard > guard_limit:
-                raise ReplayDivergenceError(
-                    "chunk stop condition unreachable",
-                    rthread=ctx.rthread, icount=engine.retired)
+            if outcome != OUTCOME_OK or guard > guard_limit:
+                _raise_unit_error(ctx, outcome)
         if (self.config.mrr.log_load_hash and chunk.load_hash is not None
                 and engine.load_hash != chunk.load_hash):
             raise ReplayDivergenceError(
                 f"load-value hash mismatch: {engine.load_hash:#x} != "
                 f"{chunk.load_hash:#x}", rthread=ctx.rthread,
                 icount=engine.retired)
+
+    def _run_blocks(self, ctx: _ReplayThread, target: int) -> int:
+        """Run the chunk until it has retired up to ``target``, through a
+        whole translation block wherever one fits before ``target`` and
+        unit by unit elsewhere. Returns the units executed.
+
+        Every unit retires at most one instruction and every block fits,
+        so this never overshoots; the caller's loop finishes the chunk
+        (its tail of ``rep_*`` memory operations, if any).
+        """
+        engine = ctx.engine
+        port = ctx.port
+        entries = ctx.blocks
+        end = len(entries)
+        limit = _CHUNK_UNIT_LIMIT
+        executed = 0
+        try:
+            while True:
+                retired = engine.retired
+                if retired >= target:
+                    return executed
+                pc = engine.pc
+                if 0 <= pc < end:
+                    block = entries[pc]
+                    if (block is not None and retired + block[0] <= target
+                            and engine.cur_memops == 0):
+                        try:
+                            executed += block[1](engine, port)
+                        except BaseException:
+                            # Stepping counts the units retired before a
+                            # fault, not the faulting one.
+                            executed += engine.pc - pc
+                            raise
+                        continue
+                outcome = engine.step(port)
+                executed += 1
+                if outcome != OUTCOME_OK or executed > limit:
+                    _raise_unit_error(ctx, outcome)
+        finally:
+            self.stats.units += executed
 
     def _boundary(self, ctx: _ReplayThread, chunk: ChunkEntry) -> None:
         engine = ctx.engine
@@ -484,3 +531,16 @@ class Replayer:
                 raise ReplayDivergenceError(
                     f"{len(ctx.withheld)} uncommitted stores at exit",
                     rthread=ctx.rthread)
+
+
+def _raise_unit_error(ctx: _ReplayThread, outcome: str) -> None:
+    """The unit just stepped trapped, or the chunk ran past
+    ``_CHUNK_UNIT_LIMIT`` units without reaching its end."""
+    engine = ctx.engine
+    if outcome != OUTCOME_OK:
+        raise ReplayDivergenceError(
+            f"trap ({outcome}) inside a chunk at pc {engine.pc}",
+            rthread=ctx.rthread, icount=engine.retired)
+    raise ReplayDivergenceError(
+        "chunk stop condition unreachable",
+        rthread=ctx.rthread, icount=engine.retired)

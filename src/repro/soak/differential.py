@@ -6,8 +6,11 @@ baseline plus (with the matrix on) every lattice variant, and collects
 
 - ``exception``  — a run raised instead of completing;
 - ``verify``     — record → replay → verify diverged for some variant;
-- ``divergence`` — a bit-identical variant's outcome fingerprint differs
-  from the baseline's (the differential oracle proper);
+- ``divergence`` — a bit-identical variant's outcome fingerprint, or its
+  replay's :meth:`~repro.replay.replayer.ReplayResult.digest`, differs
+  from the baseline's (the differential oracle proper). Comparing replays
+  checks the compiled replay path, translation blocks included, bit for
+  bit against the interpretive ``decode-off`` replay;
 - ``roundtrip``  — a recording failed to survive ``Recording`` save/load
   or ``compress_chunks``/``decompress_chunks``.
 
@@ -104,8 +107,8 @@ def _injected_ops(case: FuzzCase) -> list[list[tuple]]:
 def run_variant(case: FuzzCase, variant: Variant, inject: str | None = None):
     """Record, replay and verify ``case`` under ``variant``.
 
-    Returns ``(outcome, verification_report)``; exceptions propagate to
-    the caller, which records them as ``exception`` failures.
+    Returns ``(outcome, replay_result, verification_report)``; exceptions
+    propagate to the caller, which records them as ``exception`` failures.
     """
     ops = case.threads_ops
     if inject is not None and _INJECT_TARGET.get(inject) == variant.name:
@@ -129,12 +132,12 @@ def run_variant(case: FuzzCase, variant: Variant, inject: str | None = None):
                 recording=outcome.recording, jobs=1)
             report = session.verify(outcome, replayed)
         else:
-            outcome, _replayed, report = session.record_and_replay(
+            outcome, replayed, report = session.record_and_replay(
                 program, seed=case.run_seed, policy=case.policy,
                 config=config)
     finally:
         _core.DECODE_CACHE_DEFAULT, _bus.SNOOP_FILTER_DEFAULT = saved
-    return outcome, report
+    return outcome, replayed, report
 
 
 def _roundtrip_failures(recording: Recording,
@@ -200,7 +203,8 @@ def run_case_checks(case: FuzzCase, matrix: bool = False,
     base_fingerprint: dict[str, str] | None = None
     for variant in variants:
         try:
-            outcome, report = run_variant(case, variant, inject=inject)
+            outcome, replayed, report = run_variant(case, variant,
+                                                    inject=inject)
         except Exception as exc:  # noqa: BLE001 - the campaign reports
             failures.append(SeedFailure(
                 "exception", variant.name,
@@ -209,7 +213,8 @@ def run_case_checks(case: FuzzCase, matrix: bool = False,
         if not report.ok:
             failures.append(SeedFailure(
                 "verify", variant.name, report.summary()))
-        fingerprint = outcome_fingerprint(outcome)
+        fingerprint = {**outcome_fingerprint(outcome),
+                       "replay": replayed.digest()}
         if variant is BASELINE:
             base_fingerprint = fingerprint
         elif variant.bit_identical and base_fingerprint is not None:

@@ -295,3 +295,32 @@ def test_resave_removes_stale_compressed_chunks(recording, tmp_path):
     assert not (directory / "chunks.qrz").exists()
     loaded = Recording.load(directory)
     assert loaded.chunks == recording.chunks
+
+
+def test_forged_checkpoint_declaring_4gib_rejected_cheaply(recording,
+                                                           tmp_path):
+    """A 60-byte checkpoint section whose one record stores no pages but
+    declares a 4 GiB payload: loading must refuse it before building the
+    zero pages, far above the bundle's memory size."""
+    import copy
+    import struct
+    import tracemalloc
+
+    from repro.mrr.logfmt import CheckpointRecord
+
+    rec = copy.copy(recording)
+    rec.checkpoints = [CheckpointRecord.for_payload(0, b"state")]
+    directory = rec.save(tmp_path / "rec")
+    forged = (struct.pack("<4sBBHI", b"QRCK", 2, 0, 0, 1)
+              + struct.pack("<IIII32s", 0, 0xFFFFFFFF, 0, 0, bytes(32)))
+    assert len(forged) == 60
+    (directory / "checkpoints.bin").write_bytes(forged)
+    loaded = Recording.load(directory)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LogFormatError, match="over the .*-byte bound"):
+            loaded.checkpoints
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

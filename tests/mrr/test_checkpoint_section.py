@@ -232,3 +232,12 @@ def test_huge_declared_lengths_rejected_before_use():
         forged[offset:offset + 4] = struct.pack("<I", 0xFFFFFFFF)
         with pytest.raises(LogFormatError):
             decode_checkpoints(bytes(forged))
+
+
+def test_declared_payload_over_the_bound_rejected():
+    payload = b"a" * (2 * PAGE + 5)
+    blob = forge([honest(payload, [0, 1, 2])])
+    assert decode_checkpoints(blob, max_payload=len(payload)) == \
+        [record(1, payload)]
+    with pytest.raises(LogFormatError, match="over the"):
+        decode_checkpoints(blob, max_payload=len(payload) - 1)

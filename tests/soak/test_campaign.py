@@ -54,12 +54,12 @@ def test_bit_identical_variants_share_the_baseline_digest():
     shape_variant_diverged = False
     for seed in (11, 12, 13):
         case = generate_case(seed)
-        base, report = run_variant(case, BASELINE)
+        base, base_replay, report = run_variant(case, BASELINE)
         assert report.ok
         expected = outcome_digest(base)
         base_fingerprint = outcome_fingerprint(base)
         for variant in matrix_variants():
-            outcome, report = run_variant(case, variant)
+            outcome, replayed, report = run_variant(case, variant)
             assert report.ok, f"{variant.name}: {report.summary()}"
             if variant.bit_identical:
                 fingerprint = outcome_fingerprint(outcome)
@@ -67,6 +67,8 @@ def test_bit_identical_variants_share_the_baseline_digest():
                              if fingerprint[key] != base_fingerprint[key]]
                 assert not differing, \
                     f"seed {seed}: {variant.name} differs in {differing}"
+                assert replayed.digest() == base_replay.digest(), \
+                    f"seed {seed}: {variant.name} replays differently"
             elif outcome_digest(outcome) != expected:
                 shape_variant_diverged = True
     # Shape-changing variants only self-verify; a tiny program may happen
@@ -133,3 +135,22 @@ def test_log_variants_fold_into_capo_config():
     assert cfg.capo.input_log_version == 2
     assert cfg.capo.chunk_log_version == 2
     assert log_v2.bit_identical
+
+
+def test_block_miscompile_is_a_replay_divergence(monkeypatch):
+    """Record runs no translation blocks, so a miscompiled block leaves
+    every record fingerprint equal: only the replay digest, compared
+    against the interpretive ``decode-off`` replay, can catch it."""
+    from repro.machine import decode
+    from repro.soak.differential import run_case_checks
+
+    def store_plus_one(w, instr, pc):
+        addr = decode._mem_addr(w, instr.ops[0])
+        w.access(pc, addr, "store")
+        w.store(addr, 4, f"({decode._val(instr.ops[1])} + 1) & 4294967295")
+    monkeypatch.setitem(decode._TEMPLATES, "store", store_plus_one)
+    monkeypatch.setattr("repro.replay.replayer.BLOCK_MIN_CHUNK", 0)
+    failures = run_case_checks(generate_case(11), matrix=True)
+    [divergence] = [f for f in failures if f.kind == "divergence"]
+    assert divergence.variant == "decode-off"
+    assert divergence.detail.endswith("differing components: replay")
