@@ -1,10 +1,12 @@
-"""T4 — log bandwidth: v1 (row-packed) vs v2 (columnar) codecs.
+"""T4 — log bandwidth: the frozen v1 (row-packed) serializations vs the
+compact columnar forms a bundle stores (the ``v2`` columns).
 
-The rr lineage of the v2 formats: columnar delta-varint fields, a
-content-keyed pool for duplicate copy payloads, streaming zlib. This
-bench measures the size of the *same* recording serialized both ways —
-the compression ratio is the whole argument for the format — plus the
-throughput of the page-delta checkpoint section codec.
+The rr lineage of the compact forms: fixed-width columns with per-thread
+deltas, byte planes ordered by significance, a content-keyed pool for
+duplicate copy payloads, one zlib stream (:mod:`repro.mrr.columnar`).
+This bench measures the size of the *same* recording serialized both
+ways — the compression ratio is the whole argument for the format — plus
+the throughput of the page-delta checkpoint section codec.
 """
 
 import json

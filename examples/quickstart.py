@@ -85,13 +85,14 @@ def main() -> None:
     stats = chunk_size_stats(recording.chunks)
     print(f"\nchunk log: {stats.count} chunks, "
           f"mean {stats.mean:.1f} instructions, "
-          f"{recording.chunk_log_bytes():,} B raw / "
-          f"{recording.chunk_log_compressed_bytes():,} B compressed")
+          f"{recording.chunk_log_bytes():,} B v1 / "
+          f"{recording.chunk_log_compressed_bytes():,} B compact")
     print("termination causes:")
     for reason, fraction in termination_breakdown(recording.chunks).items():
         print(f"  {reason:10s} {100 * fraction:5.1f}%")
     print(f"input log: {len(recording.events)} events, "
-          f"{recording.input_log_bytes()} B")
+          f"{recording.input_log_v1_bytes():,} B v1 / "
+          f"{recording.input_log_bytes():,} B compact")
 
     replayed = session.replay_recording(recording)
     report = session.verify(outcome, replayed)

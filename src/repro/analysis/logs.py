@@ -30,8 +30,10 @@ class LogRates:
     chunk_bytes_compressed: int
     input_events: int
     input_bytes: int
-    # v2 (columnar) sizes of the same logs; 0 for rates computed before the
-    # v2 codecs existed.
+    # Compact (columnar) sizes of the same logs: ``chunks.qrz`` and the
+    # saved ``input.bin``; ``chunk_bytes_raw`` and ``input_bytes`` are the
+    # frozen v1 serializations. 0 for rates computed before the compact
+    # codecs existed.
     chunk_bytes_v2: int = 0
     input_bytes_v2: int = 0
 
@@ -49,12 +51,12 @@ class LogRates:
 
     @property
     def input_compression_ratio(self) -> float:
-        """v1-over-v2 input-log size ratio (>1 means v2 is smaller)."""
+        """v1-over-compact input-log size ratio (>1: compact is smaller)."""
         return self.input_bytes / max(1, self.input_bytes_v2)
 
     @property
     def chunk_compression_ratio(self) -> float:
-        """v1-over-v2 chunk-log size ratio (>1 means v2 is smaller)."""
+        """v1-over-compact chunk-log size ratio (>1: compact is smaller)."""
         return self.chunk_bytes_raw / max(1, self.chunk_bytes_v2)
 
     @property
@@ -100,9 +102,9 @@ def log_rates(outcome: RunOutcome, name: str | None = None) -> LogRates:
         chunk_bytes_raw=recording.chunk_log_bytes(),
         chunk_bytes_compressed=recording.chunk_log_compressed_bytes(),
         input_events=len(recording.events),
-        input_bytes=recording.input_log_bytes(),
-        chunk_bytes_v2=recording.chunk_log_bytes(version=2),
-        input_bytes_v2=recording.input_log_bytes(version=2),
+        input_bytes=recording.input_log_v1_bytes(),
+        chunk_bytes_v2=recording.chunk_log_compressed_bytes(),
+        input_bytes_v2=recording.input_log_bytes(),
     )
 
 

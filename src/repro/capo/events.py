@@ -25,9 +25,15 @@ NONDET_KINDS = ("", "rdtsc", "rdrand", "cpuid")
 NONDET_CODES = {kind: code for code, kind in enumerate(NONDET_KINDS)}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InputEvent:
     """One logged input.
+
+    Treated as immutable once logged, like
+    :class:`~repro.mrr.chunk.ChunkEntry` and for the same reason: events
+    are built on the syscall hot path and by the thousand on every log
+    decode, and a frozen dataclass pays ``object.__setattr__`` per field.
+    Nothing hashes events.
 
     Field use by kind:
         syscall    — ``sysno`` + ``value`` (return value) + ``copies``

@@ -1,33 +1,44 @@
-"""Binary serialization of the input-event log.
+"""Binary serialization of the input-event log (``input.bin``).
 
-Two on-disk formats share the ``QRIL`` magic and are negotiated by the
-header's version byte; :func:`decode_events` accepts both, so any reader
-handles any recording.
+Two stream versions share the ``QRIL`` magic; :func:`decode_events`
+negotiates by the header's version byte.
+
+**v3** — what :func:`encode_events` writes: the columnar layout shared
+with the compact chunk log (:mod:`repro.mrr.columnar`)::
+
+    header   magic "QRIL", version u8, flags u8, varint event count,
+             varint copy count, varint pool count, varint inflated length
+    body     zlib of the byte planes of the columns
+               per event: rthread u32, seq i64 (delta against the
+               previous event), chunk_seq i64 (per-rthread delta, see
+               :func:`~repro.mrr.columnar.deltas_by`), kind code u8,
+               sysno u64, value u64, nondet code u8, copy count u32
+               per copy:  address u64, pool index u32
+               per pool entry: length u32
+             then the pool's payload bytes
+
+Copy payloads are deduplicated through a content-keyed pool (a repeated
+syscall buffer is stored once and referenced by index).
 
 **v1** — row-oriented: a header followed by varint-packed events with copy
-payloads inline. Kept bit-exact for old recordings (and as the stable
-byte stream the differential fingerprints hash).
-
-**v2** — columnar: events are stored as per-field columns (``seq`` and
-per-thread ``chunk_seq`` as zigzag-delta varints — both are monotone in
-real logs, so deltas are tiny; ``rthread``/``kind``/``sysno`` are
-low-cardinality and compress to almost nothing), copy payloads are
-deduplicated through a content-keyed pool (repeated syscall buffers are
-stored once and referenced by index), and the whole body runs through a
-streaming zlib compressor. Sizes measured on the selected format feed the
-F3 log-rate figure's input-log series.
+payloads inline. :func:`encode_events_v1` is frozen: it is the stable byte
+stream the differential fingerprints hash and the reference size the F3
+figure reports, and :func:`decode_events` still reads it, so bundles
+written before v3 load.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
+from itertools import accumulate, compress, pairwise
 from typing import Sequence
 
 from ..errors import LogFormatError
-from ..mrr.varint import read_varint, unzigzag, write_varint, zigzag
+from ..mrr import columnar
+from ..mrr.varint import read_varint, write_varint
 from .events import (
     InputEvent,
+    KINDS,
     KIND_CODES,
     KIND_NAMES,
     NONDET_CODES,
@@ -35,13 +46,12 @@ from .events import (
 )
 
 MAGIC = b"QRIL"
-VERSION = 1
-VERSION_V2 = 2
-VERSIONS = (VERSION, VERSION_V2)
+VERSION_V1 = 1
+VERSION = 3
 _HEADER = struct.Struct("<4sBBHI")
-
-#: v2 header flag: body is a zlib stream.
-_V2_FLAG_ZLIB = 0x01
+_EVENT_COLUMNS = "IqqBQQBI"
+_COPY_COLUMNS = "QI"
+_POOL_COLUMN = "I"
 
 
 def _varint(value: int) -> bytes:
@@ -52,17 +62,41 @@ def _read_varint(blob: bytes, offset: int) -> tuple[int, int]:
     return read_varint(blob, offset, what="varint in input log")
 
 
-def encode_events(events: Sequence[InputEvent], version: int = VERSION) -> bytes:
-    """Serialize events in the requested format version."""
-    if version == VERSION:
-        return _encode_events_v1(events)
-    if version == VERSION_V2:
-        return _encode_events_v2(events)
-    raise LogFormatError(f"unknown input log version {version}")
+def encode_events(events: Sequence[InputEvent]) -> bytes:
+    """Serialize events to the columnar v3 stream."""
+    col = columnar.column
+    threads = col("I", [event.rthread for event in events], "rthread")
+    ncopies = col("I", [len(event.copies) for event in events], "copy count")
+    pool: dict[bytes, int] = {}
+    addrs: list[int] = []
+    indices: list[int] = []
+    for event in compress(events, ncopies):
+        for addr, data in event.copies:
+            addrs.append(addr)
+            indices.append(pool.setdefault(data, len(pool)))
+    columns = (
+        threads,
+        col("q", columnar.deltas([event.seq for event in events]), "seq"),
+        col("q", columnar.deltas_by(
+            threads, [event.chunk_seq for event in events]), "chunk_seq"),
+        col("B", [KIND_CODES[event.kind] for event in events], "kind"),
+        col("Q", [event.sysno for event in events], "sysno"),
+        col("Q", [event.value for event in events], "value"),
+        col("B", [NONDET_CODES[event.nondet_kind] for event in events],
+            "nondet kind"),
+        ncopies,
+        col("Q", addrs, "copy address"),
+        col("I", indices, "pool index"),
+        col("I", [len(data) for data in pool], "payload length"),
+    )
+    body, size = columnar.deflate(columns, b"".join(pool))
+    return columnar.header(MAGIC, VERSION, 0, len(events), len(addrs),
+                           len(pool), size) + body
 
 
-def _encode_events_v1(events: Sequence[InputEvent]) -> bytes:
-    out = bytearray(_HEADER.pack(MAGIC, VERSION, 0, 0, len(events)))
+def encode_events_v1(events: Sequence[InputEvent]) -> bytes:
+    """Serialize events to the frozen v1 stream."""
+    out = bytearray(_HEADER.pack(MAGIC, VERSION_V1, 0, 0, len(events)))
     for event in events:
         out += _varint(event.rthread)
         out += _varint(event.seq)
@@ -79,65 +113,24 @@ def _encode_events_v1(events: Sequence[InputEvent]) -> bytes:
     return bytes(out)
 
 
-def _encode_events_v2(events: Sequence[InputEvent]) -> bytes:
-    # Content-keyed copy-payload pool, in first-reference order.
-    pool_index: dict[bytes, int] = {}
-    pool: list[bytes] = []
-    for event in events:
-        for _addr, data in event.copies:
-            if data not in pool_index:
-                pool_index[data] = len(pool)
-                pool.append(data)
-
-    columns = [bytearray() for _ in range(9)]
-    (col_rthread, col_seq, col_chunk_seq, col_kind, col_sysno, col_value,
-     col_nondet, col_ncopies, col_copies) = columns
-    prev_seq = 0
-    prev_chunk_seq: dict[int, int] = {}
-    for event in events:
-        col_rthread += _varint(event.rthread)
-        col_seq += _varint(zigzag(event.seq - prev_seq))
-        prev_seq = event.seq
-        prev = prev_chunk_seq.get(event.rthread, 0)
-        col_chunk_seq += _varint(zigzag(event.chunk_seq - prev))
-        prev_chunk_seq[event.rthread] = event.chunk_seq
-        col_kind += _varint(KIND_CODES[event.kind])
-        col_sysno += _varint(event.sysno)
-        col_value += _varint(event.value)
-        col_nondet += _varint(NONDET_CODES[event.nondet_kind])
-        col_ncopies += _varint(len(event.copies))
-        for addr, data in event.copies:
-            col_copies += _varint(addr)
-            col_copies += _varint(pool_index[data])
-
-    compressor = zlib.compressobj(6)
-    body = bytearray()
-    body += compressor.compress(_varint(len(pool)))
-    for payload in pool:
-        body += compressor.compress(_varint(len(payload)))
-        body += compressor.compress(payload)
-    for column in columns:
-        body += compressor.compress(bytes(column))
-    body += compressor.flush()
-    return _HEADER.pack(MAGIC, VERSION_V2, _V2_FLAG_ZLIB, 0,
-                        len(events)) + bytes(body)
-
-
 def decode_events(blob: bytes) -> list[InputEvent]:
-    """Parse either format version back into events (stream order)."""
-    if len(blob) < _HEADER.size:
+    """Parse either stream version back into events (stream order)."""
+    if len(blob) < columnar.FIXED_HEADER:
         raise LogFormatError("input log truncated before header")
-    magic, version, flags, _reserved, count = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise LogFormatError(f"bad input log magic {magic!r}")
+    if blob[:4] != MAGIC:
+        raise LogFormatError(f"bad input log magic {blob[:4]!r}")
+    version = blob[4]
     if version == VERSION:
-        return _decode_events_v1(blob, count)
-    if version == VERSION_V2:
-        return _decode_events_v2(blob, flags, count)
+        return _decode_events_v3(blob)
+    if version == VERSION_V1:
+        return _decode_events_v1(blob)
     raise LogFormatError(f"unsupported input log version {version}")
 
 
-def _decode_events_v1(blob: bytes, count: int) -> list[InputEvent]:
+def _decode_events_v1(blob: bytes) -> list[InputEvent]:
+    if len(blob) < _HEADER.size:
+        raise LogFormatError("input log truncated before header")
+    count = _HEADER.unpack_from(blob)[-1]
     events: list[InputEvent] = []
     offset = _HEADER.size
     for _ in range(count):
@@ -171,77 +164,51 @@ def _decode_events_v1(blob: bytes, count: int) -> list[InputEvent]:
     return events
 
 
-def _decode_events_v2(blob: bytes, flags: int, count: int) -> list[InputEvent]:
-    body = blob[_HEADER.size:]
-    if flags & _V2_FLAG_ZLIB:
-        decompressor = zlib.decompressobj()
-        try:
-            body = decompressor.decompress(body)
-            body += decompressor.flush()
-        except zlib.error as exc:
-            raise LogFormatError(
-                f"corrupt input log body: {exc}") from exc
-        if not decompressor.eof:
-            raise LogFormatError("truncated input log body")
-        if decompressor.unused_data:
-            raise LogFormatError("trailing bytes after input log body")
+def _decode_events_v3(blob: bytes) -> list[InputEvent]:
+    if blob[5]:
+        raise LogFormatError(f"unknown input log flags {blob[5]:#x}")
+    (count, ncopy, npool, size), offset = \
+        columnar.read_fields(blob, 4, "input log")
+    fixed = (count * columnar.width(_EVENT_COLUMNS)
+             + ncopy * columnar.width(_COPY_COLUMNS)
+             + npool * columnar.width(_POOL_COLUMN))
+    if size < fixed:
+        raise LogFormatError(
+            f"input log declares {size} bytes, its counts need {fixed}")
+    raw = columnar.inflate(blob[offset:], size, "input log")
+    layout = ([(code, count) for code in _EVENT_COLUMNS]
+              + [(code, ncopy) for code in _COPY_COLUMNS]
+              + [(_POOL_COLUMN, npool)])
+    (threads, seq_deltas, chunk_deltas, kinds, sysnos, values, nondets,
+     ncopies, addrs, indices, lengths), payload = \
+        columnar.unpack(raw, layout)
 
-    offset = 0
-    pool_count, offset = _read_varint(body, offset)
-    pool: list[bytes] = []
-    for _ in range(pool_count):
-        length, offset = _read_varint(body, offset)
-        if offset + length > len(body):
-            raise LogFormatError("truncated copy payload in pool")
-        pool.append(body[offset:offset + length])
-        offset += length
+    if count and max(kinds) >= len(KINDS):
+        raise LogFormatError(f"unknown event kind code {max(kinds)}")
+    if count and max(nondets) >= len(NONDET_KINDS):
+        raise LogFormatError(f"unknown nondet kind code {max(nondets)}")
+    if sum(ncopies) != ncopy:
+        raise LogFormatError(
+            f"events carry {sum(ncopies)} copies, header declares {ncopy}")
+    if ncopy and max(indices) >= npool:
+        raise LogFormatError(
+            f"copy payload index {max(indices)} outside pool")
+    if sum(lengths) != len(payload):
+        raise LogFormatError("copy payload pool length mismatch")
+    seqs = list(accumulate(seq_deltas))
+    chunk_seqs = columnar.sums_by(threads, chunk_deltas)
+    if count and min(min(seqs), min(chunk_seqs)) < 0:
+        raise LogFormatError("negative sequence number in input log")
 
-    def column(reader, n=count):
-        nonlocal offset
-        values = []
-        for _ in range(n):
-            value, offset = reader(body, offset)
-            values.append(value)
-        return values
-
-    rthreads = column(_read_varint)
-    seq_deltas = column(_read_varint)
-    chunk_deltas = column(_read_varint)
-    kind_codes = column(_read_varint)
-    sysnos = column(_read_varint)
-    values = column(_read_varint)
-    nondet_codes = column(_read_varint)
-    ncopies = column(_read_varint)
-
-    events: list[InputEvent] = []
-    prev_seq = 0
-    prev_chunk_seq: dict[int, int] = {}
-    for i in range(count):
-        kind = KIND_NAMES.get(kind_codes[i])
-        if kind is None:
-            raise LogFormatError(f"unknown event kind code {kind_codes[i]}")
-        if nondet_codes[i] >= len(NONDET_KINDS):
-            raise LogFormatError(
-                f"unknown nondet kind code {nondet_codes[i]}")
-        seq = prev_seq + unzigzag(seq_deltas[i])
-        prev_seq = seq
-        rthread = rthreads[i]
-        chunk_seq = prev_chunk_seq.get(rthread, 0) + unzigzag(chunk_deltas[i])
-        prev_chunk_seq[rthread] = chunk_seq
-        if seq < 0 or chunk_seq < 0:
-            raise LogFormatError("negative sequence number in input log")
-        copies = []
-        for _ in range(ncopies[i]):
-            addr, offset = _read_varint(body, offset)
-            index, offset = _read_varint(body, offset)
-            if index >= len(pool):
-                raise LogFormatError(
-                    f"copy payload index {index} outside pool")
-            copies.append((addr, pool[index]))
-        events.append(InputEvent(rthread=rthread, seq=seq, chunk_seq=chunk_seq,
-                                 kind=kind, sysno=sysnos[i], value=values[i],
-                                 nondet_kind=NONDET_KINDS[nondet_codes[i]],
-                                 copies=tuple(copies)))
-    if offset != len(body):
-        raise LogFormatError("trailing bytes in input log")
-    return events
+    pool = [payload[start:end]
+            for start, end in pairwise(accumulate(lengths, initial=0))]
+    copies: list[tuple] = [()] * count
+    cursor = 0
+    for index in compress(range(count), ncopies):
+        end = cursor + ncopies[index]
+        copies[index] = tuple(zip(addrs[cursor:end],
+                                  map(pool.__getitem__, indices[cursor:end])))
+        cursor = end
+    return list(map(InputEvent, threads, seqs, chunk_seqs,
+                    map(KINDS.__getitem__, kinds), sysnos, values,
+                    map(NONDET_KINDS.__getitem__, nondets), copies))

@@ -13,9 +13,10 @@ Bundles round-trip to a directory::
     rec/
       manifest.json    config + metadata + log sizes
       program.json     the exact program image
-      input.bin        input-event log
-      chunks.bin       packed chunk log (raw format)
-      chunks.qrz       compressed chunk log (when enabled)
+      input.bin        input-event log (columnar QRIL v3)
+      chunks.bin       packed chunk log (QRCL v1, what loading reads)
+      chunks.qrz       compact chunk log (columnar QRCZ; loading reads it
+                       when chunks.bin is absent)
       checkpoints.bin  page-delta checkpoint section (when present)
 
 Loading is *lazy*: ``Recording.load`` reads and validates only the
@@ -31,8 +32,8 @@ corrupt section payload, and any count mismatch against the manifest.
 Callers handling damaged bundles (triage, crash capture, the flight
 recorder) need exactly one except clause, never a raw ``FileNotFoundError``
 or codec exception. ``save`` keeps the bundle self-consistent on re-save:
-section files a previous save wrote but this save does not (checkpoints
-dropped, compression toggled off) are removed rather than left stale.
+section files a previous save wrote but this save does not (dropped
+checkpoints) are removed rather than left stale.
 """
 
 from __future__ import annotations
@@ -47,14 +48,21 @@ from ..isa.program import Program
 from ..mrr.chunk import ChunkEntry
 from ..mrr.compression import compress_chunks, decompress_chunks
 from ..mrr.logfmt import (
+    VERSION as CHUNK_LOG_VERSION,
     CheckpointRecord,
     decode_checkpoints,
     decode_chunks,
     encode_checkpoints,
     encode_chunks,
+    encoded_size,
 )
 from .events import InputEvent
-from .input_log import decode_events, encode_events
+from .input_log import (
+    VERSION as INPUT_LOG_VERSION,
+    decode_events,
+    encode_events,
+    encode_events_v1,
+)
 
 #: Metadata key marking a materialized flight window (see
 #: :mod:`repro.flight`): replay must restore the embedded position-0
@@ -182,25 +190,22 @@ class Recording:
 
     # -- derived sizes (the log-rate experiments) ----------------------------
 
-    def chunk_log_bytes(self, version: int | None = None) -> int:
-        """Encoded chunk-log size; ``version`` overrides the bundle's
-        configured ``capo.chunk_log_version`` (for v1-vs-v2 comparisons)."""
-        if version is None:
-            version = self.config.capo.chunk_log_version
-        return len(encode_chunks(self.chunks,
-                                 with_load_hash=self.config.mrr.log_load_hash,
-                                 version=version))
+    def chunk_log_bytes(self) -> int:
+        """Size of the packed v1 chunk log (``chunks.bin``)."""
+        return encoded_size(self.chunks,
+                            with_load_hash=self.config.mrr.log_load_hash)
 
-    def chunk_log_compressed_bytes(self, version: int | None = None) -> int:
-        if version is None:
-            version = self.config.capo.chunk_log_version
-        return len(compress_chunks(self.chunks, version=version))
+    def chunk_log_compressed_bytes(self) -> int:
+        """Size of the compact chunk log (``chunks.qrz``)."""
+        return len(compress_chunks(self.chunks))
 
-    def input_log_bytes(self, version: int | None = None) -> int:
-        """Encoded input-log size; ``version`` as for chunk_log_bytes."""
-        if version is None:
-            version = self.config.capo.input_log_version
-        return len(encode_events(self.events, version=version))
+    def input_log_bytes(self) -> int:
+        """Size of the input log as saved (``input.bin``)."""
+        return len(encode_events(self.events))
+
+    def input_log_v1_bytes(self) -> int:
+        """Size of the input log in the frozen v1 serialization."""
+        return len(encode_events_v1(self.events))
 
     def total_log_bytes(self) -> int:
         return self.chunk_log_bytes() + self.input_log_bytes()
@@ -223,24 +228,13 @@ class Recording:
     def save(self, directory: str | Path) -> Path:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        with_hash = self.config.mrr.log_load_hash
-        chunk_version = self.config.capo.chunk_log_version
-        input_version = self.config.capo.input_log_version
-        chunk_blob = encode_chunks(self.chunks, with_load_hash=with_hash,
-                                   version=chunk_version)
-        input_blob = encode_events(self.events, version=input_version)
+        chunk_blob = encode_chunks(
+            self.chunks, with_load_hash=self.config.mrr.log_load_hash)
+        input_blob = encode_events(self.events)
         (directory / CHUNKS_NAME).write_bytes(chunk_blob)
+        (directory / CHUNKS_COMPRESSED_NAME).write_bytes(
+            compress_chunks(self.chunks))
         (directory / INPUT_NAME).write_bytes(input_blob)
-        if self.config.capo.compress_chunk_log:
-            (directory / CHUNKS_COMPRESSED_NAME).write_bytes(
-                compress_chunks(self.chunks, version=chunk_version))
-        else:
-            # Re-saving into a directory whose previous occupant had the
-            # section: a stale chunks.qrz would shadow nothing today (the
-            # raw log wins on load) but diverges from this save's chunks
-            # the moment chunks.bin is pruned. Same-name sections this
-            # save does not write must not survive it.
-            (directory / CHUNKS_COMPRESSED_NAME).unlink(missing_ok=True)
         if self.checkpoints:
             (directory / CHECKPOINTS_NAME).write_bytes(
                 encode_checkpoints(self.checkpoints))
@@ -259,8 +253,8 @@ class Recording:
             "checkpoint_count": len(self.checkpoints),
             "chunk_log_bytes": len(chunk_blob),
             "input_log_bytes": len(input_blob),
-            "chunk_log_version": chunk_version,
-            "input_log_version": input_version,
+            "chunk_log_version": CHUNK_LOG_VERSION,
+            "input_log_version": INPUT_LOG_VERSION,
         }
         (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
         (directory / PROGRAM_NAME).write_text(json.dumps(self.program.to_dict()))

@@ -40,7 +40,6 @@ from .capo.recording import FLIGHT_META_KEY, Recording
 from .config import (
     COHERENCE_MODELS,
     DEFAULT_CONFIG,
-    LOG_VERSIONS,
     SimConfig,
     TelemetryConfig,
 )
@@ -144,16 +143,21 @@ def _record_repro(args: argparse.Namespace) -> str:
     return " ".join(parts)
 
 
+def _log_sizes(recording: Recording) -> dict[str, int]:
+    """Each log's size in the frozen v1 serialization and in the compact
+    columnar form the bundle stores."""
+    return {
+        "chunk log bytes (v1)": recording.chunk_log_bytes(),
+        "chunk log bytes (compact)": recording.chunk_log_compressed_bytes(),
+        "input log bytes (v1)": recording.input_log_v1_bytes(),
+        "input log bytes (compact)": recording.input_log_bytes(),
+    }
+
+
 def _cmd_record(args: argparse.Namespace) -> int:
     program, inputs = workloads.build(args.workload, threads=args.threads,
                                       scale=args.scale)
     config = _traced_config(args) if args.trace else DEFAULT_CONFIG
-    if args.log_version != 1:
-        config = dataclasses.replace(
-            config,
-            capo=dataclasses.replace(config.capo,
-                                     input_log_version=args.log_version,
-                                     chunk_log_version=args.log_version))
     config = _flight_overrides(args, _machine_overrides(args, config))
     outcome = session.record(program, seed=args.seed, policy=args.policy,
                              input_files=inputs, config=config)
@@ -163,8 +167,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         "instructions": outcome.instructions,
         "chunks": len(recording.chunks),
         "input events": len(recording.events),
-        "chunk log bytes": recording.chunk_log_bytes(),
-        "input log bytes": recording.input_log_bytes(),
+        **_log_sizes(recording),
         "cycles": outcome.total_cycles,
     }
     if config.machine.coherence == "directory":
@@ -340,10 +343,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
         "chunks": stats.count,
         "mean chunk (instr)": stats.mean,
         "p90 chunk": stats.p90,
-        "chunk log bytes": recording.chunk_log_bytes(),
-        "compressed bytes": recording.chunk_log_compressed_bytes(),
         "input events": len(recording.events),
-        "input log bytes": recording.input_log_bytes(),
+        **_log_sizes(recording),
         "checkpoints": len(recording.checkpoints),
         "checkpoint section bytes": recording.checkpoint_log_bytes(),
     }
@@ -557,10 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="embed a replay-state checkpoint every K "
                                "chunk-schedule positions (0 = off); "
                                "enables parallel replay and fast seek")
-    p_record.add_argument("--log-version", type=int, default=1,
-                          choices=LOG_VERSIONS, metavar="V",
-                          help="input/chunk log serialization version "
-                               "(1 = row-packed, 2 = columnar; default 1)")
     p_record.add_argument("--flight-capture", action="store_true",
                           help="with --flight-window: write a crash bundle "
                                "even when the run looks clean (explicit "

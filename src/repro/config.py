@@ -189,19 +189,16 @@ class KernelConfig:
         return cls(**data)
 
 
-#: Log format versions a bundle may select (``decode`` negotiates by the
-#: stream header, so every reader accepts both).
-LOG_VERSIONS = (1, 2)
+#: Capo knobs older bundles carry in their manifests. The log formats
+#: they selected are negotiated from each section's header now, so
+#: loading drops them.
+RETIRED_CAPO_KEYS = ("compress_chunk_log", "input_log_version",
+                     "chunk_log_version")
 
 
 @dataclass(frozen=True)
 class CapoConfig:
     """The Capo3 software stack (Replay Sphere Manager) behaviour.
-
-    ``input_log_version`` / ``chunk_log_version`` pick the serialization
-    format a bundle is *written* in (1 = row-packed, 2 = columnar
-    delta-varint with streaming zlib); loading negotiates from the stream
-    headers, so either setting reads both.
 
     ``flight_window`` > 0 selects the bounded-memory flight-recorder mode
     (iReplayer-style black box): only the last ``flight_window`` epochs of
@@ -212,11 +209,8 @@ class CapoConfig:
     observer, never a participant.
     """
 
-    compress_chunk_log: bool = True
     log_copy_to_user: bool = True
     drain_on_context_switch: bool = True
-    input_log_version: int = 1
-    chunk_log_version: int = 1
     flight_window: int = 0
     flight_epoch_chunks: int = 64
 
@@ -225,17 +219,14 @@ class CapoConfig:
                  "flight_window must be >= 0 (0 disables the flight ring)")
         _require(self.flight_epoch_chunks >= 1,
                  "flight_epoch_chunks must be >= 1")
-        _require(self.input_log_version in LOG_VERSIONS,
-                 f"input_log_version must be one of {LOG_VERSIONS}")
-        _require(self.chunk_log_version in LOG_VERSIONS,
-                 f"chunk_log_version must be one of {LOG_VERSIONS}")
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CapoConfig":
-        return cls(**data)
+        return cls(**{key: value for key, value in data.items()
+                      if key not in RETIRED_CAPO_KEYS})
 
 
 @dataclass(frozen=True)

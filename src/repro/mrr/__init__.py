@@ -17,7 +17,7 @@ from .signature import BloomSignature
 from .chunk import ChunkEntry, Reason
 from .logfmt import encode_chunks, decode_chunks
 from .recorder import MemoryRaceRecorder
-from .compression import compress_chunks, decompress_chunks, compressed_size
+from .compression import compress_chunks, decompress_chunks
 
 __all__ = [
     "H3Hasher",
@@ -29,5 +29,4 @@ __all__ = [
     "MemoryRaceRecorder",
     "compress_chunks",
     "decompress_chunks",
-    "compressed_size",
 ]

@@ -1,204 +1,88 @@
-"""Chunk-log compression.
+"""The compact chunk log (``chunks.qrz``).
 
-The packed format spends most of its bits on timestamps and instruction
-counts that are strongly correlated within a thread. The compressor splits
-the log into per-thread streams, delta-encodes timestamps, and varint-packs
-every field; the result is optionally squeezed further with zlib. This is
-the same structure-aware approach the paper credits for its small log
-rates, and the F3 bench reports both raw and compressed figures.
+The packed v1 stream (:mod:`repro.mrr.logfmt`) spends 16 bytes on every
+entry, most of them on timestamps and counts that barely change within a
+thread. The compact form stores the same entries, in stream order, in
+the shared columnar layout (:mod:`repro.mrr.columnar`)::
 
-Two layouts share the ``QRCZ`` magic, negotiated by a flags bit:
+    header   magic "QRCZ", version u8, flags u8,
+             varint entry count, varint inflated length
+    body     zlib of the byte planes of the columns
+               rthread u32, reason code u8, rsw u32,
+               timestamp i64 (per-rthread delta, see
+               :func:`~repro.mrr.columnar.deltas_by`),
+               icount u64, memops u64,
+               load hash u64 (only with FLAG_LOAD_HASH)
 
-- **v1** interleaves the five fields per entry within each thread stream;
-- **v2** is columnar — within each thread stream every field is its own
-  varint column, with ``icount``/``memops`` zigzag-delta encoded against
-  the thread's previous chunk (near-monotone, so deltas are tiny and
-  runs of similar bytes deflate hard).
+Byte 4 held layout flags 0–3 in the retired QRCZ layouts, so this layout
+is version 4 and an old stream is refused by its header. The F3 figure
+reports this size as the chunk log's compressed form.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import Sequence
 
 from ..errors import LogFormatError
+from . import columnar
 from .chunk import ChunkEntry, Reason
-from .varint import read_varint, unzigzag, write_varint, zigzag
 
 _MAGIC = b"QRCZ"
-
-VERSION = 1
-VERSION_V2 = 2
-VERSIONS = (VERSION, VERSION_V2)
-
-_FLAG_ZLIB = 0x01
-_FLAG_COLUMNAR = 0x02
+VERSION = 4
+FLAG_LOAD_HASH = 0x01
+_COLUMNS = "IBIqQQ"
+_HASH_COLUMN = "Q"
 
 
-def _varint(value: int) -> bytes:
-    return write_varint(value)
-
-
-def _read_varint(blob: bytes, offset: int) -> tuple[int, int]:
-    return read_varint(blob, offset, what="varint in compressed chunk log")
-
-
-def _thread_streams(entries: Sequence[ChunkEntry]) \
-        -> dict[int, list[ChunkEntry]]:
-    streams: dict[int, list[ChunkEntry]] = {}
-    for entry in entries:
-        streams.setdefault(entry.rthread, []).append(entry)
-    return streams
-
-
-def compress_chunks(entries: Sequence[ChunkEntry], use_zlib: bool = True,
-                    version: int = VERSION) -> bytes:
-    """Delta+varint encode per thread, then optionally deflate."""
-    if version not in VERSIONS:
-        raise LogFormatError(f"unknown compressed chunk log version {version}")
-    streams = _thread_streams(entries)
-
-    body = bytearray(_varint(len(streams)))
-    for rthread in sorted(streams):
-        # CBUFs drain per core, so a migrating thread's entries may appear
-        # out of timestamp order in the raw log; the stream itself is
-        # timestamp-ordered by the recorder's invariants.
-        stream = sorted(streams[rthread], key=lambda entry: entry.timestamp)
-        body += _varint(rthread)
-        body += _varint(len(stream))
-        if version == VERSION:
-            _encode_stream_v1(body, rthread, stream)
-        else:
-            _encode_stream_v2(body, rthread, stream)
-
-    payload = bytes(body)
-    flags = 1 if use_zlib else 0
-    if version == VERSION_V2:
-        flags |= _FLAG_COLUMNAR
-    if use_zlib:
-        payload = zlib.compress(payload, level=6)
-    return _MAGIC + bytes([flags]) + payload
-
-
-def _encode_stream_v1(body: bytearray, rthread: int,
-                      stream: list[ChunkEntry]) -> None:
-    last_ts = 0
-    for entry in stream:
-        delta = entry.timestamp - last_ts
-        if delta < 0:
-            raise LogFormatError(
-                f"timestamps not monotone within rthread {rthread}")
-        last_ts = entry.timestamp
-        body += _varint(Reason.CODES[entry.reason])
-        body += _varint(delta)
-        body += _varint(entry.icount)
-        body += _varint(entry.memops)
-        body += _varint(entry.rsw)
-
-
-def _encode_stream_v2(body: bytearray, rthread: int,
-                      stream: list[ChunkEntry]) -> None:
-    columns = [bytearray() for _ in range(5)]
-    col_reason, col_ts, col_icount, col_memops, col_rsw = columns
-    last_ts = last_ic = last_mo = 0
-    for entry in stream:
-        delta = entry.timestamp - last_ts
-        if delta < 0:
-            raise LogFormatError(
-                f"timestamps not monotone within rthread {rthread}")
-        col_reason += _varint(Reason.CODES[entry.reason])
-        col_ts += _varint(delta)
-        col_icount += _varint(zigzag(entry.icount - last_ic))
-        col_memops += _varint(zigzag(entry.memops - last_mo))
-        col_rsw += _varint(entry.rsw)
-        last_ts, last_ic, last_mo = entry.timestamp, entry.icount, entry.memops
-    for column in columns:
-        body += column
+def compress_chunks(entries: Sequence[ChunkEntry]) -> bytes:
+    """Encode ``entries`` (in stream order) to the compact layout."""
+    col = columnar.column
+    codes = Reason.CODES
+    threads = col("I", [entry.rthread for entry in entries], "rthread")
+    with_hash = any(entry.load_hash is not None for entry in entries)
+    columns = [
+        threads,
+        col("B", [codes[entry.reason] for entry in entries], "reason"),
+        col("I", [entry.rsw for entry in entries], "rsw"),
+        col("q", columnar.deltas_by(
+            threads, [entry.timestamp for entry in entries]), "timestamp"),
+        col("Q", [entry.icount for entry in entries], "icount"),
+        col("Q", [entry.memops for entry in entries], "memops"),
+    ]
+    if with_hash:
+        columns.append(col(_HASH_COLUMN, [entry.load_hash or 0
+                                          for entry in entries],
+                           "load hash"))
+    body, size = columnar.deflate(columns)
+    return columnar.header(_MAGIC, VERSION,
+                           FLAG_LOAD_HASH if with_hash else 0,
+                           len(entries), size) + body
 
 
 def decompress_chunks(blob: bytes) -> list[ChunkEntry]:
-    """Invert :func:`compress_chunks` (either layout); entries return in
-    global (timestamp, rthread) order."""
+    """Invert :func:`compress_chunks`; entries return in stream order."""
+    what = "compressed chunk log"
     if blob[:4] != _MAGIC:
-        raise LogFormatError("bad compressed chunk log magic")
-    if len(blob) < 5:
-        raise LogFormatError("truncated compressed chunk log: missing flags")
-    flags = blob[4]
-    payload = blob[5:]
-    if flags & _FLAG_ZLIB:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise LogFormatError(
-                f"corrupt compressed chunk log payload: {exc}") from exc
-    columnar = bool(flags & _FLAG_COLUMNAR)
-
-    entries: list[ChunkEntry] = []
-    offset = 0
-    num_streams, offset = _read_varint(payload, offset)
-    for _ in range(num_streams):
-        rthread, offset = _read_varint(payload, offset)
-        count, offset = _read_varint(payload, offset)
-        if columnar:
-            offset = _decode_stream_v2(payload, offset, rthread, count,
-                                       entries)
-        else:
-            offset = _decode_stream_v1(payload, offset, rthread, count,
-                                       entries)
-    if offset != len(payload):
-        raise LogFormatError("trailing bytes in compressed chunk log")
-    entries.sort(key=lambda entry: entry.sort_key)
-    return entries
-
-
-def _decode_stream_v1(payload: bytes, offset: int, rthread: int, count: int,
-                      entries: list[ChunkEntry]) -> int:
-    timestamp = 0
-    for _ in range(count):
-        reason_code, offset = _read_varint(payload, offset)
-        delta, offset = _read_varint(payload, offset)
-        icount, offset = _read_varint(payload, offset)
-        memops, offset = _read_varint(payload, offset)
-        rsw, offset = _read_varint(payload, offset)
-        timestamp += delta
-        reason = Reason.NAMES.get(reason_code)
-        if reason is None:
-            raise LogFormatError(f"unknown reason code {reason_code}")
-        entries.append(ChunkEntry(rthread, timestamp, icount, memops,
-                                  rsw, reason))
-    return offset
-
-
-def _decode_stream_v2(payload: bytes, offset: int, rthread: int, count: int,
-                      entries: list[ChunkEntry]) -> int:
-    def column(n=count):
-        nonlocal offset
-        values = []
-        for _ in range(n):
-            value, offset = _read_varint(payload, offset)
-            values.append(value)
-        return values
-
-    reason_codes = column()
-    ts_deltas = column()
-    icount_deltas = column()
-    memops_deltas = column()
-    rsws = column()
-    timestamp = icount = memops = 0
-    for i in range(count):
-        reason = Reason.NAMES.get(reason_codes[i])
-        if reason is None:
-            raise LogFormatError(f"unknown reason code {reason_codes[i]}")
-        timestamp += ts_deltas[i]
-        icount += unzigzag(icount_deltas[i])
-        memops += unzigzag(memops_deltas[i])
-        if icount < 0 or memops < 0:
-            raise LogFormatError("negative field in compressed chunk log")
-        entries.append(ChunkEntry(rthread, timestamp, icount, memops,
-                                  rsws[i], reason))
-    return offset
-
-
-def compressed_size(entries: Sequence[ChunkEntry], use_zlib: bool = True,
-                    version: int = VERSION) -> int:
-    return len(compress_chunks(entries, use_zlib=use_zlib, version=version))
+        raise LogFormatError(f"bad {what} magic")
+    if len(blob) < columnar.FIXED_HEADER:
+        raise LogFormatError(f"truncated {what} header")
+    version, flags = blob[4], blob[5]
+    if version != VERSION:
+        raise LogFormatError(f"unsupported {what} version {version}")
+    if flags & ~FLAG_LOAD_HASH:
+        raise LogFormatError(f"unknown {what} flags {flags:#x}")
+    (count, size), offset = columnar.read_fields(blob, 2, what)
+    layout = _COLUMNS + (_HASH_COLUMN if flags & FLAG_LOAD_HASH else "")
+    if size != count * columnar.width(layout):
+        raise LogFormatError(f"{what} declares {size} bytes for {count} "
+                             f"entries")
+    raw = columnar.inflate(blob[offset:], size, what)
+    (threads, codes, rsws, ts_deltas, icounts, memops, *hashes), _tail = \
+        columnar.unpack(raw, [(code, count) for code in layout])
+    if count and max(codes) >= len(Reason.ALL):
+        raise LogFormatError(f"unknown reason code {max(codes)}")
+    timestamps = columnar.sums_by(threads, ts_deltas)
+    if count and min(timestamps) < 0:
+        raise LogFormatError(f"negative timestamp in {what}")
+    return list(map(ChunkEntry, threads, timestamps, icounts, memops, rsws,
+                    map(Reason.ALL.__getitem__, codes), *hashes))

@@ -1,9 +1,7 @@
 """Binary encoding of chunk log entries and checkpoint sections.
 
-Two stream versions share the ``QRCL`` magic; :func:`decode_chunks`
-negotiates by the header's version byte.
-
-**v1** mirrors the prototype's packed 128-bit entry::
+The packed chunk stream (magic ``QRCL``, version 1) mirrors the
+prototype's 128-bit entry::
 
     byte 0      rthread        (u8)
     byte 1      reason code    (u8)
@@ -14,14 +12,9 @@ negotiates by the header's version byte.
 
 A stream is a 12-byte header (magic ``QRCL``, version, flags, count)
 followed by the entries. When the debug load-hash flag is set, each entry
-carries an extra 8 bytes.
-
-**v2** is columnar: each field is stored as its own varint column in
-stream order, with ``timestamp``/``icount``/``memops`` zigzag-delta
-encoded against the previous entry of the *same* rthread (all three are
-near-monotone per thread, so deltas stay small), and the body zlib
-compressed. Entry order — including the CBUF drain interleaving — is
-preserved exactly, so the v2 round trip is entry-identical to v1's.
+carries an extra 8 bytes. It is the ``chunks.bin`` section and the bytes
+the determinism digests hash, so it stays byte-for-byte frozen; the
+compact form of the same log is :mod:`repro.mrr.compression`.
 
 The checkpoint section (magic ``QRCK``, version 2) carries periodic
 snapshots of the deterministic replay-visible machine state, keyed by
@@ -46,46 +39,27 @@ from typing import Iterable, Sequence
 
 from ..errors import LogFormatError
 from .chunk import ChunkEntry, Reason
-from .varint import read_varint, unzigzag, write_varint, zigzag
 
 MAGIC = b"QRCL"
 VERSION = 1
-VERSION_V2 = 2
-VERSIONS = (VERSION, VERSION_V2)
 ENTRY_BYTES = 16
 _HEADER = struct.Struct("<4sBBHI")
 _ENTRY = struct.Struct("<BBHIII")
 _HASH = struct.Struct("<Q")
 
 FLAG_LOAD_HASH = 0x01
-#: v2 header flag: body is a zlib stream.
-FLAG_ZLIB = 0x02
-
-
-def _check_entry(entry: ChunkEntry) -> None:
-    if entry.rthread > 0xFF:
-        raise LogFormatError(f"rthread {entry.rthread} exceeds u8")
-    if entry.rsw > 0xFFFF:
-        raise LogFormatError(f"rsw {entry.rsw} exceeds u16")
 
 
 def encode_chunks(entries: Sequence[ChunkEntry],
-                  with_load_hash: bool = False,
-                  version: int = VERSION) -> bytes:
-    """Serialize entries to the packed (v1) or columnar (v2) format."""
-    if version == VERSION:
-        return _encode_chunks_v1(entries, with_load_hash)
-    if version == VERSION_V2:
-        return _encode_chunks_v2(entries, with_load_hash)
-    raise LogFormatError(f"unknown chunk stream version {version}")
-
-
-def _encode_chunks_v1(entries: Sequence[ChunkEntry],
-                      with_load_hash: bool) -> bytes:
+                  with_load_hash: bool = False) -> bytes:
+    """Serialize entries to the packed stream."""
     flags = FLAG_LOAD_HASH if with_load_hash else 0
     out = bytearray(_HEADER.pack(MAGIC, VERSION, flags, 0, len(entries)))
     for entry in entries:
-        _check_entry(entry)
+        if entry.rthread > 0xFF:
+            raise LogFormatError(f"rthread {entry.rthread} exceeds u8")
+        if entry.rsw > 0xFFFF:
+            raise LogFormatError(f"rsw {entry.rsw} exceeds u16")
         out += _ENTRY.pack(entry.rthread, Reason.CODES[entry.reason],
                            entry.rsw, entry.timestamp & 0xFFFFFFFF,
                            entry.icount, entry.memops)
@@ -94,50 +68,15 @@ def _encode_chunks_v1(entries: Sequence[ChunkEntry],
     return bytes(out)
 
 
-def _encode_chunks_v2(entries: Sequence[ChunkEntry],
-                      with_load_hash: bool) -> bytes:
-    flags = FLAG_ZLIB | (FLAG_LOAD_HASH if with_load_hash else 0)
-    columns = [bytearray() for _ in range(7)]
-    (col_rthread, col_reason, col_rsw, col_ts, col_icount, col_memops,
-     col_hash) = columns
-    prev: dict[int, tuple[int, int, int]] = {}
-    for entry in entries:
-        _check_entry(entry)
-        timestamp = entry.timestamp & 0xFFFFFFFF
-        prev_ts, prev_ic, prev_mo = prev.get(entry.rthread, (0, 0, 0))
-        col_rthread += write_varint(entry.rthread)
-        col_reason += write_varint(Reason.CODES[entry.reason])
-        col_rsw += write_varint(entry.rsw)
-        col_ts += write_varint(zigzag(timestamp - prev_ts))
-        col_icount += write_varint(zigzag(entry.icount - prev_ic))
-        col_memops += write_varint(zigzag(entry.memops - prev_mo))
-        prev[entry.rthread] = (timestamp, entry.icount, entry.memops)
-        if with_load_hash:
-            col_hash += write_varint(entry.load_hash or 0)
-    compressor = zlib.compressobj(6)
-    body = bytearray()
-    for column in columns:
-        body += compressor.compress(bytes(column))
-    body += compressor.flush()
-    return _HEADER.pack(MAGIC, VERSION_V2, flags, 0,
-                        len(entries)) + bytes(body)
-
-
 def decode_chunks(blob: bytes) -> list[ChunkEntry]:
-    """Parse either stream version back into entries (in stream order)."""
+    """Parse a packed stream back into entries (in stream order)."""
     if len(blob) < _HEADER.size:
         raise LogFormatError("chunk stream truncated before header")
     magic, version, flags, _reserved, count = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise LogFormatError(f"bad magic {magic!r}")
-    if version == VERSION:
-        return _decode_chunks_v1(blob, flags, count)
-    if version == VERSION_V2:
-        return _decode_chunks_v2(blob, flags, count)
-    raise LogFormatError(f"unsupported chunk stream version {version}")
-
-
-def _decode_chunks_v1(blob: bytes, flags: int, count: int) -> list[ChunkEntry]:
+    if version != VERSION:
+        raise LogFormatError(f"unsupported chunk stream version {version}")
     with_hash = bool(flags & FLAG_LOAD_HASH)
     stride = ENTRY_BYTES + (_HASH.size if with_hash else 0)
     expected = _HEADER.size + count * stride
@@ -158,61 +97,6 @@ def _decode_chunks_v1(blob: bytes, flags: int, count: int) -> list[ChunkEntry]:
             raise LogFormatError(f"unknown reason code {reason_code}")
         entries.append(ChunkEntry(rthread, timestamp, icount, memops, rsw,
                                   reason, load_hash))
-    return entries
-
-
-def _decode_chunks_v2(blob: bytes, flags: int, count: int) -> list[ChunkEntry]:
-    with_hash = bool(flags & FLAG_LOAD_HASH)
-    body = blob[_HEADER.size:]
-    if flags & FLAG_ZLIB:
-        decompressor = zlib.decompressobj()
-        try:
-            body = decompressor.decompress(body)
-            body += decompressor.flush()
-        except zlib.error as exc:
-            raise LogFormatError(f"corrupt chunk stream body: {exc}") from exc
-        if not decompressor.eof:
-            raise LogFormatError("truncated chunk stream body")
-        if decompressor.unused_data:
-            raise LogFormatError("trailing bytes after chunk stream body")
-
-    offset = 0
-
-    def column(n=count, what="chunk stream"):
-        nonlocal offset
-        values = []
-        for _ in range(n):
-            value, offset = read_varint(body, offset, what=what)
-            values.append(value)
-        return values
-
-    rthreads = column()
-    reason_codes = column()
-    rsws = column()
-    ts_deltas = column()
-    icount_deltas = column()
-    memops_deltas = column()
-    hashes = column() if with_hash else None
-    if offset != len(body):
-        raise LogFormatError("trailing bytes in chunk stream")
-
-    entries: list[ChunkEntry] = []
-    prev: dict[int, tuple[int, int, int]] = {}
-    for i in range(count):
-        reason = Reason.NAMES.get(reason_codes[i])
-        if reason is None:
-            raise LogFormatError(f"unknown reason code {reason_codes[i]}")
-        rthread = rthreads[i]
-        prev_ts, prev_ic, prev_mo = prev.get(rthread, (0, 0, 0))
-        timestamp = prev_ts + unzigzag(ts_deltas[i])
-        icount = prev_ic + unzigzag(icount_deltas[i])
-        memops = prev_mo + unzigzag(memops_deltas[i])
-        if timestamp < 0 or icount < 0 or memops < 0:
-            raise LogFormatError("negative field in chunk stream")
-        prev[rthread] = (timestamp, icount, memops)
-        entries.append(ChunkEntry(rthread, timestamp, icount, memops,
-                                  rsws[i], reason,
-                                  hashes[i] if with_hash else None))
     return entries
 
 

@@ -1,15 +1,15 @@
-"""LEB128 varints with a hard 64-bit cap, shared by every log codec.
+"""LEB128 varints with a hard 64-bit cap.
 
-Both the input-log (``QRIL``) and chunk-log (``QRCL``/``QRCZ``) formats
-define their integer fields as unsigned 64-bit values. The decoder
+The v1 input log (``QRIL``) packs every field as a varint, and the
+compact sections' headers (:mod:`repro.mrr.columnar`) carry their counts
+and lengths as varints; all are unsigned 64-bit values. The decoder
 therefore refuses continuation chains longer than :data:`MAX_VARINT_BYTES`
 (ten bytes carry 70 payload bits — the canonical u64 LEB128 bound): a
 malformed or adversarial stream previously decoded into arbitrarily large
 Python ints after an arbitrarily long loop. The encoder enforces the same
 bound so every encodable value round-trips.
 
-Signed-ish deltas (the columnar v2 codecs delta-encode near-monotone
-fields whose differences can be negative) use zigzag mapping, which keeps
+Zigzag mapping turns a signed delta into an unsigned varint while keeping
 small-magnitude deltas small in either direction.
 """
 

@@ -65,16 +65,18 @@ class OverheadResult:
         }
 
     def log_bandwidth(self) -> dict[str, Any]:
-        """v1-vs-v2 log sizes of the full run's recording, absolute and per
-        kilo-instruction. Empty when the full run kept no recording."""
+        """Log sizes of the full run's recording, absolute and per
+        kilo-instruction: the frozen v1 serializations (``*_v1``) against
+        the compact columnar forms a bundle stores (``*_v2``). Empty when
+        the full run kept no recording."""
         recording = self.full.recording
         if recording is None:
             return {}
         instructions = max(1, self.full.instructions)
-        input_v1 = recording.input_log_bytes(version=1)
-        input_v2 = recording.input_log_bytes(version=2)
-        chunk_v1 = recording.chunk_log_bytes(version=1)
-        chunk_v2 = recording.chunk_log_bytes(version=2)
+        input_v1 = recording.input_log_v1_bytes()
+        input_v2 = recording.input_log_bytes()
+        chunk_v1 = recording.chunk_log_bytes()
+        chunk_v2 = recording.chunk_log_compressed_bytes()
         return {
             "input_bytes_v1": input_v1,
             "input_bytes_v2": input_v2,

@@ -12,7 +12,7 @@ baseline plus (with the matrix on) every lattice variant, and collects
   checks the compiled replay path, translation blocks included, bit for
   bit against the interpretive ``decode-off`` replay;
 - ``roundtrip``  — a recording failed to survive ``Recording`` save/load
-  or ``compress_chunks``/``decompress_chunks``.
+  including the load from the compact chunk log alone.
 
 Fault injection (``inject=``) perturbs the op list of one variant's
 program, simulating a miscompiled decode closure or a snoop filter that
@@ -29,12 +29,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .. import session
-from ..capo.input_log import encode_events
-from ..capo.recording import CHUNKS_COMPRESSED_NAME, CHUNKS_NAME, Recording
+from ..capo.input_log import encode_events_v1
+from ..capo.recording import CHUNKS_NAME, Recording
 from ..errors import ReproError
 from ..machine import bus as _bus
 from ..machine import core as _core
-from ..mrr.compression import compress_chunks, decompress_chunks
 from ..mrr.logfmt import encode_chunks
 from ..workloads.fuzz import FuzzCase, build_program
 from .variants import BASELINE, Variant, matrix_variants
@@ -77,7 +76,7 @@ def outcome_fingerprint(outcome) -> dict[str, str]:
         "chunk_log": hashlib.sha256(
             encode_chunks(recording.chunks)).hexdigest(),
         "input_log": hashlib.sha256(
-            encode_events(recording.events)).hexdigest(),
+            encode_events_v1(recording.events)).hexdigest(),
         "outputs": outputs.hexdigest(),
         "exit_codes": repr(sorted(outcome.exit_codes.items())),
         "cycles": str(outcome.total_cycles),
@@ -142,26 +141,10 @@ def run_variant(case: FuzzCase, variant: Variant, inject: str | None = None):
 
 def _roundtrip_failures(recording: Recording,
                         variant_name: str) -> list[SeedFailure]:
-    """Log-format durability: the recording must survive both compression
-    flavours and a full save/load — including the compressed-only load
-    path a bundle with no raw chunk log takes."""
+    """Log-format durability: the recording must survive a full
+    save/load, including the load from the compact chunk log alone that
+    a bundle with no packed chunk log takes."""
     failures: list[SeedFailure] = []
-    chunks_sorted = sorted(recording.chunks, key=lambda c: c.sort_key)
-
-    for use_zlib in (True, False):
-        label = f"compress_chunks(use_zlib={use_zlib})"
-        try:
-            back = decompress_chunks(
-                compress_chunks(recording.chunks, use_zlib=use_zlib))
-        except ReproError as exc:
-            failures.append(SeedFailure(
-                "roundtrip", variant_name, f"{label}: {exc}"))
-            continue
-        if back != chunks_sorted:
-            failures.append(SeedFailure(
-                "roundtrip", variant_name,
-                f"{label}: entries changed across the round trip"))
-
     try:
         with tempfile.TemporaryDirectory(prefix="qr-soak-") as tmp:
             recording.save(tmp)
@@ -180,14 +163,12 @@ def _roundtrip_failures(recording: Recording,
                     failures.append(SeedFailure(
                         "roundtrip", variant_name,
                         f"save/load: {what} changed across the round trip"))
-            if (Path(tmp) / CHUNKS_COMPRESSED_NAME).exists():
-                (Path(tmp) / CHUNKS_NAME).unlink()
-                reloaded = Recording.load(tmp)
-                if reloaded.chunks != chunks_sorted:
-                    failures.append(SeedFailure(
-                        "roundtrip", variant_name,
-                        "save/load via compressed chunk log: entries "
-                        "changed across the round trip"))
+            (Path(tmp) / CHUNKS_NAME).unlink()
+            if Recording.load(tmp).chunks != recording.chunks:
+                failures.append(SeedFailure(
+                    "roundtrip", variant_name,
+                    "save/load via compressed chunk log: entries "
+                    "changed across the round trip"))
     except ReproError as exc:
         failures.append(SeedFailure(
             "roundtrip", variant_name, f"save/load: {exc}"))

@@ -27,15 +27,14 @@ def test_saved_layout(recording, tmp_path):
     directory = recording.save(tmp_path / "rec")
     names = {path.name for path in directory.iterdir()}
     assert {"manifest.json", "program.json", "input.bin", "chunks.bin"} <= names
-    assert "chunks.qrz" in names  # compression enabled by default
+    assert "chunks.qrz" in names  # the compact chunk log, always written
 
 
 def test_compressed_chunk_fallback(recording, tmp_path):
     directory = recording.save(tmp_path / "rec")
     (directory / "chunks.bin").unlink()
     loaded = Recording.load(directory)
-    assert sorted(loaded.chunks, key=lambda c: c.sort_key) == \
-           sorted(recording.chunks, key=lambda c: c.sort_key)
+    assert loaded.chunks == recording.chunks  # stream order, not sorted
 
 
 def test_load_missing_directory(tmp_path):
@@ -149,12 +148,19 @@ def test_in_memory_recording_sections_are_eager(recording):
                                          "checkpoints": True}
 
 
-def test_size_helpers(recording):
+def test_size_helpers(recording, tmp_path):
     assert recording.chunk_log_bytes() > 0
     assert recording.input_log_bytes() > 0
     assert recording.total_log_bytes() == (recording.chunk_log_bytes()
                                            + recording.input_log_bytes())
     assert recording.chunk_log_compressed_bytes() < recording.chunk_log_bytes()
+    assert recording.input_log_bytes() < recording.input_log_v1_bytes()
+    # the helpers report what save writes
+    directory = recording.save(tmp_path / "rec")
+    sizes = {path.name: path.stat().st_size for path in directory.iterdir()}
+    assert sizes["chunks.bin"] == recording.chunk_log_bytes()
+    assert sizes["chunks.qrz"] == recording.chunk_log_compressed_bytes()
+    assert sizes["input.bin"] == recording.input_log_bytes()
 
 
 def test_thread_slicing(recording):
@@ -173,18 +179,18 @@ def test_replay_of_loaded_recording(recording, tmp_path):
     assert result.final_memory_digest == recording.metadata["final_memory_digest"]
 
 
-# -- versioned serialization -------------------------------------------------
+# -- the compact sections and older bundles ---------------------------------
 
 @pytest.fixture(scope="module")
 def recording_v2():
+    """The fixture's run recorded with load hashes in the chunk log."""
     import dataclasses
 
-    from repro.config import CapoConfig, SimConfig
+    from repro.config import MRRConfig, SimConfig
 
     program, inputs = workloads.build("counter", threads=2)
-    config = dataclasses.replace(
-        SimConfig(), capo=CapoConfig(input_log_version=2,
-                                     chunk_log_version=2))
+    config = dataclasses.replace(SimConfig(),
+                                 mrr=MRRConfig(log_load_hash=True))
     return session.record(program, seed=3, input_files=inputs,
                           config=config).recording
 
@@ -194,49 +200,99 @@ def test_v2_save_load_round_trip(recording_v2, recording, tmp_path):
     loaded = Recording.load(tmp_path / "rec2")
     assert loaded.chunks == recording_v2.chunks
     assert loaded.events == recording_v2.events
-    # same run as the v1 fixture (same seed): decoding v2 must agree with
-    # what the v1 bundle carries
-    assert loaded.chunks == recording.chunks
+    assert all(chunk.load_hash is not None for chunk in loaded.chunks)
+    # load hashes are an observer: the run itself is the fixture's
     assert loaded.events == recording.events
+    assert [c.sort_key for c in loaded.chunks] == \
+        [c.sort_key for c in recording.chunks]
 
 
-def test_v2_manifest_records_versions(recording_v2, recording, tmp_path):
-    import json
-
-    recording.save(tmp_path / "m1")
-    recording_v2.save(tmp_path / "m2")
-    m1 = json.loads((tmp_path / "m1" / "manifest.json").read_text())
-    m2 = json.loads((tmp_path / "m2" / "manifest.json").read_text())
-    assert (m1["input_log_version"], m1["chunk_log_version"]) == (1, 1)
-    assert (m2["input_log_version"], m2["chunk_log_version"]) == (2, 2)
-
-
-def test_v2_bundle_is_smaller(recording_v2, recording, tmp_path):
-    d1 = recording.save(tmp_path / "s1")
-    d2 = recording_v2.save(tmp_path / "s2")
-    v1_bytes = (d1 / "chunks.bin").stat().st_size \
-        + (d1 / "input.bin").stat().st_size
-    v2_bytes = (d2 / "chunks.bin").stat().st_size \
-        + (d2 / "input.bin").stat().st_size
-    assert v2_bytes < v1_bytes
+def test_v2_manifest_records_versions(recording, tmp_path):
+    directory = recording.save(tmp_path / "m")
+    manifest = json.loads((directory / "manifest.json").read_text())
+    assert (manifest["input_log_version"],
+            manifest["chunk_log_version"]) == (3, 1)
+    assert (directory / "input.bin").read_bytes()[4] == 3
+    assert (directory / "chunks.bin").read_bytes()[4] == 1
+    assert not set(manifest["config"]["capo"]) & {
+        "compress_chunk_log", "input_log_version", "chunk_log_version"}
 
 
-def test_size_helpers_take_version_overrides(recording):
-    assert recording.chunk_log_bytes(version=2) < \
-        recording.chunk_log_bytes(version=1)
-    assert recording.input_log_bytes(version=2) <= \
-        recording.input_log_bytes(version=1)
-    # no argument follows the bundle's config (v1 for this fixture)
-    assert recording.chunk_log_bytes() == recording.chunk_log_bytes(version=1)
+def test_v2_bundle_is_smaller(recording, tmp_path):
+    from repro.capo.input_log import encode_events_v1
+
+    directory = recording.save(tmp_path / "s")
+    compact = (directory / "chunks.qrz").stat().st_size \
+        + (directory / "input.bin").stat().st_size
+    v1 = (directory / "chunks.bin").stat().st_size \
+        + len(encode_events_v1(recording.events))
+    assert compact < v1
 
 
 def test_v2_compressed_fallback_load(recording_v2, tmp_path):
+    # chunks.qrz alone carries the load hashes too
     directory = tmp_path / "fb2"
     recording_v2.save(directory)
     (directory / "chunks.bin").unlink()
     loaded = Recording.load(directory)
-    assert loaded.chunks == sorted(recording_v2.chunks,
-                                   key=lambda c: c.sort_key)
+    assert loaded.chunks == recording_v2.chunks
+
+
+def _write_pre_v3_bundle(recording, directory, version=1):
+    """``recording`` as bundles were written before the columnar input
+    log: packed chunks.bin, v1 input.bin, no chunks.qrz, and a manifest
+    whose capo config carries the retired log knobs."""
+    from repro.capo.input_log import encode_events_v1
+    from repro.mrr.logfmt import encode_chunks
+
+    directory.mkdir()
+    chunk_blob = bytearray(encode_chunks(recording.chunks))
+    input_blob = bytearray(encode_events_v1(recording.events))
+    chunk_blob[4] = input_blob[4] = version
+    (directory / "chunks.bin").write_bytes(chunk_blob)
+    (directory / "input.bin").write_bytes(input_blob)
+    config = recording.config.to_dict()
+    config["capo"].update(compress_chunk_log=True,
+                          input_log_version=version,
+                          chunk_log_version=version)
+    manifest = {
+        "format": "quickrec-recording",
+        "version": 1,
+        "config": config,
+        "metadata": recording.metadata,
+        "chunk_count": len(recording.chunks),
+        "event_count": len(recording.events),
+        "checkpoint_count": 0,
+        "chunk_log_bytes": len(chunk_blob),
+        "input_log_bytes": len(input_blob),
+        "chunk_log_version": version,
+        "input_log_version": version,
+    }
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    (directory / "program.json").write_text(
+        json.dumps(recording.program.to_dict()))
+    return directory
+
+
+def test_pre_v3_bundle_loads_identically(recording, tmp_path):
+    loaded = Recording.load(_write_pre_v3_bundle(recording, tmp_path / "old"))
+    assert loaded.config == recording.config
+    assert loaded.chunks == recording.chunks
+    assert loaded.events == recording.events
+    result = session.replay_recording(loaded)
+    assert result.final_memory_digest == \
+        recording.metadata["final_memory_digest"]
+
+
+def test_bundle_saved_with_log_version_2_names_it(recording, tmp_path):
+    loaded = Recording.load(
+        _write_pre_v3_bundle(recording, tmp_path / "v2", version=2))
+    with pytest.raises(LogFormatError,
+                       match="unsupported chunk stream version 2"):
+        loaded.chunks
+    with pytest.raises(LogFormatError,
+                       match="unsupported input log version 2"):
+        loaded.events
 
 
 # -- lifecycle regressions ----------------------------------------------------
@@ -280,21 +336,13 @@ def test_resave_removes_stale_checkpoint_section(recording, tmp_path):
 
 
 def test_resave_removes_stale_compressed_chunks(recording, tmp_path):
-    import copy
-    import dataclasses
-
+    # re-saving a different recording over a bundle replaces chunks.qrz,
+    # so the compact-only load never sees the old occupant's chunks
     directory = recording.save(tmp_path / "rec")
-    assert (directory / "chunks.qrz").exists()
-
-    uncompressed = copy.copy(recording)
-    uncompressed.config = dataclasses.replace(
-        recording.config,
-        capo=dataclasses.replace(recording.config.capo,
-                                 compress_chunk_log=False))
-    uncompressed.save(directory)
-    assert not (directory / "chunks.qrz").exists()
-    loaded = Recording.load(directory)
-    assert loaded.chunks == recording.chunks
+    shorter = recording.replace(chunks=recording.chunks[:5])
+    shorter.save(directory)
+    (directory / "chunks.bin").unlink()
+    assert Recording.load(directory).chunks == recording.chunks[:5]
 
 
 def test_forged_checkpoint_declaring_4gib_rejected_cheaply(recording,

@@ -2,6 +2,7 @@ import pytest
 
 from repro.errors import LogFormatError
 from repro.mrr.chunk import ChunkEntry, Reason
+from repro.mrr.compression import compress_chunks, decompress_chunks
 from repro.mrr.logfmt import (
     ENTRY_BYTES,
     decode_chunks,
@@ -34,6 +35,14 @@ def test_entry_is_16_bytes():
     assert ENTRY_BYTES == 16
     blob = encode_chunks(sample_entries())
     assert len(blob) == 12 + 4 * 16
+
+
+def test_packed_stream_bytes_are_frozen():
+    # chunks.bin and the determinism digests hash these exact bytes
+    assert encode_chunks(sample_entries()).hex() == (
+        "5152434c0100000004000000010000000a000000f4010000000000000202"
+        "02000b0000000300000004000000010500000c0000000000000000000000"
+        "03030100630000007011010000000000")
 
 
 def test_encoded_size_matches():
@@ -80,24 +89,23 @@ def test_unknown_reason_code_rejected():
         decode_chunks(bytes(blob))
 
 
-# -- v2 (columnar) format ----------------------------------------------------
+# -- the compact form of the chunk log (``v2`` is its F3 slot) -------------
 
 def test_v2_round_trip_preserves_entry_order():
     entries = sample_entries()
-    assert decode_chunks(encode_chunks(entries, version=2)) == entries
+    assert decompress_chunks(compress_chunks(entries)) == entries
 
 
 def test_v2_round_trip_with_load_hash():
     entries = [ChunkEntry(1, 10, 5, 0, 0, Reason.RAW, load_hash=0xDEADBEEF),
                ChunkEntry(2, 11, 7, 3, 1, Reason.WAW, load_hash=0x1234)]
-    decoded = decode_chunks(encode_chunks(entries, with_load_hash=True,
-                                          version=2))
+    decoded = decompress_chunks(compress_chunks(entries))
     assert decoded == entries
     assert decoded[0].load_hash == 0xDEADBEEF
 
 
 def test_v2_empty_stream():
-    assert decode_chunks(encode_chunks([], version=2)) == []
+    assert decompress_chunks(compress_chunks([])) == []
 
 
 def test_v2_smaller_than_v1_on_regular_logs():
@@ -109,23 +117,26 @@ def test_v2_smaller_than_v1_on_regular_logs():
                                   1000 + index % 5, index % 2,
                                   Reason.ALL[index % len(Reason.ALL)]))
     v1 = len(encode_chunks(entries))
-    v2 = len(encode_chunks(entries, version=2))
+    v2 = len(compress_chunks(entries))
     assert v2 < v1 / 2
 
 
 def test_v2_truncation_rejected_at_every_offset():
-    blob = encode_chunks(sample_entries(), version=2)
+    blob = compress_chunks(sample_entries())
     for cut in range(len(blob)):
         with pytest.raises(LogFormatError):
-            decode_chunks(blob[:cut])
+            decompress_chunks(blob[:cut])
 
 
 def test_v2_trailing_garbage_rejected():
     with pytest.raises(LogFormatError):
-        decode_chunks(encode_chunks(sample_entries(), version=2) + b"\x00")
+        decompress_chunks(compress_chunks(sample_entries()) + b"\x00")
 
 
 def test_unknown_version_rejected():
-    with pytest.raises(LogFormatError):
-        encode_chunks([], version=3)
-
+    # the retired columnar chunk stream was version 2 of this magic
+    blob = bytearray(encode_chunks(sample_entries()))
+    blob[4] = 2
+    with pytest.raises(LogFormatError,
+                       match="unsupported chunk stream version 2"):
+        decode_chunks(bytes(blob))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capo.events import InputEvent, KINDS, NONDET_KINDS
-from repro.capo.input_log import decode_events, encode_events
+from repro.capo.input_log import decode_events, encode_events, encode_events_v1
 from repro.mrr.chunk import ChunkEntry, Reason
 from repro.mrr.compression import compress_chunks, decompress_chunks
 from repro.mrr.logfmt import decode_chunks, encode_chunks
@@ -59,27 +59,11 @@ def test_packed_chunk_round_trip_with_hashes(entries, hashes):
     assert decoded == entries
 
 
-def make_monotone(entries):
-    """Rewrite timestamps so per-thread streams are strictly increasing
-    (the recorder invariant compression relies on)."""
-    import dataclasses
-
-    counters: dict[int, int] = {}
-    out = []
-    for entry in entries:
-        ts = counters.get(entry.rthread, 0) + 1 + entry.timestamp % 7
-        counters[entry.rthread] = ts
-        out.append(dataclasses.replace(entry, timestamp=ts))
-    return out
-
-
 @given(entries=st.lists(chunk_strategy, max_size=80))
 @settings(max_examples=60, deadline=None)
 def test_compressed_chunk_round_trip(entries):
-    entries = make_monotone(entries)
-    decoded = decompress_chunks(compress_chunks(entries))
-    assert sorted(decoded, key=lambda e: (e.rthread, e.timestamp)) == \
-           sorted(entries, key=lambda e: (e.rthread, e.timestamp))
+    # stream order comes back exactly, whatever the timestamps do
+    assert decompress_chunks(compress_chunks(entries)) == entries
 
 
 @given(events=st.lists(event_strategy, max_size=40))
@@ -88,10 +72,9 @@ def test_input_log_round_trip(events):
     assert decode_events(encode_events(events)) == events
 
 
-# -- v2 (columnar) codecs ----------------------------------------------------
+# -- the compact (columnar) codecs, ``v2`` in the F3 size keys -------------
 
 from repro.errors import LogFormatError  # noqa: E402
-
 shared_payloads = st.sampled_from(
     [b"", b"\x00", b"page" * 64, bytes(range(48))])
 
@@ -115,49 +98,50 @@ event_strategy_v2 = st.builds(
 @given(events=st.lists(event_strategy_v2, max_size=40))
 @settings(max_examples=80, deadline=None)
 def test_input_log_v2_round_trip(events):
-    assert decode_events(encode_events(events, version=2)) == events
+    assert decode_events(encode_events(events)) == events
 
 
 @given(events=st.lists(event_strategy_v2, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_input_log_cross_version_agreement(events):
     # both formats decode to the same event list from the same source
-    assert decode_events(encode_events(events, version=1)) == \
-        decode_events(encode_events(events, version=2))
+    assert decode_events(encode_events_v1(events)) == \
+        decode_events(encode_events(events))
 
 
 @given(entries=st.lists(chunk_strategy, max_size=60))
 @settings(max_examples=60, deadline=None)
 def test_packed_chunk_v2_round_trip(entries):
-    assert decode_chunks(encode_chunks(entries, version=2)) == entries
+    assert decompress_chunks(compress_chunks(entries)) == entries
 
 
 @given(entries=st.lists(chunk_strategy, max_size=40))
 @settings(max_examples=40, deadline=None)
 def test_packed_chunk_cross_version_agreement(entries):
-    assert decode_chunks(encode_chunks(entries, version=1)) == \
-        decode_chunks(encode_chunks(entries, version=2))
+    assert decode_chunks(encode_chunks(entries)) == \
+        decompress_chunks(compress_chunks(entries))
 
 
-@given(entries=st.lists(chunk_strategy, max_size=60))
+@given(entries=st.lists(chunk_strategy, max_size=60), data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_compressed_chunk_v2_round_trip(entries):
-    entries = make_monotone(entries)
-    decoded = decompress_chunks(compress_chunks(entries, version=2))
-    assert sorted(decoded, key=lambda e: (e.rthread, e.timestamp)) == \
-           sorted(entries, key=lambda e: (e.rthread, e.timestamp))
+def test_compressed_chunk_v2_round_trip(entries, data):
+    # load hashes: present on every entry or on none
+    if data.draw(st.booleans()):
+        for entry in entries:
+            entry.load_hash = data.draw(st.integers(0, 2**64 - 1))
+    assert decompress_chunks(compress_chunks(entries)) == entries
 
 
 @given(events=st.lists(event_strategy_v2, max_size=12), data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_input_log_v2_truncation_always_rejected(events, data):
-    blob = encode_events(events, version=2)
+    blob = encode_events(events)
     cut = data.draw(st.integers(0, len(blob) - 1))
     try:
         decode_events(blob[:cut])
     except LogFormatError:
         return
-    raise AssertionError("truncated v2 input log decoded successfully")
+    raise AssertionError("truncated input log decoded successfully")
 
 
 @given(events=st.lists(event_strategy_v2, max_size=12), data=st.data())
@@ -165,7 +149,7 @@ def test_input_log_v2_truncation_always_rejected(events, data):
 def test_input_log_v2_corruption_never_escapes_logformat(events, data):
     # a flipped byte either still decodes (landed in a value) or raises
     # LogFormatError — never zlib.error / IndexError / ValueError
-    blob = bytearray(encode_events(events, version=2))
+    blob = bytearray(encode_events(events))
     position = data.draw(st.integers(0, len(blob) - 1))
     replacement = data.draw(
         st.integers(0, 255).filter(lambda b: b != blob[position]))
@@ -179,12 +163,12 @@ def test_input_log_v2_corruption_never_escapes_logformat(events, data):
 @given(entries=st.lists(chunk_strategy, max_size=12), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_packed_chunk_v2_corruption_never_escapes_logformat(entries, data):
-    blob = bytearray(encode_chunks(entries, version=2))
+    blob = bytearray(compress_chunks(entries))
     position = data.draw(st.integers(0, len(blob) - 1))
     replacement = data.draw(
         st.integers(0, 255).filter(lambda b: b != blob[position]))
     blob[position] = replacement
     try:
-        decode_chunks(bytes(blob))
+        decompress_chunks(bytes(blob))
     except LogFormatError:
         pass

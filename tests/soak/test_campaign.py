@@ -129,14 +129,6 @@ def test_campaign_telemetry_counters():
     assert "soak.failed_seeds" not in snapshot
 
 
-def test_log_variants_fold_into_capo_config():
-    log_v2 = [v for v in matrix_variants() if v.name == "log-v2"][0]
-    cfg = log_v2.apply(DEFAULT_CONFIG)
-    assert cfg.capo.input_log_version == 2
-    assert cfg.capo.chunk_log_version == 2
-    assert log_v2.bit_identical
-
-
 def test_block_miscompile_is_a_replay_divergence(monkeypatch):
     """Record runs no translation blocks, so a miscompiled block leaves
     every record fingerprint equal: only the replay digest, compared

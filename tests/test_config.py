@@ -104,7 +104,7 @@ def test_sim_config_round_trips_through_dict():
         machine=MachineConfig(num_cores=2, memory_bytes=1 << 20),
         mrr=MRRConfig(signature_bits=256, log_load_hash=True),
         kernel=KernelConfig(quantum_instructions=100),
-        capo=CapoConfig(compress_chunk_log=False),
+        capo=CapoConfig(log_copy_to_user=False),
     )
     assert SimConfig.from_dict(config.to_dict()) == config
 
@@ -122,20 +122,20 @@ def test_configs_hashable_values():
 
 
 def test_capo_log_knobs_validated():
-    from repro.config import CapoConfig
+    # the log formats are fixed per section now: the retired knobs are
+    # not settable, and a config never serializes them
+    from repro.config import RETIRED_CAPO_KEYS, CapoConfig
 
-    assert CapoConfig().input_log_version == 1
-    with pytest.raises(ConfigError):
-        CapoConfig(input_log_version=3)
-    with pytest.raises(ConfigError):
-        CapoConfig(chunk_log_version=0)
+    for key in RETIRED_CAPO_KEYS:
+        with pytest.raises(TypeError):
+            CapoConfig(**{key: 1})
+    assert not set(RETIRED_CAPO_KEYS) & set(CapoConfig().to_dict())
 
 
 def test_old_bundle_dicts_get_log_knob_defaults():
-    # a config dict saved before the log knobs existed must still load
+    # a config dict saved while the log knobs existed must still load,
+    # whatever they selected
     data = SimConfig().to_dict()
-    for key in ("input_log_version", "chunk_log_version"):
-        del data["capo"][key]
-    config = SimConfig.from_dict(data)
-    assert config.capo.input_log_version == 1
-    assert config.capo.chunk_log_version == 1
+    data["capo"].update(compress_chunk_log=False, input_log_version=2,
+                        chunk_log_version=2)
+    assert SimConfig.from_dict(data) == SimConfig()
