@@ -306,15 +306,16 @@ class Recording:
             # file (and the manifest key): that is a valid, empty section.
             if not path.exists():
                 return []
-            records = decode_checkpoints(
+            expected = manifest.get("checkpoint_count")
+            if type(expected) is not int:
+                raise LogFormatError(
+                    "checkpoint section without an integer checkpoint_count "
+                    "in the manifest")
+            return decode_checkpoints(
                 path.read_bytes(),
                 max_payload=config.machine.memory_bytes
-                + CHECKPOINT_HEADER_ALLOWANCE)
-            expected = manifest.get("checkpoint_count")
-            if expected is not None and len(records) != expected:
-                raise LogFormatError(
-                    "checkpoint count mismatch against manifest")
-            return records
+                + CHECKPOINT_HEADER_ALLOWANCE,
+                count=expected)
 
         return cls(config=config, program=program, chunks=load_chunks,
                    events=load_events, metadata=manifest.get("metadata", {}),

@@ -293,6 +293,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if report is not None:
         rows["jobs"] = report.jobs
         rows["intervals"] = len(report.intervals)
+        rows["spans"] = report.spans
+        rows["checkpoints restored"] = report.restores
         rows["seams verified"] = report.seams_verified
         rows["parallel wall s"] = round(report.wall_s, 4)
         rows["speedup bound"] = round(report.speedup_bound, 2)

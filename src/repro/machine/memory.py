@@ -68,7 +68,7 @@ class PhysicalMemory:
 
     def digest(self) -> str:
         """SHA-256 over the full memory contents, for replay verification."""
-        return hashlib.sha256(bytes(self._data)).hexdigest()
+        return hashlib.sha256(self._data).hexdigest()
 
     def digest_range(self, addr: int, size: int) -> str:
         """SHA-256 over a byte range (e.g. just the data segment)."""
@@ -76,6 +76,10 @@ class PhysicalMemory:
 
     def snapshot(self) -> bytes:
         return bytes(self._data)
+
+    def view(self) -> memoryview:
+        """The live contents, uncopied: they change as memory is written."""
+        return memoryview(self._data)
 
     def restore(self, blob: bytes) -> None:
         """Replace the full memory contents with a prior :meth:`snapshot`."""

@@ -208,31 +208,45 @@ def _inflate_pages(body: bytes, expected: int, position: int) -> bytes:
 
 
 def decode_checkpoints(blob: bytes,
-                       max_payload: int | None = None
+                       max_payload: int | None = None,
+                       count: int | None = None,
                        ) -> list[CheckpointRecord]:
     """Parse a checkpoint section; verifies every payload digest.
 
     Unchanged pages are rebuilt from the length a record declares, so a
     few forged bytes could otherwise declare gigabytes of zeros:
     ``max_payload`` (None: unbounded) rejects any record declaring a
-    longer payload before anything is built from it.
+    longer payload before anything is built from it, and ``count`` (None:
+    unchecked), the number of records expected, rejects a section
+    declaring any other number before its first record, which bounds the
+    rebuilt total by ``count * max_payload``. Positions must strictly
+    increase.
     """
     if len(blob) < _CKPT_HEADER.size:
         raise LogFormatError("checkpoint section truncated before header")
-    magic, version, _flags, _reserved, count = _CKPT_HEADER.unpack_from(blob, 0)
+    magic, version, _flags, _reserved, declared = \
+        _CKPT_HEADER.unpack_from(blob, 0)
     if magic != CHECKPOINT_MAGIC:
         raise LogFormatError(f"bad checkpoint section magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise LogFormatError(f"unsupported checkpoint section version {version}")
+    if count is not None and declared != count:
+        raise LogFormatError(
+            f"checkpoint section declares {declared} records, "
+            f"expected {count}")
     records: list[CheckpointRecord] = []
     offset = _CKPT_HEADER.size
     previous: list[bytes] = []
-    for _ in range(count):
+    for _ in range(declared):
         if offset + _CKPT_ENTRY.size > len(blob):
             raise LogFormatError("checkpoint section truncated in entry header")
         position, raw_len, changed_count, body_len, digest_bytes = \
             _CKPT_ENTRY.unpack_from(blob, offset)
         offset += _CKPT_ENTRY.size
+        if records and position <= records[-1].position:
+            raise LogFormatError(
+                f"checkpoint position {position} does not follow "
+                f"{records[-1].position}")
         if max_payload is not None and raw_len > max_payload:
             raise LogFormatError(
                 f"checkpoint at position {position} declares a {raw_len}-byte "

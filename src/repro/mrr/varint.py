@@ -8,9 +8,6 @@ therefore refuses continuation chains longer than :data:`MAX_VARINT_BYTES`
 malformed or adversarial stream previously decoded into arbitrarily large
 Python ints after an arbitrarily long loop. The encoder enforces the same
 bound so every encodable value round-trips.
-
-Zigzag mapping turns a signed delta into an unsigned varint while keeping
-small-magnitude deltas small in either direction.
 """
 
 from __future__ import annotations
@@ -20,8 +17,8 @@ from ..errors import LogFormatError
 #: Longest legal encoding: 10 × 7 payload bits ≥ 64 bits.
 MAX_VARINT_BYTES = 10
 
-#: Largest value ten continuation bytes can carry (70 payload bits —
-#: u64 fields fit, and so do their zigzagged deltas, which need 65 bits).
+#: Largest value ten continuation bytes can carry (70 payload bits, so
+#: every u64 field fits).
 MAX_VARINT_VALUE = (1 << (7 * MAX_VARINT_BYTES)) - 1
 
 
@@ -67,13 +64,3 @@ def read_varint(blob: bytes, offset: int,
         if not byte & 0x80:
             return result, offset
         shift += 7
-
-
-def zigzag(value: int) -> int:
-    """Map a signed int to an unsigned one (0,-1,1,-2 → 0,1,2,3)."""
-    return value << 1 if value >= 0 else (-value << 1) - 1
-
-
-def unzigzag(value: int) -> int:
-    """Invert :func:`zigzag`."""
-    return value >> 1 if not value & 1 else -((value + 1) >> 1)

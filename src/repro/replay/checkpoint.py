@@ -22,8 +22,8 @@ serially replaying the prefix — the property :func:`state_digest` makes
 checkable: equal digests iff equal states.
 
 Uses: O(interval) seek for inspection (restore the nearest checkpoint and
-step), and parallel replay (each worker restores its interval's checkpoint
-— see :mod:`repro.replay.parallel`).
+step), and parallel replay (each worker restores the checkpoint at its span's
+start — see :mod:`repro.replay.parallel`).
 """
 
 from __future__ import annotations
@@ -54,16 +54,18 @@ class ReplayState:
 
     position: int
     header: dict
-    memory: bytes
+    memory: bytes | memoryview
 
 
 # -- capture -----------------------------------------------------------------
 
-def capture_state(replayer: Replayer) -> ReplayState:
+def capture_state(replayer: Replayer, copy: bool = True) -> ReplayState:
     """Snapshot ``replayer`` at its current chunk-schedule position.
 
     Must be called between chunks (which is the only way the public
-    ``step_chunk`` interface can leave the replayer).
+    ``step_chunk`` interface can leave the replayer). ``copy=False``
+    leaves the memory image a view of the replayer's live memory, valid
+    only until it steps again: enough to digest a seam, not to keep.
     """
     event_totals: dict[int, int] = {}
     for event in replayer.recording.events:
@@ -98,8 +100,9 @@ def capture_state(replayer: Replayer) -> ReplayState:
                        for rthread, code in replayer.exit_codes.items()},
         "stats": replayer.stats.as_dict(),
     }
+    memory = replayer.memory.snapshot() if copy else replayer.memory.view()
     return ReplayState(position=replayer.position, header=header,
-                       memory=replayer.memory.snapshot())
+                       memory=memory)
 
 
 # -- wire format -------------------------------------------------------------
@@ -119,6 +122,8 @@ def encode_state(state: ReplayState) -> bytes:
 
 
 def decode_state(payload: bytes) -> ReplayState:
+    """Parse a checkpoint payload; the memory image is a zero-copy view
+    of ``payload``."""
     if len(payload) < _LEN.size:
         raise LogFormatError("checkpoint payload truncated")
     (header_len,) = _LEN.unpack_from(payload, 0)
@@ -133,7 +138,7 @@ def decode_state(payload: bytes) -> ReplayState:
         raise LogFormatError(
             f"unsupported checkpoint state version {header.get('version')}")
     return ReplayState(position=header["position"], header=header,
-                       memory=payload[end:])
+                       memory=memoryview(payload)[end:])
 
 
 def state_digest(state: ReplayState) -> str:

@@ -1,31 +1,30 @@
 """Parallel interval replay: fan a chunk schedule out over checkpoints.
 
-The chunk schedule is split at embedded checkpoint boundaries into
-intervals. Each interval is independently replayable: a worker restores
-its starting checkpoint (interval 0 starts from a fresh replayer), replays
-only its chunks, and — this is what makes parallel replay self-validating —
-digests its final state and compares it against the *recorded* digest of
-the next checkpoint. A seam mismatch anywhere means the stitched result
-would not be bit-identical to a serial replay, and raises
-:class:`~repro.errors.ReplayDivergenceError` naming the seam.
+The schedule is split at embedded checkpoints into intervals, and the
+intervals into contiguous *spans* of near-equal work, one per worker. A
+worker restores the checkpoint at its span's start (the first span starts
+fresh) and steps straight through the span. At every interval end it
+digests its live state and compares it against the checkpoint's
+*recorded* digest, so parallel replay validates itself: a seam mismatch
+raises :class:`~repro.errors.ReplayDivergenceError` naming the seam.
+Only span starts pay the fixed restore work on the memory image; the
+serial path (``jobs <= 1``) runs one interval per span, so it restores
+every checkpoint.
 
-Because every checkpoint carries cumulative state (write segments, exit
-codes, statistics), the last interval's :class:`ReplayResult` *is* the
-whole run's result: stitching is verification, not reassembly. ``--jobs 1``
-and ``--jobs N`` therefore produce identical results by construction, and
-the test suite enforces it bit-for-bit.
+Checkpoints carry cumulative state (write segments, exit codes,
+statistics), so the last span's :class:`ReplayResult` *is* the whole
+run's result: stitching is verification, not reassembly, and ``--jobs 1``
+and ``--jobs N`` give bit-identical results by construction.
 
-The chunk schedule is built and validated once, by the caller, and
-shared by every interval. Workers are plain ``multiprocessing`` processes.
-Under the default ``fork`` start method they inherit the already-decoded
-recording and its schedule from the parent (no pickling, no re-reading);
-under ``spawn`` each worker loads the bundle from disk and builds the
-schedule once, so a directory is required (an in-memory recording is
-spilled to a temporary bundle automatically).
+The schedule is built and validated once and shared by every span. Pool
+workers inherit the decoded recording and schedule under ``fork``; under
+``spawn`` each loads the bundle (an in-memory recording is spilled to a
+temporary one) and builds the schedule once.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import tempfile
 import time
@@ -55,12 +54,19 @@ class Interval:
 
 @dataclass(frozen=True)
 class IntervalOutcome:
+    """One interval's work. ``restore_s`` (building the replayer) is
+    nonzero only on a span's first interval; ``seam_s`` checks the end:
+    the seam digest, or building the final result."""
+
     index: int
     start: int
     end: int
     units: int
     wall_s: float
     end_digest: str | None
+    restore_s: float
+    step_s: float
+    seam_s: float
 
 
 @dataclass
@@ -71,6 +77,8 @@ class ParallelReplayReport:
     intervals: list[IntervalOutcome]
     seams_verified: int
     wall_s: float
+    spans: int
+    restores: int  # one per span that starts past position 0
 
     @property
     def speedup_bound(self) -> float:
@@ -97,53 +105,80 @@ def plan_intervals(recording: Recording) -> list[Interval]:
     return intervals
 
 
+def _plan_spans(schedule: list, intervals: list[Interval],
+                jobs: int) -> list[tuple[Interval, ...]]:
+    """Cut ``intervals`` into ``min(jobs, len(intervals))`` contiguous
+    spans balanced by retired instructions: each cut falls at the
+    interval boundary whose running icount is nearest its share of the
+    total, leaving every span at least one interval."""
+    count = max(1, min(jobs, len(intervals)))
+    prefix = list(itertools.accumulate(
+        (sum(chunk.icount for chunk in schedule[iv.start:iv.end])
+         for iv in intervals), initial=0))
+    cuts = [0]
+    for k in range(1, count):
+        target = prefix[-1] * k / count
+        cuts.append(min(range(cuts[-1] + 1, len(intervals) - count + k + 1),
+                        key=lambda cut: abs(prefix[cut] - target)))
+    cuts.append(len(intervals))
+    return [tuple(intervals[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
 def _checked_schedule(recording: Recording) -> list:
     schedule = build_schedule(recording.chunks)
     validate_schedule(schedule)
     return schedule
 
 
-def _replay_one(recording: Recording, schedule: list, interval: Interval,
-                is_last: bool) -> IntervalOutcome | tuple:
-    """Replay one interval of the validated ``schedule``; returns its
-    outcome (plus the final ReplayResult when it is the last interval)."""
-    start_wall = time.perf_counter()
-    if interval.start == 0:
+def _replay_span(recording: Recording, schedule: list, span: tuple[Interval, ...]
+                 ) -> tuple[list[IntervalOutcome], ReplayResult | None]:
+    """Replay a span of the validated ``schedule`` from one restore,
+    checking the seam at every interval end; returns its outcomes and,
+    if the span ends the schedule, the final ReplayResult."""
+    start = time.perf_counter()
+    if span[0].start == 0:
         # base_replayer, not a bare Replayer: a flight window's position
         # 0 restores the embedded ring-base state.
         replayer = base_replayer(recording, schedule=schedule)
     else:
-        record = recording.checkpoint_at(interval.start)
+        record = recording.checkpoint_at(span[0].start)
         if record is None:
-            raise ReproError(
-                f"no checkpoint at position {interval.start}")
+            raise ReproError(f"no checkpoint at position {span[0].start}")
         replayer = restore_replayer(recording, decode_state(record.payload),
                                     schedule=schedule)
-    units_before = replayer.stats.units
-    while replayer.position < interval.end:
-        if replayer.step_chunk() is None:
-            raise ReplayDivergenceError(
-                f"schedule ended at {replayer.position} inside interval "
-                f"[{interval.start}, {interval.end})")
+    restore_s = time.perf_counter() - start
+    outcomes: list[IntervalOutcome] = []
     result = None
-    end_digest = None
-    if is_last:
-        result = replayer.result()
-    else:
-        end_digest = state_digest(capture_state(replayer))
-        if interval.expected_digest is not None \
-                and end_digest != interval.expected_digest:
-            raise ReplayDivergenceError(
-                f"seam mismatch at chunk {interval.end}: interval "
-                f"[{interval.start}, {interval.end}) reached state "
-                f"{end_digest[:12]}…, recording expects "
-                f"{interval.expected_digest[:12]}…")
-    outcome = IntervalOutcome(
-        index=interval.index, start=interval.start, end=interval.end,
-        units=replayer.stats.units - units_before,
-        wall_s=time.perf_counter() - start_wall,
-        end_digest=end_digest)
-    return (outcome, result) if is_last else outcome
+    for interval in span:
+        units_before = replayer.stats.units
+        step_start = time.perf_counter()
+        while replayer.position < interval.end:
+            if replayer.step_chunk() is None:
+                raise ReplayDivergenceError(
+                    f"schedule ended at {replayer.position} inside interval "
+                    f"[{interval.start}, {interval.end})")
+        seam_start = time.perf_counter()
+        end_digest = None
+        if interval.end == len(schedule):
+            result = replayer.result()
+        else:
+            end_digest = state_digest(capture_state(replayer, copy=False))
+            if interval.expected_digest is not None \
+                    and end_digest != interval.expected_digest:
+                raise ReplayDivergenceError(
+                    f"seam mismatch at chunk {interval.end}: interval "
+                    f"[{interval.start}, {interval.end}) reached state "
+                    f"{end_digest[:12]}…, recording expects "
+                    f"{interval.expected_digest[:12]}…")
+        end = time.perf_counter()
+        outcomes.append(IntervalOutcome(
+            index=interval.index, start=interval.start, end=interval.end,
+            units=replayer.stats.units - units_before,
+            wall_s=restore_s + end - step_start, end_digest=end_digest,
+            restore_s=restore_s, step_s=seam_start - step_start,
+            seam_s=end - seam_start))
+        restore_s = 0.0
+    return outcomes, result
 
 
 # Recording and schedule shared with pool workers: set just before a
@@ -160,10 +195,8 @@ def _init_worker(directory: str | Path | None) -> None:
         _WORKER_SCHEDULE = _checked_schedule(_WORKER_RECORDING)
 
 
-def _pool_replay_interval(spec: tuple):
-    interval, is_last = spec
-    return _replay_one(_WORKER_RECORDING, _WORKER_SCHEDULE, interval,
-                       is_last)
+def _pool_replay_span(span: tuple[Interval, ...]):
+    return _replay_span(_WORKER_RECORDING, _WORKER_SCHEDULE, span)
 
 
 def replay_parallel(recording: Recording | None = None,
@@ -174,10 +207,8 @@ def replay_parallel(recording: Recording | None = None,
     """Replay ``recording`` across its checkpoint intervals.
 
     ``jobs <= 1`` (or a checkpoint-free recording, or a daemonic caller
-    that cannot fork workers) executes the intervals serially in-process —
-    still restoring every checkpoint and verifying every seam, so the
-    checkpoint machinery is exercised identically; only the wall-clock
-    parallelism differs.
+    that cannot fork workers) runs one interval per span in-process:
+    every checkpoint is restored and every seam verified, as in parallel.
     """
     if recording is None:
         if directory is None:
@@ -186,51 +217,47 @@ def replay_parallel(recording: Recording | None = None,
     telemetry = telemetry or NULL_TELEMETRY
     schedule = _checked_schedule(recording)
     intervals = plan_intervals(recording)
-    is_last = {interval.index: interval.index == len(intervals) - 1
-               for interval in intervals}
     effective_jobs = min(jobs, len(intervals))
     if multiprocessing.current_process().daemon:
         effective_jobs = 1  # pool workers cannot have children
 
     start_wall = time.perf_counter()
     if effective_jobs <= 1:
-        raw = [_replay_one(recording, schedule, interval,
-                           is_last[interval.index])
-               for interval in intervals]
+        spans = [(interval,) for interval in intervals]
+        raw = [_replay_span(recording, schedule, span) for span in spans]
     else:
-        raw = _fan_out(recording, schedule, directory, intervals, is_last,
-                       effective_jobs)
+        spans = _plan_spans(schedule, intervals, effective_jobs)
+        raw = _fan_out(recording, schedule, directory, spans)
 
-    outcomes: list[IntervalOutcome] = []
-    result: ReplayResult | None = None
-    for item in raw:
-        if isinstance(item, tuple):
-            outcome, result = item
-            outcomes.append(outcome)
-        else:
-            outcomes.append(item)
+    outcomes = [o for span_outcomes, _ in raw for o in span_outcomes]
+    result = raw[-1][1]  # the last span ends the schedule
     if result is None:
         raise ReproError("parallel replay produced no final result")
     report = ParallelReplayReport(
         jobs=effective_jobs, intervals=outcomes,
         seams_verified=sum(1 for o in outcomes if o.end_digest is not None),
-        wall_s=time.perf_counter() - start_wall)
+        wall_s=time.perf_counter() - start_wall, spans=len(spans),
+        restores=sum(1 for span in spans if span[0].start > 0))
     if telemetry.enabled:
         metrics = telemetry.metrics
-        metrics.gauge("replay.parallel_jobs").set(effective_jobs)
-        metrics.gauge("replay.parallel_intervals").set(len(outcomes))
-        metrics.gauge("replay.parallel_seams_verified").set(
-            report.seams_verified)
-        metrics.gauge("replay.parallel_wall_us").set(
-            round(report.wall_s * 1e6))
+        metrics.counter("replay.checkpoint_restores").inc(report.restores)
+        gauges = {"jobs": effective_jobs, "intervals": len(outcomes),
+                  "seams_verified": report.seams_verified,
+                  "spans": report.spans, "restores": report.restores,
+                  "wall_us": round(report.wall_s * 1e6)}
+        for phase in ("restore", "step", "seam"):
+            gauges[f"{phase}_us"] = round(
+                sum(getattr(o, f"{phase}_s") for o in outcomes) * 1e6)
+        for name, value in gauges.items():
+            metrics.gauge(f"replay.parallel_{name}").set(value)
     return result, report
 
 
 def _fan_out(recording: Recording, schedule: list,
-             directory: str | Path | None, intervals: list[Interval],
-             is_last: dict[int, bool], jobs: int) -> list:
-    """Run the intervals over a process pool, largest first (greedy LPT
-    keeps the pool busy when intervals are uneven)."""
+             directory: str | Path | None,
+             spans: list[tuple[Interval, ...]]) -> list:
+    """Run the spans over a process pool, one worker and task per span;
+    results come back in span order."""
     global _WORKER_RECORDING, _WORKER_SCHEDULE
     fork = multiprocessing.get_start_method(allow_none=False) == "fork"
     tmp = None
@@ -241,18 +268,10 @@ def _fan_out(recording: Recording, schedule: list,
             tmp = tempfile.TemporaryDirectory(prefix="qr-parallel-")
             recording.save(tmp.name)
             directory = tmp.name
-        specs = [(interval, is_last[interval.index])
-                 for interval in sorted(intervals,
-                                        key=lambda iv: iv.start - iv.end)]
-        with multiprocessing.Pool(processes=jobs, initializer=_init_worker,
-                                  initargs=(directory,)) as pool:
-            raw = pool.map(_pool_replay_interval, specs, chunksize=1)
+        with multiprocessing.Pool(len(spans), _init_worker,
+                                  (directory,)) as pool:
+            return pool.map(_pool_replay_span, spans, chunksize=1)
     finally:
         _WORKER_RECORDING = _WORKER_SCHEDULE = None
         if tmp is not None:
             tmp.cleanup()
-    # Restore schedule order for the report.
-    def order_key(item):
-        outcome = item[0] if isinstance(item, tuple) else item
-        return outcome.start
-    return sorted(raw, key=order_key)

@@ -372,3 +372,35 @@ def test_forged_checkpoint_declaring_4gib_rejected_cheaply(recording,
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_forged_checkpoint_count_rejected_cheaply(recording, tmp_path):
+    """A section of 1,000 record headers that store no pages, each
+    declaring a full-memory payload of zeros, against a manifest that
+    declares one checkpoint: loading must refuse it before building any
+    payload (unbounded, that is 1,000 full memory images)."""
+    import copy
+    import hashlib
+    import struct
+    import tracemalloc
+
+    from repro.mrr.logfmt import CheckpointRecord
+
+    rec = copy.copy(recording)
+    rec.checkpoints = [CheckpointRecord.for_payload(1, b"state")]
+    directory = rec.save(tmp_path / "rec")
+    size = rec.config.machine.memory_bytes
+    digest = hashlib.sha256(bytes(size)).digest()
+    forged = struct.pack("<4sBBHI", b"QRCK", 2, 0, 0, 1000) + b"".join(
+        struct.pack("<IIII32s", position, size, 0, 0, digest)
+        for position in range(1, 1001))
+    (directory / "checkpoints.bin").write_bytes(forged)
+    loaded = Recording.load(directory)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LogFormatError, match="declares 1000 records"):
+            loaded.checkpoints
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

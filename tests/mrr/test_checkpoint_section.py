@@ -241,3 +241,39 @@ def test_declared_payload_over_the_bound_rejected():
         [record(1, payload)]
     with pytest.raises(LogFormatError, match="over the"):
         decode_checkpoints(blob, max_payload=len(payload) - 1)
+
+
+def test_record_count_other_than_expected_rejected():
+    blob = encode_checkpoints([record(1, b"x" * 100), record(2, b"y" * 100)])
+    assert len(decode_checkpoints(blob, count=2)) == 2
+    for count in (0, 1, 3):
+        with pytest.raises(LogFormatError, match="declares 2 records"):
+            decode_checkpoints(blob, count=count)
+
+
+@pytest.mark.parametrize("positions", [(5, 5), (5, 4)])
+def test_positions_must_strictly_increase(positions):
+    fields = [honest(b"a" * PAGE, [0]), honest(b"b" * PAGE, [0])]
+    fields[0][0], fields[1][0] = positions
+    with pytest.raises(LogFormatError, match="does not follow"):
+        decode_checkpoints(forge(fields))
+
+
+def test_forged_record_count_rebuilds_nothing():
+    # 1,000 record headers that store no pages would each rebuild a
+    # 4 MiB payload of zeros; against an expected count of one the
+    # section must be refused before the first is built.
+    import tracemalloc
+
+    size = 4 << 20
+    digest = hashlib.sha256(bytes(size)).digest()
+    blob = forge([[position, size, [], b"", digest]
+                  for position in range(1, 1001)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(LogFormatError, match="declares 1000 records"):
+            decode_checkpoints(blob, max_payload=size, count=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -7,9 +7,7 @@ from repro.mrr.varint import (
     MAX_VARINT_BYTES,
     MAX_VARINT_VALUE,
     read_varint,
-    unzigzag,
     write_varint,
-    zigzag,
 )
 
 
@@ -49,9 +47,3 @@ def test_max_length_chain_accepted():
     assert len(blob) == MAX_VARINT_BYTES
     assert read_varint(blob, 0)[0] == MAX_VARINT_VALUE
 
-
-@pytest.mark.parametrize("value", [0, 1, -1, 2, -2, 2**63, -(2**63),
-                                   2**64 - 1, -(2**64 - 1)])
-def test_zigzag_round_trip(value):
-    assert unzigzag(zigzag(value)) == value
-    assert zigzag(value) >= 0

@@ -82,6 +82,31 @@ def test_capture_matches_serial_replay_state(recording):
         recording.checkpoints[1].digest
 
 
+def test_live_seam_digest_equals_copied_digest(recording):
+    """The seam check digests live memory without copying it; at every
+    position it must equal the digest of an owned snapshot."""
+    replayer = Replayer(recording)
+    total = len(recording.chunks)
+    for target in (1, 20, total // 3, total // 2, total - 1):
+        while replayer.position < target:
+            replayer.step_chunk()
+        live = capture_state(replayer, copy=False)
+        owned = capture_state(replayer)
+        assert isinstance(live.memory, memoryview)
+        assert isinstance(owned.memory, bytes)
+        assert state_digest(live) == state_digest(owned)
+        assert replayer.memory.digest() == \
+            hashlib.sha256(owned.memory).hexdigest()
+
+
+def test_decoded_state_views_the_payload(recording):
+    record = recording.checkpoints[0]
+    state = decode_state(record.payload)
+    assert isinstance(state.memory, memoryview)
+    assert state.memory.obj is record.payload
+    assert encode_state(state) == record.payload
+
+
 def test_resume_from_checkpoint_matches_serial(recording, serial_result):
     record = recording.checkpoints[-1]
     replayer = restore_replayer(recording, decode_state(record.payload))
@@ -185,6 +210,17 @@ def test_checkpoint_count_mismatch_detected(recording, tmp_path):
     (directory / "manifest.json").write_text(json.dumps(manifest))
     loaded = Recording.load(directory)
     with pytest.raises(LogFormatError):
+        _ = loaded.checkpoints
+
+
+def test_checkpoint_section_needs_a_manifest_count(recording, tmp_path):
+    import json
+    directory = recording.save(tmp_path / "rec")
+    manifest = json.loads((directory / "manifest.json").read_text())
+    del manifest["checkpoint_count"]
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    loaded = Recording.load(directory)
+    with pytest.raises(LogFormatError, match="checkpoint_count"):
         _ = loaded.checkpoints
 
 

@@ -2,16 +2,23 @@
 
 import dataclasses
 import multiprocessing
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import session, workloads
 from repro.capo.recording import Recording
 from repro.errors import ReplayDivergenceError, ReproError
 from repro.mrr.logfmt import CheckpointRecord
+from repro.replay import parallel
 from repro.replay.checkpoint import build_checkpoints
-from repro.replay.parallel import plan_intervals, replay_parallel
+from repro.replay.parallel import Interval, _plan_spans, plan_intervals, \
+    replay_parallel
 from repro.replay.replayer import Replayer
+from repro.replay.schedule import build_schedule
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +166,112 @@ def test_report_speedup_bound(recording):
     largest = max(o.units for o in report.intervals)
     total = sum(o.units for o in report.intervals)
     assert report.speedup_bound == pytest.approx(total / largest)
+
+
+# -- spans ---------------------------------------------------------------------
+
+def span_weights(schedule, spans):
+    return [sum(chunk.icount for iv in span
+                for chunk in schedule[iv.start:iv.end]) for span in spans]
+
+
+def check_spans(schedule, intervals, jobs):
+    """The span invariants: contiguous, covering ``intervals`` exactly,
+    ``min(jobs, len(intervals))`` of them, and each span's icount within
+    one interval's icount of an equal share."""
+    spans = _plan_spans(schedule, intervals, jobs)
+    assert len(spans) == min(jobs, len(intervals))
+    assert [iv for span in spans for iv in span] == intervals
+    assert all(span for span in spans)
+    weights = span_weights(schedule, [(iv,) for iv in intervals])
+    share = sum(weights) / len(spans)
+    for weight in span_weights(schedule, spans):
+        assert abs(weight - share) <= max(weights)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4, 64])
+def test_spans_cover_intervals_contiguously_and_balanced(recording, jobs):
+    intervals = plan_intervals(recording)
+    check_spans(build_schedule(recording.chunks), intervals, jobs)
+
+
+@given(st.lists(st.integers(0, 1000), min_size=1, max_size=30),
+       st.integers(1, 40))
+def test_span_invariants_hold_for_any_weights(icounts, jobs):
+    # one chunk per interval, so each interval's icount is one draw
+    schedule = [SimpleNamespace(icount=icount) for icount in icounts]
+    intervals = [Interval(index=i, start=i, end=i + 1, expected_digest=None)
+                 for i in range(len(icounts))]
+    check_spans(schedule, intervals, jobs)
+
+
+def test_parallel_replay_restores_once_per_span(recording, serial_digest):
+    result, report = replay_parallel(recording=recording, jobs=2)
+    assert result.digest() == serial_digest
+    assert (report.spans, report.restores) == (2, 1)
+    assert report.seams_verified == len(report.intervals) - 1
+    assert [o.index for o in report.intervals] == \
+        list(range(len(report.intervals)))
+    span_starts = {span[0].index for span in _plan_spans(
+        build_schedule(recording.chunks), plan_intervals(recording), 2)}
+    for outcome in report.intervals:
+        assert (outcome.restore_s > 0) == (outcome.index in span_starts)
+        assert outcome.step_s > 0 and outcome.seam_s > 0
+
+
+def test_serial_path_restores_every_checkpoint(recording, serial_digest,
+                                               monkeypatch):
+    restored = []
+    original = parallel.restore_replayer
+
+    def counting(recording, state, **kwargs):
+        restored.append(state.position)
+        return original(recording, state, **kwargs)
+
+    monkeypatch.setattr(parallel, "restore_replayer", counting)
+    telemetry = Telemetry()
+    result, report = replay_parallel(recording=recording, jobs=1,
+                                     telemetry=telemetry)
+    intervals = plan_intervals(recording)
+    assert result.digest() == serial_digest
+    assert restored == [iv.start for iv in intervals[1:]]
+    assert (report.spans, report.restores) == \
+        (len(intervals), len(intervals) - 1)
+    metrics = telemetry.metrics.snapshot()
+    assert metrics["replay.checkpoint_restores"] == len(intervals) - 1
+    assert metrics["replay.parallel_spans"] == len(intervals)
+    assert metrics["replay.parallel_restores"] == len(intervals) - 1
+    assert metrics["replay.parallel_step_us"] > 0
+
+
+def test_tampered_interior_seam_caught_in_parallel(recording):
+    """A checkpoint inside a span is never restored, only seam-checked:
+    a wrong recorded digest there must still fail the replay."""
+    spans = _plan_spans(build_schedule(recording.chunks),
+                        plan_intervals(recording), 2)
+    interior = next(iv.end for span in spans for iv in span[:-1])
+    assert interior not in {span[0].start for span in spans}
+    tampered = [dataclasses.replace(record, digest="0" * 64)
+                if record.position == interior else record
+                for record in recording.checkpoints]
+    broken = Recording(config=recording.config, program=recording.program,
+                       chunks=recording.chunks, events=recording.events,
+                       metadata=recording.metadata, checkpoints=tampered)
+    with pytest.raises(ReplayDivergenceError,
+                       match=f"seam mismatch at chunk {interior}:"):
+        replay_parallel(recording=broken, jobs=2)
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+@pytest.mark.parametrize("jobs", [2, 4])
+def test_start_methods_match_serial(recording, serial_digest, method, jobs):
+    start_method = multiprocessing.get_start_method()
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        result, report = replay_parallel(recording=recording, jobs=jobs)
+    finally:
+        multiprocessing.set_start_method(start_method, force=True)
+    assert result.digest() == serial_digest
+    assert report.spans == report.jobs == min(jobs, len(report.intervals))
+    assert report.restores == report.spans - 1
+    assert report.seams_verified == len(report.intervals) - 1

@@ -25,6 +25,23 @@ def test_record_and_info_and_replay(tmp_path, capsys):
     assert "replay verified" in out
 
 
+def test_parallel_replay_reports_spans_and_restores(tmp_path, capsys):
+    rec_dir = str(tmp_path / "rec")
+    assert main(["record", "racer", "--seed", "11", "-o", rec_dir,
+                 "--checkpoint-every", "8"]) == 0
+    capsys.readouterr()
+
+    def rows(jobs):
+        assert main(["replay", rec_dir, "--jobs", str(jobs)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return dict(line.strip().rsplit(None, 1) for line in lines
+                    if line.startswith("  "))
+
+    serial, parallel = rows(1), rows(2)
+    assert parallel["result digest"] == serial["result digest"]
+    assert (parallel["spans"], parallel["checkpoints restored"]) == ("2", "1")
+
+
 def test_record_without_output_dir(capsys):
     assert main(["record", "counter", "--threads", "2"]) == 0
     assert "saved to" not in capsys.readouterr().out
