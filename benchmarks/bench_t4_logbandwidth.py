@@ -77,8 +77,8 @@ def checkpoint_sequence(count: int = 16, image: int = 1 << 22,
         header = json.dumps({"position": position,
                              "threads": ["t" * 50] * (30 + index)}).encode()
         records.append(CheckpointRecord.for_payload(
-            position, len(header).to_bytes(4, "little") + header
-            + bytes(memory)))
+            position, len(header).to_bytes(4, "little") + header, memory,
+            previous=records[-1] if records else None))
     return records
 
 
@@ -86,7 +86,7 @@ def test_t4_checkpoint_codec_throughput(benchmark):
     # the checkpoint section codec stores, loads and verifies 16 full
     # simulated memory images; its cost must follow the changed pages
     records = checkpoint_sequence()
-    raw = sum(len(record.payload) for record in records)
+    raw = sum(record.size for record in records)
 
     blob = benchmark(lambda: encode_checkpoints(records))
     assert decode_checkpoints(blob) == records

@@ -31,19 +31,25 @@ or log section (the error names the offending directory), a truncated or
 corrupt section payload, and any count mismatch against the manifest.
 Callers handling damaged bundles (triage, crash capture, the flight
 recorder) need exactly one except clause, never a raw ``FileNotFoundError``
-or codec exception. ``save`` keeps the bundle self-consistent on re-save:
-section files a previous save wrote but this save does not (dropped
-checkpoints) are removed rather than left stale.
+or codec exception.
+
+``save`` is crash-consistent: it writes the whole bundle into a hidden
+sibling directory and renames it into place, so the target holds either
+the previous bundle or the new one, never new sections beside an old
+manifest or stale sections a re-save dropped. It replaces only a
+directory that is empty or holds nothing but bundle files.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..config import SimConfig
-from ..errors import ConfigError, LogFormatError
+from ..errors import ConfigError, LogFormatError, ReproError
 from ..isa.program import Program
 from ..mrr.chunk import ChunkEntry
 from ..mrr.compression import compress_chunks, decompress_chunks
@@ -75,10 +81,21 @@ INPUT_NAME = "input.bin"
 CHUNKS_NAME = "chunks.bin"
 CHUNKS_COMPRESSED_NAME = "chunks.qrz"
 CHECKPOINTS_NAME = "checkpoints.bin"
+#: Every file a bundle directory may hold.
+BUNDLE_NAMES = frozenset({MANIFEST_NAME, PROGRAM_NAME, INPUT_NAME,
+                          CHUNKS_NAME, CHUNKS_COMPRESSED_NAME,
+                          CHECKPOINTS_NAME})
 #: Bytes a checkpoint payload may hold beyond the memory image: its
 #: length-prefixed JSON header (thread contexts, withheld stores, output
 #: written so far). Loading rejects any checkpoint declaring more.
 CHECKPOINT_HEADER_ALLOWANCE = 16 << 20
+
+
+def _sibling(directory: Path, purpose: str) -> Path:
+    """An unused hidden path beside ``directory``, on the same file
+    system, so renames between the two are atomic."""
+    return directory.with_name(
+        f".{directory.name}.{purpose}-{os.urandom(6).hex()}")
 
 
 def _read_json(path: Path, what: str) -> Any:
@@ -226,8 +243,43 @@ class Recording:
     # -- persistence ------------------------------------------------------------
 
     def save(self, directory: str | Path) -> Path:
+        """Write the bundle to ``directory``, replacing any bundle there
+        only once the new one is complete (see the module docstring)."""
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
+        target = Path(os.path.abspath(directory))
+        if target.exists():
+            foreign = sorted(entry.name for entry in target.iterdir()
+                             if entry.name not in BUNDLE_NAMES)
+            if foreign:
+                raise ReproError(
+                    f"refusing to save over {directory}: it holds files "
+                    f"that are not part of a recording bundle: "
+                    f"{', '.join(foreign)}")
+        target.parent.mkdir(parents=True, exist_ok=True)
+        staging = _sibling(target, "saving")
+        staging.mkdir()
+        try:
+            self._write_bundle(staging)
+            if target.exists():
+                # Between these renames the previous bundle survives
+                # whole under its retired name.
+                retired = _sibling(target, "replaced")
+                os.rename(target, retired)
+                try:
+                    os.rename(staging, target)
+                except OSError:
+                    os.rename(retired, target)
+                    raise
+                shutil.rmtree(retired)
+            else:
+                os.rename(staging, target)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+        return directory
+
+    def _write_bundle(self, directory: Path) -> None:
+        """Write every section and the manifest into the empty
+        ``directory``."""
         chunk_blob = encode_chunks(
             self.chunks, with_load_hash=self.config.mrr.log_load_hash)
         input_blob = encode_events(self.events)
@@ -238,11 +290,6 @@ class Recording:
         if self.checkpoints:
             (directory / CHECKPOINTS_NAME).write_bytes(
                 encode_checkpoints(self.checkpoints))
-        else:
-            # A stale checkpoints.bin against "checkpoint_count: 0" in the
-            # fresh manifest makes the *next* load fail with a count
-            # mismatch.
-            (directory / CHECKPOINTS_NAME).unlink(missing_ok=True)
         manifest = {
             "format": "quickrec-recording",
             "version": 1,
@@ -258,7 +305,6 @@ class Recording:
         }
         (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
         (directory / PROGRAM_NAME).write_text(json.dumps(self.program.to_dict()))
-        return directory
 
     @classmethod
     def load(cls, directory: str | Path) -> "Recording":

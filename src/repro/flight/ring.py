@@ -162,15 +162,15 @@ class FlightRing:
         exactly the unconsumed events, which become the window's log).
         """
         from ..replay.checkpoint import ReplayState, capture_state, \
-            encode_state
-        state = capture_state(self._shadow)
+            state_record
+        state = capture_state(self._shadow, copy=False)
         header = dict(state.header)
         header["position"] = 0
         header["threads"] = {
             key: {**data, "events_consumed": 0}
             for key, data in state.header["threads"].items()}
         base = ReplayState(position=0, header=header, memory=state.memory)
-        return CheckpointRecord.for_payload(0, encode_state(base))
+        return state_record(base)
 
     def materialize(self, metadata: dict[str, Any] | None = None,
                     ) -> Recording:

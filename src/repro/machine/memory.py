@@ -80,10 +80,3 @@ class PhysicalMemory:
     def view(self) -> memoryview:
         """The live contents, uncopied: they change as memory is written."""
         return memoryview(self._data)
-
-    def restore(self, blob: bytes) -> None:
-        """Replace the full memory contents with a prior :meth:`snapshot`."""
-        if len(blob) != self.size:
-            raise MemoryAccessError(
-                f"snapshot is {len(blob)} bytes, memory is {self.size}")
-        self._data[:] = blob

@@ -16,17 +16,22 @@ carries an extra 8 bytes. It is the ``chunks.bin`` section and the bytes
 the determinism digests hash, so it stays byte-for-byte frozen; the
 compact form of the same log is :mod:`repro.mrr.compression`.
 
-The checkpoint section (magic ``QRCK``, version 2) carries periodic
+The checkpoint section (magic ``QRCK``, version 3) carries periodic
 snapshots of the deterministic replay-visible machine state, keyed by
 chunk-schedule position. Payloads are opaque at this layer (see
-:mod:`repro.replay.checkpoint` for their contents). The section cuts each
-payload into 4 KiB pages counted from the payload's end and stores only
-the pages that differ from the previous record's payload (the first
-record is diffed against zeros), zlib-compressed — consecutive snapshots
-share almost all of their physical memory image, so a record is a handful
-of pages. Every record carries the SHA-256 of its *raw* payload, verified
-on decode, which is also the seam digest parallel replay validates
-against.
+:mod:`repro.replay.checkpoint` for their contents). A payload is cut into
+4 KiB pages counted from its end, and a record stores only the pages that
+differ from the previous record's page at the same index (the first
+record is diffed against zeros), zlib-compressed: consecutive snapshots
+share almost all of their physical memory image, so a record is a
+handful of pages. In memory a :class:`CheckpointRecord` is the tuple of
+its pages, sharing every unchanged page with the previous record.
+
+Each record carries one digest: the SHA-256 of its pages' SHA-256s,
+concatenated in page order (version 2 hashed the joined payload; its
+bytes are otherwise the same). Decoding hashes only the pages a record
+stores and verifies the digest without joining the payload; it is also
+the seam digest parallel replay validates against.
 """
 
 from __future__ import annotations
@@ -34,8 +39,8 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 from ..errors import LogFormatError
 from .chunk import ChunkEntry, Reason
@@ -111,28 +116,21 @@ def encoded_size(entries: Iterable[ChunkEntry],
 # -- checkpoint section -------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"QRCK"
-CHECKPOINT_VERSION = 2
-#: Delta granularity: payloads are diffed in pages of this many bytes.
+CHECKPOINT_VERSION = 3
+#: Delta granularity: payloads are cut into pages of this many bytes.
 CHECKPOINT_PAGE = 4096
 _CKPT_HEADER = struct.Struct("<4sBBHI")
-#: position, raw length, changed-page count, body length, SHA-256.
+#: position, raw length, changed-page count, body length, record digest.
 _CKPT_ENTRY = struct.Struct("<IIII32s")
+#: The one object every all-zero page of every record shares.
 _ZERO_PAGE = bytes(CHECKPOINT_PAGE)
+_ZERO_DIGEST = hashlib.sha256(_ZERO_PAGE).digest()
 
 
-@dataclass(frozen=True)
-class CheckpointRecord:
-    """One embedded checkpoint: raw replay-state payload at a schedule
-    position, plus the payload's SHA-256 (the seam digest)."""
-
-    position: int
-    digest: str
-    payload: bytes
-
-    @classmethod
-    def for_payload(cls, position: int, payload: bytes) -> "CheckpointRecord":
-        return cls(position=position, payload=payload,
-                   digest=hashlib.sha256(payload).hexdigest())
+def paged_digest(page_digests: Iterable[bytes]) -> str:
+    """A record digest: the SHA-256 of its page digests, concatenated in
+    page order. Equal payloads, and only those, digest equally."""
+    return hashlib.sha256(b"".join(page_digests)).hexdigest()
 
 
 def _page_lengths(raw_len: int) -> list[int]:
@@ -143,36 +141,104 @@ def _page_lengths(raw_len: int) -> list[int]:
     return [CHECKPOINT_PAGE] * full + ([head] if head else [])
 
 
-def _split_pages(payload: bytes) -> list[bytes]:
-    """``payload`` cut into pages counted from its end (see
-    :func:`_page_lengths`), so a header that grows at the front shifts
-    no page boundary of the memory image behind it."""
-    pages = []
-    end = len(payload)
-    for length in _page_lengths(end):
-        pages.append(payload[end - length:end])
-        end -= length
-    return pages
+def payload_pages(*parts) -> Iterator[bytes]:
+    """The payload ``b"".join(parts)`` cut into pages counted from its end
+    (see :func:`_page_lengths`), so a header that grows at the front
+    shifts no page boundary of the memory image behind it.
+
+    The payload is never joined whole: the last part is cut in place, one
+    copy per page, and only the parts before it are joined with its first
+    ``len % CHECKPOINT_PAGE`` bytes.
+    """
+    with memoryview(parts[-1]) as body:
+        end = len(body)
+        while end >= CHECKPOINT_PAGE:
+            yield body[end - CHECKPOINT_PAGE:end].tobytes()
+            end -= CHECKPOINT_PAGE
+        head = b"".join((*parts[:-1], body[:end]))
+    for end in range(len(head), 0, -CHECKPOINT_PAGE):
+        yield head[max(0, end - CHECKPOINT_PAGE):end]
+
+
+@dataclass(frozen=True)
+class CheckpointRecord:
+    """One embedded checkpoint: a replay-state payload at a schedule
+    position, held as its pages (:func:`payload_pages`) with one SHA-256
+    per page, and the record digest over them (:func:`paged_digest`),
+    which is also the seam digest.
+
+    Records share pages: a record built against the previous one shares
+    every page that did not change with it, digest included, and all-zero
+    pages share one object. Consecutive checkpoints differ in a handful of
+    pages, so a run's records cost little more memory than one image.
+    """
+
+    position: int
+    digest: str
+    pages: tuple[bytes, ...] = field(repr=False)
+    page_digests: tuple[bytes, ...] = field(repr=False, compare=False)
+
+    @classmethod
+    def for_payload(cls, position: int, *parts,
+                    previous: "CheckpointRecord | None" = None,
+                    ) -> "CheckpointRecord":
+        """The record of the payload ``b"".join(parts)``, cut by
+        :func:`payload_pages`. A page equal to ``previous``'s page at the
+        same index is that page; only the other pages are hashed."""
+        before = previous.pages if previous is not None else ()
+        pages: list[bytes] = []
+        digests: list[bytes] = []
+        for index, page in enumerate(payload_pages(*parts)):
+            if index < len(before) and page == before[index]:
+                page, digest = before[index], previous.page_digests[index]
+            elif page == _ZERO_PAGE:
+                page, digest = _ZERO_PAGE, _ZERO_DIGEST
+            else:
+                digest = hashlib.sha256(page).digest()
+            pages.append(page)
+            digests.append(digest)
+        return cls(position=position, digest=paged_digest(digests),
+                   pages=tuple(pages), page_digests=tuple(digests))
+
+    @property
+    def size(self) -> int:
+        """Length of the payload in bytes."""
+        return sum(map(len, self.pages))
+
+    def prefix(self, size: int) -> bytes:
+        """The payload's first ``size`` bytes (all of it, if shorter),
+        joined from only the head pages that hold them."""
+        head = []
+        held = 0
+        for page in reversed(self.pages):
+            if held >= size:
+                break
+            head.append(page)
+            held += len(page)
+        return b"".join(head)[:size]
 
 
 def encode_checkpoints(records: Sequence[CheckpointRecord]) -> bytes:
     """Serialize checkpoint records (sorted by position) to the page-delta
     section: each record stores only the pages that differ from the
-    previous record's payload."""
+    previous record's page at the same index (every page of the first
+    record is diffed against zeros)."""
     ordered = sorted(records, key=lambda record: record.position)
     out = bytearray(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                       0, 0, len(ordered)))
-    previous: list[bytes] = []
+    previous: tuple[bytes, ...] = ()
     for record in ordered:
-        pages = _split_pages(record.payload)
-        # A page the previous record lacks (every page of the first
-        # record) is diffed against zeros.
-        changed = [index for index, page in enumerate(pages)
-                   if page != (previous[index] if index < len(previous)
-                               else _ZERO_PAGE[:len(page)])]
+        pages = record.pages
+        changed = []
+        for index, page in enumerate(pages):
+            before = previous[index] if index < len(previous) \
+                else _ZERO_PAGE[:len(page)]
+            # Shared pages, nearly all of them, compare by identity alone.
+            if page is not before and page != before:
+                changed.append(index)
         body = zlib.compress(b"".join(pages[index] for index in changed), 6) \
             if changed else b""
-        out += _CKPT_ENTRY.pack(record.position, len(record.payload),
+        out += _CKPT_ENTRY.pack(record.position, record.size,
                                 len(changed), len(body),
                                 bytes.fromhex(record.digest))
         out += struct.pack(f"<{len(changed)}I", *changed)
@@ -181,46 +247,59 @@ def encode_checkpoints(records: Sequence[CheckpointRecord]) -> bytes:
     return bytes(out)
 
 
-def _inflate_pages(body: bytes, expected: int, position: int) -> bytes:
-    """Decompress a record body that must hold exactly ``expected`` bytes."""
-    if not expected:
+def _inflate_pages(body: bytes, lengths: list[int],
+                   position: int) -> list[bytes]:
+    """Decompress a record body that must hold exactly pages of the given
+    ``lengths``, each inflated straight into its own bytes object."""
+    if not lengths:
         if body:
             raise LogFormatError(
                 f"checkpoint at position {position} stores no pages but has "
                 f"a {len(body)}-byte body")
-        return b""
+        return []
     decompressor = zlib.decompressobj()
+    pages: list[bytes] = []
+    pending = body
+    excess = b""
     try:
-        data = decompressor.decompress(body, expected)
-        if not decompressor.eof and decompressor.unconsumed_tail:
-            # Output is full; anything more than the stream's end is excess.
-            data += decompressor.decompress(decompressor.unconsumed_tail, 1)
+        for length in lengths:
+            page = decompressor.decompress(pending, length)
+            pending = decompressor.unconsumed_tail
+            if len(page) != length:
+                break
+            pages.append(page)
+        else:
+            if not decompressor.eof:
+                # Every page is full; output before the stream's end is
+                # excess.
+                excess = decompressor.decompress(pending, 1)
     except zlib.error as exc:
         raise LogFormatError(
             f"corrupt checkpoint pages at position {position}: "
             f"{exc}") from exc
-    if len(data) != expected or not decompressor.eof \
+    if len(pages) != len(lengths) or excess or not decompressor.eof \
             or decompressor.unused_data:
         raise LogFormatError(
             f"checkpoint pages at position {position} do not inflate to "
-            f"exactly {expected} bytes")
-    return data
+            f"exactly {sum(lengths)} bytes")
+    return pages
 
 
 def decode_checkpoints(blob: bytes,
                        max_payload: int | None = None,
                        count: int | None = None,
                        ) -> list[CheckpointRecord]:
-    """Parse a checkpoint section; verifies every payload digest.
+    """Parse a checkpoint section; verifies every record digest.
 
-    Unchanged pages are rebuilt from the length a record declares, so a
-    few forged bytes could otherwise declare gigabytes of zeros:
-    ``max_payload`` (None: unbounded) rejects any record declaring a
-    longer payload before anything is built from it, and ``count`` (None:
-    unchecked), the number of records expected, rejects a section
-    declaring any other number before its first record, which bounds the
-    rebuilt total by ``count * max_payload``. Positions must strictly
-    increase.
+    Each record shares its unchanged pages, and their digests, with the
+    previous record, so only stored pages are hashed and no payload is
+    ever joined. Unchanged pages are rebuilt from the length a record
+    declares, so a few forged bytes could otherwise declare gigabytes of
+    zeros: ``max_payload`` (None: unbounded) rejects any record declaring
+    a longer payload before anything is built from it, and ``count``
+    (None: unchecked), the number of records expected, rejects a section
+    declaring any other number before its first record. Positions must
+    strictly increase.
     """
     if len(blob) < _CKPT_HEADER.size:
         raise LogFormatError("checkpoint section truncated before header")
@@ -236,7 +315,8 @@ def decode_checkpoints(blob: bytes,
             f"expected {count}")
     records: list[CheckpointRecord] = []
     offset = _CKPT_HEADER.size
-    previous: list[bytes] = []
+    previous: tuple[bytes, ...] = ()
+    previous_digests: tuple[bytes, ...] = ()
     for _ in range(declared):
         if offset + _CKPT_ENTRY.size > len(blob):
             raise LogFormatError("checkpoint section truncated in entry header")
@@ -267,16 +347,20 @@ def decode_checkpoints(blob: bytes,
                     f"checkpoint at position {position}: page index {index} "
                     f"out of order or outside its {len(lengths)} pages")
             last = index
-        data = _inflate_pages(blob[offset:offset + body_len],
-                              sum(lengths[index] for index in changed),
-                              position)
+        inflated = _inflate_pages(blob[offset:offset + body_len],
+                                  [lengths[index] for index in changed],
+                                  position)
         offset += body_len
-        pages = previous[:len(lengths)]
-        pages += [_ZERO_PAGE[:length] for length in lengths[len(pages):]]
-        cursor = 0
-        for index in changed:
-            pages[index] = data[cursor:cursor + lengths[index]]
-            cursor += lengths[index]
+        pages = list(previous[:len(lengths)])
+        digests = list(previous_digests[:len(lengths)])
+        for length in lengths[len(pages):]:
+            zeros = _ZERO_PAGE[:length]
+            pages.append(zeros)
+            digests.append(_ZERO_DIGEST if length == CHECKPOINT_PAGE
+                           else hashlib.sha256(zeros).digest())
+        for index, page in zip(changed, inflated):
+            pages[index] = page
+            digests[index] = hashlib.sha256(page).digest()
         # Every page but a payload's head is full, so the previous
         # record's head is the only page that can be reused at the
         # wrong length.
@@ -286,14 +370,14 @@ def decode_checkpoints(blob: bytes,
                 f"checkpoint at position {position}: unchanged page {seam} "
                 f"is {len(pages[seam])} bytes in the previous record, "
                 f"expected {lengths[seam]}")
-        payload = b"".join(reversed(pages))
         digest = digest_bytes.hex()
-        if hashlib.sha256(payload).hexdigest() != digest:
+        if paged_digest(digests) != digest:
             raise LogFormatError(
                 f"checkpoint digest mismatch at position {position}")
+        previous, previous_digests = tuple(pages), tuple(digests)
         records.append(CheckpointRecord(position=position, digest=digest,
-                                        payload=payload))
-        previous = pages
+                                        pages=previous,
+                                        page_digests=previous_digests))
     if offset != len(blob):
         raise LogFormatError(
             f"checkpoint section has {len(blob) - offset} trailing bytes")

@@ -28,18 +28,17 @@ start — see :mod:`repro.replay.parallel`).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import time
 from collections import deque
 from dataclasses import dataclass
 
-from ..capo.events import InputEvent
 from ..capo.recording import Recording
 from ..errors import LogFormatError, ReproError
 from ..machine.core import Engine, EngineContext
-from ..mrr.logfmt import CheckpointRecord
+from ..machine.memory import PhysicalMemory
+from ..mrr.logfmt import CHECKPOINT_PAGE, CheckpointRecord, payload_pages
 from ..telemetry import Telemetry
 from .pending import ReplayPort, WithheldStores
 from .replayer import Replayer, _ReplayThread
@@ -50,11 +49,13 @@ _LEN = struct.Struct("<I")
 
 @dataclass(frozen=True)
 class ReplayState:
-    """A decoded checkpoint: JSON-able header plus the raw memory image."""
+    """A checkpoint's contents: JSON-able header plus the memory image,
+    one buffer when captured, or the pages of the record it was decoded
+    from, counted from the image's end (see :func:`decode_state`)."""
 
     position: int
     header: dict
-    memory: bytes | memoryview
+    memory: bytes | memoryview | tuple[bytes, ...]
 
 
 # -- capture -----------------------------------------------------------------
@@ -65,11 +66,10 @@ def capture_state(replayer: Replayer, copy: bool = True) -> ReplayState:
     Must be called between chunks (which is the only way the public
     ``step_chunk`` interface can leave the replayer). ``copy=False``
     leaves the memory image a view of the replayer's live memory, valid
-    only until it steps again: enough to digest a seam, not to keep.
+    only until it steps again: enough to build a record from or to
+    compare at a seam, not to keep.
     """
-    event_totals: dict[int, int] = {}
-    for event in replayer.recording.events:
-        event_totals[event.rthread] = event_totals.get(event.rthread, 0) + 1
+    event_totals = replayer._event_totals
     threads = {}
     for rthread, ctx in replayer.threads.items():
         threads[str(rthread)] = {
@@ -115,38 +115,72 @@ def _header_bytes(state: ReplayState) -> bytes:
 
 
 def encode_state(state: ReplayState) -> bytes:
-    """Canonical payload bytes: length-prefixed canonical-JSON header
-    followed by the raw memory image. Equal states encode identically, so
-    the payload's SHA-256 doubles as a state-equality digest."""
+    """Canonical payload bytes of a captured state: length-prefixed
+    canonical-JSON header followed by the raw memory image. Equal states
+    encode identically. A checkpoint record holds this payload cut into
+    pages (:func:`state_record`); nothing joins it on the record or
+    replay path."""
     return _header_bytes(state) + state.memory
 
 
-def decode_state(payload: bytes) -> ReplayState:
-    """Parse a checkpoint payload; the memory image is a zero-copy view
-    of ``payload``."""
-    if len(payload) < _LEN.size:
+def state_record(state: ReplayState,
+                 previous: CheckpointRecord | None = None,
+                 ) -> CheckpointRecord:
+    """The checkpoint record of a captured ``state``'s canonical payload,
+    cut into pages straight from the header and the memory image. Pages
+    equal to ``previous``'s are shared with it, digests included."""
+    return CheckpointRecord.for_payload(state.position, _header_bytes(state),
+                                        state.memory, previous=previous)
+
+
+def decode_state(record: CheckpointRecord) -> ReplayState:
+    """Parse a checkpoint record's header; the memory image stays in the
+    record's pages, shared rather than copied."""
+    head = record.prefix(_LEN.size)
+    if len(head) < _LEN.size:
         raise LogFormatError("checkpoint payload truncated")
-    (header_len,) = _LEN.unpack_from(payload, 0)
-    end = _LEN.size + header_len
-    if len(payload) < end:
+    end = _LEN.size + _LEN.unpack(head)[0]
+    raw = record.prefix(end)
+    if len(raw) < end:
         raise LogFormatError("checkpoint payload truncated in header")
     try:
-        header = json.loads(payload[_LEN.size:end].decode())
+        header = json.loads(raw[_LEN.size:].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise LogFormatError(f"corrupt checkpoint header: {exc}") from exc
-    if header.get("version") != STATE_VERSION:
-        raise LogFormatError(
-            f"unsupported checkpoint state version {header.get('version')}")
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != STATE_VERSION:
+        raise LogFormatError(f"unsupported checkpoint state version {version}")
+    full, partial = divmod(record.size - end, CHECKPOINT_PAGE)
+    memory = record.pages[:full]
+    if partial:
+        memory += (record.pages[full][-partial:],)
     return ReplayState(position=header["position"], header=header,
-                       memory=memoryview(payload)[end:])
+                       memory=memory)
 
 
 def state_digest(state: ReplayState) -> str:
-    """SHA-256 of the canonical encoding — the seam-verification digest —
-    hashed piecewise, without concatenating a copy of the memory image."""
-    digest = hashlib.sha256(_header_bytes(state))
-    digest.update(state.memory)
-    return digest.hexdigest()
+    """The digest a checkpoint record of a captured ``state`` carries.
+    It hashes every page of the memory image; seams compare pages with
+    :func:`state_mismatch` instead."""
+    return state_record(state).digest
+
+
+def state_mismatch(state: ReplayState,
+                   record: CheckpointRecord) -> str | None:
+    """Where a captured ``state`` first differs from checkpoint
+    ``record``'s payload: its header or a page of its memory image, named
+    by index and address. None when they are equal. Compares bytes and
+    hashes nothing."""
+    header = _header_bytes(state)
+    if record.size != len(header) + len(state.memory) \
+            or record.prefix(len(header)) != header:
+        return "the header (thread, kernel and statistics state)"
+    for index, (page, recorded) in enumerate(
+            zip(payload_pages(header, state.memory), record.pages)):
+        if page != recorded:
+            address = max(0, len(state.memory) - (index + 1) * CHECKPOINT_PAGE)
+            return f"page {index} (memory address {address:#x})"
+    return None
 
 
 # -- restore -----------------------------------------------------------------
@@ -159,11 +193,10 @@ def restore_replayer(recording: Recording, state: ReplayState,
     is ``recording``'s validated chunk schedule (see :class:`Replayer`)."""
     replayer = Replayer(recording, telemetry=telemetry, schedule=schedule)
     start = time.perf_counter()
-    replayer.memory.restore(state.memory)
-    events_by_thread: dict[int, deque[InputEvent]] = {}
-    for event in recording.events:
-        events_by_thread.setdefault(event.rthread, deque()).append(event)
-    replayer._events_by_thread = events_by_thread
+    _write_image(replayer.memory, state.memory)
+    # The fresh replayer's deques hold every event; only its main thread
+    # context, replaced below, refers to one.
+    events_by_thread = replayer._events_by_thread
     replayer.threads = {}
     for key in sorted(state.header["threads"], key=int):
         rthread = int(key)
@@ -215,6 +248,22 @@ def restore_replayer(recording: Recording, state: ReplayState,
     return replayer
 
 
+def _write_image(memory: PhysicalMemory,
+                 image: bytes | memoryview | tuple[bytes, ...]) -> None:
+    """Overwrite all of ``memory`` with a state's memory image: one buffer,
+    or pages counted from the image's end."""
+    pages = image if isinstance(image, tuple) else (image,)
+    end = sum(map(len, pages))
+    if end != memory.size:
+        raise LogFormatError(
+            f"checkpoint memory image is {end} bytes, memory is "
+            f"{memory.size}")
+    with memory.view() as view:
+        for page in pages:
+            view[end - len(page):end] = page
+            end -= len(page)
+
+
 # -- flight-window base ------------------------------------------------------
 
 def flight_base_state(recording: Recording) -> ReplayState | None:
@@ -232,7 +281,7 @@ def flight_base_state(recording: Recording) -> ReplayState | None:
     record = recording.checkpoint_at(0)
     if record is None:
         return None
-    return decode_state(record.payload)
+    return decode_state(record)
 
 
 def base_replayer(recording: Recording,
@@ -269,16 +318,17 @@ def build_checkpoints(recording: Recording, every: int,
     while replayer.step_chunk() is not None:
         position = replayer.position
         if position % every == 0 and not replayer.finished:
-            state = capture_state(replayer)
-            records.append(CheckpointRecord.for_payload(
-                position, encode_state(state)))
+            # Live memory is compared against the previous record's pages:
+            # only changed pages are copied and hashed.
+            records.append(state_record(capture_state(replayer, copy=False),
+                                        records[-1] if records else None))
     replayer.result()
     if telemetry is not None and telemetry.enabled:
         metrics = telemetry.metrics
         metrics.gauge("checkpoint.count").set(len(records))
         metrics.gauge("checkpoint.interval_chunks").set(every)
         metrics.gauge("checkpoint.raw_bytes").set(
-            sum(len(record.payload) for record in records))
+            sum(record.size for record in records))
         metrics.gauge("checkpoint.build_us").set(
             round((time.perf_counter() - start) * 1e6))
         telemetry.tracer.instant(
@@ -298,7 +348,7 @@ def replayer_at(recording: Recording, position: int,
         raise ReproError(f"position {position} outside [0, {total}]")
     record = recording.nearest_checkpoint(position)
     if record is not None and record.position > 0:
-        replayer = restore_replayer(recording, decode_state(record.payload),
+        replayer = restore_replayer(recording, decode_state(record),
                                     telemetry=telemetry)
     else:
         # Position 0: a fresh replayer — or, for a flight window, the

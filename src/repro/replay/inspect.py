@@ -123,7 +123,7 @@ class ReplayInspector:
         from .checkpoint import decode_state, restore_replayer
         if record.position == 0:
             return self._fresh_replayer()
-        return restore_replayer(self.recording, decode_state(record.payload))
+        return restore_replayer(self.recording, decode_state(record))
 
     @property
     def checkpoints(self) -> list[int]:

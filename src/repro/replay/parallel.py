@@ -4,9 +4,12 @@ The schedule is split at embedded checkpoints into intervals, and the
 intervals into contiguous *spans* of near-equal work, one per worker. A
 worker restores the checkpoint at its span's start (the first span starts
 fresh) and steps straight through the span. At every interval end it
-digests its live state and compares it against the checkpoint's
-*recorded* digest, so parallel replay validates itself: a seam mismatch
-raises :class:`~repro.errors.ReplayDivergenceError` naming the seam.
+compares its live state, header bytes then memory pages, against the
+checkpoint recorded there, which decode (or build) has already verified
+against its digest, so parallel replay validates itself without hashing
+the memory image: a seam mismatch raises
+:class:`~repro.errors.ReplayDivergenceError` naming the seam and the
+first difference, the header or a memory page and its address.
 Only span starts pay the fixed restore work on the memory image; the
 serial path (``jobs <= 1``) runs one interval per span, so it restores
 every checkpoint.
@@ -33,10 +36,11 @@ from pathlib import Path
 
 from ..capo.recording import Recording
 from ..errors import ReplayDivergenceError, ReproError
+from ..mrr.logfmt import paged_digest
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .checkpoint import base_replayer, capture_state, decode_state, \
-    restore_replayer, state_digest
-from .replayer import ReplayResult
+    restore_replayer, state_mismatch
+from .replayer import Replayer, ReplayResult
 from .schedule import build_schedule, validate_schedule
 
 
@@ -144,7 +148,7 @@ def _replay_span(recording: Recording, schedule: list, span: tuple[Interval, ...
         record = recording.checkpoint_at(span[0].start)
         if record is None:
             raise ReproError(f"no checkpoint at position {span[0].start}")
-        replayer = restore_replayer(recording, decode_state(record.payload),
+        replayer = restore_replayer(recording, decode_state(record),
                                     schedule=schedule)
     restore_s = time.perf_counter() - start
     outcomes: list[IntervalOutcome] = []
@@ -162,14 +166,7 @@ def _replay_span(recording: Recording, schedule: list, span: tuple[Interval, ...
         if interval.end == len(schedule):
             result = replayer.result()
         else:
-            end_digest = state_digest(capture_state(replayer, copy=False))
-            if interval.expected_digest is not None \
-                    and end_digest != interval.expected_digest:
-                raise ReplayDivergenceError(
-                    f"seam mismatch at chunk {interval.end}: interval "
-                    f"[{interval.start}, {interval.end}) reached state "
-                    f"{end_digest[:12]}…, recording expects "
-                    f"{interval.expected_digest[:12]}…")
+            end_digest = _check_seam(recording, replayer, interval)
         end = time.perf_counter()
         outcomes.append(IntervalOutcome(
             index=interval.index, start=interval.start, end=interval.end,
@@ -179,6 +176,28 @@ def _replay_span(recording: Recording, schedule: list, span: tuple[Interval, ...
             seam_s=end - seam_start))
         restore_s = 0.0
     return outcomes, result
+
+
+def _check_seam(recording: Recording, replayer: Replayer,
+                interval: Interval) -> str:
+    """Verify the live state at ``interval``'s end against the checkpoint
+    recorded there; returns the state's digest."""
+    where = (f"seam mismatch at chunk {interval.end}: interval "
+             f"[{interval.start}, {interval.end})")
+    record = recording.checkpoint_at(interval.end)
+    if record is None:
+        raise ReproError(f"no checkpoint at position {interval.end}")
+    mismatch = state_mismatch(capture_state(replayer, copy=False), record)
+    if mismatch is not None:
+        raise ReplayDivergenceError(
+            f"{where} differs from the recorded checkpoint in {mismatch}")
+    # The live pages equal the record's, so they have its page digests.
+    digest = paged_digest(record.page_digests)
+    if digest != interval.expected_digest:
+        raise ReplayDivergenceError(
+            f"{where} reached state {digest[:12]}…, recording expects "
+            f"{interval.expected_digest[:12]}…")
+    return digest
 
 
 # Recording and schedule shared with pool workers: set just before a

@@ -167,6 +167,10 @@ class Replayer:
         for event in recording.events:
             self._events_by_thread.setdefault(event.rthread,
                                               deque()).append(event)
+        # Events each rthread has in the whole log: a checkpoint counts a
+        # thread's consumed events as this minus what its deque still holds.
+        self._event_totals = {rthread: len(events) for rthread, events
+                              in self._events_by_thread.items()}
         self.threads: dict[int, _ReplayThread] = {}
         # Optional (rthread, engine, port) -> port hook. Observability
         # layers (the forensics shadow detector) set it so threads spawned

@@ -359,7 +359,7 @@ def test_forged_checkpoint_declaring_4gib_rejected_cheaply(recording,
     rec = copy.copy(recording)
     rec.checkpoints = [CheckpointRecord.for_payload(0, b"state")]
     directory = rec.save(tmp_path / "rec")
-    forged = (struct.pack("<4sBBHI", b"QRCK", 2, 0, 0, 1)
+    forged = (struct.pack("<4sBBHI", b"QRCK", 3, 0, 0, 1)
               + struct.pack("<IIII32s", 0, 0xFFFFFFFF, 0, 0, bytes(32)))
     assert len(forged) == 60
     (directory / "checkpoints.bin").write_bytes(forged)
@@ -391,7 +391,7 @@ def test_forged_checkpoint_count_rejected_cheaply(recording, tmp_path):
     directory = rec.save(tmp_path / "rec")
     size = rec.config.machine.memory_bytes
     digest = hashlib.sha256(bytes(size)).digest()
-    forged = struct.pack("<4sBBHI", b"QRCK", 2, 0, 0, 1000) + b"".join(
+    forged = struct.pack("<4sBBHI", b"QRCK", 3, 0, 0, 1000) + b"".join(
         struct.pack("<IIII32s", position, size, 0, 0, digest)
         for position in range(1, 1001))
     (directory / "checkpoints.bin").write_bytes(forged)
@@ -404,3 +404,54 @@ def test_forged_checkpoint_count_rejected_cheaply(recording, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# -- crash-consistent save ----------------------------------------------------
+
+def test_interrupted_resave_keeps_the_previous_bundle(recording, tmp_path,
+                                                      monkeypatch):
+    """A re-save that fails part-way, here while encoding the checkpoint
+    section after the logs are written, leaves the previous bundle whole
+    and nothing beside it."""
+    from repro.capo import recording as recording_module
+    from repro.replay.checkpoint import build_checkpoints
+
+    rec = recording.replace()
+    rec.checkpoints = build_checkpoints(rec, every=len(rec.chunks) // 3)
+    directory = rec.save(tmp_path / "rec")
+
+    def fail(records):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(recording_module, "encode_checkpoints", fail)
+    newer = rec.replace(chunks=rec.chunks[:5], metadata={"note": "newer"})
+    with pytest.raises(OSError, match="disk full"):
+        newer.save(directory)
+    monkeypatch.undo()
+
+    assert [path.name for path in tmp_path.iterdir()] == ["rec"]
+    loaded = Recording.load(directory)
+    assert loaded.metadata == json.loads(json.dumps(rec.metadata))
+    assert loaded.chunks == rec.chunks
+    assert loaded.checkpoints == rec.checkpoints  # digests verified
+    result = session.replay_recording(loaded, jobs=1)
+    assert result.final_memory_digest == rec.metadata["final_memory_digest"]
+
+
+def test_save_fills_an_existing_empty_directory(recording, tmp_path):
+    directory = tmp_path / "rec"
+    directory.mkdir()
+    assert recording.save(directory) == directory
+    assert Recording.load(directory).chunks == recording.chunks
+    assert [path.name for path in tmp_path.iterdir()] == ["rec"]
+
+
+def test_save_refuses_a_directory_with_foreign_files(recording, tmp_path):
+    from repro.errors import ReproError
+
+    directory = recording.save(tmp_path / "rec")
+    (directory / "notes.txt").write_text("mine")
+    with pytest.raises(ReproError, match="notes.txt"):
+        recording.save(directory)
+    assert (directory / "notes.txt").read_text() == "mine"
+    assert Recording.load(directory).chunks == recording.chunks

@@ -1,5 +1,5 @@
-"""The QRCK checkpoint section: page-delta encoding, digests, forged
-sections."""
+"""The QRCK checkpoint section: page-delta encoding, paged digests, page
+sharing, forged sections."""
 
 import hashlib
 import struct
@@ -24,9 +24,68 @@ def record(position, payload):
     return CheckpointRecord.for_payload(position, payload)
 
 
+def pages_from_end(payload):
+    return [payload[max(0, end - PAGE):end]
+            for end in range(len(payload), 0, -PAGE)]
+
+
+def paged_sha256(payload):
+    """The v3 record digest: SHA-256 over the pages' SHA-256s."""
+    return hashlib.sha256(b"".join(
+        hashlib.sha256(page).digest() for page in pages_from_end(payload)
+    )).digest()
+
+
 def test_for_payload_computes_sha256():
     rec = record(5, b"hello")
-    assert rec.digest == hashlib.sha256(b"hello").hexdigest()
+    assert rec.pages == (b"hello",)
+    assert rec.page_digests == (hashlib.sha256(b"hello").digest(),)
+    assert rec.digest == hashlib.sha256(
+        hashlib.sha256(b"hello").digest()).hexdigest()
+    payload = b"h" * 10 + bytes(PAGE) + b"t" * PAGE
+    rec = record(6, payload)
+    assert rec.pages == (b"t" * PAGE, bytes(PAGE), b"h" * 10)
+    assert rec.digest == paged_sha256(payload).hex()
+    assert rec.size == len(payload)
+    assert b"".join(reversed(rec.pages)) == payload
+    assert rec.prefix(12) == payload[:12]
+
+
+def test_for_payload_joins_no_parts_but_cuts_the_same_pages():
+    header = b"h" * (PAGE + 7)
+    memory = bytearray(chained(3 * PAGE + 5))
+    whole = record(1, header + memory)
+    parts = CheckpointRecord.for_payload(1, header, memoryview(memory))
+    assert parts == whole
+    assert parts.page_digests == whole.page_digests
+
+
+def test_records_share_unchanged_pages():
+    memory = bytearray(chained(8 * PAGE)) + bytearray(8 * PAGE)
+    first = CheckpointRecord.for_payload(1, b"head", memory)
+    memory[3] ^= 1  # the image's first page is page 15 from the end
+    second = CheckpointRecord.for_payload(2, b"header", memory,
+                                          previous=first)
+    assert second.pages[15] != first.pages[15]
+    for index in range(15):
+        assert second.pages[index] is first.pages[index]
+        assert second.page_digests[index] is first.page_digests[index]
+    # all-zero pages share one object, within and across records
+    assert first.pages[0] is first.pages[7] is second.pages[0]
+
+    decoded = decode_checkpoints(encode_checkpoints([first, second]))
+    assert decoded == [first, second]
+    for index in range(15):
+        assert decoded[1].pages[index] is decoded[0].pages[index]
+    assert decoded[0].pages[0] is decoded[0].pages[7]
+
+
+@pytest.mark.parametrize("index", [0, 5, 9])
+def test_paged_digest_changes_with_any_page(index):
+    payload = bytearray(chained(9 * PAGE + 3))
+    before = record(1, bytes(payload)).digest
+    payload[len(payload) - index * PAGE - 1] ^= 0x80
+    assert record(1, bytes(payload)).digest != before
 
 
 def test_empty_section_round_trips():
@@ -118,10 +177,10 @@ def test_corrupt_payload_fails_digest_check():
 
 # -- forged sections ----------------------------------------------------------
 
-def forge(records):
+def forge(records, version=3):
     """A section of ``(position, raw_len, indices, body, digest)`` records,
     each field written as given."""
-    out = bytearray(SECTION.pack(b"QRCK", 2, 0, 0, len(records)))
+    out = bytearray(SECTION.pack(b"QRCK", version, 0, 0, len(records)))
     for position, raw_len, indices, body, digest in records:
         out += ENTRY.pack(position, raw_len, len(indices), len(body), digest)
         out += struct.pack(f"<{len(indices)}I", *indices)
@@ -132,11 +191,9 @@ def forge(records):
 def honest(payload, indices):
     """Fields of a record of ``payload`` (diffed against zeros) storing
     the given pages."""
-    pages = [payload[max(0, end - PAGE):end]
-             for end in range(len(payload), 0, -PAGE)]
+    pages = pages_from_end(payload)
     body = zlib.compress(b"".join(pages[i] for i in indices))
-    return [1, len(payload), list(indices), body,
-            hashlib.sha256(payload).digest()]
+    return [1, len(payload), list(indices), body, paged_sha256(payload)]
 
 
 def test_forge_helper_builds_a_valid_section():
@@ -210,6 +267,42 @@ def test_version_1_section_rejected():
     blob[4] = 1
     with pytest.raises(LogFormatError, match="version 1"):
         decode_checkpoints(bytes(blob))
+
+
+def test_version_2_section_rejected():
+    # version 2 stored the same page bodies under a SHA-256 of the joined
+    # payload; its digests cannot verify as version 3's
+    payload = b"a" * (2 * PAGE + 5)
+    fields = honest(payload, [0, 1, 2])
+    fields[4] = hashlib.sha256(payload).digest()
+    with pytest.raises(LogFormatError, match="version 2"):
+        decode_checkpoints(forge([fields], version=2))
+
+
+def test_forged_page_of_the_right_length_fails_the_digest():
+    payload = b"a" * (2 * PAGE + 5)
+    fields = honest(payload, [0, 1, 2])
+    forged = b"a" * PAGE + b"b" + b"a" * (PAGE - 1) + b"a" * 5
+    fields[3] = zlib.compress(forged)
+    with pytest.raises(LogFormatError, match="digest mismatch"):
+        decode_checkpoints(forge([fields]))
+
+
+def test_forged_page_in_a_later_record_fails_its_digest():
+    # the later record stores only page 1 and shares pages 0 and 2
+    first = chained(3 * PAGE)
+    second = first[:PAGE] + b"!" * PAGE + first[2 * PAGE:]
+
+    def later(page):
+        return [2, len(second), [1], zlib.compress(page),
+                paged_sha256(second)]
+
+    assert decode_checkpoints(forge([honest(first, [0, 1, 2]),
+                                     later(b"!" * PAGE)])) == \
+        [record(1, first), record(2, second)]
+    with pytest.raises(LogFormatError, match="mismatch at position 2"):
+        decode_checkpoints(forge([honest(first, [0, 1, 2]),
+                                  later(b"?" * PAGE)]))
 
 
 def test_truncation_at_every_byte_rejected():

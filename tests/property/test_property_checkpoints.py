@@ -78,6 +78,12 @@ def changed_pages(previous: bytes | None, payload: bytes) -> list[int]:
                         else bytes(len(page)))]
 
 
+def paged_sha256(payload: bytes) -> str:
+    return hashlib.sha256(b"".join(
+        hashlib.sha256(page).digest() for page in pages_from_end(payload)
+    )).hexdigest()
+
+
 def stored_indices(blob: bytes) -> list[list[int]]:
     (_magic, _version, _flags, _reserved, count) = SECTION.unpack_from(blob)
     offset = SECTION.size
@@ -101,8 +107,7 @@ def test_page_delta_round_trip(payloads):
 
     decoded = decode_checkpoints(blob)
     assert decoded == records
-    assert [r.digest for r in decoded] == \
-        [hashlib.sha256(p).hexdigest() for p in payloads]
+    assert [r.digest for r in decoded] == [paged_sha256(p) for p in payloads]
     assert encode_checkpoints(decoded) == blob
 
     # exactly the changed pages are stored, and they bound the size
@@ -115,3 +120,24 @@ def test_page_delta_round_trip(payloads):
         bound += RECORD_OVERHEAD + sum(len(pages[index]) + PAGE_OVERHEAD
                                        for index in changed)
     assert len(blob) <= bound
+
+
+@given(payloads=payload_sequences())
+@settings(max_examples=120, deadline=None)
+def test_paged_digests_equal_exactly_when_payloads_are(payloads):
+    records = [CheckpointRecord.for_payload(1, payload)
+               for payload in payloads]
+    for a, first in zip(payloads, records):
+        for b, second in zip(payloads, records):
+            assert (first.digest == second.digest) == (a == b)
+    # a record built against its predecessor digests the same as one
+    # built alone, and shares exactly the pages the predecessor has
+    chained = []
+    for payload in payloads:
+        chained.append(CheckpointRecord.for_payload(
+            1, payload, previous=chained[-1] if chained else None))
+    assert [r.digest for r in chained] == [r.digest for r in records]
+    for before, after in zip(chained, chained[1:]):
+        for index, page in enumerate(after.pages):
+            if index < len(before.pages) and page == before.pages[index]:
+                assert page is before.pages[index]

@@ -8,6 +8,11 @@ import pytest
 from repro import session, workloads
 from repro.capo.recording import Recording
 from repro.errors import LogFormatError, ReproError
+from repro.mrr.logfmt import (
+    CheckpointRecord,
+    decode_checkpoints,
+    encode_checkpoints,
+)
 from repro.replay.checkpoint import (
     ReplayState,
     build_checkpoints,
@@ -17,6 +22,7 @@ from repro.replay.checkpoint import (
     replayer_at,
     restore_replayer,
     state_digest,
+    state_mismatch,
 )
 from repro.replay.replayer import Replayer
 
@@ -44,30 +50,49 @@ def test_build_positions_are_interior_multiples(recording):
     assert len(recording.chunks) not in positions
 
 
+def flat(state):
+    """``state`` with its memory image joined into one buffer."""
+    memory = b"".join(reversed(state.memory)) \
+        if isinstance(state.memory, tuple) else state.memory
+    return ReplayState(state.position, state.header, memory)
+
+
 def test_state_encoding_round_trips(recording):
     record = recording.checkpoints[0]
-    state = decode_state(record.payload)
-    assert encode_state(state) == record.payload
-    assert state_digest(state) == record.digest
+    state = decode_state(record)
+    assert encode_state(flat(state)) == b"".join(reversed(record.pages))
+    assert state_digest(flat(state)) == record.digest
     assert state.position == record.position
 
 
 @pytest.mark.parametrize("prefix_len", [4095, 4096, 4097, 8191, 8192])
 def test_state_digest_hashes_the_encoding(prefix_len):
     # the length prefix plus the header ends on either side of a 4 KiB
-    # page boundary; '{"pad":""}' is 10 bytes, the prefix 4
-    state = ReplayState(position=3, header={"pad": "x" * (prefix_len - 14)},
-                        memory=bytes(range(256)) * 40)
-    payload = encode_state(state)
-    assert len(payload) - len(state.memory) == prefix_len
-    assert state_digest(state) == hashlib.sha256(payload).hexdigest()
+    # page boundary; the header without padding is 35 bytes, the prefix
+    # 4. The image either fills whole pages or leaves one straddling the
+    # header.
+    header = {"pad": "x" * (prefix_len - 39), "position": 3, "version": 1}
+    for memory_len in (10240, 12288):
+        state = ReplayState(position=3, header=header,
+                            memory=(bytes(range(256)) * 48)[:memory_len])
+        payload = encode_state(state)
+        assert len(payload) - len(state.memory) == prefix_len
+        pages = [payload[max(0, end - 4096):end]
+                 for end in range(len(payload), 0, -4096)]
+        assert state_digest(state) == hashlib.sha256(b"".join(
+            hashlib.sha256(page).digest() for page in pages)).hexdigest()
+        record = CheckpointRecord.for_payload(3, payload)
+        assert state_digest(state) == record.digest
+        decoded = decode_state(record)
+        assert decoded.header == state.header
+        assert b"".join(reversed(decoded.memory)) == state.memory
 
 
 def test_restore_then_capture_is_identity(recording):
     """The core fidelity property: restoring a checkpoint and immediately
     re-capturing must reproduce the exact payload bytes."""
     for record in recording.checkpoints:
-        replayer = restore_replayer(recording, decode_state(record.payload))
+        replayer = restore_replayer(recording, decode_state(record))
         assert replayer.position == record.position
         assert state_digest(capture_state(replayer)) == record.digest
 
@@ -100,16 +125,48 @@ def test_live_seam_digest_equals_copied_digest(recording):
 
 
 def test_decoded_state_views_the_payload(recording):
+    # the decoded image is the record's own page objects, not a copy
     record = recording.checkpoints[0]
-    state = decode_state(record.payload)
-    assert isinstance(state.memory, memoryview)
-    assert state.memory.obj is record.payload
-    assert encode_state(state) == record.payload
+    state = decode_state(record)
+    assert isinstance(state.memory, tuple)
+    assert len(state.memory) * 4096 == recording.config.machine.memory_bytes
+    assert all(page is recorded
+               for page, recorded in zip(state.memory, record.pages))
+    assert encode_state(flat(state)) == b"".join(reversed(record.pages))
+
+
+def test_built_checkpoints_share_unchanged_pages(recording):
+    """Consecutive records hold one object per unchanged page, after the
+    build and after a save and load: the memory the paged format saves."""
+    def check(records):
+        for before, after in zip(records, records[1:]):
+            shared = sum(1 for a, b in zip(before.pages, after.pages)
+                         if a is b)
+            assert shared >= len(after.pages) - 64
+            for a, b in zip(before.pages, after.pages):
+                assert (a is b) or a != b
+
+    check(recording.checkpoints)
+    check(decode_checkpoints(encode_checkpoints(recording.checkpoints)))
+
+
+def test_state_mismatch_names_the_first_difference(recording):
+    record = recording.checkpoints[0]
+    replayer = restore_replayer(recording, decode_state(record))
+    live = capture_state(replayer, copy=False)
+    assert state_mismatch(live, record) is None
+    replayer.memory.write_byte(0x5003, 1 ^ replayer.memory.read_byte(0x5003))
+    top = recording.config.machine.memory_bytes
+    page = (top - 0x5000) // 4096 - 1
+    assert state_mismatch(live, record) == \
+        f"page {page} (memory address 0x5000)"
+    replayer.stats.units += 1
+    assert "header" in state_mismatch(capture_state(replayer), record)
 
 
 def test_resume_from_checkpoint_matches_serial(recording, serial_result):
     record = recording.checkpoints[-1]
-    replayer = restore_replayer(recording, decode_state(record.payload))
+    replayer = restore_replayer(recording, decode_state(record))
     result = replayer.run()
     assert result.final_memory_digest == serial_result.final_memory_digest
     assert result.outputs == serial_result.outputs
@@ -149,24 +206,31 @@ def test_build_rejects_nonpositive_interval(recording):
 
 
 def test_decode_state_rejects_garbage():
-    with pytest.raises(LogFormatError):
-        decode_state(b"")
-    with pytest.raises(LogFormatError):
-        decode_state(b"\xff\xff\xff\xff")
+    for payload in (b"", b"\xff\xff\xff\xff", b"\x02\x00\x00\x00[]",
+                    b"\x0d\x00\x00\x00{\"version\":9}"):
+        with pytest.raises(LogFormatError):
+            decode_state(CheckpointRecord.for_payload(1, payload))
 
 
-def _forge_withheld(recording, entries) -> bytes:
-    """A checkpoint payload whose first thread withholds ``entries``."""
-    state = decode_state(recording.checkpoints[0].payload)
+def test_restore_rejects_an_image_of_the_wrong_size(recording):
+    state = decode_state(recording.checkpoints[0])
+    short = ReplayState(state.position, state.header, state.memory[1:])
+    with pytest.raises(LogFormatError, match="memory image"):
+        restore_replayer(recording, short)
+
+
+def _forge_withheld(recording, entries) -> ReplayState:
+    """A checkpoint state whose first thread withholds ``entries``."""
+    state = decode_state(recording.checkpoints[0])
     header = copy.deepcopy(state.header)
     first = min(header["threads"], key=int)
     header["threads"][first]["withheld"] = entries
-    return encode_state(ReplayState(state.position, header, state.memory))
+    return ReplayState(state.position, header, state.memory)
 
 
 def test_restore_accepts_well_formed_withheld_stores(recording):
-    payload = _forge_withheld(recording, [[0, 4, 0xFFFFFFFF], [7, 1, 0xFF]])
-    replayer = restore_replayer(recording, decode_state(payload))
+    state = _forge_withheld(recording, [[0, 4, 0xFFFFFFFF], [7, 1, 0xFF]])
+    replayer = restore_replayer(recording, state)
     first = min(replayer.threads)
     assert replayer.threads[first].withheld.snapshot() == \
         [(0, 4, 0xFFFFFFFF), (7, 1, 0xFF)]
@@ -190,9 +254,9 @@ def test_restore_accepts_well_formed_withheld_stores(recording):
         "wide-byte", "wide-word", "not-a-list"])
 def test_restore_rejects_forged_withheld_stores(recording, forge):
     top = recording.config.machine.memory_bytes
-    payload = _forge_withheld(recording, forge(top))
+    state = _forge_withheld(recording, forge(top))
     with pytest.raises(LogFormatError):
-        restore_replayer(recording, decode_state(payload))
+        restore_replayer(recording, state)
 
 
 def test_checkpoints_survive_save_load(recording, tmp_path):
@@ -250,8 +314,8 @@ def test_checkpointed_replay_with_signals_and_multiproc():
     rec.checkpoints = build_checkpoints(rec, every=15)
     serial = Replayer(rec).run()
     for record in rec.checkpoints:
-        replayer = restore_replayer(rec, decode_state(record.payload))
+        replayer = restore_replayer(rec, decode_state(record))
         assert state_digest(capture_state(replayer)) == record.digest
     resumed = restore_replayer(
-        rec, decode_state(rec.checkpoints[0].payload)).run()
+        rec, decode_state(rec.checkpoints[0])).run()
     assert resumed.digest() == serial.digest()

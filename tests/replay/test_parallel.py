@@ -140,9 +140,10 @@ def test_tampered_checkpoint_payload_detected(recording):
     victim = recording.checkpoints[1]
     # flip the byte at physical address 0: no program touches it, so the
     # corruption survives to the next seam where the digest must differ
-    (header_len,) = struct.unpack_from("<I", victim.payload, 0)
+    payload = b"".join(reversed(victim.pages))
+    (header_len,) = struct.unpack_from("<I", payload, 0)
     memory_start = 4 + header_len
-    corrupt = bytearray(victim.payload)
+    corrupt = bytearray(payload)
     corrupt[memory_start] ^= 0xFF
     tampered = [
         CheckpointRecord.for_payload(victim.position, bytes(corrupt))
@@ -151,7 +152,11 @@ def test_tampered_checkpoint_payload_detected(recording):
     broken = Recording(config=recording.config, program=recording.program,
                        chunks=recording.chunks, events=recording.events,
                        metadata=recording.metadata, checkpoints=tampered)
-    with pytest.raises(ReplayDivergenceError, match="seam"):
+    # the error names the first differing page and its address
+    last_page = recording.config.machine.memory_bytes // 4096 - 1
+    with pytest.raises(ReplayDivergenceError,
+                       match=f"seam .* page {last_page} "
+                             r"\(memory address 0x0\)"):
         replay_parallel(recording=broken, jobs=1)
 
 
