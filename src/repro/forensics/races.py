@@ -149,7 +149,8 @@ class RaceReport:
 
 def _replay_window(recording: Recording, schedule: list[ScheduledChunk],
                    start: int, until: int, sink,
-                   on_boundary: Callable | None = None) -> None:
+                   on_boundary: Callable | None = None,
+                   decode_cache: bool = True) -> None:
     """Step chunks ``[start, until)`` with every thread's port shadowed.
 
     ``sink.begin_chunk(scheduled)`` runs before each chunk;
@@ -159,7 +160,7 @@ def _replay_window(recording: Recording, schedule: list[ScheduledChunk],
     still hold the trap's arguments (event application only rewrites the
     return register).
     """
-    replayer = replayer_at(recording, start)
+    replayer = replayer_at(recording, start, decode_cache=decode_cache)
     replayer.port_wrapper = (
         lambda rthread, engine, port: ShadowPort(port, engine, rthread, sink))
     for ctx in replayer.threads.values():
@@ -355,8 +356,10 @@ def _access_of(info: tuple) -> Access:
 
 def detect_races(recording: Recording, start: int = 0,
                  until: int | None = None, directory: str | None = None,
-                 max_races_per_address: int = 16) -> RaceReport:
-    """Shadow-replay a chunk window and report its data races."""
+                 max_races_per_address: int = 16,
+                 decode_cache: bool = True) -> RaceReport:
+    """Shadow-replay a chunk window and report its data races
+    (``decode_cache``: see :class:`~repro.replay.replayer.Replayer`)."""
     schedule = iter_schedule(recording.chunks)
     total = len(schedule)
     start = max(0, start)
@@ -365,7 +368,8 @@ def detect_races(recording: Recording, start: int = 0,
     scan = _SyncScan()
     syscall_args: dict[int, tuple] = {}
     _replay_window(recording, schedule, start, until, scan,
-                   on_boundary=_capture_args(syscall_args))
+                   on_boundary=_capture_args(syscall_args),
+                   decode_cache=decode_cache)
     sync_words = scan.sync_words | _futex_words(recording, syscall_args)
 
     links = pair_kernel_sync(recording.events, syscall_args)
@@ -374,7 +378,8 @@ def detect_races(recording: Recording, start: int = 0,
     _replay_window(
         recording, schedule, start, until, detector,
         on_boundary=lambda scheduled, consumed, ctx:
-            detector.end_chunk(scheduled))
+            detector.end_chunk(scheduled),
+        decode_cache=decode_cache)
 
     races = []
     for byte, earlier, later in sorted(detector.found):

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from ..config import KernelConfig
-from ..errors import KernelError
+from ..errors import KernelError, MachineFault
 from ..isa.operands import Reg
 from ..isa.registers import RAX, RCX
 from ..machine.core import (
@@ -236,71 +237,153 @@ class Kernel:
     def live_count(self) -> int:
         return self._live
 
-    def runnable_core_ids(self) -> list[int]:
-        return [core.core_id for core in self.machine.cores
-                if core.task is not None]
-
     # -- the run loop -----------------------------------------------------------------
 
     def run(self, interleaver: Interleaver, max_units: int = 200_000_000) -> int:
         """Run until every task exits; returns units executed.
 
-        The loop body inlines two per-unit calls:
+        Two loops execute identical units in identical order:
 
-        - the random interleaver's rejection sampling (when the interleaver
-          exposes ``_getrandbits``) — same bits consumed as ``choose()``, so
-          recordings are unchanged;
-        - :meth:`after_unit`'s fast path — the quantum/trap/wakeup checks
-          that are no-ops for the overwhelming majority of units. The slow
-          cases share :meth:`_after_unit_slow` with ``after_unit``.
+        - the *fused* loop, taken for the random interleaver when every
+          core's engine has a decode cache. It takes the interleaver's
+          choices a run at a time (``choice_run``/``consume``: one C-level
+          pass over bulk-drawn words per run) and inlines
+          ``Machine.step_core`` (compiled dispatch, pc bounds check and
+          fault tagging, cycles, ``global_step``, the recorder's one-compare
+          termination gate, the drain tick — skipped while no store is
+          buffered — and telemetry sampling) and the kernel's post-unit
+          fast path;
+        - the *stepped* loop, the oracle: ``interleaver.choose`` then
+          ``Machine.step_core`` per unit. Stateful interleavers (``rr``,
+          ``bursty``), which must see every choice, and engines without a
+          decode cache take it.
 
-        ``sched.queue`` and ``sched.sleepers`` are mutated in place by the
-        scheduler (never rebound), so hoisting the references is safe.
+        After a unit, the slow path (:meth:`_after_unit_slow`) runs only on
+        a trap, an expired quantum or a due sleeper. A task waiting in the
+        run queue needs none: every event that frees a core or enqueues a
+        task already refills idle cores, so a queued task means every core
+        is busy. ``sched.sleepers`` is mutated in place by the scheduler
+        (never rebound), so hoisting the reference is safe.
         """
+        if getattr(interleaver, "choice_run", None) is None or not all(
+                core.engine is not None and core.engine.decode_cache
+                for core in self.machine.cores):
+            return self._run_stepped(interleaver, max_units)
+        return self._run_fused(interleaver, max_units)
+
+    def _run_stepped(self, interleaver: Interleaver, max_units: int) -> int:
         units = 0
         idle_streak = 0
         machine = self.machine
         cores = machine.cores
         step_core = machine.step_core
         choose = interleaver.choose
-        getrandbits = getattr(interleaver, "_getrandbits", None)
-        sched = self.sched
-        run_queue = sched.queue
-        sleepers = sched.sleepers
+        sleepers = self.sched.sleepers
         while self._live > 0:
             candidates = self._running_ids
-            n = len(candidates)
-            if n == 0:
-                self.idle_tick()
-                idle_streak += 1
-                if idle_streak > _IDLE_LIMIT:
-                    raise KernelError("idle limit exceeded (deadlock?)")
+            if not candidates:
+                idle_streak = self._idle(idle_streak)
                 continue
             idle_streak = 0
-            if getrandbits is None:
-                # Stateful policies (rr, bursty) must see every choice.
-                core_id = choose(candidates)
-            elif n == 1:
-                core_id = candidates[0]
-            else:
-                k = n.bit_length()
-                r = getrandbits(k)
-                while r >= n:
-                    r = getrandbits(k)
-                core_id = candidates[r]
+            core_id = choose(candidates)
             outcome = step_core(core_id)
             core = cores[core_id]
             task = core.task
             task.units_in_quantum += 1
             if (outcome != OUTCOME_OK
                     or task.units_in_quantum >= task.quantum_limit
-                    or run_queue
                     or (sleepers and sleepers[0][0] <= machine.global_step)):
                 self._after_unit_slow(core, task, outcome)
             units += 1
             if units > max_units:
                 raise KernelError(f"unit budget {max_units} exceeded")
         return units
+
+    def _run_fused(self, interleaver, max_units: int) -> int:
+        """The fused loop. Each pass of the outer loop takes a run of
+        choices for the current candidate cores (``repeat`` for one core)
+        and executes units until the run ends or the slow path changes the
+        running set. ``step`` counts the pass's units ahead of
+        ``machine.global_step``, which a unit's own work still reads as
+        the previous step (as under ``Machine.step_core``)."""
+        units = 0
+        idle_streak = 0
+        machine = self.machine
+        # Per-core hoists, fixed for the run: load_program builds the
+        # engines and the RSM attaches recorders before the run starts.
+        slots = [(core, core.engine, core.port, core.recorder)
+                 for core in machine.cores]
+        choice_run = interleaver.choice_run
+        consume = interleaver.consume
+        unit_cost = machine._unit_cost
+        drain_period = machine._drain_period
+        drain_all_cores = machine._drain_all_cores
+        tm_enabled = machine._tm_enabled
+        tm_sampling = machine._tm_sampling
+        sleepers = self.sched.sleepers
+        after_unit_slow = self._after_unit_slow
+        while self._live > 0:
+            candidates = self._running_ids
+            if not candidates:
+                idle_streak = self._idle(idle_streak)
+                continue
+            idle_streak = 0
+            # At most one unit past the budget, so the check after the
+            # pass sees an overrun.
+            budget = max_units + 1 - units
+            drawn = len(candidates) > 1
+            if drawn:
+                choices = choice_run(candidates)[:budget]
+            else:
+                choices = repeat(candidates[0], budget)
+            first = step = machine.global_step
+            try:
+                for core_id in choices:
+                    step += 1
+                    core, engine, port, recorder = slots[core_id]
+                    try:
+                        dispatch = engine._dispatch
+                        pc = engine.pc
+                        if not 0 <= pc < len(dispatch):
+                            raise MachineFault(f"pc {pc} outside code", pc=pc)
+                        outcome = dispatch[pc](engine, port)
+                    except MachineFault as fault:
+                        fault.core_id = core_id
+                        raise
+                    core.cycles += unit_cost
+                    machine.global_step = step
+                    if recorder is not None and engine.retired >= recorder.gate:
+                        recorder.after_unit()
+                    if step % drain_period == 0 and machine.buffered_stores:
+                        drain_all_cores()
+                    if tm_enabled and step % tm_sampling == 0:
+                        machine._sample_step_counters()
+                    task = core.task
+                    task.units_in_quantum += 1
+                    if (outcome is not None
+                            or task.units_in_quantum >= task.quantum_limit
+                            or (sleepers and sleepers[0][0] <= step)):
+                        after_unit_slow(
+                            core, task,
+                            OUTCOME_OK if outcome is None else outcome)
+                        if self._running_ids is not candidates:
+                            break
+            finally:
+                # Counts a unit that faulted too: it had drawn its choice.
+                if drawn:
+                    consume(step - first)
+            units += step - first
+            if units > max_units:
+                raise KernelError(f"unit budget {max_units} exceeded")
+        return units
+
+    def _idle(self, idle_streak: int) -> int:
+        """One idle tick of the run loop; returns the grown idle streak."""
+        self.idle_tick()
+        idle_streak += 1
+        if idle_streak > _IDLE_LIMIT:
+            raise KernelError("idle limit exceeded (deadlock?)")
+        return idle_streak
 
     def idle_tick(self) -> None:
         """All cores idle: advance time, wake due sleepers."""
@@ -316,28 +399,6 @@ class Kernel:
         self.stats.idle_ticks += 1
         self._wake_sleepers()
         self._fill_idle_cores()
-
-    def after_unit(self, core_id: int, outcome: str) -> None:
-        """Post-unit kernel work: traps, quantum, wakeups, dispatch.
-
-        :meth:`run` inlines the fast-path check below; this method stays
-        the single entry point for callers stepping cores themselves.
-        """
-        core = self.machine.cores[core_id]
-        task = core.task
-        task.units_in_quantum += 1
-        # Fast path: no trap, quantum not expired, no sleeper due and no
-        # task waiting for a core — every remaining step below is a no-op,
-        # so skip the calls entirely. This is the overwhelmingly common
-        # case and the per-unit kernel cost that dominates simulation rate.
-        sched = self.sched
-        if (outcome == OUTCOME_OK
-                and task.units_in_quantum < task.quantum_limit
-                and not sched.queue
-                and (not sched.sleepers
-                     or sched.sleepers[0][0] > self.machine.global_step)):
-            return
-        self._after_unit_slow(core, task, outcome)
 
     def _after_unit_slow(self, core: Core, task: Task, outcome: str) -> None:
         """The rare post-unit work: wakeups, trap handling, preemption and

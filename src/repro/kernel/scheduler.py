@@ -14,9 +14,9 @@ class Scheduler:
     """FIFO run queue plus a min-heap of sleeping tasks."""
 
     def __init__(self):
-        # Public for the kernel's per-unit fast path (which peeks at both
-        # to skip whole-method calls when nothing is due); callers other
-        # than the scheduler must treat them as read-only.
+        # Public for the kernel's per-unit fast path (which peeks at the
+        # sleepers to skip whole-method calls when nothing is due); callers
+        # other than the scheduler must treat them as read-only.
         self.queue: deque[int] = deque()
         self.sleepers: list[tuple[int, int]] = []
 

@@ -36,10 +36,6 @@ from typing import Protocol
 
 from .cache import EXCLUSIVE, MESICache, MODIFIED, SHARED
 
-# Module-level default for presence-based snoop filtering; the MESI
-# invariant suite flips this off to compare filtered and unfiltered runs.
-SNOOP_FILTER_DEFAULT = True
-
 
 class Snooper(Protocol):
     """A bus observer (the MRR). Returns the timestamp of a chunk it
@@ -88,7 +84,7 @@ class BusResult:
 class SnoopBus:
     """Serializes coherence transactions across ``num_cores`` agents."""
 
-    def __init__(self, num_cores: int, filter_snoops: bool | None = None):
+    def __init__(self, num_cores: int, filter_snoops: bool = True):
         self.num_cores = num_cores
         self._caches: list[MESICache | None] = [None] * num_cores
         self._snoopers: list[Snooper | None] = [None] * num_cores
@@ -106,8 +102,8 @@ class SnoopBus:
         self.order_clock = 0
         # Hoisted broadcast fan-out for the notify accounting.
         self._broadcast = num_cores - 1
-        if filter_snoops is None:
-            filter_snoops = SNOOP_FILTER_DEFAULT
+        # Presence-based snoop filtering (observationally free; the MESI
+        # invariant suite compares filtered and unfiltered runs).
         self.filter_snoops = filter_snoops
         # Conservative per-line presence summary: bit c set means core c
         # *may* hold the line. Lines with no transaction history default to
@@ -250,7 +246,7 @@ class DirectoryBus(SnoopBus):
     broadcast a shared bus would have cost.
     """
 
-    def __init__(self, num_cores: int, filter_snoops: bool | None = None):
+    def __init__(self, num_cores: int, filter_snoops: bool = True):
         super().__init__(num_cores, filter_snoops)
         # Exact per-line cache-holder set; same untracked default as
         # presence ("anyone may hold it").

@@ -33,11 +33,6 @@ OUTCOME_OK = "ok"
 OUTCOME_SYSCALL = "syscall"
 OUTCOME_NONDET = "nondet"
 
-# Module-level default for the decode cache (see repro.machine.decode).
-# The interpretive path is kept as a debug/reference implementation; the
-# equivalence property suite flips this off to run both paths in lockstep.
-DECODE_CACHE_DEFAULT = True
-
 
 class MemoryPort(Protocol):
     """The engine's window onto memory. All addresses are byte addresses;
@@ -79,11 +74,15 @@ def _signed(value: int) -> int:
 
 
 class Engine:
-    """Architectural state plus the instruction interpreter."""
+    """Architectural state plus the instruction interpreter.
 
-    def __init__(self, program: Program, decode_cache: bool | None = None):
-        if decode_cache is None:
-            decode_cache = DECODE_CACHE_DEFAULT
+    ``decode_cache`` runs the compiled closures of
+    :mod:`repro.machine.decode`; without it the engine interprets each
+    instruction, the debug/reference path the equivalence suites run in
+    lockstep with the compiled one.
+    """
+
+    def __init__(self, program: Program, decode_cache: bool = True):
         self._decode_cache = decode_cache
         self.program = program  # property: also binds the dispatch table
         self.regs: list[int] = [0] * NUM_REGS

@@ -56,7 +56,7 @@ class Core:
         return self.task is None
 
     def set_program(self, program: Program) -> None:
-        self.engine = Engine(program)
+        self.engine = Engine(program, decode_cache=self.machine.decode_cache)
 
     # -- store buffer drains -------------------------------------------------
 
@@ -70,6 +70,7 @@ class Core:
             machine.bus_transaction(self, line, is_write=True)
         elif classification == UPGRADE:
             machine.bus_transaction(self, line, is_write=True, upgrade=True)
+        machine.buffered_stores -= 1
         memory = machine.memory
         if entry.size == 4:
             memory.write_word(entry.addr, entry.value)
@@ -125,6 +126,7 @@ class _RecordPort:
         if sb.full:
             self._core.drain_one()
         sb.push(addr, size, value)
+        self._machine.buffered_stores += 1
 
     def fence(self) -> None:
         if self._sb._entries:
@@ -159,25 +161,36 @@ class _RecordPort:
 
 
 class Machine:
-    """The QuickIA box: ``num_cores`` cores over one snoop bus."""
+    """The QuickIA box: ``num_cores`` cores over one snoop bus.
+
+    ``decode_cache`` (compiled engines) and ``filter_snoops`` (presence-
+    filtered snoops) are observationally free implementation switches: a
+    run is bit-identical with either off, which the equivalence suites and
+    the soak lattice check.
+    """
 
     def __init__(self, config: MachineConfig | None = None,
                  cost: CostModel | None = None,
-                 telemetry: Telemetry | None = None):
+                 telemetry: Telemetry | None = None,
+                 decode_cache: bool = True, filter_snoops: bool = True):
         self.config = config or MachineConfig()
+        self.decode_cache = decode_cache
         self.cost = cost or DEFAULT_COST_MODEL
         self.telemetry = telemetry or NULL_TELEMETRY
         self.memory = PhysicalMemory(self.config.memory_bytes)
         # Module-global class references so test fixtures can swap in
         # checked subclasses by monkeypatching this module's names.
         if self.config.coherence == COHERENCE_DIRECTORY:
-            self.bus = DirectoryBus(self.config.num_cores)
+            self.bus = DirectoryBus(self.config.num_cores, filter_snoops)
         else:
-            self.bus = SnoopBus(self.config.num_cores)
+            self.bus = SnoopBus(self.config.num_cores, filter_snoops)
         self.cores = [Core(core_id, self) for core_id in range(self.config.num_cores)]
         for core in self.cores:
             self.bus.attach_cache(core.core_id, core.cache)
         self.global_step = 0
+        # Stores sitting in any core's store buffer: the drain tick has
+        # work only while this is nonzero.
+        self.buffered_stores = 0
         self.program: Program | None = None
         # True while a bus transaction is being processed. Recorder
         # termination-time drains (DRAIN tso mode) are forbidden inside a
@@ -186,7 +199,7 @@ class Machine:
         self.in_bus_transaction = False
         # Hot-path hoists: read once, fixed for the machine's lifetime. The
         # telemetry flag in particular keeps the disabled case zero-cost in
-        # step_core/after_unit/drain paths (one attribute read, no
+        # the run loop, step_core and drain paths (one attribute read, no
         # singleton-object chasing).
         self._tm_enabled = self.telemetry.enabled
         self._tm_sampling = self.telemetry.sampling
@@ -308,10 +321,11 @@ class Machine:
     def step_core(self, core_id: int) -> str:
         """Execute one unit on ``core_id`` and run post-unit housekeeping.
 
-        The compiled-dispatch indexing from ``Engine.step`` is inlined here
-        (same bounds check, same fault) to drop one call layer from the
-        per-unit path; engines without a decode cache go through
-        ``Engine.step`` unchanged.
+        The single-step API: ``Kernel.run``'s stepped loop (the oracle of
+        its fused loop) and the machine tests call it. The compiled-dispatch
+        indexing from ``Engine.step`` is inlined (same bounds check, same
+        fault); engines without a decode cache go through ``Engine.step``.
+        ``Kernel.run``'s fused loop inlines this whole body.
         """
         core = self.cores[core_id]
         engine = core.engine
@@ -332,40 +346,19 @@ class Machine:
             fault.core_id = core_id
             raise
         core.cycles += self._unit_cost
-        # Inline of after_unit() — one less call on the per-unit path. The
-        # recorder call is further gated on the (rare) fused condition under
-        # which MemoryRaceRecorder.after_unit would do anything at all: size
-        # cap reached or a signature past the saturation threshold. The
-        # callee re-derives which applies, in its documented priority order.
         step = self.global_step + 1
         self.global_step = step
+        # The recorder's gate is the one retired count at which its
+        # after_unit can act (size cap, saturation, see
+        # MemoryRaceRecorder.gate); the callee re-derives which applies.
         recorder = core.recorder
-        if (recorder is not None and recorder.rthread is not None
-                and (engine.retired >= recorder._icnt_limit
-                     or (recorder._sat_enabled
-                         and (recorder.read_sig.bits_set
-                              >= recorder._sat_min_bits
-                              or recorder.write_sig.bits_set
-                              >= recorder._sat_min_bits)))):
+        if recorder is not None and engine.retired >= recorder.gate:
             recorder.after_unit()
-        if step % self._drain_period == 0:
+        if step % self._drain_period == 0 and self.buffered_stores:
             self._drain_all_cores()
         if self._tm_enabled and step % self._tm_sampling == 0:
             self._sample_step_counters()
         return outcome
-
-    def after_unit(self, core: Core) -> None:
-        """Post-unit housekeeping (kept callable for engines stepped
-        outside :meth:`step_core`; that method inlines this body)."""
-        step = self.global_step + 1
-        self.global_step = step
-        recorder = core.recorder
-        if recorder is not None:
-            recorder.after_unit()
-        if step % self._drain_period == 0:
-            self._drain_all_cores()
-        if self._tm_enabled and step % self._tm_sampling == 0:
-            self._sample_step_counters()
 
     def _sample_step_counters(self) -> None:
         tracer = self.telemetry.tracer
@@ -380,16 +373,15 @@ class Machine:
     def idle_tick(self) -> None:
         """Advance time when no core is runnable (tasks blocked/sleeping)."""
         self.global_step += 1
-        if self.global_step % self._drain_period == 0:
+        if self.global_step % self._drain_period == 0 and self.buffered_stores:
             self._drain_all_cores()
 
     def _drain_all_cores(self) -> None:
         """One background-drain tick: each core drains up to ``drain_burst``
         buffered stores (the TSO store buffers' passage of time).
 
-        Reads the buffers' entry deque directly: this runs every
-        ``drain_period`` units and the buffers are almost always empty, so
-        the emptiness probe must not cost a property call per core.
+        Callers skip the tick while ``buffered_stores`` is zero; the
+        buffers' entry deques are read directly.
         """
         burst = self._drain_burst
         for core in self.cores:

@@ -25,9 +25,11 @@ _RESOLVED_MISS = (RESOLVE_MISS, None)
 _RESOLVED_CONFLICT = (RESOLVE_CONFLICT, None)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PendingStore:
-    """One buffered store: ``size`` is 1 or 4 bytes."""
+    """One buffered store: ``size`` is 1 or 4 bytes. Never mutated once
+    buffered; not frozen, because a frozen dataclass pays an
+    ``object.__setattr__`` per field on every store."""
 
     addr: int
     size: int
@@ -67,9 +69,8 @@ class StoreBuffer:
         return not self._entries
 
     def push(self, addr: int, size: int, value: int) -> None:
-        """Append a store. The caller must make room first if full."""
-        if self.full:
-            raise OverflowError("store buffer full; drain before pushing")
+        """Append a store. The caller must make room first if full (the
+        record port drains one entry before pushing into a full buffer)."""
         self._entries.append(PendingStore(addr, size, value & MASK32))
 
     def pop_oldest(self) -> PendingStore:

@@ -34,6 +34,10 @@ from ..telemetry import NULL_TELEMETRY, Telemetry
 from .chunk import ChunkEntry, Reason
 from .signature import BloomSignature
 
+#: The termination gate of a recorder with no thread: above any retired
+#: count, so the per-unit compare never fires.
+NEVER = 1 << 62
+
 
 class MemoryRaceRecorder:
     """MRR hardware state for one core."""
@@ -48,9 +52,12 @@ class MemoryRaceRecorder:
         self.write_sig = BloomSignature(config.signature_bits, config.signature_hashes)
         self.rthread: int | None = None
         self._icnt_start = 0
-        # retired-count at which the size cap fires; kept in step with
-        # _icnt_start so the machine's per-unit gate is one compare.
-        self._icnt_limit = config.max_chunk_instructions
+        # The per-unit termination gate: after_unit can act only once
+        # ``engine.retired >= gate``. It is the size cap's retired count
+        # while a chunk is open, -1 once a signature insert reaches the
+        # saturation popcount, and NEVER while no thread is recorded — so
+        # the run loop decides with one compare.
+        self.gate = NEVER
         self.telemetry = telemetry or NULL_TELEMETRY
         # Hot-path hoists: telemetry enablement and the termination
         # thresholds are fixed for the recorder's lifetime, so the per-unit
@@ -73,6 +80,9 @@ class MemoryRaceRecorder:
         while n <= bits and n / bits < threshold:
             n += 1
         self._sat_min_bits = n
+        # The popcount at which an insert drops the gate to -1 (never
+        # reached with saturation disabled).
+        self._sat_gate_bits = n if self._sat_enabled else bits + 1
         self._chunk_start_ts = 0
         # Exact line sets shadowing the Bloom signatures, maintained only
         # when telemetry is enabled: a snoop that hits the signature but
@@ -106,6 +116,7 @@ class MemoryRaceRecorder:
     def clear_thread(self) -> None:
         """Stop recording on this core (context switch away)."""
         self.rthread = None
+        self.gate = NEVER
         self.read_sig.clear()
         self.write_sig.clear()
 
@@ -123,7 +134,7 @@ class MemoryRaceRecorder:
         write_sig.inserts = 0
         engine = self.core.engine
         self._icnt_start = engine.retired
-        self._icnt_limit = engine.retired + self._max_chunk
+        self.gate = engine.retired + self._max_chunk
         engine.load_hash = 0
         if self._tm_on:
             self._exact_reads.clear()
@@ -131,46 +142,30 @@ class MemoryRaceRecorder:
             self._chunk_start_ts = self.telemetry.tracer.now()
 
     # -- signature insertion hooks ------------------------------------------
+    # Loads, atomic reads and kernel copy-from-user reads (write() payloads,
+    # path strings) join the current chunk's read set; drained stores,
+    # atomic writes and kernel copy-to-user writes join its write set.
 
     def on_load(self, line: int) -> None:
         if self.rthread is not None:
-            self.read_sig.insert(line)
+            read_sig = self.read_sig
+            read_sig.insert(line)
+            if read_sig.bits_set >= self._sat_gate_bits:
+                self.gate = -1
             if self._tm_on:
                 self._exact_reads.add(line)
 
     def on_store_drain(self, line: int) -> None:
         if self.rthread is not None:
-            self.write_sig.insert(line)
+            write_sig = self.write_sig
+            write_sig.insert(line)
+            if write_sig.bits_set >= self._sat_gate_bits:
+                self.gate = -1
             if self._tm_on:
                 self._exact_writes.add(line)
 
-    def on_atomic_read(self, line: int) -> None:
-        if self.rthread is not None:
-            self.read_sig.insert(line)
-            if self._tm_on:
-                self._exact_reads.add(line)
-
-    def on_atomic_write(self, line: int) -> None:
-        if self.rthread is not None:
-            self.write_sig.insert(line)
-            if self._tm_on:
-                self._exact_writes.add(line)
-
-    def on_copy_write(self, line: int) -> None:
-        """A kernel copy-to-user performed on behalf of this thread; the
-        data becomes part of the current chunk's write set."""
-        if self.rthread is not None:
-            self.write_sig.insert(line)
-            if self._tm_on:
-                self._exact_writes.add(line)
-
-    def on_copy_read(self, line: int) -> None:
-        """A kernel copy-from-user on behalf of this thread (write()
-        payloads, path strings); joins the current chunk's read set."""
-        if self.rthread is not None:
-            self.read_sig.insert(line)
-            if self._tm_on:
-                self._exact_reads.add(line)
+    on_atomic_read = on_copy_read = on_load
+    on_atomic_write = on_copy_write = on_store_drain
 
     # -- conflict detection ----------------------------------------------------
 
@@ -213,10 +208,11 @@ class MemoryRaceRecorder:
     # -- self-initiated terminations -----------------------------------------
 
     def after_unit(self) -> None:
-        """Post-unit checks: chunk size cap and signature saturation.
+        """Post-unit checks: chunk size cap, then signature saturation.
 
-        Runs once per simulated unit, so it reads only hoisted attributes;
-        the saturation check is the precomputed integer popcount threshold
+        The run loop calls this only once ``engine.retired >= gate``; it
+        re-derives which check applies, size before saturation. The
+        saturation check is the precomputed integer popcount threshold
         ``_sat_min_bits``, which decides identically to the
         ``bits_set / bits >= threshold`` float comparison it replaces.
         """

@@ -187,11 +187,13 @@ def state_mismatch(state: ReplayState,
 
 def restore_replayer(recording: Recording, state: ReplayState,
                      telemetry: Telemetry | None = None,
-                     schedule: list | None = None) -> Replayer:
+                     schedule: list | None = None,
+                     decode_cache: bool = True) -> Replayer:
     """A replayer positioned exactly as one that serially replayed
     ``state.position`` chunks of ``recording``. ``schedule``, when given,
     is ``recording``'s validated chunk schedule (see :class:`Replayer`)."""
-    replayer = Replayer(recording, telemetry=telemetry, schedule=schedule)
+    replayer = Replayer(recording, telemetry=telemetry, schedule=schedule,
+                        decode_cache=decode_cache)
     start = time.perf_counter()
     _write_image(replayer.memory, state.memory)
     # The fresh replayer's deques hold every event; only its main thread
@@ -201,7 +203,7 @@ def restore_replayer(recording: Recording, state: ReplayState,
     for key in sorted(state.header["threads"], key=int):
         rthread = int(key)
         data = state.header["threads"][key]
-        engine = Engine(recording.program)
+        engine = Engine(recording.program, decode_cache=decode_cache)
         engine.restore_arch(data["engine"])
         withheld = WithheldStores(replayer.memory)
         withheld.restore(data["withheld"])
@@ -286,16 +288,18 @@ def flight_base_state(recording: Recording) -> ReplayState | None:
 
 def base_replayer(recording: Recording,
                   telemetry: Telemetry | None = None,
-                  schedule: list | None = None) -> Replayer:
+                  schedule: list | None = None,
+                  decode_cache: bool = True) -> Replayer:
     """A replayer at position 0 of ``recording`` — fresh for ordinary
     recordings, restored from the embedded window-origin state for
     materialized flight windows. Every "replay from the start" path must
     come through here."""
     state = flight_base_state(recording)
     if state is None:
-        return Replayer(recording, telemetry=telemetry, schedule=schedule)
+        return Replayer(recording, telemetry=telemetry, schedule=schedule,
+                        decode_cache=decode_cache)
     return restore_replayer(recording, state, telemetry=telemetry,
-                            schedule=schedule)
+                            schedule=schedule, decode_cache=decode_cache)
 
 
 # -- building ----------------------------------------------------------------
@@ -340,7 +344,8 @@ def build_checkpoints(recording: Recording, every: int,
 # -- seek --------------------------------------------------------------------
 
 def replayer_at(recording: Recording, position: int,
-                telemetry: Telemetry | None = None) -> Replayer:
+                telemetry: Telemetry | None = None,
+                decode_cache: bool = True) -> Replayer:
     """A replayer at ``position`` in O(interval): restore the nearest
     embedded checkpoint at or before it, then step the remainder."""
     total = len(recording.chunks)
@@ -349,12 +354,14 @@ def replayer_at(recording: Recording, position: int,
     record = recording.nearest_checkpoint(position)
     if record is not None and record.position > 0:
         replayer = restore_replayer(recording, decode_state(record),
-                                    telemetry=telemetry)
+                                    telemetry=telemetry,
+                                    decode_cache=decode_cache)
     else:
         # Position 0: a fresh replayer — or, for a flight window, the
         # embedded window-origin state (which is the position-0 record
         # nearest_checkpoint just found).
-        replayer = base_replayer(recording, telemetry=telemetry)
+        replayer = base_replayer(recording, telemetry=telemetry,
+                                 decode_cache=decode_cache)
     while replayer.position < position:
         if replayer.step_chunk() is None:
             raise ReproError(

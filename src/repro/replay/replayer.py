@@ -147,8 +147,11 @@ class Replayer:
 
     def __init__(self, recording: Recording,
                  telemetry: Telemetry | None = None,
-                 schedule: list | None = None):
+                 schedule: list | None = None, decode_cache: bool = True):
         self.recording = recording
+        # Do the thread engines run compiled closures and translation
+        # blocks (see Engine)? Replay is bit-identical either way.
+        self.decode_cache = decode_cache
         self.config = recording.config
         self.telemetry = telemetry or NULL_TELEMETRY
         self.memory = PhysicalMemory(self.config.machine.memory_bytes)
@@ -204,7 +207,8 @@ class Replayer:
         if rthread in self.threads:
             raise ReplayDivergenceError("duplicate thread creation",
                                         rthread=rthread)
-        engine = Engine(self.recording.program)
+        engine = Engine(self.recording.program,
+                        decode_cache=self.decode_cache)
         engine.pc = pc
         engine.regs[3] = arg & MASK32   # rdi
         engine.regs[15] = sp & MASK32   # sp

@@ -104,7 +104,9 @@ def simulate(program: Program, config: SimConfig | None = None,
              kernel_seed: int | None = None, cost: CostModel | None = None,
              background_programs: Sequence[Program] = (),
              max_units: int = 200_000_000,
-             telemetry: Telemetry | None = None) -> RunOutcome:
+             telemetry: Telemetry | None = None,
+             decode_cache: bool = True,
+             filter_snoops: bool = True) -> RunOutcome:
     """Run ``program`` to completion under the given recording mode.
 
     ``background_programs`` are loaded as additional *unrecorded*
@@ -112,13 +114,18 @@ def simulate(program: Program, config: SimConfig | None = None,
     Capo multiprogramming scenario. Only the primary program is in the
     replay sphere; verification then scopes to its region, its writes,
     and its threads' exit codes.
+
+    ``decode_cache`` and ``filter_snoops`` switch off the machine's
+    compiled engines and presence-filtered snoops (see :class:`Machine`);
+    the run is bit-identical either way.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {MODES}")
     config = config or DEFAULT_CONFIG
     if telemetry is None:
         telemetry = Telemetry.from_config(config.telemetry)
-    machine = Machine(config.machine, cost=cost, telemetry=telemetry)
+    machine = Machine(config.machine, cost=cost, telemetry=telemetry,
+                      decode_cache=decode_cache, filter_snoops=filter_snoops)
     if telemetry.enabled:
         # Trace time is simulated time: one tick per machine step.
         telemetry.tracer.clock = lambda: machine.global_step
@@ -314,9 +321,13 @@ def verify(outcome: RunOutcome, replayed: ReplayResult) -> VerificationReport:
                          outcome.exit_codes, replayed)
 
 
-def record_and_replay(program: Program, **kwargs) -> tuple[
+def record_and_replay(program: Program, decode_cache: bool = True,
+                      **kwargs) -> tuple[
         RunOutcome, ReplayResult, VerificationReport]:
-    """Record, replay, verify — the full round trip in one call."""
-    outcome = record(program, **kwargs)
-    replayed = replay_recording(outcome.recording)
+    """Record, replay, verify — the full round trip in one call.
+    ``decode_cache`` applies to both the recording and the replay."""
+    from .replay.checkpoint import base_replayer
+    outcome = record(program, decode_cache=decode_cache, **kwargs)
+    replayed = base_replayer(outcome.recording,
+                             decode_cache=decode_cache).run()
     return outcome, replayed, verify(outcome, replayed)

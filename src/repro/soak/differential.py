@@ -32,8 +32,6 @@ from .. import session
 from ..capo.input_log import encode_events_v1
 from ..capo.recording import CHUNKS_NAME, Recording
 from ..errors import ReproError
-from ..machine import bus as _bus
-from ..machine import core as _core
 from ..mrr.logfmt import encode_chunks
 from ..workloads.fuzz import FuzzCase, build_program
 from .variants import BASELINE, Variant, matrix_variants
@@ -114,28 +112,26 @@ def run_variant(case: FuzzCase, variant: Variant, inject: str | None = None):
         ops = _injected_ops(case)
     program = build_program(ops, repeats=case.repeats)
     config = variant.apply(case.config)
-    saved = (_core.DECODE_CACHE_DEFAULT, _bus.SNOOP_FILTER_DEFAULT)
-    _core.DECODE_CACHE_DEFAULT = variant.decode_cache
-    _bus.SNOOP_FILTER_DEFAULT = variant.snoop_filter
-    try:
-        if variant.checkpoint_every:
-            # Checkpointed path: embed checkpoints post-hoc, then replay
-            # interval by interval — restoring every checkpoint and
-            # verifying every seam digest — before the usual verification.
-            from ..replay.parallel import replay_parallel
-            outcome = session.record(program, seed=case.run_seed,
-                                     policy=case.policy, config=config)
-            session.add_checkpoints(outcome.recording,
-                                    variant.checkpoint_every)
-            replayed, _report = replay_parallel(
-                recording=outcome.recording, jobs=1)
-            report = session.verify(outcome, replayed)
-        else:
-            outcome, replayed, report = session.record_and_replay(
-                program, seed=case.run_seed, policy=case.policy,
-                config=config)
-    finally:
-        _core.DECODE_CACHE_DEFAULT, _bus.SNOOP_FILTER_DEFAULT = saved
+    switches = {"decode_cache": variant.decode_cache,
+                "filter_snoops": variant.snoop_filter}
+    if variant.checkpoint_every:
+        # Checkpointed path: embed checkpoints post-hoc, then replay
+        # interval by interval — restoring every checkpoint and
+        # verifying every seam digest — before the usual verification.
+        # Checkpoint building and interval replay keep the decode cache.
+        from ..replay.parallel import replay_parallel
+        outcome = session.record(program, seed=case.run_seed,
+                                 policy=case.policy, config=config,
+                                 **switches)
+        session.add_checkpoints(outcome.recording,
+                                variant.checkpoint_every)
+        replayed, _report = replay_parallel(
+            recording=outcome.recording, jobs=1)
+        report = session.verify(outcome, replayed)
+    else:
+        outcome, replayed, report = session.record_and_replay(
+            program, seed=case.run_seed, policy=case.policy,
+            config=config, **switches)
     return outcome, replayed, report
 
 

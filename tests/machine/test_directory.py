@@ -38,7 +38,7 @@ from repro.replay.schedule import build_schedule
 
 
 def _fabric_with_caches(bus_cls, num_cores=4, sets=4, ways=1,
-                        filter_snoops=None):
+                        filter_snoops=True):
     bus = bus_cls(num_cores, filter_snoops=filter_snoops)
     caches = []
     for core_id in range(num_cores):

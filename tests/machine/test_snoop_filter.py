@@ -32,7 +32,7 @@ from repro.perf.bench import digest_of
 from repro.telemetry import Telemetry
 
 
-def _bus_with_caches(num_cores=3, sets=4, ways=1, filter_snoops=None):
+def _bus_with_caches(num_cores=3, sets=4, ways=1, filter_snoops=True):
     bus = SnoopBus(num_cores, filter_snoops=filter_snoops)
     caches = []
     for core_id in range(num_cores):
@@ -184,11 +184,11 @@ def test_presence_superset_invariant_throughout_recording(
     assert errors == []
 
 
-def test_recording_digest_identical_with_filtering_off(monkeypatch):
+def test_recording_digest_identical_with_filtering_off():
     program, inputs = workloads.build("pingpong", scale=1)
     filtered = session.record(program, seed=4, input_files=inputs)
-    monkeypatch.setattr("repro.machine.bus.SNOOP_FILTER_DEFAULT", False)
-    unfiltered = session.record(program, seed=4, input_files=inputs)
+    unfiltered = session.record(program, seed=4, input_files=inputs,
+                                filter_snoops=False)
     assert digest_of(filtered) == digest_of(unfiltered)
     assert filtered.total_cycles == unfiltered.total_cycles
     assert (len(filtered.recording.chunks)

@@ -17,13 +17,16 @@ def test_fifo_drain_order():
     assert sb.pop_oldest().value == 2
 
 
-def test_capacity_enforced():
+def test_full_at_capacity():
+    """``full`` flips at capacity; making room is the record port's job
+    (see test_machine::test_store_buffer_full_forces_oldest_drain)."""
     sb = StoreBuffer(2)
     sb.push(0, 4, 1)
+    assert not sb.full
     sb.push(4, 4, 2)
     assert sb.full
-    with pytest.raises(OverflowError):
-        sb.push(8, 4, 3)
+    sb.pop_oldest()
+    assert not sb.full
 
 
 def test_pop_empty_raises():

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro import session
 from repro.config import KernelConfig, MachineConfig, SimConfig
-from repro.machine import core
 from repro.machine.core import OUTCOME_OK
 from repro.machine.decode import block_table
 from repro.replay import replayer as replayer_module
@@ -35,17 +34,6 @@ from tests.property.test_property_decode import (
     _state,
 )
 from tests.property.test_property_roundtrip import thread_strategy
-
-
-@contextmanager
-def _interpretive():
-    """Engines built inside run without the decode cache (and blocks)."""
-    saved = core.DECODE_CACHE_DEFAULT
-    core.DECODE_CACHE_DEFAULT = False
-    try:
-        yield
-    finally:
-        core.DECODE_CACHE_DEFAULT = saved
 
 
 @contextmanager
@@ -120,15 +108,13 @@ def test_block_replay_matches_interpretive_replay_per_chunk(
         machine=MachineConfig(num_cores=2, memory_bytes=1 << 18),
         kernel=KernelConfig(quantum_instructions=quantum))
     recording = session.record(program, seed=seed, config=config).recording
-    with _interpretive():
-        slow = Replayer(recording)
+    slow = Replayer(recording, decode_cache=False)
     fast = Replayer(recording)
     assert all(ctx.blocks is None for ctx in slow.threads.values())
     with _blocks_on_every_chunk():
         while not fast.finished:
             fast.step_chunk()
-            with _interpretive():
-                slow.step_chunk()
+            slow.step_chunk()
             assert _replay_state(fast) == _replay_state(slow), \
                 f"state differs after chunk {fast.position - 1}"
     assert fast.result().digest() == slow.result().digest()

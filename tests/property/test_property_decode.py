@@ -220,13 +220,13 @@ def test_mid_rep_context_roundtrip_resumes_identically():
             == ref_port.memory.read(0, _MEMORY_BYTES))
 
 
-def test_full_session_digest_identical_without_decode_cache(monkeypatch):
+def test_full_session_digest_identical_without_decode_cache():
     """End to end: a recorded run with the interpretive debug path produces
     the same determinism digest as the compiled default."""
     program, inputs = workloads.build("counter", scale=1)
     compiled = session.record(program, seed=3, input_files=inputs)
-    monkeypatch.setattr("repro.machine.core.DECODE_CACHE_DEFAULT", False)
-    interpreted = session.record(program, seed=3, input_files=inputs)
+    interpreted = session.record(program, seed=3, input_files=inputs,
+                                 decode_cache=False)
     assert digest_of(compiled) == digest_of(interpreted)
     assert compiled.total_cycles == interpreted.total_cycles
     assert compiled.units == interpreted.units

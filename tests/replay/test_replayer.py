@@ -194,9 +194,7 @@ def _replay_both_ways(recording, monkeypatch):
     for decode_cache in (True, False):
         with monkeypatch.context() as patch:
             patch.setattr("repro.replay.replayer.BLOCK_MIN_CHUNK", 0)
-            patch.setattr("repro.machine.core.DECODE_CACHE_DEFAULT",
-                          decode_cache)
-            replayer = Replayer(recording)
+            replayer = Replayer(recording, decode_cache=decode_cache)
             try:
                 replayer.run()
             except Exception as exc:  # noqa: BLE001 - identity is the point
@@ -293,9 +291,8 @@ def test_race_report_identical_with_blocks_and_without(monkeypatch):
     for decode_cache in (True, False):
         with monkeypatch.context() as patch:
             patch.setattr("repro.replay.replayer.BLOCK_MIN_CHUNK", 0)
-            patch.setattr("repro.machine.core.DECODE_CACHE_DEFAULT",
-                          decode_cache)
-            report = detect_races(recording, max_races_per_address=10**9)
+            report = detect_races(recording, max_races_per_address=10**9,
+                                  decode_cache=decode_cache)
         reports.append((report.as_dict(), report.syscall_args))
     assert reports[0][0]["races"]
     assert reports[0] == reports[1]
