@@ -17,9 +17,11 @@ from typing import Any, Iterable
 
 from ..errors import LogFormatError
 from .instructions import Instr
-from .operands import Imm, Mem, Operand, Reg
+from .operands import VALID_SCALES, Imm, Mem, Operand, Reg
+from .registers import NUM_REGS
 
 DEFAULT_DATA_BASE = 0x1000
+_REGS = range(NUM_REGS)
 
 
 @dataclass(frozen=True)
@@ -94,10 +96,10 @@ class Program:
             return cls(
                 instructions=tuple(_instr_from_dict(d) for d in payload["instructions"]),
                 data=bytes.fromhex(payload["data_hex"]),
-                data_base=payload["data_base"],
+                data_base=_field(payload, "data_base"),
                 symbols=dict(payload["symbols"]),
                 code_symbols=dict(payload["code_symbols"]),
-                entry=payload["entry"],
+                entry=_field(payload, "entry"),
                 name=payload.get("name", "program"),
             )
         except (KeyError, ValueError, TypeError) as exc:
@@ -115,15 +117,31 @@ def _operand_to_dict(op: Operand) -> dict[str, Any]:
     raise TypeError(f"unknown operand type {type(op)!r}")
 
 
+def _field(payload: dict[str, Any], key: str, valid=None,
+           optional: bool = False):
+    """An int field of a program image, in ``valid`` if given. Operands
+    are pasted into generated code, so nothing but an int passes."""
+    value = payload[key]
+    if optional and value is None:
+        return None
+    if type(value) is not int or (valid is not None and value not in valid):
+        raise LogFormatError(f"malformed program field {key!r}: {value!r}")
+    return value
+
+
 def _operand_from_dict(payload: dict[str, Any]) -> Operand:
+    if not isinstance(payload, dict):
+        raise LogFormatError(f"malformed operand {payload!r}")
     kind = payload.get("k")
     if kind == "r":
-        return Reg(payload["n"])
+        return Reg(_field(payload, "n", _REGS))
     if kind == "i":
-        return Imm(payload["v"])
+        return Imm(_field(payload, "v"))
     if kind == "m":
-        return Mem(base=payload["b"], index=payload["x"], scale=payload["s"],
-                   disp=payload["d"], symbol=payload.get("sym"))
+        return Mem(base=_field(payload, "b", _REGS, optional=True),
+                   index=_field(payload, "x", _REGS, optional=True),
+                   scale=_field(payload, "s", VALID_SCALES),
+                   disp=_field(payload, "d"), symbol=payload.get("sym"))
     raise LogFormatError(f"unknown operand kind {kind!r}")
 
 

@@ -76,10 +76,11 @@ def _signed(value: int) -> int:
 class Engine:
     """Architectural state plus the instruction interpreter.
 
-    ``decode_cache`` runs the compiled closures of
-    :mod:`repro.machine.decode`; without it the engine interprets each
-    instruction, the debug/reference path the equivalence suites run in
-    lockstep with the compiled one.
+    ``decode_cache`` runs the unit functions that
+    :mod:`repro.machine.decode` generates from its instruction templates
+    (the same templates build replay's translation blocks); without it
+    the engine interprets each instruction, the reference path the
+    equivalence suites run in lockstep with the generated one.
     """
 
     def __init__(self, program: Program, decode_cache: bool = True):
@@ -108,15 +109,16 @@ class Engine:
 
     @property
     def decode_cache(self) -> bool:
-        """Does this engine run compiled closures (and, in replay,
-        translation blocks) rather than the interpretive handlers?"""
+        """Does this engine run generated unit functions (and, in
+        replay, translation blocks) rather than the interpretive
+        handlers?"""
         return self._decode_cache
 
     @program.setter
     def program(self, program: Program) -> None:
-        """Point the engine at ``program`` and rebind the dispatch table.
+        """Point the engine at ``program`` and rebind the unit table.
 
-        The kernel reassigns this on every task dispatch, so the compiled
+        The kernel reassigns this on every task dispatch, so the unit
         table must follow the program; :func:`decoded_program` memoizes per
         program object, making the common same-program case a dict hit.
         """
@@ -253,9 +255,11 @@ class Engine:
     def step(self, port: MemoryPort) -> str:
         """Execute one unit. Returns an OUTCOME_* constant.
 
-        Trap outcomes (syscall, nondet) leave all architectural state
-        untouched; the caller processes the trap and calls
-        :meth:`complete_trap`.
+        With the decode cache this calls the generated unit function at
+        ``pc`` (compiled on its first run); without it, the interpretive
+        handler of the instruction. Trap outcomes (syscall, nondet) leave
+        all architectural state untouched; the caller processes the trap
+        and calls :meth:`complete_trap`.
         """
         dispatch = self._dispatch
         if dispatch is not None:

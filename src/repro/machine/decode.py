@@ -1,693 +1,67 @@
-"""The decode cache: pre-resolved dispatch closures for the engine.
+"""The instruction compiler: generated unit functions and translation blocks.
 
 The interpretive path in :mod:`repro.machine.core` re-inspects ``Instr``
 metadata on every unit — isinstance checks on operands, a dict lookup on the
 mnemonic, several helper-method calls. All of that is static per
-instruction, so at :class:`~repro.isa.program.Program` load time this module
-compiles each instruction once into a *dispatch closure*: a single callable
-``fn(engine, port) -> outcome | None`` with the operand fields (register
-numbers, immediate values, effective-address shapes, branch targets) already
-extracted into its cells. ``Engine.step`` then executes one unit with one
-list index and one call.
+instruction, so this module writes Python source for it instead, from one
+set of per-mnemonic *templates* (``_TEMPLATES``), and compiles it into two
+kinds of function:
 
-Equivalence contract (pinned by ``tests/property/test_property_decode.py``):
-a compiled closure performs *bit-identical* state transitions to the
-interpretive handler for the same instruction — registers, pc, flags,
-``retired``/``cur_memops``, the load/store counters, the rolling
+- a *unit function* ``fn(engine, port) -> outcome | None`` runs one unit of
+  the instruction at its pc and updates ``pc`` and ``retired`` itself.
+  :func:`decoded_program` is the table of them, indexed by pc, that record
+  and unit-stepped replay run (``Engine.step``, the kernel's fused loop);
+- a *translation block* ``fn(engine, port) -> units`` runs a basic block
+  of units back to back. :func:`block_table` is the table of them, indexed
+  by leader, that replay runs (``Replayer._run_blocks``).
+
+Both tables are memoized per ``Program`` object (replay spawns one engine
+per thread over the same program; they share its tables), and every entry
+compiles on its first run.
+
+Equivalence contract (pinned by ``tests/property/test_property_decode.py``
+and ``tests/property/test_property_blocks.py``): generated code performs
+*bit-identical* state transitions to the interpretive handlers — registers,
+pc, flags, ``retired``/``cur_memops``, the load/store counters, the rolling
 ``load_hash``, fault messages, and trap outcomes all match, including
 mid-``rep`` save/restore resumability.
-
-Compiled programs are memoized per ``Program`` object (replay spawns one
-engine per thread over the same program; they share one compiled table).
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from typing import Callable
 
-from ..errors import IllegalInstructionError, MachineFault
+from ..errors import MachineFault
 from ..isa.instructions import Instr
-from ..isa.operands import Mem, Reg
+from ..isa.operands import Imm, Mem, Reg
 from ..isa.program import Program
 from ..isa.registers import NUM_REGS, RAX, RCX, RDI, RSI, SP
+from .core import _DISPATCH, OUTCOME_NONDET, OUTCOME_SYSCALL
 
 MASK32 = 0xFFFFFFFF
 _HASH_MASK = (1 << 64) - 1
 _FNV_PRIME = 0x100000001B3
 
-# Outcome literals (values shared with repro.machine.core, which this module
-# must not import at top level: core imports us).
-_OUTCOME_SYSCALL = "syscall"
-_OUTCOME_NONDET = "nondet"
+#: A unit function: returns None for OK or an OUTCOME_* string for a trap.
+UnitFn = Callable[[object, object], str | None]
 
-#: A compiled unit: returns None for OK or an OUTCOME_* string for a trap.
-DispatchFn = Callable[[object, object], str | None]
-
-
-def _signed(value: int) -> int:
-    return value - (1 << 32) if value & 0x80000000 else value
-
-
-# -- operand pre-extraction ---------------------------------------------------
-
-def _compile_ea(mem: Mem) -> Callable[[list[int]], int]:
-    """Close over the addressing-mode fields; identical arithmetic to
-    :meth:`repro.isa.operands.Mem.effective_address`."""
-    base, index, scale, disp = mem.base, mem.index, mem.scale, mem.disp
-    if base is None and index is None:
-        return lambda regs: disp
-    if index is None:
-        return lambda regs: (regs[base] + disp) & MASK32
-    if base is None:
-        return lambda regs: (regs[index] * scale + disp) & MASK32
-    return lambda regs: (regs[base] + regs[index] * scale + disp) & MASK32
-
-
-def _compile_val(op) -> Callable[[list[int]], int]:
-    """A reader for a 'v' operand (register or immediate)."""
-    if type(op) is Reg:
-        number = op.number
-        return lambda regs: regs[number]
-    value = op.value
-    return lambda regs: value
-
-
-# -- per-mnemonic compilers ---------------------------------------------------
-# Each mirrors the interpretive handler of the same mnemonic exactly,
-# including side-effect ordering and fault messages.
-
-def _c_mov(i: Instr) -> DispatchFn:
-    dest = i.ops[0].number
-    read = _compile_val(i.ops[1])
-
-    def fn(e, port):
-        e.regs[dest] = read(e.regs) & MASK32
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_lea(i: Instr) -> DispatchFn:
-    dest = i.ops[0].number
-    ea = _compile_ea(i.ops[1])
-
-    def fn(e, port):
-        e.regs[dest] = ea(e.regs)
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_load(i: Instr) -> DispatchFn:
-    dest = i.ops[0].number
-    ea = _compile_ea(i.ops[1])
-
-    def fn(e, port):
-        addr = ea(e.regs)
-        if addr & 3:
-            raise MachineFault(f"misaligned word load at {addr:#x}", pc=e.pc)
-        value = port.load(addr, 4)
-        e.loads += 1
-        e.load_hash = ((e.load_hash * _FNV_PRIME) + value + 1) & _HASH_MASK
-        e.regs[dest] = value & MASK32
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_loadb(i: Instr) -> DispatchFn:
-    dest = i.ops[0].number
-    ea = _compile_ea(i.ops[1])
-
-    def fn(e, port):
-        value = port.load(ea(e.regs), 1)
-        e.loads += 1
-        e.load_hash = ((e.load_hash * _FNV_PRIME) + value + 1) & _HASH_MASK
-        e.regs[dest] = value & MASK32
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_store(i: Instr) -> DispatchFn:
-    ea = _compile_ea(i.ops[0])
-    read = _compile_val(i.ops[1])
-
-    def fn(e, port):
-        addr = ea(e.regs)
-        if addr & 3:
-            raise MachineFault(f"misaligned word store at {addr:#x}", pc=e.pc)
-        port.store(addr, 4, read(e.regs) & MASK32)
-        e.stores += 1
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_storeb(i: Instr) -> DispatchFn:
-    ea = _compile_ea(i.ops[0])
-    read = _compile_val(i.ops[1])
-
-    def fn(e, port):
-        port.store(ea(e.regs), 1, read(e.regs) & 0xFF)
-        e.stores += 1
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_push(i: Instr) -> DispatchFn:
-    read = _compile_val(i.ops[0])
-
-    def fn(e, port):
-        sp = (e.regs[SP] - 4) & MASK32
-        if sp & 3:
-            raise MachineFault(f"misaligned word store at {sp:#x}", pc=e.pc)
-        port.store(sp, 4, read(e.regs) & MASK32)
-        e.stores += 1
-        e.regs[SP] = sp
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_pop(i: Instr) -> DispatchFn:
-    dest = i.ops[0].number
-
-    def fn(e, port):
-        addr = e.regs[SP]
-        if addr & 3:
-            raise MachineFault(f"misaligned word load at {addr:#x}", pc=e.pc)
-        value = port.load(addr, 4)
-        e.loads += 1
-        e.load_hash = ((e.load_hash * _FNV_PRIME) + value + 1) & _HASH_MASK
-        e.regs[SP] = (addr + 4) & MASK32
-        e.regs[dest] = value & MASK32
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _alu_compiler(compute: Callable) -> Callable[[Instr], DispatchFn]:
-    def compiler(i: Instr) -> DispatchFn:
-        dest = i.ops[0].number
-        read_a = _compile_val(i.ops[1])
-        read_b = _compile_val(i.ops[2])
-
-        def fn(e, port):
-            e.regs[dest] = compute(e, read_a(e.regs), read_b(e.regs))
-            e.pc += 1
-            e.retired += 1
-            e.cur_memops = 0
-        return fn
-    return compiler
-
-
-def _c_add(i: Instr) -> DispatchFn:
-    """add with Engine._flags_add inlined (same arithmetic, flag for flag)."""
-    dest = i.ops[0].number
-    read_a = _compile_val(i.ops[1])
-    read_b = _compile_val(i.ops[2])
-
-    def fn(e, port):
-        regs = e.regs
-        a = read_a(regs)
-        b = read_b(regs)
-        raw = a + b
-        result = raw & MASK32
-        e.zf = 1 if result == 0 else 0
-        e.sf = (result >> 31) & 1
-        e.cf = 1 if raw > MASK32 else 0
-        sa = a - 0x100000000 if a & 0x80000000 else a
-        sb = b - 0x100000000 if b & 0x80000000 else b
-        sr = result - 0x100000000 if result & 0x80000000 else result
-        e.of = 1 if sa + sb != sr else 0
-        regs[dest] = result
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_sub(i: Instr) -> DispatchFn:
-    """sub with Engine._flags_sub inlined."""
-    dest = i.ops[0].number
-    read_a = _compile_val(i.ops[1])
-    read_b = _compile_val(i.ops[2])
-
-    def fn(e, port):
-        regs = e.regs
-        a = read_a(regs)
-        b = read_b(regs)
-        result = (a - b) & MASK32
-        e.zf = 1 if result == 0 else 0
-        e.sf = (result >> 31) & 1
-        e.cf = 1 if a < b else 0
-        sa = a - 0x100000000 if a & 0x80000000 else a
-        sb = b - 0x100000000 if b & 0x80000000 else b
-        sr = result - 0x100000000 if result & 0x80000000 else result
-        e.of = 1 if sa - sb != sr else 0
-        regs[dest] = result
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _logic_alu_compiler(compute: Callable) -> Callable[[Instr], DispatchFn]:
-    """ALU ops with logic-style flags (zf/sf from result, cf=of=0):
-    Engine._flags_logic inlined into the closure."""
-    def compiler(i: Instr) -> DispatchFn:
-        dest = i.ops[0].number
-        read_a = _compile_val(i.ops[1])
-        read_b = _compile_val(i.ops[2])
-
-        def fn(e, port):
-            regs = e.regs
-            result = compute(read_a(regs), read_b(regs)) & MASK32
-            e.zf = 1 if result == 0 else 0
-            e.sf = (result >> 31) & 1
-            e.cf = 0
-            e.of = 0
-            regs[dest] = result
-            e.pc += 1
-            e.retired += 1
-            e.cur_memops = 0
-        return fn
-    return compiler
-
-
-def _k_div(e, a, b):
-    if b == 0:
-        raise MachineFault("division by zero", pc=e.pc)
-    return e._flags_logic(a // b)
-
-
-def _k_mod(e, a, b):
-    if b == 0:
-        raise MachineFault("division by zero", pc=e.pc)
-    return e._flags_logic(a % b)
-
-
-def _c_neg(i: Instr) -> DispatchFn:
-    dest = i.ops[0].number
-    src = i.ops[1].number
-
-    def fn(e, port):
-        e.regs[dest] = e._flags_sub(0, e.regs[src])
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_not(i: Instr) -> DispatchFn:
-    dest = i.ops[0].number
-    src = i.ops[1].number
-
-    def fn(e, port):
-        e.regs[dest] = e._flags_logic(~e.regs[src])
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_cmp(i: Instr) -> DispatchFn:
-    src = i.ops[0].number
-    read = _compile_val(i.ops[1])
-
-    def fn(e, port):
-        regs = e.regs
-        a = regs[src]
-        b = read(regs)
-        result = (a - b) & MASK32
-        e.zf = 1 if result == 0 else 0
-        e.sf = (result >> 31) & 1
-        e.cf = 1 if a < b else 0
-        sa = a - 0x100000000 if a & 0x80000000 else a
-        sb = b - 0x100000000 if b & 0x80000000 else b
-        sr = result - 0x100000000 if result & 0x80000000 else result
-        e.of = 1 if sa - sb != sr else 0
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_test(i: Instr) -> DispatchFn:
-    src = i.ops[0].number
-    read = _compile_val(i.ops[1])
-
-    def fn(e, port):
-        regs = e.regs
-        result = regs[src] & read(regs)
-        e.zf = 1 if result == 0 else 0
-        e.sf = (result >> 31) & 1
-        e.cf = 0
-        e.of = 0
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_jmp(i: Instr) -> DispatchFn:
-    target = i.ops[0].value
-
-    def fn(e, port):
-        e.pc = target
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _branch_compiler(pred: Callable) -> Callable[[Instr], DispatchFn]:
-    def compiler(i: Instr) -> DispatchFn:
-        target = i.ops[0].value
-
-        def fn(e, port):
-            if pred(e):
-                e.pc = target
-            else:
-                e.pc += 1
-            e.retired += 1
-            e.cur_memops = 0
-        return fn
-    return compiler
-
-
-def _c_call(i: Instr) -> DispatchFn:
-    target = i.ops[0].value
-
-    def fn(e, port):
-        sp = (e.regs[SP] - 4) & MASK32
-        if sp & 3:
-            raise MachineFault(f"misaligned word store at {sp:#x}", pc=e.pc)
-        port.store(sp, 4, (e.pc + 1) & MASK32)
-        e.stores += 1
-        e.regs[SP] = sp
-        e.pc = target
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_ret(i: Instr) -> DispatchFn:
-    def fn(e, port):
-        addr = e.regs[SP]
-        if addr & 3:
-            raise MachineFault(f"misaligned word load at {addr:#x}", pc=e.pc)
-        target = port.load(addr, 4)
-        e.loads += 1
-        e.load_hash = ((e.load_hash * _FNV_PRIME) + target + 1) & _HASH_MASK
-        e.regs[SP] = (addr + 4) & MASK32
-        e.pc = target
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_xadd(i: Instr) -> DispatchFn:
-    ea = _compile_ea(i.ops[0])
-    reg = i.ops[1].number
-
-    def fn(e, port):
-        addr = ea(e.regs)
-        if addr & 3:
-            raise MachineFault(f"misaligned xadd at {addr:#x}", pc=e.pc)
-        port.fence()
-        old = port.atomic_load(addr, 4)
-        e.loads += 1
-        e.load_hash = ((e.load_hash * _FNV_PRIME) + old + 1) & _HASH_MASK
-        b = e.regs[reg]
-        raw = old + b
-        result = raw & MASK32
-        e.zf = 1 if result == 0 else 0
-        e.sf = (result >> 31) & 1
-        e.cf = 1 if raw > MASK32 else 0
-        sa = old - 0x100000000 if old & 0x80000000 else old
-        sb = b - 0x100000000 if b & 0x80000000 else b
-        sr = result - 0x100000000 if result & 0x80000000 else result
-        e.of = 1 if sa + sb != sr else 0
-        port.atomic_store(addr, 4, result)
-        e.stores += 1
-        e.regs[reg] = old & MASK32
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_xchg(i: Instr) -> DispatchFn:
-    ea = _compile_ea(i.ops[0])
-    reg = i.ops[1].number
-
-    def fn(e, port):
-        addr = ea(e.regs)
-        if addr & 3:
-            raise MachineFault(f"misaligned xchg at {addr:#x}", pc=e.pc)
-        port.fence()
-        old = port.atomic_load(addr, 4)
-        e.loads += 1
-        e.load_hash = ((e.load_hash * _FNV_PRIME) + old + 1) & _HASH_MASK
-        port.atomic_store(addr, 4, e.regs[reg])
-        e.stores += 1
-        e.regs[reg] = old & MASK32
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_cmpxchg(i: Instr) -> DispatchFn:
-    ea = _compile_ea(i.ops[0])
-    reg = i.ops[1].number
-
-    def fn(e, port):
-        addr = ea(e.regs)
-        if addr & 3:
-            raise MachineFault(f"misaligned cmpxchg at {addr:#x}", pc=e.pc)
-        port.fence()
-        old = port.atomic_load(addr, 4)
-        e.loads += 1
-        e.load_hash = ((e.load_hash * _FNV_PRIME) + old + 1) & _HASH_MASK
-        if old == e.regs[RAX]:
-            port.atomic_store(addr, 4, e.regs[reg])
-            e.stores += 1
-            e.zf = 1
-        else:
-            e.regs[RAX] = old
-            e.zf = 0
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_mfence(i: Instr) -> DispatchFn:
-    def fn(e, port):
-        port.fence()
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_nop(i: Instr) -> DispatchFn:
-    def fn(e, port):
-        e.pc += 1
-        e.retired += 1
-        e.cur_memops = 0
-    return fn
-
-
-def _c_rep_movs(i: Instr) -> DispatchFn:
-    def fn(e, port):
-        regs = e.regs
-        if regs[RCX] == 0:
-            e.pc += 1
-            e.retired += 1
-            e.cur_memops = 0
-            return
-        src = regs[RSI]
-        if src & 3:
-            raise MachineFault(f"misaligned word load at {src:#x}", pc=e.pc)
-        value = port.load(src, 4)
-        e.loads += 1
-        e.load_hash = ((e.load_hash * _FNV_PRIME) + value + 1) & _HASH_MASK
-        dst = regs[RDI]
-        if dst & 3:
-            raise MachineFault(f"misaligned word store at {dst:#x}", pc=e.pc)
-        port.store(dst, 4, value & MASK32)
-        e.stores += 1
-        regs[RSI] = (src + 4) & MASK32
-        regs[RDI] = (dst + 4) & MASK32
-        regs[RCX] = (regs[RCX] - 1) & MASK32
-        e.cur_memops += 2
-        if regs[RCX] == 0:
-            e.pc += 1
-            e.retired += 1
-            e.cur_memops = 0
-    return fn
-
-
-def _c_rep_stos(i: Instr) -> DispatchFn:
-    def fn(e, port):
-        regs = e.regs
-        if regs[RCX] == 0:
-            e.pc += 1
-            e.retired += 1
-            e.cur_memops = 0
-            return
-        dst = regs[RDI]
-        if dst & 3:
-            raise MachineFault(f"misaligned word store at {dst:#x}", pc=e.pc)
-        port.store(dst, 4, regs[RAX] & MASK32)
-        e.stores += 1
-        regs[RDI] = (dst + 4) & MASK32
-        regs[RCX] = (regs[RCX] - 1) & MASK32
-        e.cur_memops += 1
-        if regs[RCX] == 0:
-            e.pc += 1
-            e.retired += 1
-            e.cur_memops = 0
-    return fn
-
-
-def _c_syscall(i: Instr) -> DispatchFn:
-    def fn(e, port):
-        return _OUTCOME_SYSCALL
-    return fn
-
-
-def _c_nondet(i: Instr) -> DispatchFn:
-    def fn(e, port):
-        return _OUTCOME_NONDET
-    return fn
-
-
-def _c_fallback(i: Instr) -> DispatchFn:
-    """Uncompiled mnemonic: defer to the interpretive handler (safety net
-    for mnemonics added to core without a fast compiler)."""
-    def fn(e, port):
-        from .core import _DISPATCH
-        handler = _DISPATCH.get(i.mnemonic)
-        if handler is None:
-            raise IllegalInstructionError(f"no handler for {i.mnemonic}",
-                                          pc=e.pc)
-        return handler(e, port, i)
-    return fn
-
-
-_COMPILERS: dict[str, Callable[[Instr], DispatchFn]] = {
-    "mov": _c_mov,
-    "lea": _c_lea,
-    "load": _c_load,
-    "loadb": _c_loadb,
-    "store": _c_store,
-    "storeb": _c_storeb,
-    "push": _c_push,
-    "pop": _c_pop,
-    "add": _c_add,
-    "sub": _c_sub,
-    "and": _logic_alu_compiler(lambda a, b: a & b),
-    "or": _logic_alu_compiler(lambda a, b: a | b),
-    "xor": _logic_alu_compiler(lambda a, b: a ^ b),
-    "shl": _logic_alu_compiler(lambda a, b: a << (b & 31)),
-    "shr": _logic_alu_compiler(lambda a, b: a >> (b & 31)),
-    "sar": _logic_alu_compiler(lambda a, b: _signed(a) >> (b & 31)),
-    "mul": _logic_alu_compiler(lambda a, b: a * b),
-    "div": _alu_compiler(_k_div),
-    "mod": _alu_compiler(_k_mod),
-    "neg": _c_neg,
-    "not": _c_not,
-    "cmp": _c_cmp,
-    "test": _c_test,
-    "jmp": _c_jmp,
-    "je": _branch_compiler(lambda e: e.zf == 1),
-    "jne": _branch_compiler(lambda e: e.zf == 0),
-    "jl": _branch_compiler(lambda e: e.sf != e.of),
-    "jge": _branch_compiler(lambda e: e.sf == e.of),
-    "jle": _branch_compiler(lambda e: e.zf == 1 or e.sf != e.of),
-    "jg": _branch_compiler(lambda e: e.zf == 0 and e.sf == e.of),
-    "jb": _branch_compiler(lambda e: e.cf == 1),
-    "jae": _branch_compiler(lambda e: e.cf == 0),
-    "jbe": _branch_compiler(lambda e: e.cf == 1 or e.zf == 1),
-    "ja": _branch_compiler(lambda e: e.cf == 0 and e.zf == 0),
-    "js": _branch_compiler(lambda e: e.sf == 1),
-    "jns": _branch_compiler(lambda e: e.sf == 0),
-    "call": _c_call,
-    "ret": _c_ret,
-    "xadd": _c_xadd,
-    "xchg": _c_xchg,
-    "cmpxchg": _c_cmpxchg,
-    "mfence": _c_mfence,
-    "pause": _c_nop,
-    "nop": _c_nop,
-    "rep_movs": _c_rep_movs,
-    "rep_stos": _c_rep_stos,
-    "rdtsc": _c_nondet,
-    "rdrand": _c_nondet,
-    "cpuid": _c_nondet,
-    "syscall": _c_syscall,
-}
-
-
-def compile_instr(instr: Instr) -> DispatchFn:
-    """Compile one instruction into its dispatch closure."""
-    compiler = _COMPILERS.get(instr.mnemonic, _c_fallback)
-    return compiler(instr)
-
-
-# -- per-program memoization --------------------------------------------------
-
-_COMPILED: dict[int, list[DispatchFn]] = {}
-
-
-def decoded_program(program: Program) -> list[DispatchFn]:
-    """The compiled dispatch table for ``program``, built once per program
-    object (keyed by identity; evicted when the program is collected)."""
-    key = id(program)
-    table = _COMPILED.get(key)
-    if table is None:
-        table = [compile_instr(instr) for instr in program.instructions]
-        _COMPILED[key] = table
-        weakref.finalize(program, _COMPILED.pop, key, None)
-    return table
-
-
-
-# -- translation blocks -------------------------------------------------------
-# A translation block is a basic block compiled into one generated Python
-# function ``fn(engine, port) -> units``: a straight run of units that ends
-# at ``jmp``, a conditional jump, ``call`` or ``ret``, and stops before any
-# mnemonic without a template below (``rep_*``, atomics, fences, traps,
-# ``div``/``mod``). The function runs the units back to back, with no
-# per-unit dispatch, and leaves exactly the state that stepping them would.
-# Only replay runs blocks: a replayed chunk has its thread to itself, so
-# nothing interleaves inside a block (see ``Replayer._run_blocks``).
-#
+# -- code generation ----------------------------------------------------------
 # Registers stay in ``regs[...]``; flags, ``load_hash`` and the load/store
-# counters live in locals and are committed when the block exits, also when
-# a memory access raises. Only memory instructions can raise in a block,
-# and each sets ``engine.pc`` to its own pc before touching the port, so
-# the fault (and a port that reads ``engine.pc``) sees the faulting pc and
-# the units retired before it are ``engine.pc - leader``. The flag
-# arithmetic relies on every register holding a 32-bit unsigned value,
-# which every writer of ``regs`` guarantees by masking.
+# counters live in locals and are committed when the function exits, also
+# when a memory access raises. Inside a block only memory instructions can
+# raise, and each sets ``engine.pc`` to its own pc before touching the port,
+# so the fault (and a port that reads ``engine.pc``) sees the faulting pc
+# and the units retired before it are ``engine.pc - leader``. A unit
+# function starts with ``engine.pc`` at its own pc and needs neither.
+# Neither kind writes ``cur_memops``: it is nonzero only while the engine
+# is parked mid-``rep_*`` (delivering a signal clears it), and only the
+# ``rep_*`` templates touch it. The flag arithmetic relies on every register
+# holding a 32-bit unsigned value, which every writer of ``regs`` guarantees
+# by masking.
 
-#: Condition of each conditional jump over the flag locals (the predicates
-#: of the closures above).
+#: Condition of each conditional jump over the flag locals.
 _JCC = {
     "je": ("zf == 1", ("zf",)),
     "jne": ("zf == 0", ("zf",)),
@@ -706,6 +80,13 @@ _JCC = {
 #: Mnemonics that end a block; the block includes them as its last unit.
 _BLOCK_ENDS = frozenset({"jmp", "call", "ret", *_JCC})
 
+#: Mnemonics compiled only as unit functions. A block stops before them:
+#: they raise without a memory access (``div``/``mod``), lock the bus
+#: (atomics, fences), retire in several units (``rep_*``) or trap.
+_UNIT_ONLY = frozenset({"div", "mod", "xadd", "xchg", "cmpxchg", "mfence",
+                        "rep_movs", "rep_stos", "syscall", "rdtsc", "rdrand",
+                        "cpuid"})
+
 _M = str(MASK32)
 _FLAGS = ("zf", "sf", "cf", "of")
 
@@ -716,7 +97,7 @@ def _val(op) -> str:
 
 
 def _ea(mem: Mem) -> str:
-    """Source text of :func:`_compile_ea`'s arithmetic."""
+    """Source text of :meth:`~repro.isa.operands.Mem.effective_address`."""
     base, index, scale, disp = mem.base, mem.index, mem.scale, mem.disp
     if base is None and index is None:
         return str(disp)
@@ -734,14 +115,18 @@ def _aligned(mem: Mem) -> bool:
             and mem.disp % 4 == 0)
 
 
-class _BlockWriter:
-    """The body of one block function, and which state it touches."""
+class _Writer:
+    """The body of one generated function, and which state it touches."""
 
-    def __init__(self):
+    def __init__(self, unit: bool):
+        self.unit = unit
         self.lines: list[str] = []
         self.loads = False
         self.stores = False
+        # The template set pc and retired itself (rep_*, traps).
+        self.retires = False
         self.flags_written: set[str] = set()
+        self._indent = ""
         self._assigned: set[str] = set()
         self._read_first: set[str] = set()
         # Flags still unassigned at each point that can raise: the exit
@@ -749,10 +134,20 @@ class _BlockWriter:
         self._unassigned_at_raise: set[str] = set()
 
     def emit(self, line: str) -> None:
-        self.lines.append(line)
+        self.lines.append(self._indent + line)
+
+    def branch(self, condition: str | None, body: Callable[[], None]) -> None:
+        """Emit ``if condition:`` (``else:`` when None) with ``body``."""
+        self.emit(f"if {condition}:" if condition is not None else "else:")
+        self._indent += "    "
+        body()
+        self._indent = self._indent[:-4]
 
     def flags_loaded(self) -> set[str]:
-        """Flags the function reads from the engine on entry."""
+        """Flags the function reads from the engine on entry. (Only a
+        function that touches memory commits on a raise.)"""
+        if not (self.loads or self.stores):
+            return self._read_first
         return self._read_first | (self.flags_written
                                    & self._unassigned_at_raise)
 
@@ -769,30 +164,50 @@ class _BlockWriter:
         """Engine._flags_logic over the local ``r``."""
         self.set_flags("0 if r else 1", "r >> 31", "0", "0")
 
-    def access(self, pc: int, addr: str, kind: str | None) -> None:
-        """Start the memory access of the unit at ``pc``: publish the pc,
-        then fault unless ``addr`` is word aligned (``kind`` None: no
-        alignment rule, or statically aligned)."""
+    def may_raise(self, pc: int) -> None:
+        """The unit at ``pc`` can raise from here: inside a block, publish
+        its pc first."""
         self._unassigned_at_raise.update(set(_FLAGS) - self._assigned)
-        self.emit(f"e.pc = {pc}")
-        if kind is not None:
-            self.emit(f"if {addr} & 3:")
-            self.emit(f"    raise MachineFault(f\"misaligned word {kind} at "
-                      f"{{{addr}:#x}}\", pc={pc})")
+        if not self.unit:
+            self.emit(f"e.pc = {pc}")
 
-    def load(self, dest: str, addr: str, size: int) -> None:
+    def fault_if(self, pc: int, condition: str, message: str) -> None:
+        """Raise ``MachineFault(message)`` at ``pc`` when ``condition``
+        holds (``message`` is source text; call :meth:`may_raise` first)."""
+        self.branch(condition,
+                    lambda: self.emit(f"raise MachineFault({message}, "
+                                      f"pc={pc})"))
+
+    def access(self, pc: int, addr: str, kind: str | None) -> None:
+        """Start the memory access of the unit at ``pc``: fault unless
+        ``addr`` is word aligned (``kind`` None: no alignment rule, or
+        statically aligned; else the access named in the fault)."""
+        self.may_raise(pc)
+        if kind is not None:
+            self.fault_if(pc, f"{addr} & 3",
+                          f'f"misaligned {kind} at {{{addr}:#x}}"')
+
+    def load(self, dest: str, addr: str, size: int,
+             op: str = "load") -> None:
         self.loads = True
-        self.emit(f"{dest} = port.load({addr}, {size})")
+        self.emit(f"{dest} = port.{op}({addr}, {size})")
         self.emit("ld += 1")
         self.emit(f"h = ((h * {_FNV_PRIME}) + {dest} + 1) & {_HASH_MASK}")
 
-    def store(self, addr: str, size: int, value: str) -> None:
+    def store(self, addr: str, size: int, value: str,
+              op: str = "store") -> None:
         self.stores = True
-        self.emit(f"port.store({addr}, {size}, {value})")
+        self.emit(f"port.{op}({addr}, {size}, {value})")
         self.emit("st += 1")
 
+    def locked_load(self, dest: str, addr: str) -> None:
+        """The read half of an atomic: drain the store buffer, then load
+        under the bus lock."""
+        self.emit("port.fence()")
+        self.load(dest, addr, 4, op="atomic_load")
 
-def _mem_addr(w: _BlockWriter, mem: Mem) -> str:
+
+def _mem_addr(w: _Writer, mem: Mem) -> str:
     """Bind the effective address of ``mem``; returns the name to use."""
     text = _ea(mem)
     if text.isdigit():
@@ -812,7 +227,7 @@ def _t_lea(w, i, pc):
 def _t_load(w, i, pc):
     mem = i.ops[1]
     addr = _mem_addr(w, mem)
-    w.access(pc, addr, None if _aligned(mem) else "load")
+    w.access(pc, addr, None if _aligned(mem) else "word load")
     w.load("v", addr, 4)
     w.emit(f"regs[{i.ops[0].number}] = v & {_M}")
 
@@ -827,7 +242,7 @@ def _t_loadb(w, i, pc):
 def _t_store(w, i, pc):
     mem = i.ops[0]
     addr = _mem_addr(w, mem)
-    w.access(pc, addr, None if _aligned(mem) else "store")
+    w.access(pc, addr, None if _aligned(mem) else "word store")
     w.store(addr, 4, _val(i.ops[1]))
 
 
@@ -839,41 +254,57 @@ def _t_storeb(w, i, pc):
 
 def _t_push(w, i, pc):
     w.emit(f"sp = (regs[{SP}] - 4) & {_M}")
-    w.access(pc, "sp", "store")
+    w.access(pc, "sp", "word store")
     w.store("sp", 4, _val(i.ops[0]))
     w.emit(f"regs[{SP}] = sp")
 
 
 def _t_pop(w, i, pc):
     w.emit(f"addr = regs[{SP}]")
-    w.access(pc, "addr", "load")
+    w.access(pc, "addr", "word load")
     w.load("v", "addr", 4)
     w.emit(f"regs[{SP}] = (addr + 4) & {_M}")
     w.emit(f"regs[{i.ops[0].number}] = v & {_M}")
 
 
-def _t_add(w, i, pc):
-    w.emit(f"a = {_val(i.ops[1])}")
-    w.emit(f"b = {_val(i.ops[2])}")
+def _add_flags(w: _Writer) -> None:
+    """Engine._flags_add over the locals ``a``, ``b``; result in ``r``."""
     w.emit("raw = a + b")
     w.emit(f"r = raw & {_M}")
     w.set_flags("0 if r else 1", "r >> 31", "raw >> 32",
                 "((a ^ r) & (b ^ r)) >> 31")
-    w.emit(f"regs[{i.ops[0].number}] = r")
 
 
-def _sub_flags(w: _BlockWriter) -> None:
+def _sub_flags(w: _Writer) -> None:
     """Engine._flags_sub over the locals ``a``, ``b``; result in ``r``."""
     w.emit(f"r = (a - b) & {_M}")
     w.set_flags("0 if r else 1", "r >> 31", "1 if a < b else 0",
                 "((a ^ b) & (a ^ r)) >> 31")
 
 
-def _t_sub(w, i, pc):
-    w.emit(f"a = {_val(i.ops[1])}")
-    w.emit(f"b = {_val(i.ops[2])}")
-    _sub_flags(w)
-    w.emit(f"regs[{i.ops[0].number}] = r")
+def _alu_template(flags: Callable[[_Writer], None]):
+    """A three-operand ALU op: ``flags`` computes ``r`` from locals a, b."""
+    def template(w, i, pc):
+        w.emit(f"a = {_val(i.ops[1])}")
+        w.emit(f"b = {_val(i.ops[2])}")
+        flags(w)
+        w.emit(f"regs[{i.ops[0].number}] = r")
+    return template
+
+
+def _logic_template(expr: str, divide: bool = False):
+    """A logic-flag ALU op whose result is ``expr`` over locals a, b
+    (``divide``: fault first on a zero divisor)."""
+    def template(w, i, pc):
+        w.emit(f"a = {_val(i.ops[1])}")
+        w.emit(f"b = {_val(i.ops[2])}")
+        if divide:
+            w.may_raise(pc)
+            w.fault_if(pc, "b == 0", '"division by zero"')
+        w.emit(f"r = {expr}")
+        w.logic_flags()
+        w.emit(f"regs[{i.ops[0].number}] = r")
+    return template
 
 
 def _t_cmp(w, i, pc):
@@ -901,17 +332,6 @@ def _t_test(w, i, pc):
     w.logic_flags()
 
 
-def _logic_template(expr: str):
-    """A logic-flag ALU op whose result is ``expr`` over locals a, b."""
-    def template(w, i, pc):
-        w.emit(f"a = {_val(i.ops[1])}")
-        w.emit(f"b = {_val(i.ops[2])}")
-        w.emit(f"r = {expr}")
-        w.logic_flags()
-        w.emit(f"regs[{i.ops[0].number}] = r")
-    return template
-
-
 def _t_nop(w, i, pc):
     pass
 
@@ -931,7 +351,7 @@ def _jcc_template(mnemonic: str):
 
 def _t_call(w, i, pc):
     w.emit(f"sp = (regs[{SP}] - 4) & {_M}")
-    w.access(pc, "sp", "store")
+    w.access(pc, "sp", "word store")
     w.store("sp", 4, str((pc + 1) & MASK32))
     w.emit(f"regs[{SP}] = sp")
     w.emit(f"e.pc = {i.ops[0].value}")
@@ -939,10 +359,90 @@ def _t_call(w, i, pc):
 
 def _t_ret(w, i, pc):
     w.emit(f"addr = regs[{SP}]")
-    w.access(pc, "addr", "load")
+    w.access(pc, "addr", "word load")
     w.load("t", "addr", 4)
     w.emit(f"regs[{SP}] = (addr + 4) & {_M}")
     w.emit("e.pc = t")
+
+
+def _t_xadd(w, i, pc):
+    addr = _mem_addr(w, i.ops[0])
+    w.access(pc, addr, "xadd")
+    w.locked_load("a", addr)
+    w.emit(f"b = regs[{i.ops[1].number}]")
+    _add_flags(w)
+    w.store(addr, 4, "r", op="atomic_store")
+    w.emit(f"regs[{i.ops[1].number}] = a & {_M}")
+
+
+def _t_xchg(w, i, pc):
+    addr = _mem_addr(w, i.ops[0])
+    w.access(pc, addr, "xchg")
+    w.locked_load("a", addr)
+    w.store(addr, 4, f"regs[{i.ops[1].number}]", op="atomic_store")
+    w.emit(f"regs[{i.ops[1].number}] = a & {_M}")
+
+
+def _t_cmpxchg(w, i, pc):
+    addr = _mem_addr(w, i.ops[0])
+    w.access(pc, addr, "cmpxchg")
+    w.locked_load("a", addr)
+
+    def swap():
+        w.store(addr, 4, f"regs[{i.ops[1].number}]", op="atomic_store")
+        w.emit("zf = 1")
+
+    def keep():
+        w.emit(f"regs[{RAX}] = a")
+        w.emit("zf = 0")
+    w.branch(f"a == regs[{RAX}]", swap)
+    w.branch(None, keep)
+    w.flags_written.add("zf")
+
+
+def _t_mfence(w, i, pc):
+    w.may_raise(pc)
+    w.emit("port.fence()")
+
+
+def _rep_template(move: bool):
+    """One iteration of ``rep_movs`` (``move``) or ``rep_stos``: the pc
+    stays put and ``cur_memops`` counts the iteration's memory operations
+    until ``rcx`` reaches zero and the instruction retires."""
+    def template(w, i, pc):
+        def iterate():
+            if move:
+                w.emit(f"src = regs[{RSI}]")
+                w.access(pc, "src", "word load")
+                w.load("v", "src", 4)
+            w.emit(f"dst = regs[{RDI}]")
+            w.access(pc, "dst", "word store")
+            w.store("dst", 4, f"v & {_M}" if move else f"regs[{RAX}]")
+            if move:
+                w.emit(f"regs[{RSI}] = (src + 4) & {_M}")
+            w.emit(f"regs[{RDI}] = (dst + 4) & {_M}")
+            w.emit("c -= 1")
+            w.emit(f"regs[{RCX}] = c")
+
+        def retire():
+            w.emit(f"e.pc = {pc + 1}")
+            w.emit("e.retired += 1")
+            w.emit("e.cur_memops = 0")
+        w.retires = True
+        w.emit(f"c = regs[{RCX}]")
+        w.branch("c", iterate)
+        w.branch("c", lambda: w.emit(f"e.cur_memops += {2 if move else 1}"))
+        w.branch(None, retire)
+    return template
+
+
+def _trap_template(outcome: str):
+    """A trap: return ``outcome`` with all state untouched; the kernel or
+    replayer supplies the result through ``Engine.complete_trap``."""
+    def template(w, i, pc):
+        w.retires = True
+        w.emit(f"return {outcome!r}")
+    return template
 
 
 _TEMPLATES: dict[str, Callable] = {
@@ -954,8 +454,8 @@ _TEMPLATES: dict[str, Callable] = {
     "storeb": _t_storeb,
     "push": _t_push,
     "pop": _t_pop,
-    "add": _t_add,
-    "sub": _t_sub,
+    "add": _alu_template(_add_flags),
+    "sub": _alu_template(_sub_flags),
     "and": _logic_template("a & b"),
     "or": _logic_template("a | b"),
     "xor": _logic_template("a ^ b"),
@@ -964,6 +464,8 @@ _TEMPLATES: dict[str, Callable] = {
     "sar": _logic_template(
         f"((a - 4294967296 if a & 2147483648 else a) >> (b & 31)) & {_M}"),
     "mul": _logic_template(f"(a * b) & {_M}"),
+    "div": _logic_template("a // b", divide=True),
+    "mod": _logic_template("a % b", divide=True),
     "neg": _t_neg,
     "not": _t_not,
     "cmp": _t_cmp,
@@ -974,6 +476,16 @@ _TEMPLATES: dict[str, Callable] = {
     **{mnemonic: _jcc_template(mnemonic) for mnemonic in _JCC},
     "call": _t_call,
     "ret": _t_ret,
+    "xadd": _t_xadd,
+    "xchg": _t_xchg,
+    "cmpxchg": _t_cmpxchg,
+    "mfence": _t_mfence,
+    "rep_movs": _rep_template(move=True),
+    "rep_stos": _rep_template(move=False),
+    "syscall": _trap_template(OUTCOME_SYSCALL),
+    "rdtsc": _trap_template(OUTCOME_NONDET),
+    "rdrand": _trap_template(OUTCOME_NONDET),
+    "cpuid": _trap_template(OUTCOME_NONDET),
 }
 
 
@@ -981,21 +493,159 @@ def _is_reg(number) -> bool:
     return type(number) is int and 0 <= number < NUM_REGS
 
 
-def _in_block(instr: Instr) -> bool:
-    """Can ``instr`` run inside a block? Its mnemonic needs a template, and
-    every register number must be a valid int: operands come from the
-    bundle's program image and are pasted into generated source, so
-    anything else steps through the closures instead."""
-    if instr.mnemonic not in _TEMPLATES:
-        return False
+def _compilable(instr: Instr) -> bool:
+    """May ``instr``'s operands be pasted into generated source? They come
+    from the bundle's program image: every register number must be a
+    valid int, and every immediate, displacement and scale an int.
+    Anything else runs its interpretive handler instead."""
     for op in instr.ops:
-        if type(op) is Reg and not _is_reg(op.number):
-            return False
-        if type(op) is Mem and not all(
-                reg is None or _is_reg(reg) for reg in (op.base, op.index)):
+        kind = type(op)
+        if kind is Reg:
+            ok = _is_reg(op.number)
+        elif kind is Imm:
+            ok = type(op.value) is int
+        elif kind is Mem:
+            ok = (all(reg is None or _is_reg(reg)
+                      for reg in (op.base, op.index))
+                  and type(op.scale) is int and type(op.disp) is int)
+        else:
+            ok = False
+        if not ok:
             return False
     return True
 
+
+def _in_block(instr: Instr) -> bool:
+    """Can ``instr`` run inside a block?"""
+    return instr.mnemonic not in _UNIT_ONLY and _compilable(instr)
+
+
+def _source(instructions, leader: int, units: int, unit: bool) -> str:
+    w = _Writer(unit)
+    for pc in range(leader, leader + units):
+        instr = instructions[pc]
+        _TEMPLATES[instr.mnemonic](w, instr, pc)
+    end = leader + units
+    if not w.retires and instructions[end - 1].mnemonic not in _BLOCK_ENDS:
+        w.emit(f"e.pc = {end}")
+    loaded = w.flags_loaded()
+    prologue = ["regs = e.regs"] if any("regs[" in line
+                                        for line in w.lines) else []
+    prologue += [f"{flag} = e.{flag}" for flag in _FLAGS if flag in loaded]
+    commit = [f"e.{flag} = {flag}" for flag in _FLAGS
+              if flag in w.flags_written]
+    if w.loads:
+        prologue += ["h = e.load_hash", "ld = e.loads"]
+        commit += ["e.load_hash = h", "e.loads = ld"]
+    if w.stores:
+        prologue.append("st = e.stores")
+        commit.append("e.stores = st")
+    body = [f"def {'unit' if unit else 'block'}_{leader}(e, port):"]
+    body += ["    " + line for line in prologue]
+    if w.loads or w.stores:
+        body.append("    try:")
+        body += ["        " + line for line in w.lines]
+        if not unit:
+            body += ["    except BaseException:",
+                     f"        e.retired += e.pc - {leader}",
+                     "        raise"]
+        body.append("    finally:")
+        body += ["        " + line for line in commit]
+    else:
+        body += ["    " + line for line in w.lines + commit]
+    if not w.retires:
+        body.append(f"    e.retired += {units}")
+    if not unit:
+        body.append(f"    return {units}")
+    return "\n".join(body) + "\n"
+
+
+def unit_source(instructions, pc: int) -> str:
+    """Python source of the unit function for the instruction at ``pc``."""
+    return _source(instructions, pc, 1, unit=True)
+
+
+def block_source(instructions, leader: int, units: int) -> str:
+    """Python source of the block function for ``units`` units at
+    ``leader``."""
+    return _source(instructions, leader, units, unit=False)
+
+
+@functools.lru_cache(maxsize=1024)
+def _exec(source: str, filename: str, name: str) -> Callable:
+    """Define the function ``name`` of ``source``. Memoized across
+    programs: a generated function reads only its arguments and
+    ``MachineFault``, and every loaded bundle is a new ``Program`` object
+    with the same code."""
+    namespace = {"MachineFault": MachineFault}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
+
+
+def _compile_unit(instructions, pc: int, name: str) -> UnitFn:
+    """The unit function of the instruction at ``pc``: generated code, or
+    its interpretive handler when its operands are not compilable."""
+    instr = instructions[pc]
+    if not _compilable(instr):
+        handler = _DISPATCH[instr.mnemonic]
+
+        def interpret(e, port):
+            return handler(e, port, instr)
+        return interpret
+    return _exec(unit_source(instructions, pc), f"<unit {name}@{pc}>",
+                 f"unit_{pc}")
+
+
+def _compile_on_entry(table: list, instructions, pc: int, units: int | None,
+                      name: str) -> Callable:
+    """A stand-in that compiles the unit (``units`` None) or block at
+    ``pc`` on its first run, replaces its own table entry with the
+    compiled function, and runs it."""
+    def first_entry(e, port):
+        if units is None:
+            fn = table[pc] = _compile_unit(instructions, pc, name)
+        else:
+            fn = _exec(block_source(instructions, pc, units),
+                       f"<block {name}@{pc}>", f"block_{pc}")
+            table[pc] = (units, fn)
+        return fn(e, port)
+    return first_entry
+
+
+def _per_program(build):
+    """Memoize ``build(program)`` per program object (keyed by identity;
+    evicted when the program is collected)."""
+    memo: dict[int, list] = {}
+
+    @functools.wraps(build)
+    def table(program: Program) -> list:
+        key = id(program)
+        entries = memo.get(key)
+        if entries is None:
+            entries = memo[key] = build(program)
+            weakref.finalize(program, memo.pop, key, None)
+        return entries
+    return table
+
+
+@_per_program
+def decoded_program(program: Program) -> list[UnitFn]:
+    """The unit-function table of ``program``, indexed by pc. Every entry
+    compiles on its first run."""
+    instructions = program.instructions
+    table: list = [None] * len(instructions)
+    for pc in range(len(instructions)):
+        table[pc] = _compile_on_entry(table, instructions, pc, None,
+                                      program.name)
+    return table
+
+
+# -- translation blocks -------------------------------------------------------
+# A translation block is a straight run of units that ends at ``jmp``, a
+# conditional jump, ``call`` or ``ret``, and stops before any unit-only
+# mnemonic and any instruction whose operands are not compilable. Only
+# replay runs blocks: a replayed chunk has its thread to itself, so nothing
+# interleaves inside a block (see ``Replayer._run_blocks``).
 
 def _block_units(instructions, leader: int) -> int:
     """Units in the block at ``leader`` (0: its first unit cannot run in
@@ -1028,86 +678,20 @@ def _block_leaders(program: Program) -> list[int]:
     return sorted(pc for pc in leaders if 0 <= pc < len(instructions))
 
 
-def block_source(instructions, leader: int, units: int) -> str:
-    """Python source of the block function for ``units`` units at
-    ``leader``."""
-    w = _BlockWriter()
-    for pc in range(leader, leader + units):
-        instr = instructions[pc]
-        _TEMPLATES[instr.mnemonic](w, instr, pc)
-    if instructions[leader + units - 1].mnemonic not in _BLOCK_ENDS:
-        w.emit(f"e.pc = {leader + units}")
-    loaded = w.flags_loaded()
-    prologue = ["regs = e.regs"]
-    prologue += [f"{flag} = e.{flag}" for flag in _FLAGS if flag in loaded]
-    commit = [f"e.{flag} = {flag}" for flag in _FLAGS
-              if flag in w.flags_written]
-    if w.loads:
-        prologue += ["h = e.load_hash", "ld = e.loads"]
-        commit += ["e.load_hash = h", "e.loads = ld"]
-    if w.stores:
-        prologue.append("st = e.stores")
-        commit.append("e.stores = st")
-    body = [f"def block_{leader}(e, port):"]
-    body += ["    " + line for line in prologue]
-    if w.loads or w.stores:
-        body.append("    try:")
-        body += ["        " + line for line in w.lines]
-        body += ["    except BaseException:",
-                 f"        e.retired += e.pc - {leader}",
-                 "        raise",
-                 "    finally:"]
-        body += ["        " + line for line in commit]
-    else:
-        body += ["    " + line for line in w.lines + commit]
-    body += [f"    e.retired += {units}", f"    return {units}"]
-    return "\n".join(body) + "\n"
-
-
-def _compile_block(instructions, leader: int, units: int,
-                   name: str = "program") -> Callable[[object, object], int]:
-    """Compile the block of ``units`` units at ``leader`` into its
-    function."""
-    source = block_source(instructions, leader, units)
-    namespace = {"MachineFault": MachineFault}
-    exec(compile(source, f"<block {name}@{leader}>", "exec"), namespace)
-    return namespace[f"block_{leader}"]
-
-
 #: A block-table entry: ``(units, fn)`` at a block leader, None elsewhere.
 BlockEntry = tuple[int, Callable[[object, object], int]] | None
 
-_BLOCKS: dict[int, list[BlockEntry]] = {}
 
-
-def _compile_on_entry(entries: list, instructions, leader: int, units: int,
-                      name: str) -> Callable[[object, object], int]:
-    """A stand-in that compiles the block on its first run, replaces its
-    own table entry with the compiled function, and runs it."""
-    def first_entry(e, port):
-        fn = _compile_block(instructions, leader, units, name)
-        entries[leader] = (units, fn)
-        return fn(e, port)
-    return first_entry
-
-
+@_per_program
 def block_table(program: Program) -> list[BlockEntry]:
-    """The translation-block table of ``program``, indexed by pc.
-
-    Built once per program object (keyed by identity, evicted when the
-    program is collected, like :func:`decoded_program`). Every leader gets
-    its entry up front; its function compiles on the block's first run.
-    """
-    key = id(program)
-    entries = _BLOCKS.get(key)
-    if entries is None:
-        instructions = program.instructions
-        entries = [None] * len(instructions)
-        for leader in _block_leaders(program):
-            units = _block_units(instructions, leader)
-            if units:
-                entries[leader] = (units, _compile_on_entry(
-                    entries, instructions, leader, units, program.name))
-        _BLOCKS[key] = entries
-        weakref.finalize(program, _BLOCKS.pop, key, None)
+    """The translation-block table of ``program``, indexed by pc. Every
+    leader gets its entry up front; its function compiles on the block's
+    first run."""
+    instructions = program.instructions
+    entries: list[BlockEntry] = [None] * len(instructions)
+    for leader in _block_leaders(program):
+        units = _block_units(instructions, leader)
+        if units:
+            entries[leader] = (units, _compile_on_entry(
+                entries, instructions, leader, units, program.name))
     return entries

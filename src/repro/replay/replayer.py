@@ -149,7 +149,7 @@ class Replayer:
                  telemetry: Telemetry | None = None,
                  schedule: list | None = None, decode_cache: bool = True):
         self.recording = recording
-        # Do the thread engines run compiled closures and translation
+        # Do the thread engines run generated unit functions and translation
         # blocks (see Engine)? Replay is bit-identical either way.
         self.decode_cache = decode_cache
         self.config = recording.config

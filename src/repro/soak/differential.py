@@ -15,7 +15,7 @@ baseline plus (with the matrix on) every lattice variant, and collects
   including the load from the compact chunk log alone.
 
 Fault injection (``inject=``) perturbs the op list of one variant's
-program, simulating a miscompiled decode closure or a snoop filter that
+program, simulating a miscompiled decode template or a snoop filter that
 drops a conflict: the end-to-end self-test that the oracle, the shrinker
 and the triage pipeline actually catch real divergences.
 """

@@ -93,6 +93,55 @@ def test_malformed_manifest_or_program_is_log_format_error(
         Recording.load(directory)
 
 
+def _forge_program(mutate):
+    def forge(directory):
+        path = directory / "program.json"
+        image = json.loads(path.read_text())
+        mutate(image)
+        path.write_text(json.dumps(image))
+    return forge
+
+
+def _forge_operand(kind, key, value):
+    """Set ``key`` of the first operand of ``kind`` in the image."""
+    def mutate(image):
+        op = next(op for instr in image["instructions"]
+                  for op in instr["ops"] if op["k"] == kind)
+        op[key] = value
+    return _forge_program(mutate)
+
+
+@pytest.mark.parametrize("forge", [
+    # register numbers: out of range, an alias of r15, not ints
+    _forge_operand("r", "n", 99), _forge_operand("r", "n", -1),
+    _forge_operand("r", "n", "x"), _forge_operand("r", "n", True),
+    _forge_operand("r", "n", 1.0),
+    _forge_operand("m", "b", 16), _forge_operand("m", "b", "0"),
+    _forge_operand("m", "x", -1), _forge_operand("m", "x", False),
+    # scales that compare equal to a valid one, and an invalid one
+    _forge_operand("m", "s", 4.0), _forge_operand("m", "s", True),
+    _forge_operand("m", "s", 3),
+    # immediates and displacements that are not ints
+    _forge_operand("m", "d", 1.5), _forge_operand("m", "d", "4"),
+    _forge_operand("i", "v", "5"), _forge_operand("i", "v", 2.5),
+    _forge_operand("i", "v", True),
+    _forge_program(lambda image: image.update(entry=0.0)),
+    _forge_program(lambda image: image["instructions"][0].update(ops=[[]])),
+], ids=["reg-99", "reg-minus-1", "reg-str", "reg-bool", "reg-float",
+        "base-16", "base-str", "index-minus-1", "index-bool",
+        "scale-float", "scale-bool", "scale-3", "disp-float", "disp-str",
+        "imm-str", "imm-float", "imm-bool", "entry-float",
+        "operand-not-a-dict"])
+def test_hostile_program_image_is_log_format_error(recording, tmp_path,
+                                                    forge):
+    """Operands are pasted into generated code: anything but a valid int
+    must be refused when the bundle loads, not at replay."""
+    directory = recording.save(tmp_path / "rec")
+    forge(directory)
+    with pytest.raises(LogFormatError, match="malformed"):
+        Recording.load(directory)
+
+
 def test_manifest_count_mismatch_detected(recording, tmp_path):
     directory = recording.save(tmp_path / "rec")
     manifest = json.loads((directory / "manifest.json").read_text())

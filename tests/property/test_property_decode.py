@@ -1,11 +1,12 @@
-"""Decode-cache equivalence: compiled dispatch vs the interpretive path.
+"""Decode-cache equivalence: generated unit functions vs the interpretive path.
 
-The decode cache (``repro.machine.decode``) pre-resolves every instruction
-into a closure at program-load time. These tests pin the contract that the
-compiled path is *bit-identical* to the interpretive reference — same
-architectural state after every unit, same faults with the same messages,
-same trap behaviour, and resumability from an :class:`EngineContext` alone,
-including mid-``rep_*``.
+The decode cache (``repro.machine.decode``) compiles every instruction into
+a generated unit function from the same templates that build replay's
+translation blocks. These tests pin the contract that the compiled path is
+*bit-identical* to the interpretive reference — same architectural state
+after every unit, same faults with the same messages, same trap behaviour,
+and resumability from an :class:`EngineContext` alone, including
+mid-``rep_*`` — and what the generator may emit.
 """
 
 from hypothesis import given, settings
@@ -135,6 +136,7 @@ def _lockstep(program, max_units=5000):
         assert type(fast_exc) is type(slow_exc), (fast_exc, slow_exc)
         if fast_exc is not None:
             assert str(fast_exc) == str(slow_exc)
+            assert _state(fast) == _state(slow)
             break
         assert fast_out == slow_out
         assert _state(fast) == _state(slow)
@@ -157,10 +159,27 @@ def test_fault_messages_identical_across_paths():
     for body in ("    mov r1, 5\n    mov r2, 0\n    div r3, r1, r2\n",
                  "    lea r1, [buf + 2]\n    load r2, [r1]\n",
                  "    lea r1, [buf + 3]\n    store [r1], r2\n",
-                 "    lea r1, [buf + 1]\n    xadd [r1], r2\n"):
+                 "    lea r1, [buf + 1]\n    xadd [r1], r2\n",
+                 "    mov r2, 0\n    mod r3, r1, r2\n",
+                 "    lea r1, [buf + 2]\n    xchg [r1], r2\n",
+                 "    lea r1, [buf + 3]\n    cmpxchg [r1], r2\n",
+                 # a faulting rep iteration advances no register
+                 "    mov rcx, 2\n    mov rsi, buf\n    lea rdi, [buf + 1]\n"
+                 "    rep_movs\n",
+                 "    mov rcx, 2\n    lea rdi, [buf + 2]\n    rep_stos\n"):
         source = (".data\nbuf: .word 1\n.text\nmain:\n"
                   + body + "    syscall\n")
         _lockstep(assemble(source, name="faulty"))
+
+
+def test_atomics_agree_on_both_cmpxchg_outcomes():
+    """Random comparands almost never match, so pin the swap too."""
+    source = (".data\nbuf: .word 1\n.text\nmain:\n"
+              "    mov rax, 1\n    mov r2, 9\n"
+              "    cmpxchg [buf], r2\n    cmpxchg [buf], r2\n"
+              "    xchg [buf], r3\n    xadd [buf], r2\n    syscall\n")
+    (fast, _), _ = _lockstep(assemble(source, name="atomics"))
+    assert fast.regs[0] == 9 and fast.regs[2] == 0
 
 
 def test_trap_leaves_state_untouched_and_complete_trap_agrees():
@@ -230,3 +249,217 @@ def test_full_session_digest_identical_without_decode_cache():
     assert digest_of(compiled) == digest_of(interpreted)
     assert compiled.total_cycles == interpreted.total_cycles
     assert compiled.units == interpreted.units
+
+
+# -- the instruction compiler --------------------------------------------------
+
+def test_every_mnemonic_has_a_template():
+    """Every mnemonic compiles to a generated unit function: only the
+    operand guard sends an instruction to its interpretive handler."""
+    from repro.isa.instructions import MNEMONICS, Instr
+    from repro.isa.operands import Imm, Mem
+    from repro.isa.program import Program
+    from repro.machine.decode import _TEMPLATES, decoded_program
+
+    assert set(_TEMPLATES) == set(MNEMONICS)
+    operand = {"r": Reg(1), "v": Imm(3), "m": Mem(base=2, disp=4),
+               "t": Imm(0)}
+    program = Program(instructions=tuple(
+        Instr(mnemonic, tuple(operand[code] for code in spec.signature))
+        for mnemonic, spec in MNEMONICS.items()))
+    engine = Engine(program)
+    port = DirectPort(PhysicalMemory(_MEMORY_BYTES))
+    table = decoded_program(program)
+    for pc in range(len(program.instructions)):
+        engine.pc = pc
+        engine.regs[1] = 1  # nonzero divisor and rep count
+        engine.regs[2] = engine.regs[3] = 0x100  # aligned addresses
+        engine.regs[15] = 0x200
+        engine.step(port)
+        assert table[pc].__name__ == f"unit_{pc}"
+
+
+_ALLOWED_NAMES = frozenset({
+    "e", "port", "regs", "MachineFault", "BaseException",
+    "a", "b", "r", "raw", "v", "t", "c", "addr", "sp", "src", "dst",
+    "h", "ld", "st", "zf", "sf", "cf", "of"})
+_PORT_CALLS = frozenset({"load", "store", "fence", "atomic_load",
+                         "atomic_store"})
+_ENGINE_FIELDS = frozenset({"regs", "pc", "retired", "cur_memops",
+                            "load_hash", "loads", "stores",
+                            "zf", "sf", "cf", "of"})
+
+
+def _check_generated(source: str) -> None:
+    import ast
+
+    tree = ast.parse(source)
+    [function] = tree.body
+    assert isinstance(function, ast.FunctionDef)
+    assert [arg.arg for arg in function.args.args] == ["e", "port"]
+    for node in ast.walk(function):
+        if isinstance(node, (ast.Import, ast.ImportFrom, ast.Lambda,
+                             ast.Global, ast.Nonlocal, ast.Delete,
+                             ast.comprehension, ast.ClassDef)) or (
+                isinstance(node, ast.FunctionDef) and node is not function):
+            raise AssertionError(f"{type(node).__name__} in {source}")
+        if isinstance(node, ast.Name):
+            assert node.id in _ALLOWED_NAMES, (node.id, source)
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            assert isinstance(owner, ast.Name), source
+            allowed = {"e": _ENGINE_FIELDS, "port": _PORT_CALLS}
+            assert node.attr in allowed[owner.id], (node.attr, source)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            assert (isinstance(func, ast.Attribute) and func.value.id == "port"
+                    or isinstance(func, ast.Name)
+                    and func.id == "MachineFault"), source
+            assert all(keyword.arg == "pc" for keyword in node.keywords)
+        elif isinstance(node, ast.Subscript):
+            assert isinstance(node.value, ast.Name) \
+                and node.value.id == "regs", source
+        elif isinstance(node, ast.Constant):
+            assert type(node.value) in (int, str), (node.value, source)
+
+
+def test_generated_source_uses_only_allowed_names():
+    """Every unit and block source the workloads compile to reads only
+    the engine, its registers, the port and ``MachineFault``."""
+    from repro.machine.decode import (
+        _compilable,
+        block_source,
+        block_table,
+        unit_source,
+    )
+
+    for name in workloads.all_names():
+        program, _ = workloads.build(name, scale=1)
+        instructions = program.instructions
+        for pc, instr in enumerate(instructions):
+            assert _compilable(instr)
+            _check_generated(unit_source(instructions, pc))
+        for leader, entry in enumerate(block_table(program)):
+            if entry is not None:
+                _check_generated(block_source(instructions, leader,
+                                              entry[0]))
+
+
+def _rep_signal_program():
+    """sigping whose worker spins through ``rep_movs``/``rep_stos`` copies:
+    with a short quantum on one core, the worker is preempted and signalled
+    while parked mid-``rep``."""
+    from repro.isa.builder import (
+        KernelBuilder,
+        SYS_KILL,
+        SYS_SIGACTION,
+        SYS_SIGRETURN,
+        SYS_YIELD,
+    )
+
+    pings = 12
+    b = KernelBuilder()
+    b.word("acks", 0)
+    b.word("ready", 0)
+    b.space("src", 128)
+    b.space("dst", 128)
+    b.space("stack", 2048)
+    b.label("main")
+    b.ins("mov", "r9", "stack")
+    b.ins("add", "r9", "r9", 2032)
+    b.spawn("worker", "r9", 0)
+    b.label("wait_ready")
+    b.ins("pause")
+    b.ins("load", "r7", "[ready]")
+    b.ins("test", "r7", "r7")
+    b.ins("je", "wait_ready")
+    with b.for_range("r6", 0, pings):
+        b.ins("push", "r6")
+        b.syscall(SYS_KILL, 2, 10)
+        b.syscall(SYS_YIELD)
+        b.ins("pop", "r6")
+    b.label("wait_acks")
+    b.syscall(SYS_YIELD)
+    b.ins("load", "r7", "[acks]")
+    b.ins("cmp", "r7", pings)
+    b.ins("jl", "wait_acks")
+    b.exit(0)
+    b.label("worker")
+    b.syscall(SYS_SIGACTION, 10, "handler")
+    b.ins("store", "[ready]", 1)
+    b.label("spin")
+    b.ins("mov", "rcx", 32)
+    b.ins("mov", "rsi", "src")
+    b.ins("mov", "rdi", "dst")
+    b.ins("rep_movs")
+    b.ins("mov", "rcx", 32)
+    b.ins("mov", "rax", 7)
+    b.ins("mov", "rdi", "src")
+    b.ins("rep_stos")
+    b.ins("load", "r7", "[acks]")
+    b.ins("cmp", "r7", pings)
+    b.ins("jl", "spin")
+    b.exit(0)
+    b.label("handler")
+    b.ins("load", "r7", "[acks]")
+    b.ins("add", "r7", "r7", 1)
+    b.ins("store", "[acks]", "r7")
+    b.syscall(SYS_SIGRETURN)
+    return b.build("rep-signals"), {}
+
+
+def test_cur_memops_is_nonzero_only_parked_on_a_rep(monkeypatch):
+    """Generated code other than ``rep_*`` never writes ``cur_memops``:
+    that is sound because it is nonzero only while the engine is parked on
+    a ``rep_*`` instruction. Pinned at every unit of stepped recordings,
+    across preemption and signal delivery mid-``rep``."""
+    from repro.config import KernelConfig, MachineConfig, SimConfig
+    from repro.kernel.kernel import Kernel
+    from repro.machine.machine import Machine
+
+    seen = {"parked": 0, "preempted": 0, "signalled": 0}
+
+    def check(engine):
+        if engine.cur_memops:
+            assert engine.program.instructions[engine.pc].mnemonic \
+                in ("rep_movs", "rep_stos")
+            seen["parked"] += 1
+
+    step_core = Machine.step_core
+
+    def checked_step(machine, core_id):
+        engine = machine.cores[core_id].engine
+        check(engine)
+        outcome = step_core(machine, core_id)
+        check(engine)
+        return outcome
+
+    undispatch = Kernel._undispatch
+
+    def checked_undispatch(kernel, core, task):
+        undispatch(kernel, core, task)
+        seen["preempted"] += task.context.cur_memops != 0
+
+    deliver = Kernel._deliver_signal
+
+    def checked_deliver(kernel, core, task):
+        saved = len(task.sig_saved)
+        deliver(kernel, core, task)
+        check(core.engine)
+        if len(task.sig_saved) > saved:
+            seen["signalled"] += task.sig_saved[-1].cur_memops != 0
+
+    monkeypatch.setattr(Machine, "step_core", checked_step)
+    monkeypatch.setattr(Kernel, "_undispatch", checked_undispatch)
+    monkeypatch.setattr(Kernel, "_deliver_signal", checked_deliver)
+    for name in ("locks", "fft", "sigping", "radix"):
+        program, inputs = workloads.build(name, scale=1)
+        session.record(program, seed=1, policy="rr", input_files=inputs)
+    assert seen["parked"] == 0  # none of them runs a rep_* instruction
+    program, inputs = _rep_signal_program()
+    config = SimConfig(machine=MachineConfig(num_cores=1),
+                       kernel=KernelConfig(quantum_instructions=10))
+    outcome = session.record(program, config=config, seed=1, policy="rr",
+                             input_files=inputs)
+    assert outcome.kernel_stats["signals_delivered"] == 12
+    assert seen["parked"] and seen["preempted"] and seen["signalled"]

@@ -300,13 +300,21 @@ def test_race_report_identical_with_blocks_and_without(monkeypatch):
                for entry in block_table(recording.program))
 
 
-def test_malformed_register_operand_stays_out_of_blocks():
+def test_malformed_register_operand_stays_out_of_blocks(monkeypatch):
     """Operands come from the bundle's program image and are pasted into
-    generated source: a register "number" that is not a valid int must
-    keep its instruction out of every block."""
+    generated source: a register "number" that is not a valid int, or a
+    scale that is not an int, must keep its instruction out of every block
+    and out of the generated unit functions. It runs its interpretive
+    handler instead and fails exactly as the interpretive engine does."""
+    import os
+
     from repro.isa.instructions import Instr
     from repro.isa.operands import Imm, Mem, Reg
     from repro.isa.program import Program
+    from repro.machine.core import Engine
+    from repro.machine.decode import decoded_program
+    from repro.machine.memory import PhysicalMemory
+    from tests.conftest import DirectPort
 
     hostile = "0] or __import__('os').getpid() or regs[0"
     program = Program(instructions=(
@@ -314,7 +322,29 @@ def test_malformed_register_operand_stays_out_of_blocks():
         Instr("mov", (Reg(hostile), Imm(1))),
         Instr("mov", (Reg(2), Imm(7))),
         Instr("load", (Reg(3), Mem(base=16))),
+        Instr("lea", (Reg(4), Mem(base=1, index=1, scale=4.0))),
         Instr("syscall"),
     ))
     table = block_table(program)
-    assert [entry and entry[0] for entry in table] == [1, None, 1, None, None]
+    assert [entry and entry[0] for entry in table] == \
+        [1, None, 1, None, None, None]
+
+    def generated_code_ran():
+        raise AssertionError("a hostile operand reached generated code")
+    monkeypatch.setattr(os, "getpid", generated_code_ran)
+    units = decoded_program(program)
+    for pc in (1, 3, 4):
+        errors = []
+        for decode_cache in (True, False):
+            engine = Engine(program, decode_cache=decode_cache)
+            engine.pc = pc
+            with pytest.raises(Exception) as info:
+                engine.step(DirectPort(PhysicalMemory(1 << 12)))
+            errors.append(info.value)
+        assert type(errors[0]) is type(errors[1])
+        assert type(errors[0]) in (TypeError, IndexError)
+        assert str(errors[0]) == str(errors[1])
+        assert units[pc].__name__ == "interpret"
+    engine = Engine(program)
+    engine.step(DirectPort(PhysicalMemory(1 << 12)))
+    assert engine.regs[1] == 5 and units[0].__name__ == "unit_0"

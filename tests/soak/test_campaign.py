@@ -129,20 +129,21 @@ def test_campaign_telemetry_counters():
     assert "soak.failed_seeds" not in snapshot
 
 
-def test_block_miscompile_is_a_replay_divergence(monkeypatch):
-    """Record runs no translation blocks, so a miscompiled block leaves
-    every record fingerprint equal: only the replay digest, compared
-    against the interpretive ``decode-off`` replay, can catch it."""
+def test_template_miscompile_is_caught_by_decode_off(monkeypatch):
+    """Record and replay both run code generated from the templates, so a
+    miscompiled template changes the recording itself: only the
+    interpretive ``decode-off`` variant can tell, and it differs from the
+    baseline in the memory image, the outputs and the replay digest."""
     from repro.machine import decode
     from repro.soak.differential import run_case_checks
 
     def store_plus_one(w, instr, pc):
         addr = decode._mem_addr(w, instr.ops[0])
-        w.access(pc, addr, "store")
+        w.access(pc, addr, "word store")
         w.store(addr, 4, f"({decode._val(instr.ops[1])} + 1) & 4294967295")
     monkeypatch.setitem(decode._TEMPLATES, "store", store_plus_one)
-    monkeypatch.setattr("repro.replay.replayer.BLOCK_MIN_CHUNK", 0)
     failures = run_case_checks(generate_case(11), matrix=True)
     [divergence] = [f for f in failures if f.kind == "divergence"]
     assert divergence.variant == "decode-off"
-    assert divergence.detail.endswith("differing components: replay")
+    assert divergence.detail.endswith(
+        "differing components: memory, outputs, replay")
