@@ -270,16 +270,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             recording=recording, directory=args.directory, jobs=args.jobs)
     else:
         result, report = session.replay_recording(recording), None
-    meta = recording.metadata
     ok = True
-    if "final_memory_digest" in meta:
-        from .replay.verify import verify_replay
-        outputs = {name: bytes.fromhex(data)
-                   for name, data in meta.get("outputs_hex", {}).items()}
-        exit_codes = {int(tid): code
-                      for tid, code in meta.get("exit_codes", {}).items()}
-        verification = verify_replay(meta["final_memory_digest"], outputs,
-                                     exit_codes, result)
+    if "final_memory_digest" in recording.metadata:
+        from .replay.verify import verify_recording
+        verification = verify_recording(recording, result)
         print(verification.summary())
         ok = verification.ok
     else:

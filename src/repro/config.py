@@ -97,26 +97,14 @@ class MachineConfig:
     memory_bytes: int = 1 << 22
     cache: CacheConfig = field(default_factory=CacheConfig)
     store_buffer: StoreBufferConfig = field(default_factory=StoreBufferConfig)
-    word_bytes: int = 4
     coherence: str = COHERENCE_SNOOP
 
     def __post_init__(self) -> None:
         _require(1 <= self.num_cores <= 64, "num_cores must be in [1, 64]")
         _require(self.memory_bytes % self.cache.line_bytes == 0,
                  "memory size must be a whole number of cache lines")
-        _require(self.word_bytes in (4, 8), "word_bytes must be 4 or 8")
         _require(self.coherence in COHERENCE_MODELS,
                  f"coherence must be one of {COHERENCE_MODELS}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MachineConfig":
-        data = dict(data)
-        data["cache"] = CacheConfig(**data.get("cache", {}))
-        data["store_buffer"] = StoreBufferConfig(**data.get("store_buffer", {}))
-        return cls(**data)
 
 
 class TsoMode:
@@ -158,42 +146,19 @@ class MRRConfig:
         _require(0.0 < self.saturation_threshold <= 1.0,
                  "saturation_threshold must be in (0, 1]")
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MRRConfig":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class KernelConfig:
     """The miniature OS model (the substrate Capo3 runs in)."""
 
     quantum_instructions: int = 5_000
-    stack_bytes_per_thread: int = 16 * 1024
     max_threads: int = 64
     timeslice_jitter: int = 0
 
     def __post_init__(self) -> None:
         _require(self.quantum_instructions >= 10, "quantum too small to schedule")
-        _require(self.stack_bytes_per_thread >= 256, "stack too small")
         _require(self.max_threads >= 1, "need at least one thread")
         _require(self.timeslice_jitter >= 0, "jitter must be >= 0")
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "KernelConfig":
-        return cls(**data)
-
-
-#: Capo knobs older bundles carry in their manifests. The log formats
-#: they selected are negotiated from each section's header now, so
-#: loading drops them.
-RETIRED_CAPO_KEYS = ("compress_chunk_log", "input_log_version",
-                     "chunk_log_version")
 
 
 @dataclass(frozen=True)
@@ -209,8 +174,6 @@ class CapoConfig:
     observer, never a participant.
     """
 
-    log_copy_to_user: bool = True
-    drain_on_context_switch: bool = True
     flight_window: int = 0
     flight_epoch_chunks: int = 64
 
@@ -219,14 +182,6 @@ class CapoConfig:
                  "flight_window must be >= 0 (0 disables the flight ring)")
         _require(self.flight_epoch_chunks >= 1,
                  "flight_epoch_chunks must be >= 1")
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CapoConfig":
-        return cls(**{key: value for key, value in data.items()
-                      if key not in RETIRED_CAPO_KEYS})
 
 
 @dataclass(frozen=True)
@@ -246,12 +201,18 @@ class TelemetryConfig:
     def __post_init__(self) -> None:
         _require(self.sampling >= 1, "sampling must be >= 1")
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TelemetryConfig":
-        return cls(**data)
+#: Keys older manifests and soak triage artifacts carry, by config
+#: section, that no setting reads any more: the log formats the capo
+#: knobs selected are negotiated from each section's header now, and
+#: nothing read the others. :meth:`SimConfig.from_dict` drops them; the
+#: constructors refuse them.
+RETIRED_KEYS: dict[str, tuple[str, ...]] = {
+    "machine": ("word_bytes",),
+    "kernel": ("stack_bytes_per_thread",),
+    "capo": ("log_copy_to_user", "drain_on_context_switch",
+             "compress_chunk_log", "input_log_version", "chunk_log_version"),
+}
 
 
 @dataclass(frozen=True)
@@ -265,23 +226,29 @@ class SimConfig:
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "machine": self.machine.to_dict(),
-            "mrr": self.mrr.to_dict(),
-            "kernel": self.kernel.to_dict(),
-            "capo": self.capo.to_dict(),
-            "telemetry": self.telemetry.to_dict(),
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SimConfig":
+        """The config :meth:`to_dict` produced. Retired keys are dropped,
+        and ``telemetry`` may be absent (bundles recorded before the
+        telemetry subsystem)."""
+        def section(name: str, kind: type, values: dict[str, Any]) -> Any:
+            retired = RETIRED_KEYS.get(name, ())
+            return kind(**{key: value for key, value in values.items()
+                           if key not in retired})
+
+        machine = dict(data["machine"])
+        machine["cache"] = CacheConfig(**machine.get("cache", {}))
+        machine["store_buffer"] = StoreBufferConfig(
+            **machine.get("store_buffer", {}))
         return cls(
-            machine=MachineConfig.from_dict(data["machine"]),
-            mrr=MRRConfig.from_dict(data["mrr"]),
-            kernel=KernelConfig.from_dict(data["kernel"]),
-            capo=CapoConfig.from_dict(data["capo"]),
-            # absent in bundles recorded before the telemetry subsystem
-            telemetry=TelemetryConfig.from_dict(data.get("telemetry", {})),
+            machine=section("machine", MachineConfig, machine),
+            mrr=section("mrr", MRRConfig, data["mrr"]),
+            kernel=section("kernel", KernelConfig, data["kernel"]),
+            capo=section("capo", CapoConfig, data["capo"]),
+            telemetry=section("telemetry", TelemetryConfig,
+                              data.get("telemetry", {})),
         )
 
 

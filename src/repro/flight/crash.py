@@ -54,17 +54,10 @@ def detect_fault(outcome) -> str | None:
 def _replay_to_fault(recording: Recording) -> dict[str, Any]:
     """Replay the window and compare against the recorded verdict."""
     from ..replay.checkpoint import base_replayer
-    from ..replay.verify import verify_replay
+    from ..replay.verify import verify_recording
 
-    meta = recording.metadata
     result = base_replayer(recording).run()
-    report = verify_replay(
-        meta.get("final_memory_digest", ""),
-        {name: bytes.fromhex(data)
-         for name, data in meta.get("outputs_hex", {}).items()},
-        {int(rthread): code
-         for rthread, code in meta.get("exit_codes", {}).items()},
-        result, use_region="sphere_region" in meta)
+    report = verify_recording(recording, result)
     return {
         "ok": report.ok,
         "mismatches": report.mismatches,

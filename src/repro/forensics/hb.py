@@ -40,7 +40,6 @@ from typing import Mapping, Sequence
 
 from ..analysis.chunks import ScheduledChunk, iter_schedule
 from ..capo.events import EV_SIGNAL, EV_SYSCALL, InputEvent
-from ..capo.recording import Recording
 from ..kernel.syscalls import (
     SYS_FUTEX_WAIT,
     SYS_FUTEX_WAKE,
@@ -276,9 +275,3 @@ def build_hb_graph(chunks: Sequence[ChunkEntry],
             continue
         sync_edges.append(HBEdge(src, dst, link.kind, link.detail))
     return HBGraph(schedule, sync_edges, anomalies)
-
-
-def graph_for(recording: Recording,
-              syscall_args: Mapping[int, tuple] | None = None) -> HBGraph:
-    """The HB graph of a full recording."""
-    return build_hb_graph(recording.chunks, recording.events, syscall_args)

@@ -13,7 +13,7 @@ the exact program it recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from ..errors import LogFormatError
 from .instructions import Instr
@@ -151,8 +151,3 @@ def _instr_to_dict(instr: Instr) -> dict[str, Any]:
 
 def _instr_from_dict(payload: dict[str, Any]) -> Instr:
     return Instr(payload["m"], tuple(_operand_from_dict(d) for d in payload["ops"]))
-
-
-def concat_data(items: Iterable[bytes]) -> bytes:
-    """Join data blobs, for assembler/builder use."""
-    return b"".join(items)

@@ -233,10 +233,6 @@ class Kernel:
 
     # -- run state ----------------------------------------------------------------
 
-    @property
-    def live_count(self) -> int:
-        return self._live
-
     # -- the run loop -----------------------------------------------------------------
 
     def run(self, interleaver: Interleaver, max_units: int = 200_000_000) -> int:

@@ -89,9 +89,6 @@ class SnoopBus:
         self._caches: list[MESICache | None] = [None] * num_cores
         self._snoopers: list[Snooper | None] = [None] * num_cores
         self.stats = BusStats()
-        # Monotonic transaction sequence, usable as an idealized global clock
-        # (the timestamp_piggyback=False ablation).
-        self.sequence = 0
         # Globally synchronized chunk-timestamp source — the simulator's
         # stand-in for the invariant TSC the prototype reads at chunk
         # termination. The interconnect is the serialization point every
@@ -140,7 +137,6 @@ class SnoopBus:
         still occur).
         """
         self.stats.transactions += 1
-        self.sequence += 1
         if upgrade:
             self.stats.upgrades += 1
         elif is_write:
@@ -272,7 +268,6 @@ class DirectoryBus(SnoopBus):
                     upgrade: bool = False) -> BusResult:
         stats = self.stats
         stats.transactions += 1
-        self.sequence += 1
         if upgrade:
             stats.upgrades += 1
         elif is_write:

@@ -233,11 +233,6 @@ class Machine:
         self.cores[core_id].recorder = recorder
         self.bus.attach_snooper(core_id, recorder)
 
-    def detach_recorders(self) -> None:
-        for core in self.cores:
-            core.recorder = None
-            self.bus.attach_snooper(core.core_id, None)
-
     # -- transactions ---------------------------------------------------------
 
     def bus_transaction(self, core: Core, line: int, is_write: bool,

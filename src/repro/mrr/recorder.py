@@ -66,9 +66,7 @@ class MemoryRaceRecorder:
         self._tm_on = self.telemetry.enabled
         self._drain_mode = config.tso_mode == TsoMode.DRAIN
         self._max_chunk = config.max_chunk_instructions
-        self._sat_threshold = config.saturation_threshold
         self._sat_enabled = config.saturation_threshold < 1.0
-        self._sig_bits = config.signature_bits
         # Saturation rewritten as an integer popcount threshold: the
         # smallest bits_set for which ``bits_set / bits >= threshold``,
         # found by evaluating that exact float predicate once per count —

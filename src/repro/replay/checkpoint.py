@@ -343,6 +343,20 @@ def build_checkpoints(recording: Recording, every: int,
 
 # -- seek --------------------------------------------------------------------
 
+def replayer_from(recording: Recording, record: CheckpointRecord | None,
+                  telemetry: Telemetry | None = None,
+                  decode_cache: bool = True) -> Replayer:
+    """A replayer at ``record``'s position: restored from it, or at
+    :func:`base_replayer` when there is no record or it sits at position 0
+    (for a flight window, that record is the window-origin state
+    :func:`base_replayer` restores)."""
+    if record is None or record.position == 0:
+        return base_replayer(recording, telemetry=telemetry,
+                             decode_cache=decode_cache)
+    return restore_replayer(recording, decode_state(record),
+                            telemetry=telemetry, decode_cache=decode_cache)
+
+
 def replayer_at(recording: Recording, position: int,
                 telemetry: Telemetry | None = None,
                 decode_cache: bool = True) -> Replayer:
@@ -351,17 +365,8 @@ def replayer_at(recording: Recording, position: int,
     total = len(recording.chunks)
     if position < 0 or position > total:
         raise ReproError(f"position {position} outside [0, {total}]")
-    record = recording.nearest_checkpoint(position)
-    if record is not None and record.position > 0:
-        replayer = restore_replayer(recording, decode_state(record),
-                                    telemetry=telemetry,
-                                    decode_cache=decode_cache)
-    else:
-        # Position 0: a fresh replayer — or, for a flight window, the
-        # embedded window-origin state (which is the position-0 record
-        # nearest_checkpoint just found).
-        replayer = base_replayer(recording, telemetry=telemetry,
-                                 decode_cache=decode_cache)
+    replayer = replayer_from(recording, recording.nearest_checkpoint(position),
+                             telemetry=telemetry, decode_cache=decode_cache)
     while replayer.position < position:
         if replayer.step_chunk() is None:
             raise ReproError(

@@ -11,26 +11,15 @@ travel by re-execution, exactly how the paper frames RnR-based debugging.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable
 
 from ..capo.recording import Recording
 from ..errors import ReproError
 from ..mrr.chunk import ChunkEntry
-from .replayer import Replayer
-
-
-def _clone_replayer(replayer: Replayer) -> Replayer:
-    """Deep-copy replay state while sharing the immutable recording,
-    program and schedule (checkpointing would be prohibitive otherwise)."""
-    memo = {
-        id(replayer.recording): replayer.recording,
-        id(replayer.recording.program): replayer.recording.program,
-        id(replayer.schedule): replayer.schedule,
-        id(replayer.config): replayer.config,
-    }
-    return copy.deepcopy(replayer, memo)
+from ..mrr.logfmt import CheckpointRecord
+from .checkpoint import base_replayer, capture_state, replayer_from, \
+    state_record
 
 
 @dataclass(frozen=True)
@@ -61,73 +50,64 @@ class ReplayInspector:
     """Drive a replay interactively over a :class:`Recording`.
 
     With ``checkpoint_every`` set, the inspector snapshots replay state
-    periodically while moving forward, and :meth:`seek` can then travel
-    *backwards* by restoring the nearest earlier checkpoint and re-stepping
-    — the standard RnR debugger implementation of reverse execution.
+    periodically while moving forward, as checkpoint records like the ones
+    a bundle embeds, and :meth:`seek` can then travel *backwards* by
+    restoring the nearest earlier checkpoint and re-stepping — the standard
+    RnR debugger implementation of reverse execution.
     """
 
     def __init__(self, recording: Recording, checkpoint_every: int = 0):
         if checkpoint_every < 0:
             raise ReproError("checkpoint_every must be >= 0")
         self.recording = recording
-        self._replayer = self._fresh_replayer()
+        self._replayer = base_replayer(recording)
         self._checkpoint_every = checkpoint_every
-        # position -> frozen Replayer snapshot (position 0 is implicit:
-        # a fresh Replayer). Checkpoints *embedded* in the recording are
-        # used as additional seek bases without being materialized here.
-        self._checkpoints: dict[int, Replayer] = {}
+        # position -> checkpoint record, built as the bundle's embedded
+        # checkpoints are; seeks restore the latest of these or of the
+        # embedded ones.
+        self._records: dict[int, CheckpointRecord] = {}
+
+    def _own_record(self, index: int) -> CheckpointRecord | None:
+        """This inspector's latest record at or before ``index``."""
+        position = max((p for p in self._records if p <= index), default=None)
+        return self._records.get(position)
 
     def _maybe_checkpoint(self) -> None:
         if not self._checkpoint_every:
             return
         position = self._replayer.position
         if position % self._checkpoint_every == 0 \
-                and position not in self._checkpoints:
-            self._checkpoints[position] = _clone_replayer(self._replayer)
+                and position not in self._records:
+            # Pages equal to the previous record's are shared with it.
+            self._records[position] = state_record(
+                capture_state(self._replayer, copy=False),
+                self._own_record(position))
 
     def seek(self, index: int) -> None:
         """Move to ``position == index``, travelling backwards if needed.
 
-        Backward seeks restore the nearest checkpoint at or before
-        ``index`` — either one of this inspector's in-memory snapshots or
-        one embedded in the recording, whichever is closer — or replay
-        from scratch, then re-step. Far-forward seeks likewise jump over
-        an embedded checkpoint instead of stepping the whole way. Replay
-        determinism makes the restored states identical to the originals.
+        Restores the latest checkpoint at or before ``index``, one of this
+        inspector's records or one embedded in the recording, or starts
+        again at position 0; then re-steps. A forward seek restores only a
+        checkpoint ahead of the current position. Replay determinism makes
+        the restored states identical to the originals.
         """
         if index < 0 or index > self.total_chunks:
             raise ReproError(f"seek target {index} outside [0, "
                              f"{self.total_chunks}]")
+        record = self._own_record(index)
         embedded = self.recording.nearest_checkpoint(index)
-        embedded_pos = embedded.position if embedded else 0
-        if index < self.position:
-            in_memory = max((p for p in self._checkpoints if p <= index),
-                            default=0)
-            if embedded_pos > in_memory:
-                self._replayer = self._restore_embedded(embedded)
-            elif in_memory:
-                self._replayer = _clone_replayer(self._checkpoints[in_memory])
-            else:
-                self._replayer = self._fresh_replayer()
-        elif embedded_pos > self.position:
-            self._replayer = self._restore_embedded(embedded)
+        if record is None or (embedded is not None
+                              and embedded.position > record.position):
+            record = embedded
+        if index < self.position or (record is not None
+                                     and record.position > self.position):
+            self._replayer = replayer_from(self.recording, record)
         self.run_to_index(index)
-
-    def _fresh_replayer(self) -> Replayer:
-        # base_replayer: a flight window's position 0 is its embedded
-        # ring-base state, not a fresh Replayer.
-        from .checkpoint import base_replayer
-        return base_replayer(self.recording)
-
-    def _restore_embedded(self, record) -> Replayer:
-        from .checkpoint import decode_state, restore_replayer
-        if record.position == 0:
-            return self._fresh_replayer()
-        return restore_replayer(self.recording, decode_state(record))
 
     @property
     def checkpoints(self) -> list[int]:
-        return sorted(self._checkpoints)
+        return sorted(self._records)
 
     # -- position ------------------------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..capo.recording import Recording
 from .replayer import ReplayResult
 
 
@@ -73,6 +74,23 @@ def verify_replay(recorded_digest: str, recorded_outputs: dict[str, bytes],
                               output_match=output_match,
                               exit_code_match=exit_code_match,
                               mismatches=mismatches)
+
+
+def verify_recording(recording: Recording,
+                     replay: ReplayResult) -> VerificationReport:
+    """Compare ``replay`` against the outcome ``recording``'s metadata
+    carries: final memory digest, outputs and exit codes. A bundle
+    recorded beside background processes stores its sphere's digest
+    (metadata ``sphere_region``), compared against the replay's region
+    digest."""
+    meta = recording.metadata
+    return verify_replay(
+        meta.get("final_memory_digest", ""),
+        {name: bytes.fromhex(data)
+         for name, data in meta.get("outputs_hex", {}).items()},
+        {int(rthread): code
+         for rthread, code in meta.get("exit_codes", {}).items()},
+        replay, use_region="sphere_region" in meta)
 
 
 def _common_prefix(a: bytes, b: bytes) -> int:

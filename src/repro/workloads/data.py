@@ -37,8 +37,3 @@ def words(seed: int, count: int, modulus: int | None = None) -> list[int]:
 def words_to_bytes(values: list[int]) -> bytes:
     """Little-endian packing, the format the READ syscall delivers."""
     return struct.pack(f"<{len(values)}I", *values)
-
-
-def bytes_to_words(blob: bytes) -> list[int]:
-    count = len(blob) // 4
-    return list(struct.unpack(f"<{count}I", blob[:count * 4]))

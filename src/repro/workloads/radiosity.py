@@ -19,11 +19,6 @@ _TASKS_PER_THREAD = 48
 _MAX_THREADS = 16
 
 
-def _form_factor_expected(task: int) -> int:
-    value = (task * 2654435761) & 0xFFFFFFFF
-    return ((value >> 8) ^ task) & 0xFFFF
-
-
 def _build_radiosity(threads: int, scale: int) -> tuple[Program, dict[str, bytes]]:
     per_thread = _TASKS_PER_THREAD * scale
     total = per_thread * threads

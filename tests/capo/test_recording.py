@@ -290,7 +290,7 @@ def test_v2_compressed_fallback_load(recording_v2, tmp_path):
 def _write_pre_v3_bundle(recording, directory, version=1):
     """``recording`` as bundles were written before the columnar input
     log: packed chunks.bin, v1 input.bin, no chunks.qrz, and a manifest
-    whose capo config carries the retired log knobs."""
+    whose config carries every retired key."""
     from repro.capo.input_log import encode_events_v1
     from repro.mrr.logfmt import encode_chunks
 
@@ -301,9 +301,13 @@ def _write_pre_v3_bundle(recording, directory, version=1):
     (directory / "chunks.bin").write_bytes(chunk_blob)
     (directory / "input.bin").write_bytes(input_blob)
     config = recording.config.to_dict()
+    config["machine"]["word_bytes"] = 4
+    config["kernel"]["stack_bytes_per_thread"] = 16 * 1024
     config["capo"].update(compress_chunk_log=True,
                           input_log_version=version,
-                          chunk_log_version=version)
+                          chunk_log_version=version,
+                          log_copy_to_user=True,
+                          drain_on_context_switch=True)
     manifest = {
         "format": "quickrec-recording",
         "version": 1,

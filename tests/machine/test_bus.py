@@ -62,10 +62,10 @@ def test_stats_classify_transactions():
 
 def test_sequence_monotone():
     bus, _caches = make_bus()
-    first = bus.sequence
+    first = bus.stats.transactions
     bus.transaction(0, 0, is_write=False)
     bus.transaction(1, 64, is_write=False)
-    assert bus.sequence == first + 2
+    assert bus.stats.transactions == first + 2
 
 
 def test_snoopers_collect_victim_timestamps():

@@ -23,6 +23,19 @@ def test_case_serialization_round_trips():
     assert back == case
 
 
+def test_case_with_retired_config_keys_loads():
+    # artifacts written while these keys existed must still load
+    case = generate_case(123)
+    data = json.loads(json.dumps(_case_to_dict(case)))
+    config = data["config"]
+    config["machine"]["word_bytes"] = 4
+    config["kernel"]["stack_bytes_per_thread"] = 16 * 1024
+    config["capo"].update(log_copy_to_user=True, drain_on_context_switch=True,
+                          compress_chunk_log=True, input_log_version=3,
+                          chunk_log_version=4)
+    assert _case_from_dict(data) == case
+
+
 def test_repro_command_reflects_options():
     options = SoakOptions(matrix=True, shrink=True, inject="decode-cache")
     command = repro_command(7, options)

@@ -118,6 +118,29 @@ def test_replay_detects_tampered_log(tmp_path, capsys):
     assert main(["replay", str(rec_dir)]) == 1
 
 
+def test_replay_verifies_multiprogrammed_bundle(tmp_path, capsys):
+    # The bundle stores the replay sphere's digest, not the whole memory
+    # image's: verification must compare region digests, serial and
+    # parallel alike.
+    from repro import session, workloads
+
+    from tests.integration.test_spheres import background_program
+
+    program, _inputs = workloads.build("counter")
+    outcome, _replayed, report = session.record_and_replay(
+        program, seed=1, background_programs=[background_program(0x100000)])
+    assert report.ok, report.summary()
+    rec_dir = tmp_path / "rec"
+    outcome.recording.save(rec_dir)
+    assert main(["replay", str(rec_dir)]) == 0
+    assert "replay verified" in capsys.readouterr().out
+
+    checkpointed = tmp_path / "ckpt"
+    session.add_checkpoints(outcome.recording, 8).save(checkpointed)
+    assert main(["replay", str(checkpointed), "--jobs", "2"]) == 0
+    assert "replay verified" in capsys.readouterr().out
+
+
 def test_timeline_command(tmp_path, capsys):
     rec_dir = str(tmp_path / "rec")
     assert main(["record", "pingpong", "--threads", "2",

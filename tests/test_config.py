@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from repro.config import (
+    RETIRED_KEYS,
     CacheConfig,
     CapoConfig,
     KernelConfig,
@@ -8,6 +11,7 @@ from repro.config import (
     MRRConfig,
     SimConfig,
     StoreBufferConfig,
+    TelemetryConfig,
     TsoMode,
 )
 from repro.errors import ConfigError
@@ -52,8 +56,6 @@ def test_machine_validation():
         MachineConfig(num_cores=100)
     with pytest.raises(ConfigError):
         MachineConfig(memory_bytes=100)  # not line aligned
-    with pytest.raises(ConfigError):
-        MachineConfig(word_bytes=3)
 
 
 def test_coherence_validation():
@@ -104,7 +106,7 @@ def test_sim_config_round_trips_through_dict():
         machine=MachineConfig(num_cores=2, memory_bytes=1 << 20),
         mrr=MRRConfig(signature_bits=256, log_load_hash=True),
         kernel=KernelConfig(quantum_instructions=100),
-        capo=CapoConfig(log_copy_to_user=False),
+        capo=CapoConfig(flight_epoch_chunks=16),
     )
     assert SimConfig.from_dict(config.to_dict()) == config
 
@@ -124,12 +126,14 @@ def test_configs_hashable_values():
 def test_capo_log_knobs_validated():
     # the log formats are fixed per section now: the retired knobs are
     # not settable, and a config never serializes them
-    from repro.config import RETIRED_CAPO_KEYS, CapoConfig
+    import dataclasses
 
-    for key in RETIRED_CAPO_KEYS:
+    from repro.config import RETIRED_KEYS, CapoConfig
+
+    for key in RETIRED_KEYS["capo"]:
         with pytest.raises(TypeError):
             CapoConfig(**{key: 1})
-    assert not set(RETIRED_CAPO_KEYS) & set(CapoConfig().to_dict())
+    assert not set(RETIRED_KEYS["capo"]) & set(dataclasses.asdict(CapoConfig()))
 
 
 def test_old_bundle_dicts_get_log_knob_defaults():
@@ -139,3 +143,72 @@ def test_old_bundle_dicts_get_log_knob_defaults():
     data["capo"].update(compress_chunk_log=False, input_log_version=2,
                         chunk_log_version=2)
     assert SimConfig.from_dict(data) == SimConfig()
+
+
+#: Every key a config section dropped, with a value old manifests held.
+RETIRED = [
+    ("machine", "word_bytes", 4),
+    ("kernel", "stack_bytes_per_thread", 16 * 1024),
+    ("capo", "log_copy_to_user", True),
+    ("capo", "drain_on_context_switch", True),
+    ("capo", "compress_chunk_log", True),
+    ("capo", "input_log_version", 1),
+    ("capo", "chunk_log_version", 1),
+]
+SECTIONS = {"machine": MachineConfig, "mrr": MRRConfig,
+            "kernel": KernelConfig, "capo": CapoConfig,
+            "telemetry": TelemetryConfig}
+
+
+def test_retired_key_table_names_every_retired_key():
+    assert {(section, key) for section, keys in RETIRED_KEYS.items()
+            for key in keys} == {(section, key) for section, key, _ in RETIRED}
+
+
+@pytest.mark.parametrize("section,key,value", RETIRED)
+def test_retired_key_loads_to_defaults_and_is_refused(section, key, value):
+    data = SimConfig().to_dict()
+    data[section][key] = value
+    assert SimConfig.from_dict(data) == SimConfig()
+    with pytest.raises(TypeError):
+        SECTIONS[section](**{key: value})
+
+
+#: The manifest ``config`` JSON of the default config and of a
+#: non-default one. Bundles written before the four unread fields went
+#: carried the same, plus those fields.
+PINNED_CONFIG_JSON = [
+    (SimConfig(),
+     '{"machine": {"num_cores": 4, "memory_bytes": 4194304, "cache": '
+     '{"line_bytes": 64, "sets": 64, "ways": 4}, "store_buffer": '
+     '{"entries": 8, "drain_period": 3, "drain_burst": 1}, "coherence": '
+     '"snoop"}, "mrr": {"signature_bits": 512, "signature_hashes": 2, '
+     '"max_chunk_instructions": 65536, "cbuf_entries": 256, "tso_mode": '
+     '"rsw", "saturation_threshold": 0.75, "log_load_hash": false}, '
+     '"kernel": {"quantum_instructions": 5000, "max_threads": 64, '
+     '"timeslice_jitter": 0}, "capo": {"flight_window": 0, '
+     '"flight_epoch_chunks": 64}, "telemetry": {"enabled": false, '
+     '"sampling": 64}}'),
+    (SimConfig(machine=MachineConfig(num_cores=2, memory_bytes=1 << 20,
+                                     coherence="directory"),
+               mrr=MRRConfig(signature_bits=256, log_load_hash=True),
+               kernel=KernelConfig(quantum_instructions=100,
+                                   timeslice_jitter=3),
+               capo=CapoConfig(flight_window=2, flight_epoch_chunks=8)),
+     '{"machine": {"num_cores": 2, "memory_bytes": 1048576, "cache": '
+     '{"line_bytes": 64, "sets": 64, "ways": 4}, "store_buffer": '
+     '{"entries": 8, "drain_period": 3, "drain_burst": 1}, "coherence": '
+     '"directory"}, "mrr": {"signature_bits": 256, "signature_hashes": 2, '
+     '"max_chunk_instructions": 65536, "cbuf_entries": 256, "tso_mode": '
+     '"rsw", "saturation_threshold": 0.75, "log_load_hash": true}, '
+     '"kernel": {"quantum_instructions": 100, "max_threads": 64, '
+     '"timeslice_jitter": 3}, "capo": {"flight_window": 2, '
+     '"flight_epoch_chunks": 8}, "telemetry": {"enabled": false, '
+     '"sampling": 64}}'),
+]
+
+
+@pytest.mark.parametrize("config,expected", PINNED_CONFIG_JSON)
+def test_manifest_config_json_is_pinned(config, expected):
+    assert json.dumps(config.to_dict()) == expected
+    assert SimConfig.from_dict(json.loads(expected)) == config
