@@ -10,10 +10,11 @@ kinds of function:
 - a *unit function* ``fn(engine, port) -> outcome | None`` runs one unit of
   the instruction at its pc and updates ``pc`` and ``retired`` itself.
   :func:`decoded_program` is the table of them, indexed by pc, that record
-  and unit-stepped replay run (``Engine.step``, the kernel's fused loop);
+  runs (``Engine.step``, the kernel's fused loop) and that replay's unit
+  loop in ``Replayer.step_chunk`` calls directly;
 - a *translation block* ``fn(engine, port) -> units`` runs a basic block
   of units back to back. :func:`block_table` is the table of them, indexed
-  by leader, that replay runs (``Replayer._run_blocks``).
+  by leader, that the same loop enters where a block fits.
 
 Both tables are memoized per ``Program`` object (replay spawns one engine
 per thread over the same program; they share its tables), and every entry
@@ -645,7 +646,7 @@ def decoded_program(program: Program) -> list[UnitFn]:
 # conditional jump, ``call`` or ``ret``, and stops before any unit-only
 # mnemonic and any instruction whose operands are not compilable. Only
 # replay runs blocks: a replayed chunk has its thread to itself, so nothing
-# interleaves inside a block (see ``Replayer._run_blocks``).
+# interleaves inside a block (see ``Replayer.step_chunk``).
 
 def _block_units(instructions, leader: int) -> int:
     """Units in the block at ``leader`` (0: its first unit cannot run in

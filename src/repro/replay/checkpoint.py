@@ -345,16 +345,19 @@ def build_checkpoints(recording: Recording, every: int,
 
 def replayer_from(recording: Recording, record: CheckpointRecord | None,
                   telemetry: Telemetry | None = None,
+                  schedule: list | None = None,
                   decode_cache: bool = True) -> Replayer:
     """A replayer at ``record``'s position: restored from it, or at
     :func:`base_replayer` when there is no record or it sits at position 0
     (for a flight window, that record is the window-origin state
-    :func:`base_replayer` restores)."""
+    :func:`base_replayer` restores). ``schedule`` is as for
+    :func:`restore_replayer`."""
     if record is None or record.position == 0:
         return base_replayer(recording, telemetry=telemetry,
-                             decode_cache=decode_cache)
+                             schedule=schedule, decode_cache=decode_cache)
     return restore_replayer(recording, decode_state(record),
-                            telemetry=telemetry, decode_cache=decode_cache)
+                            telemetry=telemetry, schedule=schedule,
+                            decode_cache=decode_cache)
 
 
 def replayer_at(recording: Recording, position: int,

@@ -38,8 +38,7 @@ from ..capo.recording import Recording
 from ..errors import ReplayDivergenceError, ReproError
 from ..mrr.logfmt import paged_digest
 from ..telemetry import NULL_TELEMETRY, Telemetry
-from .checkpoint import base_replayer, capture_state, decode_state, \
-    restore_replayer, state_mismatch
+from .checkpoint import capture_state, replayer_from, state_mismatch
 from .replayer import Replayer, ReplayResult
 from .schedule import build_schedule, validate_schedule
 
@@ -140,16 +139,10 @@ def _replay_span(recording: Recording, schedule: list, span: tuple[Interval, ...
     checking the seam at every interval end; returns its outcomes and,
     if the span ends the schedule, the final ReplayResult."""
     start = time.perf_counter()
-    if span[0].start == 0:
-        # base_replayer, not a bare Replayer: a flight window's position
-        # 0 restores the embedded ring-base state.
-        replayer = base_replayer(recording, schedule=schedule)
-    else:
-        record = recording.checkpoint_at(span[0].start)
-        if record is None:
-            raise ReproError(f"no checkpoint at position {span[0].start}")
-        replayer = restore_replayer(recording, decode_state(record),
-                                    schedule=schedule)
+    record = recording.checkpoint_at(span[0].start)
+    if record is None and span[0].start:
+        raise ReproError(f"no checkpoint at position {span[0].start}")
+    replayer = replayer_from(recording, record, schedule=schedule)
     restore_s = time.perf_counter() - start
     outcomes: list[IntervalOutcome] = []
     result = None

@@ -86,13 +86,16 @@ class WithheldStores:
 
     def commit_keep_last(self, keep: int) -> None:
         """Commit the oldest entries, keeping the youngest ``keep``."""
-        if keep > len(self._entries):
-            raise ReplayDivergenceError(
-                f"RSW {keep} exceeds {len(self._entries)} withheld stores")
-        if not keep:
+        excess = len(self._entries) - keep
+        if excess <= 0:
+            if excess:
+                raise ReplayDivergenceError(
+                    f"RSW {keep} exceeds {len(self._entries)} withheld stores")
+        elif not keep:
             self.commit_all()
-        while len(self._entries) > keep:
-            self._commit_one()
+        else:
+            for _ in range(excess):
+                self._commit_one()
 
     def snapshot(self) -> list[tuple[int, int, int]]:
         """FIFO contents, oldest first, as (addr, size, value) triples."""

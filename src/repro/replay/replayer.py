@@ -35,7 +35,7 @@ from ..capo.events import (
     InputEvent,
 )
 from ..capo.recording import Recording
-from ..errors import ReplayDivergenceError
+from ..errors import MachineFault, ReplayDivergenceError
 from ..isa.operands import Reg
 from ..isa.registers import RAX, RCX
 from ..kernel.syscalls import (
@@ -64,6 +64,9 @@ BLOCK_MIN_CHUNK = 32
 #: unreachable. rep_* iterations do not retire, so icount alone does not
 #: bound a chunk's units; this is only a runaway backstop.
 _CHUNK_UNIT_LIMIT = 1_000_000_000
+#: Chunk reasons whose boundary consumes an input event: every kernel
+#: entry but a preemption.
+_EVENT_REASONS = frozenset(Reason.KERNEL_ENTRY) - {Reason.PREEMPT}
 
 
 @dataclass
@@ -116,10 +119,15 @@ class _ReplayThread:
         self.withheld = withheld
         self.port = port
         self.events = events
-        # Translation blocks of the thread's program, indexed by pc; an
-        # engine without the decode cache runs none.
-        self.blocks = block_table(engine.program) \
-            if engine.decode_cache else None
+        # Unit functions and translation blocks of the thread's program,
+        # indexed by pc. An engine without the decode cache runs no blocks
+        # and steps every unit through the interpretive Engine.step.
+        if engine.decode_cache:
+            self.unit_fns = engine._dispatch
+            self.blocks = block_table(engine.program)
+        else:
+            self.unit_fns = [_interpret] * len(engine.program.instructions)
+            self.blocks = None
         self.completed_chunks = 0
         self.boundary_retired = 0
         self.pending_copies: tuple[tuple[int, bytes], ...] = ()
@@ -137,9 +145,6 @@ class _ReplayThread:
             raise ReplayDivergenceError("input log exhausted",
                                         rthread=self.rthread)
         return self.events.popleft()
-
-    def peek_event(self) -> InputEvent | None:
-        return self.events[0] if self.events else None
 
 
 class Replayer:
@@ -238,14 +243,101 @@ class Replayer:
     def step_chunk(self) -> ChunkEntry | None:
         """Replay exactly one chunk; returns it, or None at end of log.
 
-        This is the incremental interface the inspector/debugger builds on;
-        :meth:`run` is equivalent to stepping to the end.
+        Every replay path, :meth:`run` included, steps through here. The
+        common chunk runs inline: no pre-chunk work, units dispatched
+        straight to the engine's unit table (or translation blocks), and
+        a boundary that consumes no input event. The rest goes through
+        helpers; telemetry wraps the same body.
         """
-        if self.finished:
+        index = self._next_index
+        if index >= len(self.schedule):
             return None
-        chunk = self.schedule[self._next_index]
-        self._next_index += 1
-        self._replay_chunk(chunk)
+        chunk = self.schedule[index]
+        self._next_index = index + 1
+        ctx = self.threads.get(chunk.rthread)
+        if ctx is None:
+            raise ReplayDivergenceError(
+                "chunk for a thread that does not exist yet (ordering bug)",
+                rthread=chunk.rthread)
+        if ctx.finished:
+            raise ReplayDivergenceError("chunk after thread exit",
+                                        rthread=chunk.rthread)
+        traced = self.telemetry.enabled
+        if traced:
+            start = self.telemetry.tracer.now()
+        try:
+            events = ctx.events
+            if (ctx.pending_actions or ctx.pending_copies or events
+                    and events[0].chunk_seq == ctx.completed_chunks):
+                self._pre_chunk(ctx)
+            engine = ctx.engine
+            port = ctx.port
+            dispatch = ctx.unit_fns
+            end = len(dispatch)
+            # A block runs only where it fits whole before ``target`` and
+            # no rep_* instruction is in flight, so it never overshoots.
+            blocks = ctx.blocks if chunk.icount >= BLOCK_MIN_CHUNK else None
+            target = ctx.boundary_retired + chunk.icount
+            memops = chunk.memops
+            units = 0
+            try:
+                while True:
+                    retired = engine.retired
+                    if retired >= target:
+                        if retired > target:
+                            raise _unit_error(ctx, None, target)
+                        if engine.cur_memops == memops:
+                            break
+                    pc = engine.pc
+                    if not 0 <= pc < end:
+                        raise MachineFault(f"pc {pc} outside code", pc=pc)
+                    if blocks is not None:
+                        block = blocks[pc]
+                        if (block is not None and retired + block[0] <= target
+                                and engine.cur_memops == 0):
+                            try:
+                                units += block[1](engine, port)
+                            except BaseException:
+                                # Units retired before the fault.
+                                units += engine.pc - pc
+                                raise
+                            continue
+                    outcome = dispatch[pc](engine, port)
+                    units += 1
+                    if outcome is not None or units > _CHUNK_UNIT_LIMIT:
+                        raise _unit_error(ctx, outcome or OUTCOME_OK, target)
+            finally:
+                self.stats.units += units
+            if (chunk.load_hash is not None and self.config.mrr.log_load_hash
+                    and engine.load_hash != chunk.load_hash):
+                raise ReplayDivergenceError(
+                    f"load-value hash mismatch: {engine.load_hash:#x} != "
+                    f"{chunk.load_hash:#x}", rthread=ctx.rthread,
+                    icount=engine.retired)
+            ctx.boundary_retired = target
+            ctx.withheld.commit_keep_last(chunk.rsw)
+            engine.load_hash = 0
+            ctx.completed_chunks += 1
+            if chunk.reason in _EVENT_REASONS:
+                self._apply_event(ctx, chunk)
+        except ReplayDivergenceError as exc:
+            if traced:
+                self.telemetry.tracer.instant(
+                    "replay.divergence", cat="replay", tid=chunk.rthread,
+                    args={"chunk_index": index, "detail": str(exc)})
+            raise
+        self.stats.chunks += 1
+        if traced:
+            tracer = self.telemetry.tracer
+            self._tm_chunks.inc()
+            tracer.complete(f"replay:{chunk.reason}", start, cat="replay",
+                            tid=chunk.rthread,
+                            args={"icount": chunk.icount, "rsw": chunk.rsw,
+                                  "timestamp": chunk.timestamp})
+            if self.stats.chunks % self.telemetry.sampling == 0:
+                tracer.counter("replay.progress",
+                               {"chunks": self.stats.chunks,
+                                "events": self.stats.events}, cat="replay")
         return chunk
 
     def run(self) -> ReplayResult:
@@ -280,46 +372,6 @@ class Replayer:
             outputs.setdefault(name, bytearray()).extend(data)
         return {name: bytes(data) for name, data in outputs.items()}
 
-    def _replay_chunk(self, chunk: ChunkEntry) -> None:
-        ctx = self.threads.get(chunk.rthread)
-        if ctx is None:
-            raise ReplayDivergenceError(
-                "chunk for a thread that does not exist yet (ordering bug)",
-                rthread=chunk.rthread)
-        if ctx.finished:
-            raise ReplayDivergenceError("chunk after thread exit",
-                                        rthread=chunk.rthread)
-        telemetry = self.telemetry
-        if not telemetry.enabled:
-            self._pre_chunk(ctx)
-            self._execute_chunk(ctx, chunk)
-            self._boundary(ctx, chunk)
-            self.stats.chunks += 1
-            return
-        start = telemetry.tracer.now()
-        try:
-            self._pre_chunk(ctx)
-            self._execute_chunk(ctx, chunk)
-            self._boundary(ctx, chunk)
-        except ReplayDivergenceError as exc:
-            telemetry.tracer.instant(
-                "replay.divergence", cat="replay", tid=chunk.rthread,
-                args={"chunk_index": self._next_index - 1,
-                      "detail": str(exc)})
-            raise
-        self.stats.chunks += 1
-        self._tm_chunks.inc()
-        telemetry.tracer.complete(
-            f"replay:{chunk.reason}", start, cat="replay",
-            tid=chunk.rthread,
-            args={"icount": chunk.icount, "rsw": chunk.rsw,
-                  "timestamp": chunk.timestamp})
-        if self.stats.chunks % telemetry.sampling == 0:
-            telemetry.tracer.counter(
-                "replay.progress",
-                {"chunks": self.stats.chunks,
-                 "events": self.stats.events}, cat="replay")
-
     def _pre_chunk(self, ctx: _ReplayThread) -> None:
         if ctx.pending_actions:
             for action in ctx.pending_actions:
@@ -345,12 +397,10 @@ class Replayer:
                 self._write_segments.append((seq, name, data))
 
     def _deliver_signals(self, ctx: _ReplayThread) -> None:
-        while True:
-            event = ctx.peek_event()
-            if (event is None or event.kind != EV_SIGNAL
-                    or event.chunk_seq != ctx.completed_chunks):
-                return
-            ctx.next_event()
+        events = ctx.events
+        while (events and events[0].kind == EV_SIGNAL
+               and events[0].chunk_seq == ctx.completed_chunks):
+            event = events.popleft()
             engine = ctx.engine
             ctx.sig_saved.append(engine.save_context())
             handler = ctx.sig_handlers.get(event.value)
@@ -364,81 +414,9 @@ class Replayer:
             self.stats.signals += 1
             self.stats.events += 1
 
-    def _execute_chunk(self, ctx: _ReplayThread, chunk: ChunkEntry) -> None:
-        engine = ctx.engine
-        target = ctx.boundary_retired + chunk.icount
-        guard = 0
-        guard_limit = _CHUNK_UNIT_LIMIT
-        if ctx.blocks is not None and chunk.icount >= BLOCK_MIN_CHUNK:
-            guard = self._run_blocks(ctx, target)
-        while not (engine.retired == target
-                   and engine.cur_memops == chunk.memops):
-            if engine.retired > target:
-                raise ReplayDivergenceError(
-                    f"overshot chunk: retired {engine.retired} > {target}",
-                    rthread=ctx.rthread, icount=engine.retired)
-            outcome = engine.step(ctx.port)
-            self.stats.units += 1
-            guard += 1
-            if outcome != OUTCOME_OK or guard > guard_limit:
-                _raise_unit_error(ctx, outcome)
-        if (self.config.mrr.log_load_hash and chunk.load_hash is not None
-                and engine.load_hash != chunk.load_hash):
-            raise ReplayDivergenceError(
-                f"load-value hash mismatch: {engine.load_hash:#x} != "
-                f"{chunk.load_hash:#x}", rthread=ctx.rthread,
-                icount=engine.retired)
-
-    def _run_blocks(self, ctx: _ReplayThread, target: int) -> int:
-        """Run the chunk until it has retired up to ``target``, through a
-        whole translation block wherever one fits before ``target`` and
-        unit by unit elsewhere. Returns the units executed.
-
-        Every unit retires at most one instruction and every block fits,
-        so this never overshoots; the caller's loop finishes the chunk
-        (its tail of ``rep_*`` memory operations, if any).
-        """
-        engine = ctx.engine
-        port = ctx.port
-        entries = ctx.blocks
-        end = len(entries)
-        limit = _CHUNK_UNIT_LIMIT
-        executed = 0
-        try:
-            while True:
-                retired = engine.retired
-                if retired >= target:
-                    return executed
-                pc = engine.pc
-                if 0 <= pc < end:
-                    block = entries[pc]
-                    if (block is not None and retired + block[0] <= target
-                            and engine.cur_memops == 0):
-                        try:
-                            executed += block[1](engine, port)
-                        except BaseException:
-                            # Stepping counts the units retired before a
-                            # fault, not the faulting one.
-                            executed += engine.pc - pc
-                            raise
-                        continue
-                outcome = engine.step(port)
-                executed += 1
-                if outcome != OUTCOME_OK or executed > limit:
-                    _raise_unit_error(ctx, outcome)
-        finally:
-            self.stats.units += executed
-
-    def _boundary(self, ctx: _ReplayThread, chunk: ChunkEntry) -> None:
-        engine = ctx.engine
-        ctx.boundary_retired = engine.retired
-        ctx.withheld.commit_keep_last(chunk.rsw)
-        engine.load_hash = 0
-        ctx.completed_chunks += 1
-        if chunk.reason not in Reason.KERNEL_ENTRY:
-            return
-        if chunk.reason == Reason.PREEMPT:
-            return
+    def _apply_event(self, ctx: _ReplayThread, chunk: ChunkEntry) -> None:
+        """Boundary of a chunk that ended at a kernel entry other than a
+        preemption: consume and apply the thread's next input event."""
         event = ctx.next_event()
         self.stats.events += 1
         if event.chunk_seq != ctx.completed_chunks:
@@ -541,14 +519,27 @@ class Replayer:
                     rthread=ctx.rthread)
 
 
-def _raise_unit_error(ctx: _ReplayThread, outcome: str) -> None:
-    """The unit just stepped trapped, or the chunk ran past
-    ``_CHUNK_UNIT_LIMIT`` units without reaching its end."""
+def _interpret(engine: Engine, port: ReplayPort) -> str | None:
+    """A unit through the interpretive :meth:`Engine.step`, returning as a
+    generated unit function does."""
+    outcome = engine.step(port)
+    return None if outcome == OUTCOME_OK else outcome
+
+
+def _unit_error(ctx: _ReplayThread, outcome: str | None,
+                target: int) -> ReplayDivergenceError:
+    """Why a chunk cannot reach its end: it retired past ``target``
+    (``outcome`` None), a unit trapped, or (``OUTCOME_OK``) it ran past
+    ``_CHUNK_UNIT_LIMIT`` units."""
     engine = ctx.engine
+    if outcome is None:
+        return ReplayDivergenceError(
+            f"overshot chunk: retired {engine.retired} > {target}",
+            rthread=ctx.rthread, icount=engine.retired)
     if outcome != OUTCOME_OK:
-        raise ReplayDivergenceError(
+        return ReplayDivergenceError(
             f"trap ({outcome}) inside a chunk at pc {engine.pc}",
             rthread=ctx.rthread, icount=engine.retired)
-    raise ReplayDivergenceError(
+    return ReplayDivergenceError(
         "chunk stop condition unreachable",
         rthread=ctx.rthread, icount=engine.retired)

@@ -8,13 +8,19 @@ checks the per-thread invariants the recorder guarantees.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from ..errors import ReplayDivergenceError
 from ..mrr.chunk import ChunkEntry, Reason
 
 
+#: ``ChunkEntry.sort_key`` as one C-level call per chunk.
+_SORT_KEY = attrgetter("timestamp", "rthread")
+
+
 def build_schedule(chunks: list[ChunkEntry]) -> list[ChunkEntry]:
     """Global replay order: sort by (timestamp, rthread), stably."""
-    return sorted(chunks, key=lambda chunk: chunk.sort_key)
+    return sorted(chunks, key=_SORT_KEY)
 
 
 def validate_schedule(chunks: list[ChunkEntry]) -> None:

@@ -12,7 +12,7 @@ from repro import session, workloads
 from repro.capo.recording import Recording
 from repro.errors import ReplayDivergenceError, ReproError
 from repro.mrr.logfmt import CheckpointRecord
-from repro.replay import parallel
+from repro.replay import checkpoint
 from repro.replay.checkpoint import build_checkpoints
 from repro.replay.parallel import Interval, _plan_spans, plan_intervals, \
     replay_parallel
@@ -227,13 +227,13 @@ def test_parallel_replay_restores_once_per_span(recording, serial_digest):
 def test_serial_path_restores_every_checkpoint(recording, serial_digest,
                                                monkeypatch):
     restored = []
-    original = parallel.restore_replayer
+    original = checkpoint.restore_replayer
 
     def counting(recording, state, **kwargs):
         restored.append(state.position)
         return original(recording, state, **kwargs)
 
-    monkeypatch.setattr(parallel, "restore_replayer", counting)
+    monkeypatch.setattr(checkpoint, "restore_replayer", counting)
     telemetry = Telemetry()
     result, report = replay_parallel(recording=recording, jobs=1,
                                      telemetry=telemetry)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from repro.errors import ReplayDivergenceError
@@ -22,6 +24,22 @@ def good_log():
 def test_build_schedule_sorts_by_timestamp():
     schedule = build_schedule(list(reversed(good_log())))
     assert [c.timestamp for c in schedule] == [1, 2, 3, 4, 5]
+
+
+def test_build_schedule_matches_the_sort_key_order():
+    """Equal timestamps break ties by rthread, and equal (timestamp,
+    rthread) pairs keep their log order: the order a sort on the
+    ``sort_key`` property gives, entry for entry."""
+    rng = random.Random(5)
+    log = [ChunkEntry(rng.randint(1, 4), rng.randint(1, 6), icount, 0, 0,
+                      Reason.RAW) for icount in range(200)]
+    rng.shuffle(log)
+    expected = sorted(log, key=lambda entry: entry.sort_key)
+    schedule = build_schedule(log)
+    assert [id(entry) for entry in schedule] == \
+        [id(entry) for entry in expected]
+    assert any(a.sort_key == b.sort_key
+               for a, b in zip(schedule, schedule[1:]))
 
 
 def test_validate_accepts_good_log():
