@@ -36,6 +36,9 @@ from typing import Protocol
 
 from .cache import EXCLUSIVE, MESICache, MODIFIED, SHARED
 
+#: MESI states that own a line: a remote read downgrades them to Shared.
+_OWNED = (MODIFIED, EXCLUSIVE)
+
 
 class Snooper(Protocol):
     """A bus observer (the MRR). Returns the timestamp of a chunk it
@@ -164,6 +167,7 @@ class SnoopBus:
         # One pass per core: the cache snoop and the recorder snoop touch
         # disjoint state, so interleaving them per-core is observably
         # identical to two passes (victim order is still ascending core id).
+        # The cache snoop is MESICache.snoop_remote_write/_read, inline.
         shared = False
         flushed = False
         victims: list[int] = []
@@ -172,10 +176,26 @@ class SnoopBus:
             if core_id == requester or not present & (1 << core_id):
                 continue
             if cache is not None:
+                entry_set = cache._sets[
+                    (line >> cache._line_shift) & cache._set_mask]
                 if is_write:
-                    flushed |= cache.snoop_remote_write(line)
-                elif cache.snoop_remote_read(line):
-                    shared = True
+                    state = entry_set.pop(line, None)
+                    if state is not None:
+                        cache_stats = cache.stats
+                        cache_stats.invalidations_received += 1
+                        if state == MODIFIED:
+                            cache_stats.writebacks += 1
+                            flushed = True
+                else:
+                    state = entry_set.get(line)
+                    if state is not None:
+                        shared = True
+                        if state in _OWNED:
+                            cache_stats = cache.stats
+                            if state == MODIFIED:
+                                cache_stats.writebacks += 1
+                            entry_set[line] = SHARED
+                            cache_stats.downgrades_received += 1
             snooper = snoopers[core_id]
             if snooper is not None:
                 timestamp = snooper.snoop(line, is_write)
@@ -296,7 +316,8 @@ class DirectoryBus(SnoopBus):
         hist[holders] = hist.get(holders, 0) + 1
 
         # Walk only the set bits, ascending core id (lowest bit first), so
-        # victim order matches the reference fabric's ascending scan.
+        # victim order matches the reference fabric's ascending scan. The
+        # cache snoop is inline, as in SnoopBus.transaction.
         shared = False
         flushed = False
         victims: list[int] = []
@@ -310,10 +331,26 @@ class DirectoryBus(SnoopBus):
             if low & cache_mask:
                 cache = caches[core_id]
                 if cache is not None:
+                    entry_set = cache._sets[
+                        (line >> cache._line_shift) & cache._set_mask]
                     if is_write:
-                        flushed |= cache.snoop_remote_write(line)
-                    elif cache.snoop_remote_read(line):
-                        shared = True
+                        state = entry_set.pop(line, None)
+                        if state is not None:
+                            cache_stats = cache.stats
+                            cache_stats.invalidations_received += 1
+                            if state == MODIFIED:
+                                cache_stats.writebacks += 1
+                                flushed = True
+                    else:
+                        state = entry_set.get(line)
+                        if state is not None:
+                            shared = True
+                            if state in _OWNED:
+                                cache_stats = cache.stats
+                                if state == MODIFIED:
+                                    cache_stats.writebacks += 1
+                                entry_set[line] = SHARED
+                                cache_stats.downgrades_received += 1
             snooper = snoopers[core_id]
             if snooper is not None:
                 timestamp = snooper.snoop(line, is_write)

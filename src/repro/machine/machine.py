@@ -20,17 +20,23 @@ from ..isa.program import Program
 from ..perf.costmodel import DEFAULT_COST_MODEL, CostModel
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .bus import DirectoryBus, SnoopBus
-from .cache import MESICache, MISS as CACHE_MISS, MODIFIED, UPGRADE
-from .core import OUTCOME_OK, Engine
-from .memory import PhysicalMemory
-from .store_buffer import (
-    RESOLVE_CONFLICT,
-    RESOLVE_HIT,
-    StoreBuffer,
+from .cache import (
+    EXCLUSIVE,
+    MESICache,
+    MISS as CACHE_MISS,
+    MODIFIED,
+    SHARED,
+    UPGRADE,
 )
+from .core import OUTCOME_OK, Engine
+from .memory import MASK32, PhysicalMemory, misaligned, outside_memory
+from .store_buffer import PendingStore, StoreBuffer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for typing only
     from ..mrr.recorder import MemoryRaceRecorder
+
+#: MESI states that own a line: a write hits silently.
+_OWNED = (MODIFIED, EXCLUSIVE)
 
 
 class Core:
@@ -43,13 +49,25 @@ class Core:
         self.store_buffer = StoreBuffer(machine.config.store_buffer.entries)
         self.cache = MESICache(machine.config.cache)
         self.recorder: "MemoryRaceRecorder | None" = None
-        self.port = _RecordPort(self)
         self.cycles = 0
         # The kernel's bookkeeping slot: the task currently dispatched here.
         self.task = None
-        # Hot-path hoists (all fixed for the machine's lifetime).
+        # Hot-path hoists for the flat memory path (drain_one, the record
+        # port and the fill in Machine.bus_transaction). All fixed for the
+        # machine's lifetime: the buffer's deque, the cache's sets, stats
+        # and geometry, and the memory's bytearray are never replaced.
+        cache = self.cache
+        self._sb_entries = self.store_buffer._entries
+        self._sets = cache._sets
+        self._line_shift = cache._line_shift
+        self._set_mask = cache._set_mask
+        self._ways = cache.config.ways
+        self._cache_stats = cache.stats
         self._line_mask = ~(machine.config.cache.line_bytes - 1)
+        self._mem_data = machine.memory._data
+        self._mem_size = machine.memory.size
         self._store_drain_cost = machine.cost.store_drain
+        self.port = _RecordPort(self)
 
     @property
     def idle(self) -> bool:
@@ -61,104 +79,181 @@ class Core:
     # -- store buffer drains -------------------------------------------------
 
     def drain_one(self) -> None:
-        """Make the oldest buffered store globally visible."""
+        """Make the oldest buffered store globally visible: take write
+        ownership of its line, write memory, insert into the recorder's
+        write set. ``MESICache.classify_write`` and ``PhysicalMemory.
+        write_word``/``write_byte`` run inline (see :class:`_RecordPort`)."""
         machine = self.machine
-        entry = self.store_buffer.pop_oldest()
-        line = entry.addr & self._line_mask
-        classification = self.cache.classify_write(line)
-        if classification == CACHE_MISS:
-            machine.bus_transaction(self, line, is_write=True)
-        elif classification == UPGRADE:
-            machine.bus_transaction(self, line, is_write=True, upgrade=True)
-        machine.buffered_stores -= 1
-        memory = machine.memory
-        if entry.size == 4:
-            memory.write_word(entry.addr, entry.value)
+        entry = self._sb_entries.popleft()
+        addr = entry.addr
+        line = addr & self._line_mask
+        entry_set = self._sets[(line >> self._line_shift) & self._set_mask]
+        state = entry_set.get(line)
+        if state in _OWNED:
+            entry_set.move_to_end(line)
+            entry_set[line] = MODIFIED
+            self._cache_stats.write_hits += 1
+        elif state == SHARED:
+            entry_set.move_to_end(line)
+            self._cache_stats.upgrades += 1
+            machine.bus_transaction(self, line, True, True)
         else:
-            memory.write_byte(entry.addr, entry.value)
+            self._cache_stats.write_misses += 1
+            machine.bus_transaction(self, line, True)
+        machine.buffered_stores -= 1
+        if entry.size == 4:
+            if addr & 3:
+                raise misaligned("write", addr)
+            if addr < 0 or addr + 4 > self._mem_size:
+                raise outside_memory(addr, 4, self._mem_size)
+            self._mem_data[addr:addr + 4] = (
+                (entry.value & MASK32).to_bytes(4, "little"))
+        else:
+            if addr < 0 or addr + 1 > self._mem_size:
+                raise outside_memory(addr, 1, self._mem_size)
+            self._mem_data[addr] = entry.value & 0xFF
         self.cycles += self._store_drain_cost
         if machine._tm_enabled:
             machine._tm_drains.inc()
-        if self.recorder is not None:
-            self.recorder.on_store_drain(line)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.on_store_drain(line)
 
     def drain_all(self) -> None:
-        entries = self.store_buffer._entries
+        entries = self._sb_entries
         while entries:
             self.drain_one()
 
 
 class _RecordPort:
     """The engine's memory port during normal (recordable) execution:
-    TSO store buffer in front of a MESI cache on the snoop bus."""
+    TSO store buffer in front of a MESI cache on the snoop bus.
+
+    Every access is one flat body. The store-buffer forward scan
+    (``StoreBuffer.resolve``/``push``), the MESI set lookup with its LRU
+    touch and stats (``MESICache.classify_read``/``classify_write``) and
+    the aligned access on the memory's bytearray (``PhysicalMemory.
+    read_word``/``write_word`` and the byte forms, same checks, same
+    ``MemoryAccessError`` messages) run inline, in the order those methods
+    ran. What stays a call: at most one recorder insert per access, bus
+    transactions on a miss or upgrade, and drains.
+    ``tests/machine/test_record_port.py`` runs it in lockstep against a
+    port built from the methods.
+    """
 
     def __init__(self, core: Core):
         self._core = core
-        machine = core.machine
-        self._machine = machine
-        self._memory = machine.memory
-        self._sb = core.store_buffer
-        self._cache = core.cache
-        self._line_mask = ~(machine.config.cache.line_bytes - 1)
-        self._atomic_extra = machine.cost.atomic_extra
+        self._machine = core.machine
+        self._entries = core._sb_entries
+        self._sb_capacity = core.store_buffer.capacity
+        self._sets = core._sets
+        self._line_shift = core._line_shift
+        self._set_mask = core._set_mask
+        self._cache_stats = core._cache_stats
+        self._line_mask = core._line_mask
+        self._mem_data = core._mem_data
+        self._mem_size = core._mem_size
+        self._atomic_extra = core.machine.cost.atomic_extra
 
     def load(self, addr: int, size: int) -> int:
         core = self._core
-        status, value = self._sb.resolve(addr, size)
         line = addr & self._line_mask
+        entries = self._entries
+        if entries:
+            # Store-to-load forwarding from the youngest overlapping entry;
+            # a partial overlap drains the buffer, then reads memory.
+            for entry in reversed(entries):
+                start = entry.addr
+                end = start + entry.size
+                if start <= addr and addr + size <= end:
+                    recorder = core.recorder
+                    if recorder is not None:
+                        recorder.on_load(line)
+                    return ((entry.value >> (8 * (addr - start)))
+                            & ((1 << (8 * size)) - 1))
+                if start < addr + size and addr < end:
+                    core.drain_all()
+                    break
+        entry_set = self._sets[(line >> self._line_shift) & self._set_mask]
+        if line in entry_set:
+            entry_set.move_to_end(line)
+            self._cache_stats.read_hits += 1
+        else:
+            self._cache_stats.read_misses += 1
+            self._machine.bus_transaction(core, line, False)
         recorder = core.recorder
-        if status == RESOLVE_HIT:
-            if recorder is not None:
-                recorder.on_load(line)
-            return value  # type: ignore[return-value]
-        if status == RESOLVE_CONFLICT:
-            core.drain_all()
-        if self._cache.classify_read(line) == CACHE_MISS:
-            self._machine.bus_transaction(core, line, is_write=False)
         if recorder is not None:
             recorder.on_load(line)
+        data = self._mem_data
         if size == 4:
-            return self._memory.read_word(addr)
-        return self._memory.read_byte(addr)
+            if addr & 3:
+                raise misaligned("read", addr)
+            if addr < 0 or addr + 4 > self._mem_size:
+                raise outside_memory(addr, 4, self._mem_size)
+            return int.from_bytes(data[addr:addr + 4], "little")
+        if addr < 0 or addr + 1 > self._mem_size:
+            raise outside_memory(addr, 1, self._mem_size)
+        return data[addr]
 
     def store(self, addr: int, size: int, value: int) -> None:
-        sb = self._sb
-        if sb.full:
+        entries = self._entries
+        if len(entries) >= self._sb_capacity:
             self._core.drain_one()
-        sb.push(addr, size, value)
+        entries.append(PendingStore(addr, size, value & MASK32))
         self._machine.buffered_stores += 1
 
     def fence(self) -> None:
-        if self._sb._entries:
+        if self._entries:
             self._core.drain_all()
 
     def atomic_load(self, addr: int, size: int) -> int:
         """First half of a bus-locked RMW: take exclusive ownership, read."""
         core = self._core
         line = addr & self._line_mask
-        classification = self._cache.classify_write(line)
-        if classification == CACHE_MISS:
-            self._machine.bus_transaction(core, line, is_write=True)
-        elif classification == UPGRADE:
-            self._machine.bus_transaction(core, line, is_write=True, upgrade=True)
+        entry_set = self._sets[(line >> self._line_shift) & self._set_mask]
+        state = entry_set.get(line)
+        if state in _OWNED:
+            entry_set.move_to_end(line)
+            entry_set[line] = MODIFIED
+            self._cache_stats.write_hits += 1
+        elif state == SHARED:
+            entry_set.move_to_end(line)
+            self._cache_stats.upgrades += 1
+            self._machine.bus_transaction(core, line, True, True)
+        else:
+            self._cache_stats.write_misses += 1
+            self._machine.bus_transaction(core, line, True)
         core.cycles += self._atomic_extra
-        if core.recorder is not None:
-            core.recorder.on_atomic_read(line)
+        recorder = core.recorder
+        if recorder is not None:
+            recorder.on_atomic_read(line)
+        data = self._mem_data
         if size == 4:
-            return self._memory.read_word(addr)
-        return self._memory.read_byte(addr)
+            if addr & 3:
+                raise misaligned("read", addr)
+            if addr < 0 or addr + 4 > self._mem_size:
+                raise outside_memory(addr, 4, self._mem_size)
+            return int.from_bytes(data[addr:addr + 4], "little")
+        if addr < 0 or addr + 1 > self._mem_size:
+            raise outside_memory(addr, 1, self._mem_size)
+        return data[addr]
 
     def atomic_store(self, addr: int, size: int, value: int) -> None:
         """Second half of a bus-locked RMW: line is already Modified."""
-        core = self._core
-        line = addr & self._line_mask
+        data = self._mem_data
         if size == 4:
-            self._memory.write_word(addr, value)
+            if addr & 3:
+                raise misaligned("write", addr)
+            if addr < 0 or addr + 4 > self._mem_size:
+                raise outside_memory(addr, 4, self._mem_size)
+            data[addr:addr + 4] = (value & MASK32).to_bytes(4, "little")
         else:
-            self._memory.write_byte(addr, value)
-        if core.recorder is not None:
-            core.recorder.on_atomic_write(line)
-
+            if addr < 0 or addr + 1 > self._mem_size:
+                raise outside_memory(addr, 1, self._mem_size)
+            data[addr] = value & 0xFF
+        recorder = self._core.recorder
+        if recorder is not None:
+            recorder.on_atomic_write(addr & self._line_mask)
 
 class Machine:
     """The QuickIA box: ``num_cores`` cores over one snoop bus.
@@ -245,7 +340,15 @@ class Machine:
         core.cycles += self._cost_upgrade if upgrade else self._cost_l1_miss
         if result.flushed:
             core.cycles += self._cost_writeback
-        if core.cache.fill(line, MODIFIED if is_write else result.fill_state):
+        # The fill, inline unless a victim must go (MESICache.fill).
+        state = MODIFIED if is_write else result.fill_state
+        entry_set = core._sets[(line >> core._line_shift) & core._set_mask]
+        if line in entry_set:
+            entry_set[line] = state
+            entry_set.move_to_end(line)
+        elif len(entry_set) < core._ways:
+            entry_set[line] = state
+        elif core.cache.fill(line, state):
             core.cycles += self._cost_writeback
         if self._tm_enabled:
             telemetry = self.telemetry

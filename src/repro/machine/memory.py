@@ -16,6 +16,17 @@ from ..errors import MemoryAccessError
 MASK32 = 0xFFFFFFFF
 
 
+def misaligned(op: str, addr: int) -> MemoryAccessError:
+    """The fault of a misaligned word ``op`` ("read" or "write")."""
+    return MemoryAccessError(f"misaligned word {op} at {addr:#x}")
+
+
+def outside_memory(addr: int, size: int, memory_size: int) -> MemoryAccessError:
+    """The fault of an access ``[addr, addr + size)`` past either end."""
+    return MemoryAccessError(f"access [{addr:#x}, +{size}) outside memory "
+                             f"of {memory_size:#x} bytes")
+
+
 class PhysicalMemory:
     """``size`` bytes of zero-initialized RAM with aligned word access."""
 
@@ -27,20 +38,19 @@ class PhysicalMemory:
 
     def _check(self, addr: int, size: int) -> None:
         if addr < 0 or addr + size > self.size:
-            raise MemoryAccessError(f"access [{addr:#x}, +{size}) outside memory "
-                                    f"of {self.size:#x} bytes")
+            raise outside_memory(addr, size, self.size)
 
     def read_word(self, addr: int) -> int:
         """Read an aligned little-endian 32-bit word."""
         if addr & 3:
-            raise MemoryAccessError(f"misaligned word read at {addr:#x}")
+            raise misaligned("read", addr)
         self._check(addr, 4)
         return int.from_bytes(self._data[addr:addr + 4], "little")
 
     def write_word(self, addr: int, value: int) -> None:
         """Write an aligned little-endian 32-bit word."""
         if addr & 3:
-            raise MemoryAccessError(f"misaligned word write at {addr:#x}")
+            raise misaligned("write", addr)
         self._check(addr, 4)
         self._data[addr:addr + 4] = (value & MASK32).to_bytes(4, "little")
 

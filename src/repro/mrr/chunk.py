@@ -73,8 +73,8 @@ class ChunkEntry:
     def __post_init__(self) -> None:
         if self.reason not in Reason.CODES:
             raise ValueError(f"unknown termination reason {self.reason!r}")
-        if min(self.rthread, self.timestamp, self.icount,
-               self.memops, self.rsw) < 0:
+        if (self.rthread < 0 or self.timestamp < 0 or self.icount < 0
+                or self.memops < 0 or self.rsw < 0):
             raise ValueError("chunk entry fields must be non-negative")
 
     @property

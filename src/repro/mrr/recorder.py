@@ -32,6 +32,7 @@ from ..config import MRRConfig, TsoMode
 from ..errors import RecordingError
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .chunk import ChunkEntry, Reason
+from .hashing import shared_hasher
 from .signature import BloomSignature
 
 #: The termination gate of a recorder with no thread: above any retired
@@ -48,8 +49,17 @@ class MemoryRaceRecorder:
         self.config = config
         self.core = core
         self.sink = sink
-        self.read_sig = BloomSignature(config.signature_bits, config.signature_hashes)
-        self.write_sig = BloomSignature(config.signature_bits, config.signature_hashes)
+        # One hasher for both signatures: on_load, on_store_drain and snoop
+        # read its memoized per-line masks directly.
+        hasher = shared_hasher(config.signature_bits, config.signature_hashes)
+        self._hasher = hasher
+        self._masks = hasher._mask_cache
+        self.read_sig = BloomSignature(config.signature_bits,
+                                       config.signature_hashes, hasher)
+        self.write_sig = BloomSignature(config.signature_bits,
+                                        config.signature_hashes, hasher)
+        # The store buffer's deque: its length is the RSW at termination.
+        self._sb_entries = core.store_buffer._entries
         self.rthread: int | None = None
         self._icnt_start = 0
         # The per-unit termination gate: after_unit can act only once
@@ -65,6 +75,7 @@ class MemoryRaceRecorder:
         # config/telemetry objects.
         self._tm_on = self.telemetry.enabled
         self._drain_mode = config.tso_mode == TsoMode.DRAIN
+        self._log_load_hash = config.log_load_hash
         self._max_chunk = config.max_chunk_instructions
         self._sat_enabled = config.saturation_threshold < 1.0
         # Saturation rewritten as an integer popcount threshold: the
@@ -119,17 +130,9 @@ class MemoryRaceRecorder:
         self.write_sig.clear()
 
     def _begin_chunk(self) -> None:
-        # Inline of BloomSignature.clear() for both filters: this runs at
-        # every chunk boundary, which conflict-heavy workloads hit every
-        # few units.
-        read_sig = self.read_sig
-        read_sig._word = 0
-        read_sig.bits_set = 0
-        read_sig.inserts = 0
-        write_sig = self.write_sig
-        write_sig._word = 0
-        write_sig.bits_set = 0
-        write_sig.inserts = 0
+        # terminate runs this body inline at every chunk boundary.
+        self.read_sig.clear()
+        self.write_sig.clear()
         engine = self.core.engine
         self._icnt_start = engine.retired
         self.gate = engine.retired + self._max_chunk
@@ -144,21 +147,45 @@ class MemoryRaceRecorder:
     # path strings) join the current chunk's read set; drained stores,
     # atomic writes and kernel copy-to-user writes join its write set.
 
+    # Each hook is BloomSignature.insert inline, with the hasher's memoized
+    # mask read first. The gate drops only on an insert that sets new bits:
+    # bits_set grows only here and falls to 0 only where the gate is reset
+    # (_begin_chunk, terminate, clear_thread), so once it reaches the
+    # saturation popcount the gate is already -1 until the chunk ends.
+
     def on_load(self, line: int) -> None:
         if self.rthread is not None:
+            mask = self._masks.get(line)
+            if mask is None:
+                mask = self._hasher.mask(line)
             read_sig = self.read_sig
-            read_sig.insert(line)
-            if read_sig.bits_set >= self._sat_gate_bits:
-                self.gate = -1
+            word = read_sig._word
+            merged = word | mask
+            if merged != word:
+                read_sig._word = merged
+                bits_set = read_sig.bits_set + (merged ^ word).bit_count()
+                read_sig.bits_set = bits_set
+                if bits_set >= self._sat_gate_bits:
+                    self.gate = -1
+            read_sig.inserts += 1
             if self._tm_on:
                 self._exact_reads.add(line)
 
     def on_store_drain(self, line: int) -> None:
         if self.rthread is not None:
+            mask = self._masks.get(line)
+            if mask is None:
+                mask = self._hasher.mask(line)
             write_sig = self.write_sig
-            write_sig.insert(line)
-            if write_sig.bits_set >= self._sat_gate_bits:
-                self.gate = -1
+            word = write_sig._word
+            merged = word | mask
+            if merged != word:
+                write_sig._word = merged
+                bits_set = write_sig.bits_set + (merged ^ word).bit_count()
+                write_sig.bits_set = bits_set
+                if bits_set >= self._sat_gate_bits:
+                    self.gate = -1
+            write_sig.inserts += 1
             if self._tm_on:
                 self._exact_writes.add(line)
 
@@ -172,29 +199,31 @@ class MemoryRaceRecorder:
         timestamp on a hit."""
         if self.rthread is None:
             return None
-        # The filter-word guards skip the test() calls entirely when a
-        # signature is empty (always true just after a chunk boundary).
-        write_sig = self.write_sig
-        if is_write:
-            if write_sig._word and write_sig.test(line):
-                self._note_snoop_cut(line, self._exact_writes, Reason.WAW)
-                return self.terminate(Reason.WAW)
-            read_sig = self.read_sig
-            if read_sig._word and read_sig.test(line):
-                self._note_snoop_cut(line, self._exact_reads, Reason.WAR)
-                return self.terminate(Reason.WAR)
+        # BloomSignature.test inline. A remote read tests the write set
+        # only; an empty signature (always so just after a chunk boundary)
+        # is decided without the mask.
+        write_word = self.write_sig._word
+        read_word = self.read_sig._word if is_write else 0
+        if not (write_word or read_word):
             return None
-        if write_sig._word and write_sig.test(line):
-            self._note_snoop_cut(line, self._exact_writes, Reason.RAW)
-            return self.terminate(Reason.RAW)
+        mask = self._masks.get(line)
+        if mask is None:
+            mask = self._hasher.mask(line)
+        if write_word & mask == mask:
+            reason = Reason.WAW if is_write else Reason.RAW
+            if self._tm_on:
+                self._note_snoop_cut(line, self._exact_writes, reason)
+            return self.terminate(reason)
+        if read_word & mask == mask:
+            if self._tm_on:
+                self._note_snoop_cut(line, self._exact_reads, Reason.WAR)
+            return self.terminate(Reason.WAR)
         return None
 
     def _note_snoop_cut(self, line: int, exact: set[int],
                         reason: str) -> None:
         """Telemetry for a signature hit: count it, and classify it as a
         Bloom false positive when the exact shadow set disagrees."""
-        if not self._tm_on:
-            return
         self._tm_snoop_cuts.inc()
         if line not in exact:
             self._tm_bloom_fp.inc()
@@ -232,7 +261,8 @@ class MemoryRaceRecorder:
 
         Returns the chunk's timestamp.
         """
-        if self.rthread is None:
+        rthread = self.rthread
+        if rthread is None:
             raise RecordingError("terminate with no active rthread")
         machine = self.core.machine
         if self._drain_mode and not machine.in_bus_transaction:
@@ -259,14 +289,9 @@ class MemoryRaceRecorder:
         bus.order_clock = timestamp
         engine = self.core.engine
         entry = ChunkEntry(
-            rthread=self.rthread,
-            timestamp=timestamp,
-            icount=engine.retired - self._icnt_start,
-            memops=engine.cur_memops,
-            rsw=len(self.core.store_buffer),
-            reason=reason,
-            load_hash=engine.load_hash if self.config.log_load_hash else None,
-        )
+            rthread, timestamp, engine.retired - self._icnt_start,
+            engine.cur_memops, len(self._sb_entries), reason,
+            engine.load_hash if self._log_load_hash else None)
         if self._tm_on:
             telemetry = self.telemetry
             read_pct = 100.0 * self.read_sig.saturation
@@ -279,11 +304,27 @@ class MemoryRaceRecorder:
             self._tm_occupancy.observe(write_pct)
             telemetry.tracer.complete(
                 f"chunk:{reason}", self._chunk_start_ts, cat="mrr",
-                tid=self.rthread,
+                tid=rthread,
                 args={"icount": entry.icount, "rsw": entry.rsw,
                       "timestamp": timestamp,
                       "read_sat_pct": round(read_pct, 2),
                       "write_sat_pct": round(write_pct, 2)})
         self.sink(entry)
-        self._begin_chunk()
+        # The next chunk begins: _begin_chunk, inline.
+        read_sig = self.read_sig
+        read_sig._word = 0
+        read_sig.bits_set = 0
+        read_sig.inserts = 0
+        write_sig = self.write_sig
+        write_sig._word = 0
+        write_sig.bits_set = 0
+        write_sig.inserts = 0
+        retired = engine.retired
+        self._icnt_start = retired
+        self.gate = retired + self._max_chunk
+        engine.load_hash = 0
+        if self._tm_on:
+            self._exact_reads.clear()
+            self._exact_writes.clear()
+            self._chunk_start_ts = self.telemetry.tracer.now()
         return timestamp
