@@ -4,7 +4,7 @@ A faithful functional reproduction of *QuickRec: prototyping an Intel
 architecture extension for record and replay of multithreaded programs*
 (Pokam et al., ISCA 2013): a multicore TSO machine with MESI coherence,
 per-core Memory Race Recorder hardware (chunking with Bloom signatures and
-Lamport timestamps), the Capo3 replay-sphere software stack over a
+globally ordered chunk timestamps), the Capo3 replay-sphere software stack over a
 miniature OS, and a replayer that re-executes runs from the logs alone.
 
 Quickstart::

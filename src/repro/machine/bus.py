@@ -7,12 +7,11 @@ front-side bus. Two kinds of agents observe transactions:
 - the other cores' caches, which downgrade or invalidate their copies
   (MESI); and
 - *snoopers* — the per-core Memory Race Recorders — which test the line
-  against their signatures and may terminate their current chunk, returning
-  the terminated chunk's timestamp so the requester can raise its Lamport
-  clock above it.
+  against their signatures and may terminate their current chunk.
 
-Two fabrics implement that contract (selected by ``MachineConfig.
-coherence``):
+Both fabrics (selected by ``MachineConfig.coherence``) run the one
+transaction body, :meth:`SnoopBus.transaction`; they differ only in which
+caches it snoops and in how the notifies are counted:
 
 - :class:`SnoopBus` — the reference broadcast fabric: every transaction
   architecturally reaches all other agents (``num_cores - 1`` snoops),
@@ -41,10 +40,10 @@ _OWNED = (MODIFIED, EXCLUSIVE)
 
 
 class Snooper(Protocol):
-    """A bus observer (the MRR). Returns the timestamp of a chunk it
-    terminated because of this transaction, or None."""
+    """A bus observer (the MRR): tests the line against its signatures
+    and terminates its current chunk on a hit."""
 
-    def snoop(self, line: int, is_write: bool) -> int | None: ...
+    def snoop(self, line: int, is_write: bool) -> None: ...
 
 
 @dataclass
@@ -73,15 +72,6 @@ class BusStats:
         out = dict(self.__dict__)
         out["sharer_hist"] = dict(self.sharer_hist)
         return out
-
-
-@dataclass(slots=True)
-class BusResult:
-    """Outcome of one transaction."""
-
-    fill_state: str
-    victim_timestamps: list[int] = field(default_factory=list)
-    flushed: bool = False
 
 
 class SnoopBus:
@@ -116,14 +106,13 @@ class SnoopBus:
         # suite). Always maintained, even with filtering off.
         self._all_mask = (1 << num_cores) - 1
         self._presence: dict[int, int] = {}
+        # The directory's exact per-line cache-holder set; None on the
+        # snooping bus, which snoops every present cache.
+        self._sharers: dict[int, int] | None = None
 
     def presence_mask(self, line: int) -> int:
         """The conservative holder bitmask for ``line``."""
         return self._presence.get(line, self._all_mask)
-
-    def next_chunk_timestamp(self) -> int:
-        self.order_clock += 1
-        return self.order_clock
 
     def attach_cache(self, core_id: int, cache: MESICache) -> None:
         self._caches[core_id] = cache
@@ -132,160 +121,14 @@ class SnoopBus:
         self._snoopers[core_id] = snooper
 
     def transaction(self, requester: int, line: int, is_write: bool,
-                    upgrade: bool = False) -> BusResult:
+                    upgrade: bool = False) -> tuple[str, bool]:
         """Run one transaction and notify caches and snoopers.
 
         ``upgrade`` marks a Shared-to-Modified upgrade (the requester already
         holds the line; no data transfer, but invalidations and snooping
-        still occur).
+        still occur). Returns the requester's fill state and whether a
+        remote Modified copy was flushed (writes only).
         """
-        self.stats.transactions += 1
-        if upgrade:
-            self.stats.upgrades += 1
-        elif is_write:
-            self.stats.read_exclusives += 1
-        else:
-            self.stats.reads += 1
-        # A shared bus is architecturally a broadcast: every other agent
-        # observes the transaction, whether or not the presence filter lets
-        # the simulator skip the provable no-op callbacks.
-        self.stats.notifies_sent += self._broadcast
-        self.stats.broadcast_snoops += self._broadcast
-
-        # Presence-filtered snooping: cores whose presence bit is clear can
-        # hold neither the line (their copy was invalidated by the write
-        # that cleared the bit) nor a signature entry for it (that same
-        # transaction snooped their recorder, and a true member always
-        # tests positive, terminating the chunk and clearing the
-        # signatures). Skipping them is therefore a no-op — they would
-        # mutate no cache state, no stats, and no recorder state. The
-        # filtered mask is read once, before any update, so a transaction
-        # never filters on its own effects.
-        present = (self._presence.get(line, self._all_mask)
-                   if self.filter_snoops else self._all_mask)
-
-        # One pass per core: the cache snoop and the recorder snoop touch
-        # disjoint state, so interleaving them per-core is observably
-        # identical to two passes (victim order is still ascending core id).
-        # The cache snoop is MESICache.snoop_remote_write/_read, inline.
-        shared = False
-        flushed = False
-        victims: list[int] = []
-        snoopers = self._snoopers
-        for core_id, cache in enumerate(self._caches):
-            if core_id == requester or not present & (1 << core_id):
-                continue
-            if cache is not None:
-                entry_set = cache._sets[
-                    (line >> cache._line_shift) & cache._set_mask]
-                if is_write:
-                    state = entry_set.pop(line, None)
-                    if state is not None:
-                        cache_stats = cache.stats
-                        cache_stats.invalidations_received += 1
-                        if state == MODIFIED:
-                            cache_stats.writebacks += 1
-                            flushed = True
-                else:
-                    state = entry_set.get(line)
-                    if state is not None:
-                        shared = True
-                        if state in _OWNED:
-                            cache_stats = cache.stats
-                            if state == MODIFIED:
-                                cache_stats.writebacks += 1
-                            entry_set[line] = SHARED
-                            cache_stats.downgrades_received += 1
-            snooper = snoopers[core_id]
-            if snooper is not None:
-                timestamp = snooper.snoop(line, is_write)
-                if timestamp is not None:
-                    victims.append(timestamp)
-        if flushed:
-            self.stats.flushes += 1
-
-        if is_write:
-            # Everyone else was just invalidated — and, crucially, also
-            # snooped: any recorder whose signature held the line has just
-            # terminated its chunk and cleared its signatures. Only now is
-            # clearing their presence bits sound.
-            self._presence[line] = 1 << requester
-        else:
-            # Reads only ADD the requester: a core that evicted the line
-            # may still carry it in a chunk signature, and narrowing to the
-            # caches that answered the BusRd would stop snooping that
-            # recorder — missing a later WAR conflict. Bits are cleared by
-            # writes alone.
-            self._presence[line] = present | (1 << requester)
-
-        if is_write:
-            fill_state = MODIFIED
-        else:
-            fill_state = SHARED if shared else EXCLUSIVE
-        return BusResult(fill_state=fill_state, victim_timestamps=victims,
-                         flushed=flushed)
-
-
-class DirectoryBus(SnoopBus):
-    """Directory (home-node) coherence: notify exact sharers, not everyone.
-
-    Alongside the conservative ``_presence`` summary the directory keeps
-    the *exact* cache-holder set per line — ``_sharers`` — maintained at
-    the three points a copy can appear or disappear: transaction fills
-    (the requester gains the line), remote-write invalidation (everyone
-    else loses it; folded into the write-path update), and eviction
-    (:meth:`note_eviction`, wired to each cache's ``evict_listener``).
-    Lines with no history default to "everyone", exactly like presence,
-    because tests pre-fill caches without going through a bus transaction.
-    The invariant ``sharers ⊆ presence`` (modulo the untracked default)
-    and ``sharers ⊇ true holders`` is pinned by the lockstep suite.
-
-    Who gets notified:
-
-    - **Caches**: only cores in the exact sharer set. A cache snoop on a
-      non-holder is a pure no-op (no state change, no stats), so skipping
-      it is bit-identical — same argument as the presence filter, with a
-      tight set instead of a superset.
-    - **Recorders**: every core in the *presence* set, exactly as the
-      snooping bus does. This set cannot be tightened further: a Bloom
-      signature can false-positive on a line the recorder never truly
-      touched, so a core that evicted the line (out of the sharer set,
-      still in presence) may still terminate its chunk on this snoop.
-      Skipping it would change which chunks get cut — not bit-identical.
-      The directory models this as the home node forwarding the
-      transaction to every core whose recorder may hold the line in a
-      signature, which is precisely what presence summarizes.
-
-    Per-transaction work is O(popcount(presence)) — set-bit iteration
-    instead of the reference fabric's O(num_cores) scan — and the notify
-    counters record the point-to-point messages actually sent versus the
-    broadcast a shared bus would have cost.
-    """
-
-    def __init__(self, num_cores: int, filter_snoops: bool = True):
-        super().__init__(num_cores, filter_snoops)
-        # Exact per-line cache-holder set; same untracked default as
-        # presence ("anyone may hold it").
-        self._sharers: dict[int, int] = {}
-
-    def sharer_mask(self, line: int) -> int:
-        """The exact cache-holder bitmask for ``line``."""
-        return self._sharers.get(line, self._all_mask)
-
-    def attach_cache(self, core_id: int, cache: MESICache) -> None:
-        super().attach_cache(core_id, cache)
-        # Evictions are the one holder-set change the transaction stream
-        # cannot see; the cache reports them so the sharer set stays exact.
-        cache.evict_listener = (
-            lambda line, _cid=core_id: self.note_eviction(_cid, line))
-
-    def note_eviction(self, core_id: int, line: int) -> None:
-        """``core_id`` dropped its copy of ``line`` (eviction/flush)."""
-        self._sharers[line] = (self._sharers.get(line, self._all_mask)
-                               & ~(1 << core_id))
-
-    def transaction(self, requester: int, line: int, is_write: bool,
-                    upgrade: bool = False) -> BusResult:
         stats = self.stats
         stats.transactions += 1
         if upgrade:
@@ -295,32 +138,49 @@ class DirectoryBus(SnoopBus):
         else:
             stats.reads += 1
 
-        # Same filtered-superset semantics (and the same read-before-update
-        # ordering) as the snooping bus; filtering off degrades to
+        # Presence-filtered snooping: cores whose presence bit is clear can
+        # hold neither the line (their copy was invalidated by the write
+        # that cleared the bit) nor a signature entry for it (that same
+        # transaction snooped their recorder, and a true member always
+        # tests positive, terminating the chunk and clearing the
+        # signatures). Skipping them is therefore a no-op — they would
+        # mutate no cache state, no stats, and no recorder state. The
+        # filtered mask is read once, before any update, so a transaction
+        # never filters on its own effects. Filtering off degrades to
         # broadcast, preserving the ablation.
         all_mask = self._all_mask
         present = (self._presence.get(line, all_mask)
                    if self.filter_snoops else all_mask)
         req_bit = 1 << requester
         notify = present & ~req_bit
-        sharers = self._sharers.get(line, all_mask)
-        cache_mask = notify & sharers
-
-        sent = notify.bit_count()
         broadcast = self._broadcast
-        stats.notifies_sent += sent
         stats.broadcast_snoops += broadcast
-        stats.notifies_saved += broadcast - sent
-        hist = stats.sharer_hist
-        holders = cache_mask.bit_count()
-        hist[holders] = hist.get(holders, 0) + 1
+        sharer_sets = self._sharers
+        if sharer_sets is None:
+            # A shared bus is architecturally a broadcast: every other
+            # agent observes the transaction, whether or not the presence
+            # filter lets the simulator skip the provable no-op callbacks.
+            stats.notifies_sent += broadcast
+            cache_mask = notify
+        else:
+            # The directory sends one message per present core and snoops
+            # only the caches that really hold the line.
+            sharers = sharer_sets.get(line, all_mask)
+            cache_mask = notify & sharers
+            sent = notify.bit_count()
+            stats.notifies_sent += sent
+            stats.notifies_saved += broadcast - sent
+            hist = stats.sharer_hist
+            holders = cache_mask.bit_count()
+            hist[holders] = hist.get(holders, 0) + 1
 
-        # Walk only the set bits, ascending core id (lowest bit first), so
-        # victim order matches the reference fabric's ascending scan. The
-        # cache snoop is inline, as in SnoopBus.transaction.
+        # One pass over the set bits, ascending core id (lowest bit
+        # first). The cache snoop and the recorder snoop touch disjoint
+        # state, so interleaving them per core is observably identical to
+        # two passes. The cache snoop is MESICache.snoop_remote_write/_read,
+        # inline.
         shared = False
         flushed = False
-        victims: list[int] = []
         caches = self._caches
         snoopers = self._snoopers
         mask = notify
@@ -353,25 +213,83 @@ class DirectoryBus(SnoopBus):
                                 cache_stats.downgrades_received += 1
             snooper = snoopers[core_id]
             if snooper is not None:
-                timestamp = snooper.snoop(line, is_write)
-                if timestamp is not None:
-                    victims.append(timestamp)
-        if flushed:
-            stats.flushes += 1
+                snooper.snoop(line, is_write)
 
         if is_write:
-            # All other copies were invalidated (and their recorders
-            # snooped) in this transaction; the requester is now the sole
-            # holder for both summaries.
+            if flushed:
+                stats.flushes += 1
+            # Everyone else was just invalidated — and, crucially, also
+            # snooped: any recorder whose signature held the line has just
+            # terminated its chunk and cleared its signatures. Only now is
+            # clearing their presence bits sound; the requester is the
+            # sole holder for both summaries.
             self._presence[line] = req_bit
-            self._sharers[line] = req_bit
-        else:
-            self._presence[line] = present | req_bit
-            self._sharers[line] = sharers | req_bit
+            if sharer_sets is not None:
+                sharer_sets[line] = req_bit
+            return MODIFIED, flushed
+        # Reads only ADD the requester: a core that evicted the line may
+        # still carry it in a chunk signature, and narrowing to the caches
+        # that answered the BusRd would stop snooping that recorder —
+        # missing a later WAR conflict. Bits are cleared by writes alone.
+        self._presence[line] = present | req_bit
+        if sharer_sets is not None:
+            sharer_sets[line] = sharers | req_bit
+        return (SHARED if shared else EXCLUSIVE), False
 
-        if is_write:
-            fill_state = MODIFIED
-        else:
-            fill_state = SHARED if shared else EXCLUSIVE
-        return BusResult(fill_state=fill_state, victim_timestamps=victims,
-                         flushed=flushed)
+
+class DirectoryBus(SnoopBus):
+    """Directory (home-node) coherence: notify exact sharers, not everyone.
+
+    Alongside the conservative ``_presence`` summary the directory keeps
+    the *exact* cache-holder set per line — ``_sharers`` — maintained at
+    the three points a copy can appear or disappear: transaction fills
+    (the requester gains the line), remote-write invalidation (everyone
+    else loses it; folded into the write-path update), and eviction
+    (:meth:`note_eviction`, wired to each cache's ``evict_listener``).
+    Lines with no history default to "everyone", exactly like presence,
+    because tests pre-fill caches without going through a bus transaction.
+    The invariant ``sharers ⊆ presence`` (modulo the untracked default)
+    and ``sharers ⊇ true holders`` is pinned by the lockstep suite.
+
+    Who gets notified:
+
+    - **Caches**: only cores in the exact sharer set. A cache snoop on a
+      non-holder is a pure no-op (no state change, no stats), so skipping
+      it is bit-identical — same argument as the presence filter, with a
+      tight set instead of a superset.
+    - **Recorders**: every core in the *presence* set, exactly as the
+      snooping bus does. This set cannot be tightened further: a Bloom
+      signature can false-positive on a line the recorder never truly
+      touched, so a core that evicted the line (out of the sharer set,
+      still in presence) may still terminate its chunk on this snoop.
+      Skipping it would change which chunks get cut — not bit-identical.
+      The directory models this as the home node forwarding the
+      transaction to every core whose recorder may hold the line in a
+      signature, which is precisely what presence summarizes.
+
+    The transaction is the shared :meth:`SnoopBus.transaction`; its notify
+    counters record the point-to-point messages actually sent
+    (popcount of the present cores) versus the broadcast a shared bus
+    would have cost, and ``sharer_hist`` the exact holder-set sizes.
+    """
+
+    def __init__(self, num_cores: int, filter_snoops: bool = True):
+        super().__init__(num_cores, filter_snoops)
+        # Same untracked default as presence ("anyone may hold it").
+        self._sharers = {}
+
+    def sharer_mask(self, line: int) -> int:
+        """The exact cache-holder bitmask for ``line``."""
+        return self._sharers.get(line, self._all_mask)
+
+    def attach_cache(self, core_id: int, cache: MESICache) -> None:
+        super().attach_cache(core_id, cache)
+        # Evictions are the one holder-set change the transaction stream
+        # cannot see; the cache reports them so the sharer set stays exact.
+        cache.evict_listener = (
+            lambda line, _cid=core_id: self.note_eviction(_cid, line))
+
+    def note_eviction(self, core_id: int, line: int) -> None:
+        """``core_id`` dropped its copy of ``line`` (eviction/flush)."""
+        self._sharers[line] = (self._sharers.get(line, self._all_mask)
+                               & ~(1 << core_id))

@@ -312,11 +312,6 @@ class Machine:
             self._tm_drains = metrics.counter("machine.store_drains")
             self._tm_copy_lines = metrics.counter("machine.coherent_copy_lines")
 
-    def next_chunk_timestamp(self) -> int:
-        """Next chunk timestamp, from the fabric's serialized order clock
-        (see ``SnoopBus.order_clock``; the recorder inlines this bump)."""
-        return self.bus.next_chunk_timestamp()
-
     def load_program(self, program: Program) -> None:
         """Load the data segment and point every core's engine at the code."""
         self.program = program
@@ -334,14 +329,14 @@ class Machine:
                         upgrade: bool = False) -> None:
         self.in_bus_transaction = True
         try:
-            result = self.bus.transaction(core.core_id, line, is_write, upgrade)
+            state, flushed = self.bus.transaction(
+                core.core_id, line, is_write, upgrade)
         finally:
             self.in_bus_transaction = False
         core.cycles += self._cost_upgrade if upgrade else self._cost_l1_miss
-        if result.flushed:
+        if flushed:
             core.cycles += self._cost_writeback
         # The fill, inline unless a victim must go (MESICache.fill).
-        state = MODIFIED if is_write else result.fill_state
         entry_set = core._sets[(line >> core._line_shift) & core._set_mask]
         if line in entry_set:
             entry_set[line] = state
@@ -364,8 +359,7 @@ class Machine:
                 telemetry.tracer.instant(
                     "bus.txn", cat="machine", tid=core.core_id,
                     args={"line": line, "write": is_write,
-                          "upgrade": upgrade,
-                          "victims": len(result.victim_timestamps)})
+                          "upgrade": upgrade})
 
     def coherent_copy(self, core: Core, addr: int, data: bytes) -> None:
         """Kernel copy-to-user performed through ``core``'s cache.

@@ -2,10 +2,11 @@
 
 One recorder per core. It maintains read/write Bloom-filter signatures over
 the cache-line addresses the current chunk touched, snoops every bus
-transaction for conflicts, assigns Lamport timestamps to chunks, and emits
-packed 128-bit chunk log entries into the chunk buffer (CBUF).
+transaction for conflicts, stamps each chunk from the fabric's global order
+clock, and emits packed 128-bit chunk log entries into the chunk buffer
+(CBUF).
 
-Chunk entry fields (see :mod:`repro.mrr.logfmt`): R-thread id, Lamport
+Chunk entry fields (see :mod:`repro.mrr.logfmt`): R-thread id, global
 timestamp, instruction count, sub-instruction memory-operation count (for
 chunks ending inside a ``rep_*`` instruction), the reordered-store-window
 count (RSW — stores still in the store buffer at termination, deferred by

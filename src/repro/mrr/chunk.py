@@ -50,7 +50,7 @@ class ChunkEntry:
 
     Attributes:
         rthread: replay-sphere thread id the chunk belongs to.
-        timestamp: Lamport timestamp; replay executes chunks in
+        timestamp: global order-clock timestamp; replay executes chunks in
             (timestamp, rthread) order.
         icount: instructions *retired* during the chunk.
         memops: memory operations completed by the instruction in flight at

@@ -194,18 +194,17 @@ class MemoryRaceRecorder:
 
     # -- conflict detection ----------------------------------------------------
 
-    def snoop(self, line: int, is_write: bool) -> int | None:
-        """Check a remote transaction; terminate and return the chunk's
-        timestamp on a hit."""
+    def snoop(self, line: int, is_write: bool) -> None:
+        """Check a remote transaction; terminate the chunk on a hit."""
         if self.rthread is None:
-            return None
+            return
         # BloomSignature.test inline. A remote read tests the write set
         # only; an empty signature (always so just after a chunk boundary)
         # is decided without the mask.
         write_word = self.write_sig._word
         read_word = self.read_sig._word if is_write else 0
         if not (write_word or read_word):
-            return None
+            return
         mask = self._masks.get(line)
         if mask is None:
             mask = self._hasher.mask(line)
@@ -213,12 +212,11 @@ class MemoryRaceRecorder:
             reason = Reason.WAW if is_write else Reason.RAW
             if self._tm_on:
                 self._note_snoop_cut(line, self._exact_writes, reason)
-            return self.terminate(reason)
-        if read_word & mask == mask:
+            self.terminate(reason)
+        elif read_word & mask == mask:
             if self._tm_on:
                 self._note_snoop_cut(line, self._exact_reads, Reason.WAR)
-            return self.terminate(Reason.WAR)
-        return None
+            self.terminate(Reason.WAR)
 
     def _note_snoop_cut(self, line: int, exact: set[int],
                         reason: str) -> None:
@@ -279,11 +277,9 @@ class MemoryRaceRecorder:
             self.core.drain_all()
         # Timestamp taken AFTER the drain: chunks the drain terminated
         # elsewhere must be ordered before this one (their reads preceded
-        # this chunk's store visibility). Inline of
-        # bus.next_chunk_timestamp() — terminate is on the conflict hot
-        # path and the counter bump does not merit a call. The clock lives
-        # on the fabric (the serialization point terminations already
-        # synchronize with), not in a machine-global counter.
+        # this chunk's store visibility). The clock lives on the fabric
+        # (the serialization point terminations already synchronize with),
+        # not in a machine-global counter.
         bus = machine.bus
         timestamp = bus.order_clock + 1
         bus.order_clock = timestamp

@@ -16,16 +16,32 @@ from repro.config import (
     TsoMode,
 )
 from repro.machine.bus import DirectoryBus, SnoopBus
-from repro.machine.cache import EXCLUSIVE, MODIFIED
+from repro.machine.cache import EXCLUSIVE, MODIFIED, SHARED
 
 
 def _mesi_checked(bus_cls):
     """A fabric subclass asserting MESI ownership invariants per
-    transaction — plus, on the directory, exact-sharer containment."""
+    transaction — the fill state it returns agrees with the other caches,
+    and, on the directory, exact-sharer containment."""
 
     class Checked(bus_cls):
         def transaction(self, requester, line, is_write, upgrade=False):
-            result = super().transaction(requester, line, is_write, upgrade)
+            fill_state, flushed = super().transaction(
+                requester, line, is_write, upgrade)
+            others = [cache.state(line)
+                      for core_id, cache in enumerate(self._caches)
+                      if cache is not None and core_id != requester
+                      and cache.state(line) is not None]
+            if is_write:
+                assert fill_state == MODIFIED and not others, \
+                    f"line {line:#x}: write left copies {others}"
+            else:
+                assert flushed is False
+                expected = SHARED if others else EXCLUSIVE
+                assert fill_state == expected, \
+                    f"line {line:#x}: read filled {fill_state}, others {others}"
+                assert all(state == SHARED for state in others), \
+                    f"line {line:#x}: read left an owner among {others}"
             lines = set()
             for cache in self._caches:
                 if cache is not None:
@@ -50,7 +66,7 @@ def _mesi_checked(bus_cls):
                         and cache.state(check_line) is not None)
                     assert holders & ~sharer_mask == 0, \
                         f"line {check_line:#x}: sharer set misses a holder"
-            return result
+            return fill_state, flushed
 
     return Checked
 

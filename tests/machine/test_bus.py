@@ -13,32 +13,29 @@ def make_bus(cores=2):
 
 def test_read_with_no_sharers_fills_exclusive():
     bus, _caches = make_bus()
-    result = bus.transaction(0, 0, is_write=False)
-    assert result.fill_state == EXCLUSIVE
+    assert bus.transaction(0, 0, is_write=False) == (EXCLUSIVE, False)
 
 
 def test_read_with_sharer_fills_shared_and_downgrades():
     bus, caches = make_bus()
     caches[1].fill(0, MODIFIED)
-    result = bus.transaction(0, 0, is_write=False)
-    assert result.fill_state == SHARED
+    fill_state, flushed = bus.transaction(0, 0, is_write=False)
+    assert fill_state == SHARED
     assert caches[1].state(0) == SHARED
-    assert result.flushed is False  # flush only tracked for writes
+    assert flushed is False  # flush only tracked for writes
 
 
 def test_write_invalidates_others():
     bus, caches = make_bus()
     caches[1].fill(0, SHARED)
-    result = bus.transaction(0, 0, is_write=True)
-    assert result.fill_state == MODIFIED
+    assert bus.transaction(0, 0, is_write=True) == (MODIFIED, False)
     assert caches[1].state(0) is None
 
 
 def test_write_flushes_remote_modified():
     bus, caches = make_bus()
     caches[1].fill(0, MODIFIED)
-    result = bus.transaction(0, 0, is_write=True)
-    assert result.flushed is True
+    assert bus.transaction(0, 0, is_write=True) == (MODIFIED, True)
     assert bus.stats.flushes == 1
 
 
@@ -68,20 +65,32 @@ def test_sequence_monotone():
     assert bus.stats.transactions == first + 2
 
 
-def test_snoopers_collect_victim_timestamps():
-    bus, _caches = make_bus(cores=3)
+class RecordingSnooper:
+    """Logs every snoop into a list shared across cores."""
 
-    class FakeSnooper:
-        def __init__(self, ts):
-            self.ts = ts
+    def __init__(self, core_id, log):
+        self.core_id = core_id
+        self.log = log
 
-        def snoop(self, line, is_write):
-            return self.ts
+    def snoop(self, line, is_write):
+        self.log.append((self.core_id, line, is_write))
 
-    bus.attach_snooper(1, FakeSnooper(5))
-    bus.attach_snooper(2, FakeSnooper(9))
-    result = bus.transaction(0, 0, is_write=True)
-    assert sorted(result.victim_timestamps) == [5, 9]
+
+def test_present_snoopers_are_called():
+    # An untracked line is present everywhere, so every other core's
+    # recorder is snooped, in ascending core id, with or without a copy.
+    bus, caches = make_bus(cores=3)
+    caches[2].fill(0, SHARED)
+    log = []
+    for core_id in range(3):
+        bus.attach_snooper(core_id, RecordingSnooper(core_id, log))
+    bus.transaction(0, 0, is_write=True)
+    assert log == [(1, 0, True), (2, 0, True)]
+    # The write left core 0 the only present core: its recorder is the
+    # one a later read by core 1 reaches.
+    log.clear()
+    bus.transaction(1, 0, is_write=False)
+    assert log == [(0, 0, False)]
 
 
 def test_requester_snooper_skipped():
@@ -92,5 +101,7 @@ def test_requester_snooper_skipped():
             raise AssertionError("requester must not snoop itself")
 
     bus.attach_snooper(0, Boom())
-    result = bus.transaction(0, 0, is_write=True)
-    assert result.victim_timestamps == []
+    log = []
+    bus.attach_snooper(1, RecordingSnooper(1, log))
+    bus.transaction(0, 0, is_write=True)
+    assert log == [(1, 0, True)]

@@ -5,10 +5,11 @@ to the conservative presence summary and notifies caches point-to-point.
 Its contract is *bit-identity* with the reference snooping fabric:
 
 - **lockstep**: driving both fabrics with the identical transaction
-  sequence (against independent cache pairs) must yield identical
-  ``BusResult``s — fill state, victim order, flush decision — identical
-  cache contents/states after every step, and the sharer set must stay a
-  subset of presence and a superset of the true holder set;
+  sequence (against independent cache pairs) must yield identical fill
+  states and flush decisions, identical recorder notifications (each
+  core's sequence of snooped lines), identical cache contents/states
+  after every step, and the sharer set must stay a subset of presence and
+  a superset of the true holder set;
 - **end-to-end**: recording any workload under ``coherence="directory"``
   produces exactly the snooping run's digest (chunks, logs, memory,
   cycles), at small and large core counts, and replays clean.
@@ -32,7 +33,7 @@ from repro.config import (
     StoreBufferConfig,
 )
 from repro.machine.bus import DirectoryBus, SnoopBus
-from repro.machine.cache import EXCLUSIVE, MESICache, MODIFIED, SHARED
+from repro.machine.cache import MESICache
 from repro.perf.bench import digest_of
 from repro.replay.schedule import build_schedule
 
@@ -49,21 +50,19 @@ def _fabric_with_caches(bus_cls, num_cores=4, sets=4, ways=1,
 
 
 def _fill(bus, caches, core_id, line, is_write):
-    result = bus.transaction(core_id, line, is_write)
-    caches[core_id].fill(line, MODIFIED if is_write else result.fill_state)
-    return result
+    fill_state, flushed = bus.transaction(core_id, line, is_write)
+    caches[core_id].fill(line, fill_state)
+    return fill_state, flushed
 
 
 class _StubRecorder:
-    """Snooper returning scripted victim timestamps for chosen lines."""
+    """Snooper logging every (line, is_write) notification it receives."""
 
-    def __init__(self, victims=None):
-        self.victims = dict(victims or {})
+    def __init__(self):
         self.seen = []
 
     def snoop(self, line, is_write):
         self.seen.append((line, is_write))
-        return self.victims.pop(line, None)
 
 
 # -- exact sharer transitions -------------------------------------------------
@@ -118,15 +117,14 @@ def test_evicted_core_recorder_is_still_snooped():
     false-positive on the line and terminate a chunk."""
     bus, caches = _fabric_with_caches(DirectoryBus, num_cores=2,
                                       sets=4, ways=1)
-    recorder = _StubRecorder(victims={0x100: 7})
+    recorder = _StubRecorder()
     bus.attach_snooper(0, recorder)
     line, alias = 0x100, 0x100 + 4 * 64
     _fill(bus, caches, 0, line, is_write=True)
     _fill(bus, caches, 0, alias, is_write=True)  # evicts `line` from core 0
     recorder.seen.clear()
-    result = bus.transaction(1, line, is_write=True)
+    bus.transaction(1, line, is_write=True)
     assert recorder.seen == [(line, True)]  # presence bit kept it snooped
-    assert result.victim_timestamps == [7]
 
 
 # -- lockstep equivalence -----------------------------------------------------
@@ -143,11 +141,13 @@ def test_fabrics_agree_transaction_by_transaction(num_cores, filter_snoops):
         SnoopBus, num_cores=num_cores, filter_snoops=filter_snoops)
     dir_bus, dir_caches = _fabric_with_caches(
         DirectoryBus, num_cores=num_cores, filter_snoops=filter_snoops)
-    # Mirrored scripted recorders so victim timestamps flow identically.
-    script = {0x100 + 64 * k: 100 + k for k in range(4)}
+    # Mirrored recorders: each core must be notified of the same lines,
+    # in the same order, by both fabrics.
+    snoop_recorders = [_StubRecorder() for _ in range(num_cores)]
+    dir_recorders = [_StubRecorder() for _ in range(num_cores)]
     for core_id in range(num_cores):
-        snoop_bus.attach_snooper(core_id, _StubRecorder(script))
-        dir_bus.attach_snooper(core_id, _StubRecorder(script))
+        snoop_bus.attach_snooper(core_id, snoop_recorders[core_id])
+        dir_bus.attach_snooper(core_id, dir_recorders[core_id])
 
     lines = [0x100 + 64 * k for k in range(10)]  # a few set-aliasing pairs
     for step in range(600):
@@ -156,9 +156,9 @@ def test_fabrics_agree_transaction_by_transaction(num_cores, filter_snoops):
         is_write = rng.random() < 0.4
         a = _fill(snoop_bus, snoop_caches, core_id, line, is_write)
         b = _fill(dir_bus, dir_caches, core_id, line, is_write)
-        assert a.fill_state == b.fill_state, f"step {step}"
-        assert a.victim_timestamps == b.victim_timestamps, f"step {step}"
-        assert a.flushed == b.flushed, f"step {step}"
+        assert a == b, f"step {step}"
+        for cid, (sr, dr) in enumerate(zip(snoop_recorders, dir_recorders)):
+            assert sr.seen == dr.seen, f"step {step}, core {cid}"
         for sc, dc in zip(snoop_caches, dir_caches):
             assert sc.cached_lines() == dc.cached_lines()
             for cached in sc.cached_lines():

@@ -28,8 +28,8 @@ from repro.config import (
 from repro.errors import MemoryAccessError
 from repro.isa.assembler import assemble
 from repro.machine import machine as machine_module
-from repro.machine.bus import DirectoryBus, SnoopBus
-from repro.machine.cache import MISS, MODIFIED, SHARED, UPGRADE
+from repro.machine.bus import SnoopBus
+from repro.machine.cache import MISS, SHARED, UPGRADE
 from repro.machine.machine import Core, Machine
 from repro.machine.store_buffer import RESOLVE_CONFLICT, RESOLVE_HIT
 from repro.mrr.chunk import Reason
@@ -132,13 +132,14 @@ def _method_drain_one(self):
 def _method_bus_transaction(self, core, line, is_write, upgrade=False):
     self.in_bus_transaction = True
     try:
-        result = self.bus.transaction(core.core_id, line, is_write, upgrade)
+        fill_state, flushed = self.bus.transaction(
+            core.core_id, line, is_write, upgrade)
     finally:
         self.in_bus_transaction = False
     core.cycles += self._cost_upgrade if upgrade else self._cost_l1_miss
-    if result.flushed:
+    if flushed:
         core.cycles += self._cost_writeback
-    if core.cache.fill(line, MODIFIED if is_write else result.fill_state):
+    if core.cache.fill(line, fill_state):
         core.cycles += self._cost_writeback
     if self._tm_enabled:
         counter = (self._tm_bus_upgrades if upgrade else
@@ -146,39 +147,41 @@ def _method_bus_transaction(self, core, line, is_write, upgrade=False):
         counter.inc()
 
 
-def _method_snoops(fabric_cls):
-    """The fabric's transaction with its caches snooped by method.
+def _method_snoops():
+    """The fabric transaction with its caches snooped by method.
 
     The flat transaction runs with the caches hidden, so it still snoops
     the recorders and keeps presence, sharers and bus stats; then the
     cores it would have reached snoop their caches through
     ``snoop_remote_*``. Cache and recorder snoops touch disjoint state, so
-    the order between the two passes is not observable.
+    the order between the two passes is not observable. Both fabrics run
+    this one body; the directory's exact sharer set narrows the caches.
     """
-    flat = fabric_cls.transaction
+    flat = SnoopBus.transaction
 
     def transaction(self, requester, line, is_write, upgrade=False):
         reached = ((self._presence.get(line, self._all_mask)
                     if self.filter_snoops else self._all_mask)
                    & ~(1 << requester))
-        if isinstance(self, DirectoryBus):
+        if self._sharers is not None:
             reached &= self._sharers.get(line, self._all_mask)
         caches = self._caches
         self._caches = [None] * len(caches)
         try:
-            result = flat(self, requester, line, is_write, upgrade)
+            fill_state, flushed = flat(self, requester, line, is_write,
+                                       upgrade)
         finally:
             self._caches = caches
         for core_id, cache in enumerate(caches):
             if cache is None or not reached >> core_id & 1:
                 continue
             if is_write:
-                result.flushed |= cache.snoop_remote_write(line)
+                flushed |= cache.snoop_remote_write(line)
             elif cache.snoop_remote_read(line):
-                result.fill_state = SHARED
-        if result.flushed:
+                fill_state = SHARED
+        if flushed:
             self.stats.flushes += 1
-        return result
+        return fill_state, flushed
 
     return transaction
 
@@ -203,25 +206,23 @@ def _method_on_store_drain(self, line):
 
 def _method_snoop(self, line, is_write):
     if self.rthread is None:
-        return None
+        return
     if self.write_sig.test(line):
         reason = Reason.WAW if is_write else Reason.RAW
         if self._tm_on:
             self._note_snoop_cut(line, self._exact_writes, reason)
-        return self.terminate(reason)
-    if is_write and self.read_sig.test(line):
+        self.terminate(reason)
+    elif is_write and self.read_sig.test(line):
         if self._tm_on:
             self._note_snoop_cut(line, self._exact_reads, Reason.WAR)
-        return self.terminate(Reason.WAR)
-    return None
+        self.terminate(Reason.WAR)
 
 
 def _install_method_path(patch):
     patch.setattr(machine_module, "_RecordPort", _MethodPort)
     patch.setattr(Core, "drain_one", _method_drain_one)
     patch.setattr(Machine, "bus_transaction", _method_bus_transaction)
-    patch.setattr(SnoopBus, "transaction", _method_snoops(SnoopBus))
-    patch.setattr(DirectoryBus, "transaction", _method_snoops(DirectoryBus))
+    patch.setattr(SnoopBus, "transaction", _method_snoops())
     for name in ("on_load", "on_atomic_read", "on_copy_read"):
         patch.setattr(MemoryRaceRecorder, name, _method_on_load)
     for name in ("on_store_drain", "on_atomic_write", "on_copy_write"):

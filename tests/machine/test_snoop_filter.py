@@ -27,7 +27,7 @@ from repro.config import (
     StoreBufferConfig,
 )
 from repro.machine.bus import SnoopBus
-from repro.machine.cache import EXCLUSIVE, MESICache, MODIFIED, SHARED
+from repro.machine.cache import EXCLUSIVE, MESICache, SHARED
 from repro.perf.bench import digest_of
 from repro.telemetry import Telemetry
 
@@ -43,9 +43,9 @@ def _bus_with_caches(num_cores=3, sets=4, ways=1, filter_snoops=True):
 
 
 def _fill(bus, caches, core_id, line, is_write):
-    result = bus.transaction(core_id, line, is_write)
-    caches[core_id].fill(line, MODIFIED if is_write else result.fill_state)
-    return result
+    fill_state, flushed = bus.transaction(core_id, line, is_write)
+    caches[core_id].fill(line, fill_state)
+    return fill_state, flushed
 
 
 class _CountingSnooper:
