@@ -1,8 +1,10 @@
 """The Replay Sphere Manager.
 
 The RSM is Capo3's kernel-side core: it owns the recorders, the chunk
-buffers and the logs, and it is invoked by the kernel at every crossing.
-Two modes:
+buffers and the logs. At every kernel crossing the kernel's trap bodies
+do its work inline (the chunk cut, the interposition and context-switch
+flush charges, pointing the recorder at the dispatched thread) and call
+its ``log_*`` methods for each input. Two modes:
 
 - ``hw``   — the MRR runs and chunk entries are buffered/drained, but no
   input logging and no software cycle charges. This is the "recording
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from ..config import SimConfig
 from ..errors import RecordingError
 from ..machine.machine import Core, Machine
-from ..mrr.chunk import ChunkEntry, Reason
+from ..mrr.chunk import ChunkEntry
 from ..mrr.recorder import MemoryRaceRecorder
 from ..telemetry import get_logger
 from .chunk_buffer import ChunkBuffer
@@ -101,6 +103,14 @@ class ReplaySphereManager:
         # syscall buffers are stored once and shared by every event that
         # carries them.
         self._payload_pool: dict[bytes, bytes] = {}
+        # Logging hoists: where events go (the log, or the flight ring
+        # once attached), the per-thread chunk counts, the cores and the
+        # input-log charges.
+        self._keep_event = self.events.append
+        self._chunk_counts = self.sphere.chunk_counts
+        self._cores = machine.cores
+        self._cost_event = machine.cost.input_log_event
+        self._cost_per_byte = machine.cost.input_log_per_byte
         self._cbufs: list[ChunkBuffer] = []
         self.recorders: list[MemoryRaceRecorder] = []
         for core in machine.cores:
@@ -133,6 +143,7 @@ class ReplaySphereManager:
         (:class:`~repro.flight.ring.FlightRing`). Must be attached before
         the run starts."""
         self.flight = ring
+        self._keep_event = ring.push_event
 
     def _make_sink(self, core: Core, cbuf: ChunkBuffer):
         cost = self.machine.cost
@@ -185,114 +196,103 @@ class ReplaySphereManager:
             self.telemetry.tracer.thread_name(
                 task.rthread, f"rthread {task.rthread}")
 
-    # -- kernel crossings ------------------------------------------------------------
-
-    def on_kernel_entry(self, core: Core, task, reason: str) -> None:
-        core.recorder.terminate(reason)
-        if self.mode != MODE_FULL:
-            return
-        cost = self.machine.cost
-        if reason in (Reason.SYSCALL, Reason.EXIT):
-            core.cycles += cost.rsm_syscall_interpose
-            self.stats.cycles_interpose += cost.rsm_syscall_interpose
-        elif reason == Reason.NONDET:
-            core.cycles += cost.rsm_nondet_interpose
-            self.stats.cycles_interpose += cost.rsm_nondet_interpose
-
-    def on_dispatch(self, core: Core, task) -> None:
-        core.recorder.set_thread(task.rthread)
-
-    def on_undispatch(self, core: Core, task) -> None:
-        core.recorder.clear_thread()
-        if self.mode == MODE_FULL:
-            cost = self.machine.cost
-            core.cycles += cost.context_switch_flush
-            self.stats.cycles_ctx_flush += cost.context_switch_flush
-
     # -- input logging -----------------------------------------------------------------
-
-    def _log(self, event: InputEvent, core: Core | None,
-             fresh_payload_bytes: int | None = None) -> None:
-        if self.mode != MODE_FULL:
-            return
-        payload_bytes = event.payload_bytes
-        fresh = payload_bytes if fresh_payload_bytes is None \
-            else fresh_payload_bytes
-        stats = self.stats
-        stats.input_events += 1
-        stats.input_payload_bytes += payload_bytes
-        stats.input_payload_dedup_bytes += payload_bytes - fresh
-        if self.flight is None:
-            self.events.append(event)
-        else:
-            self.flight.push_event(event)
-        cost = self.machine.cost
-        charge = cost.input_log_event + cost.input_log_per_byte * payload_bytes
-        if core is not None:
-            core.cycles += charge
-        stats.cycles_input_log += charge
-        if self._tm_on:
-            self._tm_events.inc()
-            self._tm_payload.inc(payload_bytes)
-            self._tm_dedup.inc(payload_bytes - fresh)
-            self._tm_kind[event.kind].inc()
-            self.telemetry.tracer.instant(
-                f"input:{event.kind}", cat="capo", tid=event.rthread,
-                args={"seq": event.seq, "chunk_seq": event.chunk_seq,
-                      "payload_bytes": payload_bytes})
-
-    def _event(self, task, kind: str, **fields) -> InputEvent:
-        self._seq += 1
-        return InputEvent(rthread=task.rthread, seq=self._seq,
-                          chunk_seq=self.sphere.chunk_count(task.rthread),
-                          kind=kind, **fields)
-
-    def _core_of(self, task) -> Core | None:
-        if task.core_id is None:
-            return None
-        return self.machine.cores[task.core_id]
-
-    def _intern_copies(self, copies) -> tuple[tuple, int]:
-        """Dedup copy payloads through the content-keyed pool.
-
-        Returns the interned copies and the number of payload bytes whose
-        content was *not* already pooled (the bytes that actually have to
-        be copied into the log)."""
-        if not copies:
-            return (), 0
-        pool = self._payload_pool
-        fresh = 0
-        out = []
-        for addr, data in copies:
-            pooled = pool.get(data)
-            if pooled is None:
-                pool[data] = pooled = data
-                fresh += len(data)
-            out.append((addr, pooled))
-        return tuple(out), fresh
+    # The kernel's trap bodies call these for recorded tasks of a full
+    # recording only, while the task is on a core. Each is one body: the
+    # event (sequence number and the thread's chunk count at event time),
+    # its retention (the log, or the flight ring), the statistics and the
+    # per-event and per-byte charge to the task's core.
 
     def log_syscall(self, task, sysno: int, retval: int,
                     copies: tuple[tuple[int, bytes], ...]) -> None:
-        copies, fresh = self._intern_copies(tuple(copies))
-        event = self._event(task, EV_SYSCALL, sysno=sysno, value=retval,
-                            copies=copies)
-        self._log(event, self._core_of(task), fresh_payload_bytes=fresh)
+        payload = fresh = 0
+        if copies:
+            # Copy avoidance: intern each payload through the pool; only
+            # bytes not already pooled are fresh.
+            pool = self._payload_pool
+            interned = []
+            for addr, data in copies:
+                size = len(data)
+                payload += size
+                pooled = pool.get(data)
+                if pooled is None:
+                    pool[data] = pooled = data
+                    fresh += size
+                interned.append((addr, pooled))
+            copies = tuple(interned)
+        rthread = task.rthread
+        self._seq = seq = self._seq + 1
+        event = InputEvent(rthread, seq, self._chunk_counts[rthread],
+                           EV_SYSCALL, sysno, retval, "", copies)
+        self._keep_event(event)
+        stats = self.stats
+        stats.input_events += 1
+        stats.input_payload_bytes += payload
+        stats.input_payload_dedup_bytes += payload - fresh
+        charge = self._cost_event + self._cost_per_byte * payload
+        self._cores[task.core_id].cycles += charge
+        stats.cycles_input_log += charge
+        if self._tm_on:
+            self._tm_input(event, payload, fresh)
 
     def log_nondet(self, task, kind: str, value: int) -> None:
-        event = self._event(task, EV_NONDET, nondet_kind=kind, value=value)
-        self._log(event, self._core_of(task))
+        rthread = task.rthread
+        self._seq = seq = self._seq + 1
+        event = InputEvent(rthread, seq, self._chunk_counts[rthread],
+                           EV_NONDET, 0, value, kind)
+        self._keep_event(event)
+        self.stats.input_events += 1
+        self._cores[task.core_id].cycles += self._cost_event
+        self.stats.cycles_input_log += self._cost_event
+        if self._tm_on:
+            self._tm_input(event, 0, 0)
 
     def log_signal(self, task, signo: int) -> None:
-        event = self._event(task, EV_SIGNAL, value=signo)
-        self._log(event, self._core_of(task))
+        rthread = task.rthread
+        self._seq = seq = self._seq + 1
+        event = InputEvent(rthread, seq, self._chunk_counts[rthread],
+                           EV_SIGNAL, 0, signo)
+        self._keep_event(event)
+        self.stats.input_events += 1
+        self._cores[task.core_id].cycles += self._cost_event
+        self.stats.cycles_input_log += self._cost_event
+        if self._tm_on:
+            self._tm_input(event, 0, 0)
 
     def log_sigreturn(self, task) -> None:
-        event = self._event(task, EV_SIGRETURN)
-        self._log(event, self._core_of(task))
+        rthread = task.rthread
+        self._seq = seq = self._seq + 1
+        event = InputEvent(rthread, seq, self._chunk_counts[rthread],
+                           EV_SIGRETURN)
+        self._keep_event(event)
+        self.stats.input_events += 1
+        self._cores[task.core_id].cycles += self._cost_event
+        self.stats.cycles_input_log += self._cost_event
+        if self._tm_on:
+            self._tm_input(event, 0, 0)
 
     def log_exit(self, task, code: int) -> None:
-        event = self._event(task, EV_EXIT, value=code)
-        self._log(event, self._core_of(task))
+        rthread = task.rthread
+        self._seq = seq = self._seq + 1
+        event = InputEvent(rthread, seq, self._chunk_counts[rthread],
+                           EV_EXIT, 0, code)
+        self._keep_event(event)
+        self.stats.input_events += 1
+        self._cores[task.core_id].cycles += self._cost_event
+        self.stats.cycles_input_log += self._cost_event
+        if self._tm_on:
+            self._tm_input(event, 0, 0)
+
+    def _tm_input(self, event: InputEvent, payload_bytes: int,
+                  fresh: int) -> None:
+        self._tm_events.inc()
+        self._tm_payload.inc(payload_bytes)
+        self._tm_dedup.inc(payload_bytes - fresh)
+        self._tm_kind[event.kind].inc()
+        self.telemetry.tracer.instant(
+            f"input:{event.kind}", cat="capo", tid=event.rthread,
+            args={"seq": event.seq, "chunk_seq": event.chunk_seq,
+                  "payload_bytes": payload_bytes})
 
     # -- finish ---------------------------------------------------------------------------
 

@@ -16,14 +16,23 @@ Design rules that keep record/replay sound (see DESIGN.md):
   RSM only observes and charges cycles. Two runs with the same seeds and
   different recording modes execute the same instructions in the same
   interleaving.
+
+Each trap kind runs as one body, entry to exit: ``_syscall_trap``,
+``_nondet_trap`` and ``_preempt`` (with its undispatch inline) each drain,
+cut the chunk, charge, complete or switch, log through the RSM's
+``log_*`` and deliver a pending signal (``_deliver_signal``) themselves.
+``tests/reference.py`` keeps the method chain they replaced as the
+lockstep reference.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import repeat
 
+from ..capo.rsm import MODE_FULL
 from ..config import KernelConfig
 from ..errors import KernelError, MachineFault
 from ..isa.operands import Reg
@@ -46,6 +55,7 @@ from .syscalls import (
     ExitAction,
     SigReturnAction,
     SYS_EXIT,
+    SYSCALL_NAMES,
 )
 from .tasks import (
     STATE_BLOCKED,
@@ -103,10 +113,25 @@ class Kernel:
         self._next_tid = 1
         self._next_pid = 1
         self._live = 0
-        # Core ids with a dispatched task, ascending — rebuilt by
-        # _dispatch/_undispatch (the only writers of ``core.task``) so the
-        # run loop need not recompute it every unit.
+        # Core ids with a dispatched task, ascending — replaced (a new
+        # list, which the fused loop notices) by _dispatch, _undispatch and
+        # _preempt, the only writers of ``core.task``, so the run loop need
+        # not recompute it every unit.
         self._running_ids: list[int] = []
+        self._cores = machine.cores
+        # Trap-body hoists, fixed for the kernel's lifetime: the quantum,
+        # the cost constants, and whether the RSM records in full (input
+        # logging and the software charges) rather than hardware only.
+        self._quantum_base = self.config.quantum_instructions
+        self._quantum_jitter = self.config.timeslice_jitter
+        cost = machine.cost
+        self._cost_syscall = cost.syscall_base
+        self._cost_nondet = cost.nondet_base
+        self._cost_switch = cost.context_switch_base
+        self._cost_syscall_interpose = cost.rsm_syscall_interpose
+        self._cost_nondet_interpose = cost.rsm_nondet_interpose
+        self._cost_ctx_flush = cost.context_switch_flush
+        self._rsm_full = rsm is not None and rsm.mode == MODE_FULL
         if self._tm_on:
             metrics = self.telemetry.metrics
             self._tm_syscalls = metrics.counter("kernel.syscalls")
@@ -397,40 +422,59 @@ class Kernel:
         self._fill_idle_cores()
 
     def _after_unit_slow(self, core: Core, task: Task, outcome: str) -> None:
-        """The rare post-unit work: wakeups, trap handling, preemption and
-        core refill. ``task.units_in_quantum`` is already incremented."""
-        self._wake_sleepers()
-        if outcome != OUTCOME_OK:
-            if outcome == OUTCOME_SYSCALL:
-                self._handle_syscall(core, task)
-            elif outcome == OUTCOME_NONDET:
-                self._handle_nondet(core, task)
+        """The rare post-unit work: due wakeups, the trap body of the
+        unit's outcome, preemption at an expired quantum, and idle-core
+        refill. ``task.units_in_quantum`` is already incremented.
+
+        Refill runs only when a task is queued and a core is idle: after
+        any refill one of the two is false, so the skipped calls would
+        have dispatched nothing.
+        """
+        sleepers = self.sched.sleepers
+        if sleepers and sleepers[0][0] <= self.machine.global_step:
+            self._wake_sleepers()
+        if outcome == OUTCOME_SYSCALL:
+            self._syscall_trap(core, task)
+        elif outcome == OUTCOME_NONDET:
+            self._nondet_trap(core, task)
         if (task.units_in_quantum >= task.quantum_limit
                 and core.task is task and task.state == STATE_RUNNING):
             self._preempt(core, task)
-        self._fill_idle_cores()
+        elif self.sched.queue and len(self._running_ids) < len(self._cores):
+            self._fill_idle_cores()
 
-    # -- trap handling -----------------------------------------------------------
+    # -- trap bodies ---------------------------------------------------------------
+    # Each trap kind runs as one body, from kernel entry to kernel exit.
+    # Entry drains the store buffer and, for a recorded task, cuts the
+    # chunk (the RSM's crossing, with its interposition charge in a full
+    # recording); exit delivers a pending signal. ``task.recorded`` implies
+    # an RSM (add_process refuses otherwise), and a full recording is
+    # fixed at construction, so each body tests both once. The calls that
+    # remain are the recorder's, the syscall handler, the RSM's ``log_*``
+    # and the rare paths (block, exit, signal delivery).
 
-    def _kernel_entry(self, core: Core, task: Task, reason: str) -> None:
-        core.drain_all()
-        if self.rsm is not None and task.recorded:
-            self.rsm.on_kernel_entry(core, task, reason)
-
-    def _kernel_exit(self, core: Core, task: Task) -> None:
-        self._deliver_signal(core, task)
-
-    def _handle_syscall(self, core: Core, task: Task) -> None:
+    def _syscall_trap(self, core: Core, task: Task) -> None:
         engine = core.engine
-        sysno = engine.regs[RAX]
-        args = (engine.regs[1], engine.regs[2], engine.regs[3], engine.regs[4])
-        reason = Reason.EXIT if sysno == SYS_EXIT else Reason.SYSCALL
-        self._kernel_entry(core, task, reason)
-        core.cycles += self.machine.cost.syscall_base
-        name = syscalls.SYSCALL_NAMES.get(sysno, f"sys_{sysno}")
-        self.stats.syscalls += 1
-        self.stats.syscalls_by_name[name] = \
-            self.stats.syscalls_by_name.get(name, 0) + 1
+        regs = engine.regs
+        sysno = regs[RAX]
+        args = (regs[1], regs[2], regs[3], regs[4])
+        recorded = task.recorded
+        full = recorded and self._rsm_full
+        if core._sb_entries:
+            core.drain_all()
+        if recorded:
+            core.recorder.terminate(
+                Reason.EXIT if sysno == SYS_EXIT else Reason.SYSCALL)
+            if full:
+                core.cycles += self._cost_syscall_interpose
+                self.rsm.stats.cycles_interpose += \
+                    self._cost_syscall_interpose
+        core.cycles += self._cost_syscall
+        stats = self.stats
+        stats.syscalls += 1
+        name = SYSCALL_NAMES.get(sysno) or f"sys_{sysno}"
+        by_name = stats.syscalls_by_name
+        by_name[name] = by_name.get(name, 0) + 1
         if self._tm_on:
             self._tm_syscalls.inc()
             self.telemetry.metrics.counter(f"kernel.syscalls.{name}").inc()
@@ -440,115 +484,165 @@ class Kernel:
 
         action = syscalls.dispatch(self, task, sysno, args)
 
-        if isinstance(action, Complete):
-            engine.complete_trap(Reg(RAX), action.retval)
-            for addr, data in action.copies:
+        kind = type(action)
+        if kind is Complete:
+            retval = action.retval
+            # Engine.complete_trap: the result into rax, then retire.
+            engine.regs[RAX] = retval & MASK32
+            engine.pc += 1
+            engine.retired += 1
+            engine.cur_memops = 0
+            copies = action.copies
+            for addr, data in copies:
                 self.machine.coherent_copy(core, addr, data)
-                self.stats.copy_to_user_bytes += len(data)
-            if self.rsm is not None and task.recorded:
-                self.rsm.log_syscall(task, sysno, action.retval, action.copies)
-            self._kernel_exit(core, task)
+                stats.copy_to_user_bytes += len(data)
+            if full:
+                self.rsm.log_syscall(task, sysno, retval, copies)
+            if task.sig_pending:
+                self._deliver_signal(core, task)
             if action.reschedule:
                 task.units_in_quantum = task.quantum_limit
-        elif isinstance(action, Block):
+        elif kind is Block:
             task.pending_retval = action.wake_retval
-            if self.rsm is not None and task.recorded:
+            if full:
                 self.rsm.log_syscall(task, sysno, action.wake_retval, ())
             self._block(core, task, action.channel)
-            self.stats.blocks += 1
-        elif isinstance(action, ExitAction):
-            if self.rsm is not None and task.recorded:
+            stats.blocks += 1
+        elif kind is ExitAction:
+            if full:
                 self.rsm.log_exit(task, action.code)
             self._exit_task(core, task, action.code)
-        elif isinstance(action, SigReturnAction):
+        elif kind is SigReturnAction:
             if not task.sig_saved:
-                raise KernelError(f"tid {task.tid}: sigreturn with no saved context")
+                raise KernelError(
+                    f"tid {task.tid}: sigreturn with no saved context")
             engine.restore_context(task.sig_saved.pop())
-            if self.rsm is not None and task.recorded:
+            if full:
                 self.rsm.log_sigreturn(task)
-            self._kernel_exit(core, task)
+            if task.sig_pending:
+                self._deliver_signal(core, task)
         else:  # pragma: no cover - exhaustiveness guard
             raise KernelError(f"unknown syscall action {action!r}")
 
-    def _handle_nondet(self, core: Core, task: Task) -> None:
+    def _nondet_trap(self, core: Core, task: Task) -> None:
         engine = core.engine
-        instr = engine.current_instr()
-        self._kernel_entry(core, task, Reason.NONDET)
-        core.cycles += self.machine.cost.nondet_base
+        instr = engine.program.instructions[engine.pc]
+        recorded = task.recorded
+        full = recorded and self._rsm_full
+        if core._sb_entries:
+            core.drain_all()
+        if recorded:
+            core.recorder.terminate(Reason.NONDET)
+            if full:
+                core.cycles += self._cost_nondet_interpose
+                self.rsm.stats.cycles_interpose += \
+                    self._cost_nondet_interpose
+        core.cycles += self._cost_nondet
         self.stats.nondet_traps += 1
-        if instr.mnemonic == "rdtsc":
+        mnemonic = instr.mnemonic
+        if mnemonic == "rdtsc":
             value = self.machine.global_step & MASK32
-        elif instr.mnemonic == "rdrand":
+        elif mnemonic == "rdrand":
             value = self.rng.getrandbits(32)
-        elif instr.mnemonic == "cpuid":
+        elif mnemonic == "cpuid":
             value = CPUID_VALUE ^ self.machine.config.num_cores
         else:  # pragma: no cover - dispatch guarantees the mnemonics above
-            raise KernelError(f"unexpected nondet instruction {instr.mnemonic}")
+            raise KernelError(f"unexpected nondet instruction {mnemonic}")
         if self._tm_on:
             self.telemetry.tracer.instant(
-                f"nondet.{instr.mnemonic}", cat="kernel", tid=task.tid,
+                f"nondet.{mnemonic}", cat="kernel", tid=task.tid,
                 args={"value": value})
-        engine.complete_trap(instr.ops[0], value)
-        if self.rsm is not None and task.recorded:
-            self.rsm.log_nondet(task, instr.mnemonic, value)
-        self._kernel_exit(core, task)
-
-    # -- scheduling -------------------------------------------------------------------
-
-    def _quantum(self) -> int:
-        quantum = self.config.quantum_instructions
-        if self.config.timeslice_jitter:
-            quantum += self.rng.randrange(self.config.timeslice_jitter + 1)
-        return quantum
-
-    def _dispatch(self, core: Core, task: Task) -> None:
-        core.task = task
-        self._running_ids = [c.core_id for c in self.machine.cores
-                             if c.task is not None]
-        task.core_id = core.core_id
-        task.state = STATE_RUNNING
-        task.units_in_quantum = 0
-        task.quantum_limit = self._quantum()
-        if self._tm_on:
-            self._tm_dispatches.inc()
-            self.telemetry.tracer.instant(
-                "sched.dispatch", cat="kernel", tid=task.tid,
-                args={"core": core.core_id,
-                      "quantum": task.quantum_limit})
-        if task.program is not None:
-            core.engine.program = task.program
-        core.engine.restore_context(task.context)
-        task.context = None
-        if self.rsm is not None and task.recorded:
-            self.rsm.on_dispatch(core, task)
-        if task.pending_retval is not None:
-            core.engine.complete_trap(Reg(RAX), task.pending_retval)
-            task.pending_retval = None
-        self._deliver_signal(core, task)
-
-    def _undispatch(self, core: Core, task: Task) -> None:
-        task.context = core.engine.save_context()
-        task.core_id = None
-        core.task = None
-        self._running_ids = [c.core_id for c in self.machine.cores
-                             if c.task is not None]
-        if self.rsm is not None and task.recorded:
-            self.rsm.on_undispatch(core, task)
+        # Engine.complete_trap: the result into the destination register.
+        engine.regs[instr.ops[0].number] = value & MASK32
+        engine.pc += 1
+        engine.retired += 1
+        engine.cur_memops = 0
+        if full:
+            self.rsm.log_nondet(task, mnemonic, value)
+        if task.sig_pending:
+            self._deliver_signal(core, task)
 
     def _preempt(self, core: Core, task: Task) -> None:
-        self._kernel_entry(core, task, Reason.PREEMPT)
-        core.cycles += self.machine.cost.context_switch_base
-        self.stats.preemptions += 1
-        self.stats.context_switches += 1
+        """Quantum expiry: kernel entry, undispatch, requeue, and the queue
+        head dispatched onto the first idle core."""
+        recorded = task.recorded
+        if core._sb_entries:
+            core.drain_all()
+        if recorded:
+            core.recorder.terminate(Reason.PREEMPT)
+        core.cycles += self._cost_switch
+        stats = self.stats
+        stats.preemptions += 1
+        stats.context_switches += 1
         if self._tm_on:
             self._tm_preempts.inc()
             self.telemetry.tracer.instant(
                 "sched.preempt", cat="kernel", tid=task.tid,
                 args={"core": core.core_id})
-        self._undispatch(core, task)
+        # Undispatch: save the context, free the core, stop recording.
+        task.context = core.engine.save_context()
+        task.core_id = None
+        core.task = None
+        running = self._running_ids.copy()
+        running.remove(core.core_id)
+        self._running_ids = running
+        if recorded:
+            core.recorder.clear_thread()
+            if self._rsm_full:
+                core.cycles += self._cost_ctx_flush
+                self.rsm.stats.cycles_ctx_flush += self._cost_ctx_flush
         task.state = STATE_RUNNABLE
-        self.sched.enqueue(task.tid)
+        self.sched.queue.append(task.tid)
         self._fill_idle_cores()
+
+    # -- scheduling -------------------------------------------------------------------
+
+    def _dispatch(self, core: Core, task: Task) -> None:
+        core.task = task
+        core_id = core.core_id
+        running = self._running_ids.copy()
+        insort(running, core_id)
+        self._running_ids = running
+        task.core_id = core_id
+        task.state = STATE_RUNNING
+        task.units_in_quantum = 0
+        quantum = self._quantum_base
+        if self._quantum_jitter:
+            quantum += self.rng.randrange(self._quantum_jitter + 1)
+        task.quantum_limit = quantum
+        if self._tm_on:
+            self._tm_dispatches.inc()
+            self.telemetry.tracer.instant(
+                "sched.dispatch", cat="kernel", tid=task.tid,
+                args={"core": core_id, "quantum": quantum})
+        engine = core.engine
+        program = task.program
+        if program is not None and program is not engine.program:
+            engine.program = program
+        engine.restore_context(task.context)
+        task.context = None
+        if task.recorded:
+            core.recorder.set_thread(task.rthread)
+        if task.pending_retval is not None:
+            engine.complete_trap(Reg(RAX), task.pending_retval)
+            task.pending_retval = None
+        if task.sig_pending:
+            self._deliver_signal(core, task)
+
+    def _undispatch(self, core: Core, task: Task) -> None:
+        """Take ``task`` off ``core`` (block and exit; :meth:`_preempt`
+        does the same inline)."""
+        task.context = core.engine.save_context()
+        task.core_id = None
+        core.task = None
+        running = self._running_ids.copy()
+        running.remove(core.core_id)
+        self._running_ids = running
+        if task.recorded:
+            core.recorder.clear_thread()
+            if self._rsm_full:
+                core.cycles += self._cost_ctx_flush
+                self.rsm.stats.cycles_ctx_flush += self._cost_ctx_flush
 
     def _block(self, core: Core, task: Task, channel: tuple) -> None:
         task.state = STATE_BLOCKED
@@ -585,23 +679,25 @@ class Kernel:
             self.sched.enqueue(tid)
 
     def _fill_idle_cores(self) -> None:
-        if len(self.sched) == 0:
+        """Dispatch queued tasks onto idle cores, lowest core id first."""
+        queue = self.sched.queue
+        if not queue:
             return
-        for core in self.machine.cores:
-            if core.task is not None:
-                continue
-            tid = self.sched.pop_next()
-            if tid is None:
-                return
-            self._dispatch(core, self.tasks[tid])
+        for core in self._cores:
+            if core.task is None:
+                self._dispatch(core, self.tasks[queue.popleft()])
+                if not queue:
+                    return
 
     # -- signals ------------------------------------------------------------------------
 
     def _deliver_signal(self, core: Core, task: Task) -> None:
         """Deliver at most one pending signal at a safe point (a chunk
-        boundary: kernel exit or dispatch)."""
-        while task.sig_pending:
-            signo = task.sig_pending.popleft()
+        boundary: kernel exit or dispatch). Callers skip the call when no
+        signal is pending."""
+        pending = task.sig_pending
+        while pending:
+            signo = pending.popleft()
             handler = task.sig_handlers.get(signo)
             if handler is None:
                 continue  # default action: ignore
@@ -616,6 +712,6 @@ class Kernel:
                 self.telemetry.tracer.instant(
                     "signal.deliver", cat="kernel", tid=task.tid,
                     args={"signo": signo, "handler": handler})
-            if self.rsm is not None and task.recorded:
+            if task.recorded and self._rsm_full:
                 self.rsm.log_signal(task, signo)
             return

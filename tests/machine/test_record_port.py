@@ -2,8 +2,8 @@
 
 ``_RecordPort``, ``Core.drain_one``, the fill in ``Machine.bus_transaction``,
 the fabrics' cache snoops and the recorder's signature hooks each run as
-one flat body. The reference below is built from the methods those bodies
-inline: ``StoreBuffer.resolve``/``push``/``pop_oldest``, ``MESICache.
+one flat body. The reference (:func:`tests.reference.
+install_memory_reference`) is built from the methods those bodies inline: ``StoreBuffer.resolve``/``push``/``pop_oldest``, ``MESICache.
 classify_read``/``classify_write``/``fill``/``snoop_remote_*``,
 ``PhysicalMemory.read_word``/``write_word`` and the byte forms, and
 ``BloomSignature.insert``/``test``. A recording made through the reference
@@ -27,207 +27,14 @@ from repro.config import (
 )
 from repro.errors import MemoryAccessError
 from repro.isa.assembler import assemble
-from repro.machine import machine as machine_module
-from repro.machine.bus import SnoopBus
-from repro.machine.cache import MISS, SHARED, UPGRADE
-from repro.machine.machine import Core, Machine
-from repro.machine.store_buffer import RESOLVE_CONFLICT, RESOLVE_HIT
+from repro.machine.machine import Machine
 from repro.mrr.chunk import Reason
 from repro.mrr.recorder import MemoryRaceRecorder
 from repro.perf.bench import digest_of
 from repro.telemetry import Telemetry
+from tests.reference import install_memory_reference
 
 BENCH_PROGRAMS = ("locks", "fft", "sigping", "radix")
-
-
-# -- the method path ------------------------------------------------------------
-
-class _MethodPort:
-    """The record port as calls: store buffer, cache and memory methods."""
-
-    def __init__(self, core):
-        self._core = core
-        self._machine = core.machine
-        self._memory = core.machine.memory
-        self._sb = core.store_buffer
-        self._cache = core.cache
-        self._line_mask = ~(core.machine.config.cache.line_bytes - 1)
-        self._atomic_extra = core.machine.cost.atomic_extra
-
-    def load(self, addr, size):
-        core = self._core
-        status, value = self._sb.resolve(addr, size)
-        line = addr & self._line_mask
-        recorder = core.recorder
-        if status == RESOLVE_HIT:
-            if recorder is not None:
-                recorder.on_load(line)
-            return value
-        if status == RESOLVE_CONFLICT:
-            core.drain_all()
-        if self._cache.classify_read(line) == MISS:
-            self._machine.bus_transaction(core, line, is_write=False)
-        if recorder is not None:
-            recorder.on_load(line)
-        if size == 4:
-            return self._memory.read_word(addr)
-        return self._memory.read_byte(addr)
-
-    def store(self, addr, size, value):
-        if self._sb.full:
-            self._core.drain_one()
-        self._sb.push(addr, size, value)
-        self._machine.buffered_stores += 1
-
-    def fence(self):
-        if self._sb._entries:
-            self._core.drain_all()
-
-    def atomic_load(self, addr, size):
-        core = self._core
-        line = addr & self._line_mask
-        _acquire_for_write(core, line)
-        core.cycles += self._atomic_extra
-        if core.recorder is not None:
-            core.recorder.on_atomic_read(line)
-        if size == 4:
-            return self._memory.read_word(addr)
-        return self._memory.read_byte(addr)
-
-    def atomic_store(self, addr, size, value):
-        core = self._core
-        if size == 4:
-            self._memory.write_word(addr, value)
-        else:
-            self._memory.write_byte(addr, value)
-        if core.recorder is not None:
-            core.recorder.on_atomic_write(addr & self._line_mask)
-
-
-def _acquire_for_write(core, line):
-    classification = core.cache.classify_write(line)
-    if classification == MISS:
-        core.machine.bus_transaction(core, line, is_write=True)
-    elif classification == UPGRADE:
-        core.machine.bus_transaction(core, line, is_write=True, upgrade=True)
-
-
-def _method_drain_one(self):
-    machine = self.machine
-    entry = self.store_buffer.pop_oldest()
-    line = entry.addr & self._line_mask
-    _acquire_for_write(self, line)
-    machine.buffered_stores -= 1
-    if entry.size == 4:
-        machine.memory.write_word(entry.addr, entry.value)
-    else:
-        machine.memory.write_byte(entry.addr, entry.value)
-    self.cycles += self._store_drain_cost
-    if machine._tm_enabled:
-        machine._tm_drains.inc()
-    if self.recorder is not None:
-        self.recorder.on_store_drain(line)
-
-
-def _method_bus_transaction(self, core, line, is_write, upgrade=False):
-    self.in_bus_transaction = True
-    try:
-        fill_state, flushed = self.bus.transaction(
-            core.core_id, line, is_write, upgrade)
-    finally:
-        self.in_bus_transaction = False
-    core.cycles += self._cost_upgrade if upgrade else self._cost_l1_miss
-    if flushed:
-        core.cycles += self._cost_writeback
-    if core.cache.fill(line, fill_state):
-        core.cycles += self._cost_writeback
-    if self._tm_enabled:
-        counter = (self._tm_bus_upgrades if upgrade else
-                   self._tm_bus_writes if is_write else self._tm_bus_reads)
-        counter.inc()
-
-
-def _method_snoops():
-    """The fabric transaction with its caches snooped by method.
-
-    The flat transaction runs with the caches hidden, so it still snoops
-    the recorders and keeps presence, sharers and bus stats; then the
-    cores it would have reached snoop their caches through
-    ``snoop_remote_*``. Cache and recorder snoops touch disjoint state, so
-    the order between the two passes is not observable. Both fabrics run
-    this one body; the directory's exact sharer set narrows the caches.
-    """
-    flat = SnoopBus.transaction
-
-    def transaction(self, requester, line, is_write, upgrade=False):
-        reached = ((self._presence.get(line, self._all_mask)
-                    if self.filter_snoops else self._all_mask)
-                   & ~(1 << requester))
-        if self._sharers is not None:
-            reached &= self._sharers.get(line, self._all_mask)
-        caches = self._caches
-        self._caches = [None] * len(caches)
-        try:
-            fill_state, flushed = flat(self, requester, line, is_write,
-                                       upgrade)
-        finally:
-            self._caches = caches
-        for core_id, cache in enumerate(caches):
-            if cache is None or not reached >> core_id & 1:
-                continue
-            if is_write:
-                flushed |= cache.snoop_remote_write(line)
-            elif cache.snoop_remote_read(line):
-                fill_state = SHARED
-        if flushed:
-            self.stats.flushes += 1
-        return fill_state, flushed
-
-    return transaction
-
-
-def _method_on_load(self, line):
-    if self.rthread is not None:
-        self.read_sig.insert(line)
-        if self.read_sig.bits_set >= self._sat_gate_bits:
-            self.gate = -1
-        if self._tm_on:
-            self._exact_reads.add(line)
-
-
-def _method_on_store_drain(self, line):
-    if self.rthread is not None:
-        self.write_sig.insert(line)
-        if self.write_sig.bits_set >= self._sat_gate_bits:
-            self.gate = -1
-        if self._tm_on:
-            self._exact_writes.add(line)
-
-
-def _method_snoop(self, line, is_write):
-    if self.rthread is None:
-        return
-    if self.write_sig.test(line):
-        reason = Reason.WAW if is_write else Reason.RAW
-        if self._tm_on:
-            self._note_snoop_cut(line, self._exact_writes, reason)
-        self.terminate(reason)
-    elif is_write and self.read_sig.test(line):
-        if self._tm_on:
-            self._note_snoop_cut(line, self._exact_reads, Reason.WAR)
-        self.terminate(Reason.WAR)
-
-
-def _install_method_path(patch):
-    patch.setattr(machine_module, "_RecordPort", _MethodPort)
-    patch.setattr(Core, "drain_one", _method_drain_one)
-    patch.setattr(Machine, "bus_transaction", _method_bus_transaction)
-    patch.setattr(SnoopBus, "transaction", _method_snoops())
-    for name in ("on_load", "on_atomic_read", "on_copy_read"):
-        patch.setattr(MemoryRaceRecorder, name, _method_on_load)
-    for name in ("on_store_drain", "on_atomic_write", "on_copy_write"):
-        patch.setattr(MemoryRaceRecorder, name, _method_on_store_drain)
-    patch.setattr(MemoryRaceRecorder, "snoop", _method_snoop)
 
 
 # -- recordings -------------------------------------------------------------------
@@ -267,7 +74,7 @@ def _record(monkeypatch, name, seed, config, *, reference,
 
     with monkeypatch.context() as patch:
         if reference:
-            _install_method_path(patch)
+            install_memory_reference(patch)
         patch.setattr(MemoryRaceRecorder, "terminate", logging_terminate)
         outcome = session.record(program, seed=seed, config=config,
                                  input_files=inputs,
@@ -389,7 +196,7 @@ def _lockstep(monkeypatch, script, cache=CacheConfig()):
     for reference in (False, True):
         with monkeypatch.context() as patch:
             if reference:
-                _install_method_path(patch)
+                install_memory_reference(patch)
             machine, chunks = _machine(cache)
             results = script(machine.cores[0].port, machine)
             runs.append((results, _state(machine), chunks))

@@ -434,11 +434,14 @@ def test_cur_memops_is_nonzero_only_parked_on_a_rep(monkeypatch):
         check(engine)
         return outcome
 
-    undispatch = Kernel._undispatch
+    dispatch = Kernel._dispatch
 
-    def checked_undispatch(kernel, core, task):
-        undispatch(kernel, core, task)
+    def checked_dispatch(kernel, core, task):
+        # A context saved mid-rep is one saved at preemption (syscalls and
+        # spawns never park on a rep); it is consumed here.
         seen["preempted"] += task.context.cur_memops != 0
+        dispatch(kernel, core, task)
+        check(core.engine)
 
     deliver = Kernel._deliver_signal
 
@@ -450,7 +453,7 @@ def test_cur_memops_is_nonzero_only_parked_on_a_rep(monkeypatch):
             seen["signalled"] += task.sig_saved[-1].cur_memops != 0
 
     monkeypatch.setattr(Machine, "step_core", checked_step)
-    monkeypatch.setattr(Kernel, "_undispatch", checked_undispatch)
+    monkeypatch.setattr(Kernel, "_dispatch", checked_dispatch)
     monkeypatch.setattr(Kernel, "_deliver_signal", checked_deliver)
     for name in ("locks", "fft", "sigping", "radix"):
         program, inputs = workloads.build(name, scale=1)
