@@ -1,7 +1,9 @@
 """The per-core chunk buffer (CBUF).
 
-Hardware appends packed chunk entries here; when the buffer fills, the
-overflow interrupt fires and the RSM drains it to the log. CBUF sizing is
+The recorder writes packed chunk entries here
+(:meth:`MemoryRaceRecorder.terminate`); when the buffer fills, it raises
+the overflow interrupt, :meth:`ChunkBuffer.drain`, and the RSM drains the
+entries to the log. CBUF sizing is
 an overhead knob (ablation A2): small buffers interrupt often, large ones
 cost on-chip memory.
 """
@@ -24,16 +26,9 @@ class ChunkBuffer:
         self._on_drain = on_drain
         self._entries: list[ChunkEntry] = []
         self.drains = 0
-        self.appended = 0
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def append(self, entry: ChunkEntry) -> None:
-        self._entries.append(entry)
-        self.appended += 1
-        if len(self._entries) >= self.capacity:
-            self.drain()
 
     def drain(self) -> int:
         """Hand buffered entries to the RSM; returns how many."""

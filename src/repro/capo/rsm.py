@@ -111,14 +111,16 @@ class ReplaySphereManager:
         self._cores = machine.cores
         self._cost_event = machine.cost.input_log_event
         self._cost_per_byte = machine.cost.input_log_per_byte
-        self._cbufs: list[ChunkBuffer] = []
+        # Each recorder writes its chunk entries into its own CBUF and
+        # counts them into the stats and the sphere's per-thread counts;
+        # the RSM sees a CBUF only when it overflows (the drain handler)
+        # and at finalize.
         self.recorders: list[MemoryRaceRecorder] = []
         for core in machine.cores:
             cbuf = ChunkBuffer(config.mrr.cbuf_entries,
                                self._make_drain_handler(core))
-            self._cbufs.append(cbuf)
-            recorder = MemoryRaceRecorder(config.mrr, core,
-                                          self._make_sink(core, cbuf),
+            recorder = MemoryRaceRecorder(config.mrr, core, cbuf, self.stats,
+                                          self._chunk_counts,
                                           telemetry=machine.telemetry)
             self.recorders.append(recorder)
             machine.attach_recorder(core.core_id, recorder)
@@ -144,24 +146,8 @@ class ReplaySphereManager:
         the run starts."""
         self.flight = ring
         self._keep_event = ring.push_event
-
-    def _make_sink(self, core: Core, cbuf: ChunkBuffer):
-        cost = self.machine.cost
-
-        def sink(entry: ChunkEntry) -> None:
-            self.sphere.note_chunk(entry.rthread)
-            self.stats.chunks += 1
-            core.cycles += cost.cbuf_entry_write
-            self.stats.cycles_cbuf_write += cost.cbuf_entry_write
-            flight = self.flight
-            if flight is not None:
-                # Sink calls happen at termination under the fabric's
-                # serialized order clock, so ring arrivals are already in
-                # global schedule order (the CBUF drain below is not).
-                flight.push_chunk(entry)
-            cbuf.append(entry)
-
-        return sink
+        for recorder in self.recorders:
+            recorder.flight = ring
 
     def _make_drain_handler(self, core: Core):
         cost = self.machine.cost
@@ -298,8 +284,8 @@ class ReplaySphereManager:
 
     def finalize(self) -> None:
         """Flush every CBUF (end of recording)."""
-        for cbuf in self._cbufs:
-            cbuf.drain()
+        for recorder in self.recorders:
+            recorder.cbuf.drain()
         logger.debug(
             "finalized sphere: %d chunks, %d input events, %d payload "
             "bytes, %d CBUF drains, %d software cycles",

@@ -2,9 +2,10 @@
 
 A sphere groups the R-threads recorded (and later replayed) together and
 tracks per-thread chunk counts (the positions the input log's events are
-anchored to). Cross-thread ordering — including kernel-mediated
-communication such as futex wakeups and spawn — is carried entirely by the
-globally synchronized chunk timestamps.
+anchored to), which the recorders advance as they write each chunk.
+Cross-thread ordering — including kernel-mediated communication such as
+futex wakeups and spawn — is carried entirely by the globally synchronized
+chunk timestamps.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ class ReplaySphere:
             raise RecordingError(f"rthread {rthread} already registered")
         self.rthreads.add(rthread)
         self.chunk_counts[rthread] = 0
-
-    def note_chunk(self, rthread: int) -> None:
-        self.chunk_counts[rthread] += 1
 
     def chunk_count(self, rthread: int) -> int:
         return self.chunk_counts[rthread]

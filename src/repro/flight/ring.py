@@ -1,9 +1,10 @@
 """The epoch ring: bounded retention with a replayable base state.
 
 The ring observes the recording as it happens — chunks in global
-schedule order (the RSM chunk sink runs at chunk termination, under the
-fabric's serialized order clock) and input events in kernel sequence
-order (tapped in the RSM's ``log_*`` bodies). Retention is
+schedule order (each recorder pushes its entry as it writes it to the
+CBUF at chunk termination, under the fabric's serialized order clock)
+and input events in kernel sequence order (tapped in the RSM's
+``log_*`` bodies). Retention is
 epoch-granular: every ``epoch_chunks`` chunks seal one epoch, and once
 more than ``window`` sealed epochs exist the oldest is evicted in O(1).
 

@@ -64,20 +64,23 @@ SYSCALL_NAMES = {
 SYSCALL_NUMBERS = {name: number for number, name in SYSCALL_NAMES.items()}
 
 
-@dataclass(frozen=True)
+# What a handler asks the kernel to do. One is built per handled syscall;
+# treated as immutable, but slotted rather than frozen, because frozen
+# dataclasses pay ``object.__setattr__`` per field on construction.
+@dataclass(slots=True)
 class Complete:
     retval: int
     copies: tuple[tuple[int, bytes], ...] = ()
     reschedule: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Block:
     channel: tuple
     wake_retval: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExitAction:
     code: int
 

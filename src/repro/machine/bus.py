@@ -6,8 +6,9 @@ front-side bus. Two kinds of agents observe transactions:
 
 - the other cores' caches, which downgrade or invalidate their copies
   (MESI); and
-- *snoopers* — the per-core Memory Race Recorders — which test the line
-  against their signatures and may terminate their current chunk.
+- the per-core Memory Race Recorders, whose signatures are tested against
+  the line; a hit terminates the recorder's current chunk. As in the
+  prototype, the test is a side effect of the request.
 
 Both fabrics (selected by ``MachineConfig.coherence``) run the one
 transaction body, :meth:`SnoopBus.transaction`; they differ only in which
@@ -22,6 +23,9 @@ caches it snoops and in how the notifies are counted:
   Recorder notifications deliberately stay presence-based — see the class
   docstring for why anything tighter would break bit-identity.
 
+The transaction also fills the requester's cache and charges its cycles,
+so a miss is one call from the core's memory path.
+
 The fabric also owns ``order_clock``, the globally synchronized
 chunk-timestamp source: the interconnect is the one serialization point
 every chunk termination already passes through, so the clock lives here
@@ -31,19 +35,22 @@ rather than in a machine-global counter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import TYPE_CHECKING
 
+from ..mrr.chunk import Reason
+from ..perf.costmodel import DEFAULT_COST_MODEL, CostModel
+from ..telemetry import NULL_TELEMETRY, Telemetry
 from .cache import EXCLUSIVE, MESICache, MODIFIED, SHARED
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for typing only
+    from ..mrr.recorder import MemoryRaceRecorder
 
 #: MESI states that own a line: a remote read downgrades them to Shared.
 _OWNED = (MODIFIED, EXCLUSIVE)
 
-
-class Snooper(Protocol):
-    """A bus observer (the MRR): tests the line against its signatures
-    and terminates its current chunk on a hit."""
-
-    def snoop(self, line: int, is_write: bool) -> None: ...
+_RAW = Reason.RAW
+_WAR = Reason.WAR
+_WAW = Reason.WAW
 
 
 @dataclass
@@ -77,10 +84,12 @@ class BusStats:
 class SnoopBus:
     """Serializes coherence transactions across ``num_cores`` agents."""
 
-    def __init__(self, num_cores: int, filter_snoops: bool = True):
+    def __init__(self, num_cores: int, filter_snoops: bool = True,
+                 cost: CostModel | None = None,
+                 telemetry: Telemetry | None = None):
         self.num_cores = num_cores
         self._caches: list[MESICache | None] = [None] * num_cores
-        self._snoopers: list[Snooper | None] = [None] * num_cores
+        self._recorders: list[MemoryRaceRecorder | None] = [None] * num_cores
         self.stats = BusStats()
         # Globally synchronized chunk-timestamp source — the simulator's
         # stand-in for the invariant TSC the prototype reads at chunk
@@ -99,7 +108,7 @@ class SnoopBus:
         # *may* hold the line. Lines with no transaction history default to
         # "anyone may hold it" (tests pre-fill caches directly, bypassing
         # the bus). A bit is cleared only by a remote-write transaction —
-        # which invalidates that core's copy AND snoops its recorder in the
+        # which invalidates that core's copy AND tests its recorder in the
         # same transaction — and is never cleared on eviction, so the
         # summary is always a superset of the true holder set and of every
         # line in any recorder signature (pinned by the MESI invariant
@@ -109,6 +118,18 @@ class SnoopBus:
         # The directory's exact per-line cache-holder set; None on the
         # snooping bus, which snoops every present cache.
         self._sharers: dict[int, int] | None = None
+        # The requester's charges, fixed for the fabric's lifetime.
+        cost = cost or DEFAULT_COST_MODEL
+        self._cost_l1_miss = cost.l1_miss
+        self._cost_upgrade = cost.upgrade
+        self._cost_writeback = cost.writeback
+        self.telemetry = telemetry = telemetry or NULL_TELEMETRY
+        self._tm_enabled = telemetry.enabled
+        if telemetry.enabled:
+            metrics = telemetry.metrics
+            self._tm_bus_reads = metrics.counter("machine.bus_reads")
+            self._tm_bus_writes = metrics.counter("machine.bus_writes")
+            self._tm_bus_upgrades = metrics.counter("machine.bus_upgrades")
 
     def presence_mask(self, line: int) -> int:
         """The conservative holder bitmask for ``line``."""
@@ -117,17 +138,19 @@ class SnoopBus:
     def attach_cache(self, core_id: int, cache: MESICache) -> None:
         self._caches[core_id] = cache
 
-    def attach_snooper(self, core_id: int, snooper: Snooper | None) -> None:
-        self._snoopers[core_id] = snooper
+    def attach_recorder(self, core_id: int,
+                        recorder: MemoryRaceRecorder | None) -> None:
+        self._recorders[core_id] = recorder
 
-    def transaction(self, requester: int, line: int, is_write: bool,
-                    upgrade: bool = False) -> tuple[str, bool]:
-        """Run one transaction and notify caches and snoopers.
+    def transaction(self, core, line: int, is_write: bool,
+                    upgrade: bool = False) -> None:
+        """Run one transaction for the requesting ``core``.
 
-        ``upgrade`` marks a Shared-to-Modified upgrade (the requester already
-        holds the line; no data transfer, but invalidations and snooping
-        still occur). Returns the requester's fill state and whether a
-        remote Modified copy was flushed (writes only).
+        Snoops the other present cores' caches and tests their recorders'
+        signatures, terminating a recorder's chunk on a hit; then fills
+        the requester's cache and charges its cycles. ``upgrade`` marks a
+        Shared-to-Modified upgrade (the requester already holds the line;
+        no data transfer, but invalidations and snooping still occur).
         """
         stats = self.stats
         stats.transactions += 1
@@ -141,7 +164,7 @@ class SnoopBus:
         # Presence-filtered snooping: cores whose presence bit is clear can
         # hold neither the line (their copy was invalidated by the write
         # that cleared the bit) nor a signature entry for it (that same
-        # transaction snooped their recorder, and a true member always
+        # transaction tested their recorder, and a true member always
         # tests positive, terminating the chunk and clearing the
         # signatures). Skipping them is therefore a no-op — they would
         # mutate no cache state, no stats, and no recorder state. The
@@ -151,7 +174,7 @@ class SnoopBus:
         all_mask = self._all_mask
         present = (self._presence.get(line, all_mask)
                    if self.filter_snoops else all_mask)
-        req_bit = 1 << requester
+        req_bit = 1 << core.core_id
         notify = present & ~req_bit
         broadcast = self._broadcast
         stats.broadcast_snoops += broadcast
@@ -159,7 +182,7 @@ class SnoopBus:
         if sharer_sets is None:
             # A shared bus is architecturally a broadcast: every other
             # agent observes the transaction, whether or not the presence
-            # filter lets the simulator skip the provable no-op callbacks.
+            # filter lets the simulator skip the provable no-op snoops.
             stats.notifies_sent += broadcast
             cache_mask = notify
         else:
@@ -175,14 +198,14 @@ class SnoopBus:
             hist[holders] = hist.get(holders, 0) + 1
 
         # One pass over the set bits, ascending core id (lowest bit
-        # first). The cache snoop and the recorder snoop touch disjoint
+        # first). The cache snoop and the signature test touch disjoint
         # state, so interleaving them per core is observably identical to
-        # two passes. The cache snoop is MESICache.snoop_remote_write/_read,
-        # inline.
+        # two passes. The cache snoop is MESICache.snoop_remote_write/_read
+        # and the signature test MemoryRaceRecorder.snoop, inline.
         shared = False
         flushed = False
         caches = self._caches
-        snoopers = self._snoopers
+        recorders = self._recorders
         mask = notify
         while mask:
             low = mask & -mask
@@ -211,30 +234,88 @@ class SnoopBus:
                                     cache_stats.writebacks += 1
                                 entry_set[line] = SHARED
                                 cache_stats.downgrades_received += 1
-            snooper = snoopers[core_id]
-            if snooper is not None:
-                snooper.snoop(line, is_write)
+            recorder = recorders[core_id]
+            if recorder is None:
+                continue
+            # A remote read tests the write set only; an empty signature
+            # (always so just after a chunk boundary, and while the
+            # recorder has no thread: clear_thread empties both and
+            # inserts need a thread) is decided without the mask.
+            write_word = recorder.write_sig._word
+            read_word = recorder.read_sig._word if is_write else 0
+            if not (write_word or read_word):
+                continue
+            sig_mask = recorder._masks.get(line)
+            if sig_mask is None:
+                sig_mask = recorder._hasher.mask(line)
+            if write_word & sig_mask == sig_mask:
+                reason = _WAW if is_write else _RAW
+                if recorder._tm_on:
+                    recorder._note_snoop_cut(line, recorder._exact_writes,
+                                             reason)
+                recorder.terminate(reason)
+            elif read_word & sig_mask == sig_mask:
+                if recorder._tm_on:
+                    recorder._note_snoop_cut(line, recorder._exact_reads,
+                                             _WAR)
+                recorder.terminate(_WAR)
 
         if is_write:
             if flushed:
                 stats.flushes += 1
             # Everyone else was just invalidated — and, crucially, also
-            # snooped: any recorder whose signature held the line has just
+            # tested: any recorder whose signature held the line has just
             # terminated its chunk and cleared its signatures. Only now is
             # clearing their presence bits sound; the requester is the
             # sole holder for both summaries.
             self._presence[line] = req_bit
             if sharer_sets is not None:
                 sharer_sets[line] = req_bit
-            return MODIFIED, flushed
-        # Reads only ADD the requester: a core that evicted the line may
-        # still carry it in a chunk signature, and narrowing to the caches
-        # that answered the BusRd would stop snooping that recorder —
-        # missing a later WAR conflict. Bits are cleared by writes alone.
-        self._presence[line] = present | req_bit
-        if sharer_sets is not None:
-            sharer_sets[line] = sharers | req_bit
-        return (SHARED if shared else EXCLUSIVE), False
+            fill_state = MODIFIED
+        else:
+            # Reads only ADD the requester: a core that evicted the line
+            # may still carry it in a chunk signature, and narrowing to the
+            # caches that answered the BusRd would stop testing that
+            # recorder — missing a later WAR conflict. Bits are cleared by
+            # writes alone.
+            self._presence[line] = present | req_bit
+            if sharer_sets is not None:
+                sharer_sets[line] = sharers | req_bit
+            fill_state = SHARED if shared else EXCLUSIVE
+
+        # The requester's fill, inline unless a victim must go
+        # (MESICache.fill), after the sharer update: an eviction the fill
+        # causes clears the victim's sharer bit. Its charges: the miss or
+        # upgrade, a remote Modified copy's flush, a dirty victim's
+        # writeback.
+        cycles = self._cost_upgrade if upgrade else self._cost_l1_miss
+        if flushed:
+            cycles += self._cost_writeback
+        entry_set = core._sets[(line >> core._line_shift) & core._set_mask]
+        if line in entry_set:
+            entry_set[line] = fill_state
+            entry_set.move_to_end(line)
+        elif len(entry_set) < core._ways:
+            entry_set[line] = fill_state
+        elif core.cache.fill(line, fill_state):
+            cycles += self._cost_writeback
+        core.cycles += cycles
+        if self._tm_enabled:
+            telemetry = self.telemetry
+            if upgrade:
+                self._tm_bus_upgrades.inc()
+            elif is_write:
+                self._tm_bus_writes.inc()
+            else:
+                self._tm_bus_reads.inc()
+            transactions = (self._tm_bus_reads.value
+                            + self._tm_bus_writes.value
+                            + self._tm_bus_upgrades.value)
+            if transactions % telemetry.sampling == 0:
+                telemetry.tracer.instant(
+                    "bus.txn", cat="machine", tid=core.core_id,
+                    args={"line": line, "write": is_write,
+                          "upgrade": upgrade})
 
 
 class DirectoryBus(SnoopBus):
@@ -257,8 +338,8 @@ class DirectoryBus(SnoopBus):
       non-holder is a pure no-op (no state change, no stats), so skipping
       it is bit-identical — same argument as the presence filter, with a
       tight set instead of a superset.
-    - **Recorders**: every core in the *presence* set, exactly as the
-      snooping bus does. This set cannot be tightened further: a Bloom
+    - **Recorders**: every core in the *presence* set has its signatures
+      tested, exactly as on the snooping bus. This set cannot be tightened further: a Bloom
       signature can false-positive on a line the recorder never truly
       touched, so a core that evicted the line (out of the sharer set,
       still in presence) may still terminate its chunk on this snoop.
@@ -273,8 +354,10 @@ class DirectoryBus(SnoopBus):
     would have cost, and ``sharer_hist`` the exact holder-set sizes.
     """
 
-    def __init__(self, num_cores: int, filter_snoops: bool = True):
-        super().__init__(num_cores, filter_snoops)
+    def __init__(self, num_cores: int, filter_snoops: bool = True,
+                 cost: CostModel | None = None,
+                 telemetry: Telemetry | None = None):
+        super().__init__(num_cores, filter_snoops, cost, telemetry)
         # Same untracked default as presence ("anyone may hold it").
         self._sharers = {}
 

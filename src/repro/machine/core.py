@@ -45,9 +45,14 @@ class MemoryPort(Protocol):
     def atomic_store(self, addr: int, size: int, value: int) -> None: ...
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EngineContext:
-    """Per-thread architectural state saved across context switches."""
+    """Per-thread architectural state saved across context switches.
+
+    Treated as immutable (nothing assigns a field or hashes one); not
+    ``frozen`` because every context switch and signal delivery builds
+    one, and frozen dataclasses pay ``object.__setattr__`` per field.
+    """
 
     regs: tuple[int, ...]
     pc: int

@@ -53,10 +53,12 @@ class Core:
         # The kernel's bookkeeping slot: the task currently dispatched here.
         self.task = None
         # Hot-path hoists for the flat memory path (drain_one, the record
-        # port and the fill in Machine.bus_transaction). All fixed for the
-        # machine's lifetime: the buffer's deque, the cache's sets, stats
-        # and geometry, and the memory's bytearray are never replaced.
+        # port and the fill in SnoopBus.transaction). All fixed for the
+        # machine's lifetime: the fabric, the buffer's deque, the cache's
+        # sets, stats and geometry, and the memory's bytearray are never
+        # replaced.
         cache = self.cache
+        self._bus = machine.bus
         self._sb_entries = self.store_buffer._entries
         self._sets = cache._sets
         self._line_shift = cache._line_shift
@@ -96,10 +98,10 @@ class Core:
         elif state == SHARED:
             entry_set.move_to_end(line)
             self._cache_stats.upgrades += 1
-            machine.bus_transaction(self, line, True, True)
+            self._bus.transaction(self, line, True, True)
         else:
             self._cache_stats.write_misses += 1
-            machine.bus_transaction(self, line, True)
+            self._bus.transaction(self, line, True)
         machine.buffered_stores -= 1
         if entry.size == 4:
             if addr & 3:
@@ -135,8 +137,9 @@ class _RecordPort:
     the aligned access on the memory's bytearray (``PhysicalMemory.
     read_word``/``write_word`` and the byte forms, same checks, same
     ``MemoryAccessError`` messages) run inline, in the order those methods
-    ran. What stays a call: at most one recorder insert per access, bus
-    transactions on a miss or upgrade, and drains.
+    ran. What stays a call: at most one recorder insert per access, the
+    fabric's transaction on a miss or upgrade (which also fills the cache),
+    and drains.
     ``tests/machine/test_record_port.py`` runs it in lockstep against a
     port built from the methods.
     """
@@ -144,6 +147,7 @@ class _RecordPort:
     def __init__(self, core: Core):
         self._core = core
         self._machine = core.machine
+        self._bus = core._bus
         self._entries = core._sb_entries
         self._sb_capacity = core.store_buffer.capacity
         self._sets = core._sets
@@ -180,7 +184,7 @@ class _RecordPort:
             self._cache_stats.read_hits += 1
         else:
             self._cache_stats.read_misses += 1
-            self._machine.bus_transaction(core, line, False)
+            self._bus.transaction(core, line, False)
         recorder = core.recorder
         if recorder is not None:
             recorder.on_load(line)
@@ -219,10 +223,10 @@ class _RecordPort:
         elif state == SHARED:
             entry_set.move_to_end(line)
             self._cache_stats.upgrades += 1
-            self._machine.bus_transaction(core, line, True, True)
+            self._bus.transaction(core, line, True, True)
         else:
             self._cache_stats.write_misses += 1
-            self._machine.bus_transaction(core, line, True)
+            self._bus.transaction(core, line, True)
         core.cycles += self._atomic_extra
         recorder = core.recorder
         if recorder is not None:
@@ -275,10 +279,10 @@ class Machine:
         self.memory = PhysicalMemory(self.config.memory_bytes)
         # Module-global class references so test fixtures can swap in
         # checked subclasses by monkeypatching this module's names.
-        if self.config.coherence == COHERENCE_DIRECTORY:
-            self.bus = DirectoryBus(self.config.num_cores, filter_snoops)
-        else:
-            self.bus = SnoopBus(self.config.num_cores, filter_snoops)
+        bus_cls = (DirectoryBus if self.config.coherence == COHERENCE_DIRECTORY
+                   else SnoopBus)
+        self.bus = bus_cls(self.config.num_cores, filter_snoops, self.cost,
+                           self.telemetry)
         self.cores = [Core(core_id, self) for core_id in range(self.config.num_cores)]
         for core in self.cores:
             self.bus.attach_cache(core.core_id, core.cache)
@@ -287,11 +291,6 @@ class Machine:
         # work only while this is nonzero.
         self.buffered_stores = 0
         self.program: Program | None = None
-        # True while a bus transaction is being processed. Recorder
-        # termination-time drains (DRAIN tso mode) are forbidden inside a
-        # transaction: they would issue nested transactions and break the
-        # outer one's atomicity (e.g. two Modified copies of a line).
-        self.in_bus_transaction = False
         # Hot-path hoists: read once, fixed for the machine's lifetime. The
         # telemetry flag in particular keeps the disabled case zero-cost in
         # the run loop, step_core and drain paths (one attribute read, no
@@ -299,16 +298,10 @@ class Machine:
         self._tm_enabled = self.telemetry.enabled
         self._tm_sampling = self.telemetry.sampling
         self._unit_cost = self.cost.unit
-        self._cost_l1_miss = self.cost.l1_miss
-        self._cost_upgrade = self.cost.upgrade
-        self._cost_writeback = self.cost.writeback
         self._drain_period = self.config.store_buffer.drain_period
         self._drain_burst = self.config.store_buffer.drain_burst
         if self.telemetry.enabled:
             metrics = self.telemetry.metrics
-            self._tm_bus_reads = metrics.counter("machine.bus_reads")
-            self._tm_bus_writes = metrics.counter("machine.bus_writes")
-            self._tm_bus_upgrades = metrics.counter("machine.bus_upgrades")
             self._tm_drains = metrics.counter("machine.store_drains")
             self._tm_copy_lines = metrics.counter("machine.coherent_copy_lines")
 
@@ -321,45 +314,9 @@ class Machine:
 
     def attach_recorder(self, core_id: int, recorder) -> None:
         self.cores[core_id].recorder = recorder
-        self.bus.attach_snooper(core_id, recorder)
+        self.bus.attach_recorder(core_id, recorder)
 
-    # -- transactions ---------------------------------------------------------
-
-    def bus_transaction(self, core: Core, line: int, is_write: bool,
-                        upgrade: bool = False) -> None:
-        self.in_bus_transaction = True
-        try:
-            state, flushed = self.bus.transaction(
-                core.core_id, line, is_write, upgrade)
-        finally:
-            self.in_bus_transaction = False
-        core.cycles += self._cost_upgrade if upgrade else self._cost_l1_miss
-        if flushed:
-            core.cycles += self._cost_writeback
-        # The fill, inline unless a victim must go (MESICache.fill).
-        entry_set = core._sets[(line >> core._line_shift) & core._set_mask]
-        if line in entry_set:
-            entry_set[line] = state
-            entry_set.move_to_end(line)
-        elif len(entry_set) < core._ways:
-            entry_set[line] = state
-        elif core.cache.fill(line, state):
-            core.cycles += self._cost_writeback
-        if self._tm_enabled:
-            telemetry = self.telemetry
-            if upgrade:
-                self._tm_bus_upgrades.inc()
-            elif is_write:
-                self._tm_bus_writes.inc()
-            else:
-                self._tm_bus_reads.inc()
-            transactions = (self._tm_bus_reads.value + self._tm_bus_writes.value
-                            + self._tm_bus_upgrades.value)
-            if transactions % telemetry.sampling == 0:
-                telemetry.tracer.instant(
-                    "bus.txn", cat="machine", tid=core.core_id,
-                    args={"line": line, "write": is_write,
-                          "upgrade": upgrade})
+    # -- kernel copies -----------------------------------------------------------
 
     def coherent_copy(self, core: Core, addr: int, data: bytes) -> None:
         """Kernel copy-to-user performed through ``core``'s cache.
@@ -378,9 +335,9 @@ class Machine:
         for line in range(first, last + line_bytes, line_bytes):
             classification = core.cache.classify_write(line)
             if classification == CACHE_MISS:
-                self.bus_transaction(core, line, is_write=True)
+                self.bus.transaction(core, line, True)
             elif classification == UPGRADE:
-                self.bus_transaction(core, line, is_write=True, upgrade=True)
+                self.bus.transaction(core, line, True, True)
             if core.recorder is not None:
                 core.recorder.on_copy_write(line)
             if self._tm_enabled:
@@ -403,7 +360,7 @@ class Machine:
         last = self.config.cache.line_of(addr + size - 1)
         for line in range(first, last + line_bytes, line_bytes):
             if core.cache.classify_read(line) == CACHE_MISS:
-                self.bus_transaction(core, line, is_write=False)
+                self.bus.transaction(core, line, False)
             if core.recorder is not None:
                 core.recorder.on_copy_read(line)
         return self.memory.read(addr, size)

@@ -5,9 +5,11 @@ Responsibilities (matching the prototype's MRR block):
 - accumulate cache-line addresses into read/write Bloom signatures
   (loads and atomics at execution time; plain stores at *drain* time,
   which is what makes the RSW accounting correct under TSO);
-- snoop bus transactions and terminate the current chunk when a remote
-  request hits the signatures — guaranteeing that no two conflicting
-  accesses ever inhabit a pair of *open* chunks;
+- terminate the current chunk when a remote coherence request hits the
+  signatures — guaranteeing that no two conflicting accesses ever inhabit
+  a pair of *open* chunks. The fabric runs the test inline in its
+  transaction (:meth:`SnoopBus.transaction`); :meth:`snoop` is the same
+  test as a method;
 - timestamp each chunk from the fabric's globally synchronized order
   clock (the prototype reads the invariant TSC at termination). Because
   the clock is strictly increasing across cores, timestamps order chunks by
@@ -17,7 +19,8 @@ Responsibilities (matching the prototype's MRR block):
   cross-thread dependence;
 - terminate chunks on instruction-count cap, signature saturation, and on
   every kernel entry (driven by the Replay Sphere Manager);
-- emit packed chunk entries to a sink (the CBUF).
+- write each packed chunk entry into its CBUF, and raise the overflow
+  interrupt (:meth:`ChunkBuffer.drain`, into the RSM) when the CBUF fills.
 
 The recorder never influences execution — it observes, counts cycles, and
 logs. That invariant is what lets the overhead experiments compare modes
@@ -26,14 +29,15 @@ under identical interleavings.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..config import MRRConfig, TsoMode
 from ..errors import RecordingError
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .chunk import ChunkEntry, Reason
 from .hashing import shared_hasher
 from .signature import BloomSignature
+
+#: The cuts a remote request's signature hit makes, inside its transaction.
+_CONFLICTS = frozenset(Reason.CONFLICTS)
 
 #: The termination gate of a recorder with no thread: above any retired
 #: count, so the per-unit compare never fires.
@@ -43,12 +47,23 @@ NEVER = 1 << 62
 class MemoryRaceRecorder:
     """MRR hardware state for one core."""
 
-    def __init__(self, config: MRRConfig, core,
-                 sink: Callable[[ChunkEntry], None],
+    def __init__(self, config: MRRConfig, core, cbuf, stats,
+                 chunk_counts: dict[int, int],
                  telemetry: Telemetry | None = None):
+        """``cbuf`` is this core's :class:`~repro.capo.chunk_buffer.
+        ChunkBuffer`. Each chunk also counts into ``stats`` (the RSM's
+        ``chunks`` and ``cycles_cbuf_write``) and into ``chunk_counts``,
+        the sphere's per-rthread chunk counts."""
         self.config = config
         self.core = core
-        self.sink = sink
+        self.cbuf = cbuf
+        self._stats = stats
+        self._chunk_counts = chunk_counts
+        self._cbuf_write_cost = core.machine.cost.cbuf_entry_write
+        self._bus = core.machine.bus
+        # Bounded retention: the RSM points every recorder at its flight
+        # ring (FlightRing.push_chunk) before the run starts.
+        self.flight = None
         # One hasher for both signatures: on_load, on_store_drain and snoop
         # read its memoized per-line masks directly.
         hasher = shared_hasher(config.signature_bits, config.signature_hashes)
@@ -195,7 +210,11 @@ class MemoryRaceRecorder:
     # -- conflict detection ----------------------------------------------------
 
     def snoop(self, line: int, is_write: bool) -> None:
-        """Check a remote transaction; terminate the chunk on a hit."""
+        """Check a remote transaction; terminate the chunk on a hit.
+
+        The fabric runs this test inline for every present recorder
+        (:meth:`SnoopBus.transaction`); the lockstep suite holds the two
+        equal."""
         if self.rthread is None:
             return
         # BloomSignature.test inline. A remote read tests the write set
@@ -255,35 +274,37 @@ class MemoryRaceRecorder:
     # -- termination -----------------------------------------------------------
 
     def terminate(self, reason: str) -> int:
-        """Close the current chunk, emit its entry, start the next one.
+        """Close the current chunk, write its entry into the CBUF, start
+        the next one. Every cut runs this one body.
 
         Returns the chunk's timestamp.
         """
         rthread = self.rthread
         if rthread is None:
             raise RecordingError("terminate with no active rthread")
-        machine = self.core.machine
-        if self._drain_mode and not machine.in_bus_transaction:
+        core = self.core
+        if self._drain_mode and reason not in _CONFLICTS:
             # Ablation A3: stall termination until the store buffer is
             # empty (the drains insert into the *current*, closing chunk).
-            # Draining is only legal OUTSIDE a bus transaction: a victim
-            # terminated by a snoop sits inside the requester's
+            # Draining is only legal OUTSIDE a bus transaction, and the
+            # conflict cuts are exactly the ones made inside one: the
+            # victim of a signature hit sits inside the requester's
             # transaction, and draining there would issue nested
             # transactions that break the outer one's atomicity — besides
             # creating ordering cycles between simultaneously closing
             # chunks. Snoop-cut chunks therefore fall back to RSW logging,
             # which is precisely the implementability argument for the
             # paper's RSW design.
-            self.core.drain_all()
+            core.drain_all()
         # Timestamp taken AFTER the drain: chunks the drain terminated
         # elsewhere must be ordered before this one (their reads preceded
         # this chunk's store visibility). The clock lives on the fabric
         # (the serialization point terminations already synchronize with),
         # not in a machine-global counter.
-        bus = machine.bus
+        bus = self._bus
         timestamp = bus.order_clock + 1
         bus.order_clock = timestamp
-        engine = self.core.engine
+        engine = core.engine
         entry = ChunkEntry(
             rthread, timestamp, engine.retired - self._icnt_start,
             engine.cur_memops, len(self._sb_entries), reason,
@@ -305,7 +326,26 @@ class MemoryRaceRecorder:
                       "timestamp": timestamp,
                       "read_sat_pct": round(read_pct, 2),
                       "write_sat_pct": round(write_pct, 2)})
-        self.sink(entry)
+        # The CBUF write: the sphere's per-thread chunk count (what input
+        # events are anchored to), the RSM's statistics, the write's
+        # charge, the flight ring, then the entry itself, with the
+        # overflow interrupt when the CBUF fills. The ring gets entries in
+        # global schedule order because the order clock serializes
+        # terminations; CBUF drains come in no such order.
+        self._chunk_counts[rthread] += 1
+        stats = self._stats
+        stats.chunks += 1
+        cost = self._cbuf_write_cost
+        core.cycles += cost
+        stats.cycles_cbuf_write += cost
+        flight = self.flight
+        if flight is not None:
+            flight.push_chunk(entry)
+        cbuf = self.cbuf
+        entries = cbuf._entries
+        entries.append(entry)
+        if len(entries) >= cbuf.capacity:
+            cbuf.drain()
         # The next chunk begins: _begin_chunk, inline.
         read_sig = self.read_sig
         read_sig._word = 0

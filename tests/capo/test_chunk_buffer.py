@@ -1,30 +1,44 @@
+"""The CBUF as the recorder fills it: entries written at termination,
+the overflow drain when it fills, the manual drain at finalize."""
+
 import pytest
 
 from repro.capo.chunk_buffer import ChunkBuffer
-from repro.mrr.chunk import ChunkEntry, Reason
+from repro.config import MachineConfig, MRRConfig
+from repro.isa.assembler import assemble
+from repro.machine.machine import Machine
+from repro.mrr.chunk import Reason
+from tests.conftest import wire_recorder
 
 
-def entry(ts):
-    return ChunkEntry(1, ts, 1, 0, 0, Reason.SIZE)
+def recorder_on(capacity, drained):
+    """A recorder on a one-core machine recording rthread 1, its CBUF of
+    ``capacity`` entries draining whole batches into ``drained``."""
+    machine = Machine(MachineConfig(num_cores=1, memory_bytes=1 << 12))
+    machine.load_program(assemble("main:\n    syscall\n"))
+    recorder = wire_recorder(machine.cores[0], MRRConfig(), [],
+                             capacity=capacity)
+    recorder.cbuf._on_drain = drained.append
+    recorder.set_thread(1)
+    return recorder
 
 
 def test_overflow_triggers_drain():
     drained = []
-    cbuf = ChunkBuffer(3, drained.append)
-    for ts in range(3):
-        cbuf.append(entry(ts))
+    recorder = recorder_on(3, drained)
+    timestamps = [recorder.terminate(Reason.SIZE) for _ in range(3)]
     assert len(drained) == 1
-    assert [e.timestamp for e in drained[0]] == [0, 1, 2]
-    assert len(cbuf) == 0
-    assert cbuf.drains == 1
+    assert [e.timestamp for e in drained[0]] == timestamps
+    assert len(recorder.cbuf) == 0
+    assert recorder.cbuf.drains == 1
 
 
 def test_manual_drain_flushes_partial():
     drained = []
-    cbuf = ChunkBuffer(10, drained.append)
-    cbuf.append(entry(1))
-    assert cbuf.drain() == 1
-    assert drained[0][0].timestamp == 1
+    recorder = recorder_on(10, drained)
+    timestamp = recorder.terminate(Reason.SIZE)
+    assert recorder.cbuf.drain() == 1
+    assert drained[0][0].timestamp == timestamp
 
 
 def test_drain_empty_is_noop():
@@ -35,11 +49,13 @@ def test_drain_empty_is_noop():
     assert cbuf.drains == 0
 
 
-def test_appended_counter():
-    cbuf = ChunkBuffer(2, lambda batch: None)
-    for ts in range(5):
-        cbuf.append(entry(ts))
-    assert cbuf.appended == 5
+def test_every_written_entry_is_counted():
+    recorder = recorder_on(2, [])
+    for _ in range(5):
+        recorder.terminate(Reason.SIZE)
+    assert recorder._stats.chunks == 5
+    assert recorder._chunk_counts[1] == 5
+    assert recorder.cbuf.drains == 2 and len(recorder.cbuf) == 1
 
 
 def test_capacity_validated():

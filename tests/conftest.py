@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import pytest
 
+from repro.capo.chunk_buffer import ChunkBuffer
+from repro.capo.rsm import RSMStats
 from repro.config import (
     CacheConfig,
     KernelConfig,
@@ -20,6 +24,7 @@ from repro.machine.core import (
     OUTCOME_SYSCALL,
 )
 from repro.machine.memory import PhysicalMemory
+from repro.mrr.recorder import MemoryRaceRecorder
 
 
 class DirectPort:
@@ -49,6 +54,19 @@ class DirectPort:
 
     def atomic_store(self, addr: int, size: int, value: int) -> None:
         self.store(addr, size, value)
+
+
+def wire_recorder(core, mrr: MRRConfig, chunks: list,
+                  capacity: int = 1) -> MemoryRaceRecorder:
+    """Attach a recorder to ``core`` wired as the RSM wires one: its own
+    CBUF of ``capacity`` entries, whose drains land in ``chunks``, a fresh
+    :class:`RSMStats` and per-rthread chunk counts. With the default one
+    entry every chunk reaches ``chunks`` as it terminates."""
+    cbuf = ChunkBuffer(capacity, chunks.extend)
+    recorder = MemoryRaceRecorder(mrr, core, cbuf, RSMStats(),
+                                  defaultdict(int))
+    core.machine.attach_recorder(core.core_id, recorder)
+    return recorder
 
 
 class Fragment:

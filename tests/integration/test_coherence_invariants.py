@@ -21,22 +21,21 @@ from repro.machine.cache import EXCLUSIVE, MODIFIED, SHARED
 
 def _mesi_checked(bus_cls):
     """A fabric subclass asserting MESI ownership invariants per
-    transaction — the fill state it returns agrees with the other caches,
+    transaction — the requester's fill state agrees with the other caches,
     and, on the directory, exact-sharer containment."""
 
     class Checked(bus_cls):
-        def transaction(self, requester, line, is_write, upgrade=False):
-            fill_state, flushed = super().transaction(
-                requester, line, is_write, upgrade)
+        def transaction(self, core, line, is_write, upgrade=False):
+            super().transaction(core, line, is_write, upgrade)
+            fill_state = core.cache.state(line)
             others = [cache.state(line)
                       for core_id, cache in enumerate(self._caches)
-                      if cache is not None and core_id != requester
+                      if cache is not None and core_id != core.core_id
                       and cache.state(line) is not None]
             if is_write:
                 assert fill_state == MODIFIED and not others, \
                     f"line {line:#x}: write left copies {others}"
             else:
-                assert flushed is False
                 expected = SHARED if others else EXCLUSIVE
                 assert fill_state == expected, \
                     f"line {line:#x}: read filled {fill_state}, others {others}"
@@ -66,7 +65,6 @@ def _mesi_checked(bus_cls):
                         and cache.state(check_line) is not None)
                     assert holders & ~sharer_mask == 0, \
                         f"line {check_line:#x}: sharer set misses a holder"
-            return fill_state, flushed
 
     return Checked
 

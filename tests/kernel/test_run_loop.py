@@ -27,6 +27,7 @@ from repro.mrr.chunk import Reason
 from repro.mrr.logfmt import encode_chunks
 from repro.mrr.recorder import NEVER, MemoryRaceRecorder
 from repro.workloads.base import WorkloadHarness
+from tests.conftest import wire_recorder
 
 BENCH_PROGRAMS = ("locks", "fft", "sigping", "radix")
 MASK32 = 0xFFFFFFFF
@@ -187,8 +188,7 @@ def test_gate_tracks_chunk_and_saturation():
     machine = Machine(config.machine)
     program, _ = workloads.build("counter", scale=1)
     machine.load_program(program)
-    recorder = MemoryRaceRecorder(config.mrr, machine.cores[0],
-                                  sink=lambda entry: None)
+    recorder = wire_recorder(machine.cores[0], config.mrr, [])
     assert recorder.gate == NEVER
     recorder.set_thread(1)
     assert recorder.gate == config.mrr.max_chunk_instructions

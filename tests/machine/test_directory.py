@@ -5,11 +5,11 @@ to the conservative presence summary and notifies caches point-to-point.
 Its contract is *bit-identity* with the reference snooping fabric:
 
 - **lockstep**: driving both fabrics with the identical transaction
-  sequence (against independent cache pairs) must yield identical fill
-  states and flush decisions, identical recorder notifications (each
-  core's sequence of snooped lines), identical cache contents/states
-  after every step, and the sharer set must stay a subset of presence and
-  a superset of the true holder set;
+  sequence (on independent machines) must yield identical flush
+  decisions, identical recorder notifications (the chunks each signature
+  hit cuts), identical cache contents/states after every step, and the
+  sharer set must stay a subset of presence and a superset of the true
+  holder set;
 - **end-to-end**: recording any workload under ``coherence="directory"``
   produces exactly the snooping run's digest (chunks, logs, memory,
   cycles), at small and large core counts, and replays clean.
@@ -24,66 +24,65 @@ import random
 import pytest
 
 from repro import session, workloads
-from repro.capo.chunk_buffer import ChunkBuffer
 from repro.config import (
+    COHERENCE_DIRECTORY,
+    COHERENCE_SNOOP,
     CacheConfig,
     MachineConfig,
     MRRConfig,
     SimConfig,
     StoreBufferConfig,
 )
-from repro.machine.bus import DirectoryBus, SnoopBus
-from repro.machine.cache import MESICache
+from repro.isa.assembler import assemble
+from repro.machine.machine import Machine
+from repro.mrr import recorder as recorder_module
+from repro.mrr.chunk import Reason
 from repro.perf.bench import digest_of
 from repro.replay.schedule import build_schedule
+from tests.conftest import wire_recorder
 
 
-def _fabric_with_caches(bus_cls, num_cores=4, sets=4, ways=1,
+def _fabric_with_caches(coherence, num_cores=4, sets=4, ways=1,
                         filter_snoops=True):
-    bus = bus_cls(num_cores, filter_snoops=filter_snoops)
-    caches = []
-    for core_id in range(num_cores):
-        cache = MESICache(CacheConfig(sets=sets, ways=ways))
-        bus.attach_cache(core_id, cache)
-        caches.append(cache)
-    return bus, caches
+    """A machine's fabric, its cores and their caches."""
+    machine = Machine(
+        MachineConfig(num_cores=num_cores, memory_bytes=1 << 12,
+                      cache=CacheConfig(sets=sets, ways=ways),
+                      coherence=coherence),
+        filter_snoops=filter_snoops)
+    machine.load_program(assemble("main:\n    syscall\n"))
+    return machine.bus, machine.cores, [core.cache for core in machine.cores]
 
 
-def _fill(bus, caches, core_id, line, is_write):
-    fill_state, flushed = bus.transaction(core_id, line, is_write)
-    caches[core_id].fill(line, fill_state)
-    return fill_state, flushed
-
-
-class _StubRecorder:
-    """Snooper logging every (line, is_write) notification it receives."""
-
-    def __init__(self):
-        self.seen = []
-
-    def snoop(self, line, is_write):
-        self.seen.append((line, is_write))
+def _recorders(cores):
+    """A recorder per core, recording rthread core_id + 1; each chunk
+    lands in the returned list as it terminates."""
+    chunks = []
+    recorders = [wire_recorder(core, MRRConfig(), chunks) for core in cores]
+    for rthread, recorder in enumerate(recorders, 1):
+        recorder.set_thread(rthread)
+    return recorders, chunks
 
 
 # -- exact sharer transitions -------------------------------------------------
 
 def test_untracked_line_defaults_to_everyone():
-    bus, _ = _fabric_with_caches(DirectoryBus, num_cores=3)
+    bus, _, _ = _fabric_with_caches(COHERENCE_DIRECTORY, num_cores=3)
     assert bus.sharer_mask(0x100) == 0b111
     assert bus.presence_mask(0x100) == 0b111
 
 
 def test_write_narrows_sharers_and_presence_to_the_writer():
-    bus, caches = _fabric_with_caches(DirectoryBus, num_cores=3)
-    _fill(bus, caches, 1, 0x100, is_write=True)
+    bus, cores, _ = _fabric_with_caches(COHERENCE_DIRECTORY, num_cores=3)
+    bus.transaction(cores[1], 0x100, is_write=True)
     assert bus.sharer_mask(0x100) == 0b010
     assert bus.presence_mask(0x100) == 0b010
 
 
 def test_reads_add_the_requester_to_both_sets():
-    bus, caches = _fabric_with_caches(DirectoryBus, num_cores=3)
-    _fill(bus, caches, 1, 0x100, is_write=True)
-    _fill(bus, caches, 0, 0x100, is_write=False)
+    bus, cores, _ = _fabric_with_caches(COHERENCE_DIRECTORY, num_cores=3)
+    bus.transaction(cores[1], 0x100, is_write=True)
+    bus.transaction(cores[0], 0x100, is_write=False)
     assert bus.sharer_mask(0x100) == 0b011
     assert bus.presence_mask(0x100) == 0b011
 
@@ -92,20 +91,20 @@ def test_eviction_clears_the_sharer_bit_but_not_presence():
     # ways=1: a second line in the same set evicts the first. The evicted
     # core leaves the exact holder set (its cache really dropped the line)
     # but must stay in presence — its recorder signature may still hold it.
-    bus, caches = _fabric_with_caches(DirectoryBus, num_cores=2,
-                                      sets=4, ways=1)
+    bus, cores, caches = _fabric_with_caches(COHERENCE_DIRECTORY,
+                                             num_cores=2, sets=4, ways=1)
     line, alias = 0x100, 0x100 + 4 * 64  # same set index
-    _fill(bus, caches, 0, line, is_write=True)
-    _fill(bus, caches, 0, alias, is_write=True)
+    bus.transaction(cores[0], line, is_write=True)
+    bus.transaction(cores[0], alias, is_write=True)
     assert caches[0].state(line) is None  # evicted
     assert bus.sharer_mask(line) == 0b00
     assert bus.presence_mask(line) == 0b01
 
 
 def test_flush_all_clears_sharer_bits():
-    bus, caches = _fabric_with_caches(DirectoryBus, num_cores=2)
-    _fill(bus, caches, 0, 0x100, is_write=True)
-    _fill(bus, caches, 0, 0x140, is_write=True)
+    bus, cores, caches = _fabric_with_caches(COHERENCE_DIRECTORY, num_cores=2)
+    bus.transaction(cores[0], 0x100, is_write=True)
+    bus.transaction(cores[0], 0x140, is_write=True)
     caches[0].flush_all()
     assert bus.sharer_mask(0x100) == 0
     assert bus.sharer_mask(0x140) == 0
@@ -115,16 +114,16 @@ def test_evicted_core_recorder_is_still_snooped():
     """The Bloom-FP case: a core out of the sharer set but in presence
     must still get the recorder notification — its signature may
     false-positive on the line and terminate a chunk."""
-    bus, caches = _fabric_with_caches(DirectoryBus, num_cores=2,
-                                      sets=4, ways=1)
-    recorder = _StubRecorder()
-    bus.attach_snooper(0, recorder)
+    bus, cores, caches = _fabric_with_caches(COHERENCE_DIRECTORY,
+                                             num_cores=2, sets=4, ways=1)
+    (recorder, _other), chunks = _recorders(cores)
     line, alias = 0x100, 0x100 + 4 * 64
-    _fill(bus, caches, 0, line, is_write=True)
-    _fill(bus, caches, 0, alias, is_write=True)  # evicts `line` from core 0
-    recorder.seen.clear()
-    bus.transaction(1, line, is_write=True)
-    assert recorder.seen == [(line, True)]  # presence bit kept it snooped
+    bus.transaction(cores[0], line, is_write=True)
+    bus.transaction(cores[0], alias, is_write=True)  # evicts `line`
+    recorder.on_store_drain(line)
+    bus.transaction(cores[1], line, is_write=True)
+    # The presence bit kept core 0's recorder tested.
+    assert [(c.rthread, c.reason) for c in chunks] == [(1, Reason.WAW)]
 
 
 # -- lockstep equivalence -----------------------------------------------------
@@ -137,28 +136,30 @@ def test_fabrics_agree_transaction_by_transaction(num_cores, filter_snoops):
     directory's exact sharer set stays wedged between the true holder set
     and the presence superset."""
     rng = random.Random(num_cores * 31 + filter_snoops)
-    snoop_bus, snoop_caches = _fabric_with_caches(
-        SnoopBus, num_cores=num_cores, filter_snoops=filter_snoops)
-    dir_bus, dir_caches = _fabric_with_caches(
-        DirectoryBus, num_cores=num_cores, filter_snoops=filter_snoops)
-    # Mirrored recorders: each core must be notified of the same lines,
-    # in the same order, by both fabrics.
-    snoop_recorders = [_StubRecorder() for _ in range(num_cores)]
-    dir_recorders = [_StubRecorder() for _ in range(num_cores)]
-    for core_id in range(num_cores):
-        snoop_bus.attach_snooper(core_id, snoop_recorders[core_id])
-        dir_bus.attach_snooper(core_id, dir_recorders[core_id])
+    snoop_bus, snoop_cores, snoop_caches = _fabric_with_caches(
+        COHERENCE_SNOOP, num_cores=num_cores, filter_snoops=filter_snoops)
+    dir_bus, dir_cores, dir_caches = _fabric_with_caches(
+        COHERENCE_DIRECTORY, num_cores=num_cores,
+        filter_snoops=filter_snoops)
+    # Mirrored recorders: each holds the next line in its write set, so
+    # every recorder a fabric reaches cuts a chunk, and both fabrics must
+    # cut the same chunks in the same order.
+    snoop_recorders, snoop_chunks = _recorders(snoop_cores)
+    dir_recorders, dir_chunks = _recorders(dir_cores)
 
     lines = [0x100 + 64 * k for k in range(10)]  # a few set-aliasing pairs
     for step in range(600):
         core_id = rng.randrange(num_cores)
         line = rng.choice(lines)
         is_write = rng.random() < 0.4
-        a = _fill(snoop_bus, snoop_caches, core_id, line, is_write)
-        b = _fill(dir_bus, dir_caches, core_id, line, is_write)
-        assert a == b, f"step {step}"
-        for cid, (sr, dr) in enumerate(zip(snoop_recorders, dir_recorders)):
-            assert sr.seen == dr.seen, f"step {step}, core {cid}"
+        for recorder in snoop_recorders + dir_recorders:
+            recorder.on_store_drain(line)
+        flushes = snoop_bus.stats.flushes, dir_bus.stats.flushes
+        snoop_bus.transaction(snoop_cores[core_id], line, is_write)
+        dir_bus.transaction(dir_cores[core_id], line, is_write)
+        assert (snoop_bus.stats.flushes - flushes[0]
+                == dir_bus.stats.flushes - flushes[1]), f"step {step}"
+        assert snoop_chunks == dir_chunks, f"step {step}"
         for sc, dc in zip(snoop_caches, dir_caches):
             assert sc.cached_lines() == dc.cached_lines()
             for cached in sc.cached_lines():
@@ -173,6 +174,9 @@ def test_fabrics_agree_transaction_by_transaction(num_cores, filter_snoops):
                 if cache.state(check) is not None)
             assert true_holders & ~sharers == 0, \
                 f"sharer set misses a holder for line {check:#x}"
+    assert snoop_chunks, "no recorder was reached"
+    assert [core.cycles for core in snoop_cores] == \
+        [core.cycles for core in dir_cores]
     assert snoop_bus.stats.flushes == dir_bus.stats.flushes
     assert snoop_bus.stats.broadcast_snoops == dir_bus.stats.broadcast_snoops
     assert dir_bus.stats.notifies_sent <= snoop_bus.stats.notifies_sent
@@ -191,16 +195,17 @@ def _config(num_cores, coherence):
 @pytest.mark.parametrize("workload", ["counter", "pingpong"])
 def test_directory_recording_is_bit_identical(workload, num_cores,
                                               monkeypatch):
-    # Capture the RSM sink's emission order: every sink call appends the
-    # terminated chunk to its core's CBUF.
+    # Capture the order in which the recorders write chunk entries: every
+    # termination builds exactly one.
     emitted = []
-    append = ChunkBuffer.append
+    chunk_entry = recorder_module.ChunkEntry
 
-    def recording_append(self, entry):
+    def recording_entry(*fields):
+        entry = chunk_entry(*fields)
         emitted.append(entry)
-        append(self, entry)
+        return entry
 
-    monkeypatch.setattr(ChunkBuffer, "append", recording_append)
+    monkeypatch.setattr(recorder_module, "ChunkEntry", recording_entry)
     program, inputs = workloads.build(workload, threads=num_cores, scale=1)
     runs, emissions = {}, {}
     for coherence in ("snoop", "directory"):
@@ -214,7 +219,7 @@ def test_directory_recording_is_bit_identical(workload, num_cores,
     assert snoop.total_cycles == directory.total_cycles
     assert (build_schedule(snoop.recording.chunks)
             == build_schedule(directory.recording.chunks))
-    # The sink sees chunks in (timestamp, rthread) schedule order under
+    # Entries are written in (timestamp, rthread) schedule order under
     # both fabrics — the order FlightRing.push_chunk relies on.
     for coherence, run in runs.items():
         assert emissions[coherence] == build_schedule(run.recording.chunks)

@@ -1,14 +1,15 @@
 """The flat record memory path against the method path it inlines.
 
-``_RecordPort``, ``Core.drain_one``, the fill in ``Machine.bus_transaction``,
-the fabrics' cache snoops and the recorder's signature hooks each run as
-one flat body. The reference (:func:`tests.reference.
+``_RecordPort``, ``Core.drain_one``, the fabric's transaction (its cache
+snoops, signature tests and the requester's fill) and the recorder's
+signature hooks each run as one flat body. The reference (:func:`tests.reference.
 install_memory_reference`) is built from the methods those bodies inline: ``StoreBuffer.resolve``/``push``/``pop_oldest``, ``MESICache.
 classify_read``/``classify_write``/``fill``/``snoop_remote_*``,
 ``PhysicalMemory.read_word``/``write_word`` and the byte forms, and
 ``BloomSignature.insert``/``test``. A recording made through the reference
 must equal the one made through the flat path, access by access: digest,
-chunk log, machine stats and the signatures at every chunk boundary.
+chunk log, machine stats and the signatures at every chunk boundary; for
+the bench programs and for fuzz programs.
 """
 
 import dataclasses
@@ -16,6 +17,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import session, workloads
 from repro.config import (
@@ -24,6 +27,7 @@ from repro.config import (
     COHERENCE_SNOOP,
     CacheConfig,
     MachineConfig,
+    StoreBufferConfig,
 )
 from repro.errors import MemoryAccessError
 from repro.isa.assembler import assemble
@@ -32,6 +36,9 @@ from repro.mrr.chunk import Reason
 from repro.mrr.recorder import MemoryRaceRecorder
 from repro.perf.bench import digest_of
 from repro.telemetry import Telemetry
+from repro.workloads.fuzz import build_program
+from tests.conftest import wire_recorder
+from tests.property.test_property_roundtrip import thread_strategy
 from tests.reference import install_memory_reference
 
 BENCH_PROGRAMS = ("locks", "fft", "sigping", "radix")
@@ -61,6 +68,15 @@ def _record(monkeypatch, name, seed, config, *, reference,
     Returns the outcome and the signatures (words, popcounts, insert
     counts) of every chunk as it terminated."""
     program, inputs = workloads.build(name, scale=1)
+    return _record_program(monkeypatch, program, seed, config,
+                           reference=reference, input_files=inputs,
+                           filter_snoops=filter_snoops, telemetry=telemetry)
+
+
+def _record_program(monkeypatch, program, seed, config, *, reference,
+                    **kwargs):
+    """:func:`_record` for any program; ``kwargs`` go to
+    ``session.record``."""
     signatures = []
     terminate = MemoryRaceRecorder.terminate
 
@@ -77,9 +93,7 @@ def _record(monkeypatch, name, seed, config, *, reference,
             install_memory_reference(patch)
         patch.setattr(MemoryRaceRecorder, "terminate", logging_terminate)
         outcome = session.record(program, seed=seed, config=config,
-                                 input_files=inputs,
-                                 filter_snoops=filter_snoops,
-                                 telemetry=telemetry)
+                                 **kwargs)
     return outcome, signatures
 
 
@@ -143,6 +157,37 @@ def test_telemetry_counts_the_same_bloom_false_positives(monkeypatch):
     assert counts[0][1] > 0
 
 
+@given(
+    threads_ops=st.lists(thread_strategy, min_size=2, max_size=3),
+    repeats=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    policy=st.sampled_from(["random", "rr", "bursty"]),
+    cores=st.sampled_from([1, 2, 4]),
+    sb_entries=st.integers(1, 12),
+    coherence=st.sampled_from([COHERENCE_SNOOP, COHERENCE_DIRECTORY]),
+    filter_snoops=st.booleans(),
+    small=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_fuzz_programs_record_alike(threads_ops, repeats, seed, policy,
+                                    cores, sb_entries, coherence,
+                                    filter_snoops, small):
+    """Fuzz programs (races, atomics, fences, syscalls) on any core count
+    and store-buffer depth, with the small caches and signatures too."""
+    base = _config(coherence, small)
+    config = dataclasses.replace(base, machine=dataclasses.replace(
+        base.machine, num_cores=cores, memory_bytes=1 << 18,
+        store_buffer=StoreBufferConfig(entries=sb_entries)))
+    program = build_program(threads_ops, repeats)
+    # No function-scoped fixture under hypothesis: MonkeyPatch.context is
+    # a classmethod, so the class serves as _record_program's patcher.
+    runs = [_record_program(pytest.MonkeyPatch, program, seed, config,
+                            reference=reference, policy=policy,
+                            filter_snoops=filter_snoops)
+            for reference in (False, True)]
+    assert _fingerprint(*runs[0]) == _fingerprint(*runs[1])
+
+
 # -- single accesses ---------------------------------------------------------------
 
 MEMORY_BYTES = 1 << 16
@@ -158,15 +203,14 @@ main:
 
 def _machine(cache=CacheConfig()):
     """A two-core machine with a recorder per core, each recording a
-    thread; chunks go to the returned list."""
+    thread; chunks reach the returned list as they terminate."""
     machine = Machine(MachineConfig(num_cores=2, memory_bytes=MEMORY_BYTES,
                                     cache=cache))
     machine.load_program(assemble(TWO_THREADS))
     chunks = []
     for core in machine.cores:
-        recorder = MemoryRaceRecorder(DEFAULT_CONFIG.mrr, core, chunks.append)
-        machine.attach_recorder(core.core_id, recorder)
-        recorder.set_thread(core.core_id + 1)
+        wire_recorder(core, DEFAULT_CONFIG.mrr, chunks).set_thread(
+            core.core_id + 1)
     return machine, chunks
 
 

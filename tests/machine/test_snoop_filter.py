@@ -26,98 +26,96 @@ from repro.config import (
     SimConfig,
     StoreBufferConfig,
 )
+from repro.isa.assembler import assemble
 from repro.machine.bus import SnoopBus
-from repro.machine.cache import EXCLUSIVE, MESICache, SHARED
+from repro.machine.cache import EXCLUSIVE, SHARED
+from repro.machine.machine import Machine
+from repro.mrr.chunk import Reason
 from repro.perf.bench import digest_of
 from repro.telemetry import Telemetry
+from tests.conftest import wire_recorder
 
 
-def _bus_with_caches(num_cores=3, sets=4, ways=1, filter_snoops=True):
-    bus = SnoopBus(num_cores, filter_snoops=filter_snoops)
-    caches = []
-    for core_id in range(num_cores):
-        cache = MESICache(CacheConfig(sets=sets, ways=ways))
-        bus.attach_cache(core_id, cache)
-        caches.append(cache)
-    return bus, caches
+class _Fabric:
+    """A machine's fabric with its cores' caches, driven by core id."""
 
+    def __init__(self, num_cores=3, sets=4, ways=1, filter_snoops=True):
+        self.machine = Machine(
+            MachineConfig(num_cores=num_cores, memory_bytes=1 << 12,
+                          cache=CacheConfig(sets=sets, ways=ways)),
+            filter_snoops=filter_snoops)
+        self.machine.load_program(assemble("main:\n    syscall\n"))
+        self.bus = self.machine.bus
+        self.caches = [core.cache for core in self.machine.cores]
 
-def _fill(bus, caches, core_id, line, is_write):
-    fill_state, flushed = bus.transaction(core_id, line, is_write)
-    caches[core_id].fill(line, fill_state)
-    return fill_state, flushed
-
-
-class _CountingSnooper:
-    """Records which (line, is_write) snoops reached this core."""
-
-    def __init__(self):
-        self.seen = []
-
-    def snoop(self, line, is_write):
-        self.seen.append((line, is_write))
-        return None
+    def fill(self, core_id, line, is_write):
+        """Run core ``core_id``'s transaction, which fills its cache."""
+        self.bus.transaction(self.machine.cores[core_id], line, is_write)
 
 
 # -- presence transitions -----------------------------------------------------
 
 def test_unknown_line_defaults_to_everyone_present():
-    bus, _ = _bus_with_caches(num_cores=3)
-    assert bus.presence_mask(0x100) == 0b111
+    fabric = _Fabric(num_cores=3)
+    assert fabric.bus.presence_mask(0x100) == 0b111
 
 
 def test_write_narrows_presence_to_the_writer():
-    bus, caches = _bus_with_caches(num_cores=3)
-    _fill(bus, caches, 1, 0x100, is_write=True)
-    assert bus.presence_mask(0x100) == 0b010
+    fabric = _Fabric(num_cores=3)
+    fabric.fill(1, 0x100, is_write=True)
+    assert fabric.bus.presence_mask(0x100) == 0b010
 
 
 def test_reads_only_add_bits():
-    bus, caches = _bus_with_caches(num_cores=3)
-    _fill(bus, caches, 1, 0x100, is_write=True)
-    _fill(bus, caches, 0, 0x100, is_write=False)
-    assert bus.presence_mask(0x100) == 0b011
-    _fill(bus, caches, 2, 0x100, is_write=False)
-    assert bus.presence_mask(0x100) == 0b111
+    fabric = _Fabric(num_cores=3)
+    fabric.fill(1, 0x100, is_write=True)
+    fabric.fill(0, 0x100, is_write=False)
+    assert fabric.bus.presence_mask(0x100) == 0b011
+    fabric.fill(2, 0x100, is_write=False)
+    assert fabric.bus.presence_mask(0x100) == 0b111
 
 
 def test_eviction_keeps_the_presence_bit():
     # ways=1 so a second line in the same set evicts the first; the evicted
     # core may still carry the line in a chunk signature, so its bit must
     # survive (superset, not exact).
-    bus, caches = _bus_with_caches(num_cores=2, sets=4, ways=1)
+    fabric = _Fabric(num_cores=2, sets=4, ways=1)
     line, alias = 0x100, 0x100 + 4 * 64  # same set index
-    _fill(bus, caches, 0, line, is_write=True)
-    _fill(bus, caches, 0, alias, is_write=True)
-    assert caches[0].state(line) is None  # evicted
-    assert bus.presence_mask(line) == 0b01  # bit still set
+    fabric.fill(0, line, is_write=True)
+    fabric.fill(0, alias, is_write=True)
+    assert fabric.caches[0].state(line) is None  # evicted
+    assert fabric.bus.presence_mask(line) == 0b01  # bit still set
 
 
 def test_filter_skips_absent_cores_and_off_snoops_everyone():
     for filtered in (True, False):
-        bus, caches = _bus_with_caches(num_cores=3, filter_snoops=filtered)
-        snoopers = [_CountingSnooper() for _ in range(3)]
-        for core_id, snooper in enumerate(snoopers):
-            bus.attach_snooper(core_id, snooper)
-        _fill(bus, caches, 1, 0x100, is_write=True)  # presence -> {1}
-        for snooper in snoopers:
-            snooper.seen.clear()
-        _fill(bus, caches, 1, 0x100, is_write=True)
-        assert snoopers[1].seen == []  # requester is never self-snooped
-        expected = [] if filtered else [(0x100, True)]
-        assert snoopers[0].seen == expected
-        assert snoopers[2].seen == expected
+        fabric = _Fabric(num_cores=3, filter_snoops=filtered)
+        chunks = []
+        recorders = [wire_recorder(core, MRRConfig(), chunks)
+                     for core in fabric.machine.cores]
+        for rthread, recorder in enumerate(recorders, 1):
+            recorder.set_thread(rthread)
+        fabric.fill(1, 0x100, is_write=True)  # presence -> {1}
+        # Every signature now holds the line, so each recorder the second
+        # write reaches cuts its chunk.
+        for recorder in recorders:
+            recorder.on_store_drain(0x100)
+        fabric.fill(1, 0x100, is_write=True)
+        # The requester is never tested against its own request.
+        expected = [] if filtered else [(1, Reason.WAW), (3, Reason.WAW)]
+        assert [(c.rthread, c.reason) for c in chunks] == expected
 
 
 def test_mesi_conflict_detection_unchanged_by_filtering():
     """A genuinely-present sharer is always snooped and invalidated."""
-    bus, caches = _bus_with_caches(num_cores=2, filter_snoops=True)
-    _fill(bus, caches, 0, 0x200, is_write=False)
-    _fill(bus, caches, 1, 0x200, is_write=False)
-    assert caches[0].state(0x200) in (SHARED, EXCLUSIVE)
-    _fill(bus, caches, 1, 0x200, is_write=True)
-    assert caches[0].state(0x200) is None  # invalidated despite filtering
-    assert bus.presence_mask(0x200) == 0b10
+    fabric = _Fabric(num_cores=2, filter_snoops=True)
+    fabric.fill(0, 0x200, is_write=False)
+    fabric.fill(1, 0x200, is_write=False)
+    assert fabric.caches[0].state(0x200) in (SHARED, EXCLUSIVE)
+    fabric.fill(1, 0x200, is_write=True)
+    # Invalidated despite filtering.
+    assert fabric.caches[0].state(0x200) is None
+    assert fabric.bus.presence_mask(0x200) == 0b10
 
 
 # -- whole-run invariant sweep ------------------------------------------------
@@ -125,8 +123,8 @@ def test_mesi_conflict_detection_unchanged_by_filtering():
 def _checked_transaction(errors):
     original = SnoopBus.transaction
 
-    def transaction(self, requester, line, is_write, upgrade=False):
-        result = original(self, requester, line, is_write, upgrade)
+    def transaction(self, core, line, is_write, upgrade=False):
+        original(self, core, line, is_write, upgrade)
         for tracked_line, present in self._presence.items():
             for core_id, cache in enumerate(self._caches):
                 if cache is None:
@@ -136,7 +134,7 @@ def _checked_transaction(errors):
                     errors.append(
                         f"core {core_id} caches line {tracked_line:#x} "
                         "but its presence bit is clear")
-            for core_id, recorder in enumerate(self._snoopers):
+            for core_id, recorder in enumerate(self._recorders):
                 if recorder is None or recorder.rthread is None:
                     continue
                 for sig_line in (recorder._exact_reads
@@ -147,7 +145,6 @@ def _checked_transaction(errors):
                         errors.append(
                             f"core {core_id} signature holds line "
                             f"{sig_line:#x} but its presence bit is clear")
-        return result
 
     return transaction
 

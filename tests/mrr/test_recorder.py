@@ -7,7 +7,7 @@ from repro.errors import RecordingError
 from repro.isa.assembler import assemble
 from repro.machine.machine import Machine
 from repro.mrr.chunk import Reason
-from repro.mrr.recorder import MemoryRaceRecorder
+from tests.conftest import wire_recorder
 
 
 def make_recorded_machine(source: str, mrr: MRRConfig | None = None,
@@ -16,12 +16,11 @@ def make_recorded_machine(source: str, mrr: MRRConfig | None = None,
                            store_buffer=sb or StoreBufferConfig())
     machine = Machine(config)
     machine.load_program(assemble(source))
+    # Each chunk reaches ``logs`` through its core's one-entry CBUF as it
+    # terminates, so the list is in termination order.
     logs: list = []
-    recorders = []
-    for core in machine.cores:
-        recorder = MemoryRaceRecorder(mrr or MRRConfig(), core, logs.append)
-        machine.attach_recorder(core.core_id, recorder)
-        recorders.append(recorder)
+    recorders = [wire_recorder(core, mrr or MRRConfig(), logs)
+                 for core in machine.cores]
     return machine, recorders, logs
 
 

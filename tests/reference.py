@@ -1,19 +1,28 @@
 """Method-built reference paths for the lockstep suites.
 
 The record path runs several behaviours as flat bodies: the record port
-and store drains (``machine/machine.py``), the fabric's cache snoops
-(``machine/bus.py``), the recorder's signature hooks (``mrr/recorder.py``)
-and the kernel's trap bodies (``kernel/kernel.py``) with the RSM's input
-logging (``capo/rsm.py``). This module keeps, for each, the chain of
-method calls the flat body replaced. Installing a reference through a
-``monkeypatch`` context makes a recording run the chain instead; a
-lockstep test records once each way and compares.
+and store drains (``machine/machine.py``), the fabric's transaction with
+its cache snoops, signature tests and requester fill (``machine/bus.py``),
+the recorder's signature hooks and chunk cut with its CBUF write
+(``mrr/recorder.py``) and the kernel's trap bodies (``kernel/kernel.py``)
+with the RSM's input logging (``capo/rsm.py``). This module keeps, for
+each, the chain of method calls the flat body replaced. Installing a
+reference through a ``monkeypatch`` context makes a recording run the
+chain instead; a lockstep test records once each way and compares.
 
 - :func:`install_memory_reference` — the record memory path built from
   ``StoreBuffer.resolve``/``push``/``pop_oldest``, ``MESICache.
   classify_*``/``fill``/``snoop_remote_*``, ``PhysicalMemory.read_word``/
   ``write_word`` and the byte forms, and ``BloomSignature.insert``/
   ``test``.
+- :func:`install_miss_reference` — the coherence miss and the chunk cut
+  as the chain that ran before the fabric and the recorder took them in
+  one body each: ``Machine.bus_transaction`` → ``SnoopBus.transaction``
+  → ``MemoryRaceRecorder.snoop`` per present core → ``terminate`` → the
+  RSM's per-core ``sink`` closure → ``ReplaySphere.note_chunk`` and
+  ``ChunkBuffer.append``. The bodies are kept verbatim, but for the
+  attributes that moved: the recorder list (``_recorders``), and the
+  charges and bus counters now kept on the fabric.
 - :func:`install_trap_reference` — the trap chain as the kernel ran it
   before the flat trap bodies: ``_after_unit_slow`` → ``_handle_syscall``/
   ``_handle_nondet``/``_preempt`` through ``_kernel_entry``,
@@ -34,7 +43,9 @@ from repro.capo.events import (
     EV_SYSCALL,
     InputEvent,
 )
+from repro.capo.chunk_buffer import ChunkBuffer
 from repro.capo.rsm import MODE_FULL, ReplaySphereManager
+from repro.capo.sphere import ReplaySphere
 from repro.errors import KernelError
 from repro.isa.operands import Reg
 from repro.isa.registers import RAX, RCX
@@ -56,12 +67,28 @@ from repro.kernel.tasks import (
 )
 from repro.machine import machine as machine_module
 from repro.machine.bus import SnoopBus
-from repro.machine.cache import MISS, SHARED, UPGRADE
+from repro.machine.cache import (
+    EXCLUSIVE,
+    MISS,
+    MODIFIED,
+    SHARED,
+    UPGRADE,
+)
 from repro.machine.core import OUTCOME_NONDET, OUTCOME_OK, OUTCOME_SYSCALL
 from repro.machine.machine import Core, Machine
 from repro.machine.store_buffer import RESOLVE_CONFLICT, RESOLVE_HIT
-from repro.mrr.chunk import Reason
+from repro.errors import RecordingError
+from repro.mrr.chunk import ChunkEntry, Reason
 from repro.mrr.recorder import MemoryRaceRecorder
+
+
+# -- the fabric entry both references share --------------------------------------
+
+def _via_machine(self, core, line, is_write, upgrade=False):
+    """``SnoopBus.transaction`` as the references enter it: through the
+    machine's ``bus_transaction``, which runs the fabric's
+    ``_reference_transaction`` and then fills and charges the requester."""
+    core.machine.bus_transaction(core, line, is_write, upgrade)
 
 
 # -- the record memory path ------------------------------------------------------
@@ -154,34 +181,32 @@ def _method_drain_one(self):
 
 
 def _method_bus_transaction(self, core, line, is_write, upgrade=False):
-    self.in_bus_transaction = True
-    try:
-        fill_state, flushed = self.bus.transaction(
-            core.core_id, line, is_write, upgrade)
-    finally:
-        self.in_bus_transaction = False
-    core.cycles += self._cost_upgrade if upgrade else self._cost_l1_miss
+    bus = self.bus
+    fill_state, flushed = bus._reference_transaction(
+        core.core_id, line, is_write, upgrade)
+    core.cycles += bus._cost_upgrade if upgrade else bus._cost_l1_miss
     if flushed:
-        core.cycles += self._cost_writeback
+        core.cycles += bus._cost_writeback
     if core.cache.fill(line, fill_state):
-        core.cycles += self._cost_writeback
-    if self._tm_enabled:
-        counter = (self._tm_bus_upgrades if upgrade else
-                   self._tm_bus_writes if is_write else self._tm_bus_reads)
+        core.cycles += bus._cost_writeback
+    if bus._tm_enabled:
+        counter = (bus._tm_bus_upgrades if upgrade else
+                   bus._tm_bus_writes if is_write else bus._tm_bus_reads)
         counter.inc()
 
 
 def _method_snoops():
     """The fabric transaction with its caches snooped by method.
 
-    The flat transaction runs with the caches hidden, so it still snoops
-    the recorders and keeps presence, sharers and bus stats; then the
-    cores it would have reached snoop their caches through
-    ``snoop_remote_*``. Cache and recorder snoops touch disjoint state, so
-    the order between the two passes is not observable. Both fabrics run
-    this one body; the directory's exact sharer set narrows the caches.
+    The chain's flat transaction (:func:`_chain_transaction`) runs with
+    the caches hidden, so it still snoops the recorders and keeps
+    presence, sharers and bus stats; then the cores it would have reached
+    snoop their caches through ``snoop_remote_*``. Cache and recorder
+    snoops touch disjoint state, so the order between the two passes is
+    not observable. Both fabrics run this one body; the directory's exact
+    sharer set narrows the caches.
     """
-    flat = SnoopBus.transaction
+    flat = _chain_transaction
 
     def transaction(self, requester, line, is_write, upgrade=False):
         reached = ((self._presence.get(line, self._all_mask)
@@ -247,13 +272,256 @@ def install_memory_reference(patch):
     ``monkeypatch`` or one of its contexts) is active."""
     patch.setattr(machine_module, "_RecordPort", _MethodPort)
     patch.setattr(Core, "drain_one", _method_drain_one)
-    patch.setattr(Machine, "bus_transaction", _method_bus_transaction)
-    patch.setattr(SnoopBus, "transaction", _method_snoops())
+    patch.setattr(Machine, "bus_transaction", _method_bus_transaction,
+                  raising=False)
+    patch.setattr(SnoopBus, "transaction", _via_machine)
+    patch.setattr(SnoopBus, "_reference_transaction", _method_snoops(),
+                  raising=False)
     for name in ("on_load", "on_atomic_read", "on_copy_read"):
         patch.setattr(MemoryRaceRecorder, name, _method_on_load)
     for name in ("on_store_drain", "on_atomic_write", "on_copy_write"):
         patch.setattr(MemoryRaceRecorder, name, _method_on_store_drain)
     patch.setattr(MemoryRaceRecorder, "snoop", _method_snoop)
+
+
+# -- the coherence miss and the chunk cut ------------------------------------------
+
+_OWNED = (MODIFIED, EXCLUSIVE)
+
+
+def _chain_transaction(self, requester, line, is_write, upgrade=False):
+    """The fabric transaction of the chain: caches snooped inline, each
+    present recorder notified through ``snoop``. Returns the requester's
+    fill state and whether a remote Modified copy was flushed."""
+    stats = self.stats
+    stats.transactions += 1
+    if upgrade:
+        stats.upgrades += 1
+    elif is_write:
+        stats.read_exclusives += 1
+    else:
+        stats.reads += 1
+
+    all_mask = self._all_mask
+    present = (self._presence.get(line, all_mask)
+               if self.filter_snoops else all_mask)
+    req_bit = 1 << requester
+    notify = present & ~req_bit
+    broadcast = self._broadcast
+    stats.broadcast_snoops += broadcast
+    sharer_sets = self._sharers
+    if sharer_sets is None:
+        stats.notifies_sent += broadcast
+        cache_mask = notify
+    else:
+        sharers = sharer_sets.get(line, all_mask)
+        cache_mask = notify & sharers
+        sent = notify.bit_count()
+        stats.notifies_sent += sent
+        stats.notifies_saved += broadcast - sent
+        hist = stats.sharer_hist
+        holders = cache_mask.bit_count()
+        hist[holders] = hist.get(holders, 0) + 1
+
+    shared = False
+    flushed = False
+    caches = self._caches
+    snoopers = self._recorders
+    mask = notify
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        core_id = low.bit_length() - 1
+        if low & cache_mask:
+            cache = caches[core_id]
+            if cache is not None:
+                entry_set = cache._sets[
+                    (line >> cache._line_shift) & cache._set_mask]
+                if is_write:
+                    state = entry_set.pop(line, None)
+                    if state is not None:
+                        cache_stats = cache.stats
+                        cache_stats.invalidations_received += 1
+                        if state == MODIFIED:
+                            cache_stats.writebacks += 1
+                            flushed = True
+                else:
+                    state = entry_set.get(line)
+                    if state is not None:
+                        shared = True
+                        if state in _OWNED:
+                            cache_stats = cache.stats
+                            if state == MODIFIED:
+                                cache_stats.writebacks += 1
+                            entry_set[line] = SHARED
+                            cache_stats.downgrades_received += 1
+        snooper = snoopers[core_id]
+        if snooper is not None:
+            snooper.snoop(line, is_write)
+
+    if is_write:
+        if flushed:
+            stats.flushes += 1
+        self._presence[line] = req_bit
+        if sharer_sets is not None:
+            sharer_sets[line] = req_bit
+        return MODIFIED, flushed
+    self._presence[line] = present | req_bit
+    if sharer_sets is not None:
+        sharer_sets[line] = sharers | req_bit
+    return (SHARED if shared else EXCLUSIVE), False
+
+
+def _chain_bus_transaction(self, core, line, is_write, upgrade=False):
+    """``Machine.bus_transaction``: the fabric's transaction inside the
+    in-transaction flag, then the requester's charges and fill."""
+    bus = self.bus
+    self.in_bus_transaction = True
+    try:
+        state, flushed = bus._reference_transaction(
+            core.core_id, line, is_write, upgrade)
+    finally:
+        self.in_bus_transaction = False
+    core.cycles += bus._cost_upgrade if upgrade else bus._cost_l1_miss
+    if flushed:
+        core.cycles += bus._cost_writeback
+    entry_set = core._sets[(line >> core._line_shift) & core._set_mask]
+    if line in entry_set:
+        entry_set[line] = state
+        entry_set.move_to_end(line)
+    elif len(entry_set) < core._ways:
+        entry_set[line] = state
+    elif core.cache.fill(line, state):
+        core.cycles += bus._cost_writeback
+    if bus._tm_enabled:
+        telemetry = bus.telemetry
+        if upgrade:
+            bus._tm_bus_upgrades.inc()
+        elif is_write:
+            bus._tm_bus_writes.inc()
+        else:
+            bus._tm_bus_reads.inc()
+        transactions = (bus._tm_bus_reads.value + bus._tm_bus_writes.value
+                        + bus._tm_bus_upgrades.value)
+        if transactions % telemetry.sampling == 0:
+            telemetry.tracer.instant(
+                "bus.txn", cat="machine", tid=core.core_id,
+                args={"line": line, "write": is_write,
+                      "upgrade": upgrade})
+
+
+def _chain_terminate(self, reason):
+    """``MemoryRaceRecorder.terminate`` handing its entry to ``sink``;
+    DRAIN mode drains unless the machine is inside a transaction."""
+    rthread = self.rthread
+    if rthread is None:
+        raise RecordingError("terminate with no active rthread")
+    machine = self.core.machine
+    if self._drain_mode and not machine.in_bus_transaction:
+        self.core.drain_all()
+    bus = machine.bus
+    timestamp = bus.order_clock + 1
+    bus.order_clock = timestamp
+    engine = self.core.engine
+    entry = ChunkEntry(
+        rthread, timestamp, engine.retired - self._icnt_start,
+        engine.cur_memops, len(self._sb_entries), reason,
+        engine.load_hash if self._log_load_hash else None)
+    if self._tm_on:
+        telemetry = self.telemetry
+        read_pct = 100.0 * self.read_sig.saturation
+        write_pct = 100.0 * self.write_sig.saturation
+        self._tm_chunks.inc()
+        telemetry.metrics.counter(f"mrr.chunks.{reason}").inc()
+        self._tm_chunk_hist.observe(entry.icount)
+        self._tm_rsw_hist.observe(entry.rsw)
+        self._tm_occupancy.observe(read_pct)
+        self._tm_occupancy.observe(write_pct)
+        telemetry.tracer.complete(
+            f"chunk:{reason}", self._chunk_start_ts, cat="mrr",
+            tid=rthread,
+            args={"icount": entry.icount, "rsw": entry.rsw,
+                  "timestamp": timestamp,
+                  "read_sat_pct": round(read_pct, 2),
+                  "write_sat_pct": round(write_pct, 2)})
+    self.sink(entry)
+    read_sig = self.read_sig
+    read_sig._word = 0
+    read_sig.bits_set = 0
+    read_sig.inserts = 0
+    write_sig = self.write_sig
+    write_sig._word = 0
+    write_sig.bits_set = 0
+    write_sig.inserts = 0
+    retired = engine.retired
+    self._icnt_start = retired
+    self.gate = retired + self._max_chunk
+    engine.load_hash = 0
+    if self._tm_on:
+        self._exact_reads.clear()
+        self._exact_writes.clear()
+        self._chunk_start_ts = self.telemetry.tracer.now()
+    return timestamp
+
+
+def _chain_make_sink(self, core, cbuf):
+    """The RSM's per-core sink closure."""
+    cost = self.machine.cost
+
+    def sink(entry):
+        self.sphere.note_chunk(entry.rthread)
+        self.stats.chunks += 1
+        core.cycles += cost.cbuf_entry_write
+        self.stats.cycles_cbuf_write += cost.cbuf_entry_write
+        flight = self.flight
+        if flight is not None:
+            flight.push_chunk(entry)
+        cbuf.append(entry)
+
+    return sink
+
+
+def _chain_note_chunk(self, rthread):
+    self.chunk_counts[rthread] += 1
+
+
+def _chain_append(self, entry):
+    self._entries.append(entry)
+    self.appended += 1
+    if len(self._entries) >= self.capacity:
+        self.drain()
+
+
+def _chain_rsm_init():
+    """``ReplaySphereManager.__init__`` handing each recorder its sink."""
+    init = ReplaySphereManager.__init__
+
+    def __init__(self, machine, config, mode=MODE_FULL):
+        init(self, machine, config, mode)
+        for recorder in self.recorders:
+            recorder.sink = self._make_sink(recorder.core, recorder.cbuf)
+
+    return __init__
+
+
+def install_miss_reference(patch):
+    """Record through the chain of calls a coherence miss and a chunk cut
+    ran before their flat bodies, while ``patch`` is active. The RSM must
+    be built inside the context: it hands out the sinks."""
+    patch.setattr(SnoopBus, "transaction", _via_machine)
+    patch.setattr(SnoopBus, "_reference_transaction", _chain_transaction,
+                  raising=False)
+    patch.setattr(Machine, "bus_transaction", _chain_bus_transaction,
+                  raising=False)
+    patch.setattr(Machine, "in_bus_transaction", False, raising=False)
+    patch.setattr(MemoryRaceRecorder, "terminate", _chain_terminate)
+    patch.setattr(ReplaySphereManager, "__init__", _chain_rsm_init())
+    patch.setattr(ReplaySphereManager, "_make_sink", _chain_make_sink,
+                  raising=False)
+    patch.setattr(ReplaySphere, "note_chunk", _chain_note_chunk,
+                  raising=False)
+    patch.setattr(ChunkBuffer, "append", _chain_append, raising=False)
+    patch.setattr(ChunkBuffer, "appended", 0, raising=False)
 
 
 # -- the trap path ---------------------------------------------------------------
