@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Telemetry: trace and measure a recorded run from the inside.
 
-Opts a SPLASH-style workload into the telemetry subsystem via the
-``SimConfig.telemetry`` knob, records it, replays it with the *same*
+Opts a SPLASH-style workload into the telemetry subsystem by passing
+``session.record`` a ``Telemetry``, records it, replays it with the *same*
 telemetry value (so record- and replay-side metrics land in one
 snapshot), prints the metrics tables, and exports a Chrome trace-event
 JSON file — drag it into https://ui.perfetto.dev to see chunk spans per
@@ -11,10 +11,9 @@ R-thread, syscall/futex instants, CBUF drains and per-core cycle tracks.
 Run:  python examples/telemetry_trace.py [trace.json]
 """
 
-import dataclasses
 import sys
 
-from repro import DEFAULT_CONFIG, TelemetryConfig, session, workloads
+from repro import Telemetry, session, workloads
 from repro.analysis.report import render_metrics
 
 WORKLOAD = "fft"
@@ -22,13 +21,11 @@ WORKLOAD = "fft"
 
 def main() -> None:
     trace_path = sys.argv[1] if len(sys.argv) > 1 else "/tmp/quickrec-trace.json"
-    config = dataclasses.replace(
-        DEFAULT_CONFIG, telemetry=TelemetryConfig(enabled=True, sampling=16))
+    telemetry = Telemetry(sampling=16)
 
     program, inputs = workloads.build(WORKLOAD)
-    outcome = session.record(program, seed=7, config=config,
-                             input_files=inputs)
-    telemetry = outcome.telemetry
+    outcome = session.record(program, seed=7, input_files=inputs,
+                             telemetry=telemetry)
     session.replay_recording(outcome.recording, telemetry=telemetry)
 
     print(render_metrics(telemetry.snapshot()))

@@ -29,7 +29,6 @@ from .config import (
     MRRConfig,
     SimConfig,
     StoreBufferConfig,
-    TelemetryConfig,
     TsoMode,
 )
 from .errors import (
@@ -71,7 +70,6 @@ __all__ = [
     "MRRConfig",
     "SimConfig",
     "StoreBufferConfig",
-    "TelemetryConfig",
     "TsoMode",
     "AssemblerError",
     "ConfigError",

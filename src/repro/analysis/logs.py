@@ -27,14 +27,14 @@ class LogRates:
     cycles: int
     chunk_entries: int
     chunk_bytes_raw: int
+    # The compact chunk log (``chunks.qrz``); ``chunk_bytes_raw`` is the
+    # frozen v1 serialization.
     chunk_bytes_compressed: int
     input_events: int
     input_bytes: int
-    # Compact (columnar) sizes of the same logs: ``chunks.qrz`` and the
-    # saved ``input.bin``; ``chunk_bytes_raw`` and ``input_bytes`` are the
-    # frozen v1 serializations. 0 for rates computed before the compact
-    # codecs existed.
-    chunk_bytes_v2: int = 0
+    # The compact (columnar) input log, as saved in ``input.bin``;
+    # ``input_bytes`` is the frozen v1 serialization. 0 for rates computed
+    # before the compact codec existed.
     input_bytes_v2: int = 0
 
     @property
@@ -57,7 +57,7 @@ class LogRates:
     @property
     def chunk_compression_ratio(self) -> float:
         """v1-over-compact chunk-log size ratio (>1: compact is smaller)."""
-        return self.chunk_bytes_raw / max(1, self.chunk_bytes_v2)
+        return self.chunk_bytes_raw / max(1, self.chunk_bytes_compressed)
 
     @property
     def total_bytes(self) -> int:
@@ -84,7 +84,7 @@ class LogRates:
             "chunk_comp_B_per_ki": self.chunk_compressed_per_kiloinstruction,
             "input_B_per_ki": self.input_bytes_per_kiloinstruction,
             "total_bytes": self.total_bytes,
-            "chunk_bytes_v2": self.chunk_bytes_v2,
+            "chunk_bytes_v2": self.chunk_bytes_compressed,
             "input_bytes_v2": self.input_bytes_v2,
         }
 
@@ -103,7 +103,6 @@ def log_rates(outcome: RunOutcome, name: str | None = None) -> LogRates:
         chunk_bytes_compressed=recording.chunk_log_compressed_bytes(),
         input_events=len(recording.events),
         input_bytes=recording.input_log_v1_bytes(),
-        chunk_bytes_v2=recording.chunk_log_compressed_bytes(),
         input_bytes_v2=recording.input_log_bytes(),
     )
 

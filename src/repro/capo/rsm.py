@@ -125,13 +125,10 @@ class ReplaySphereManager:
             self.recorders.append(recorder)
             machine.attach_recorder(core.core_id, recorder)
         if self._tm_on:
+            # Drains, input events, payload bytes and sphere threads are
+            # published from the stats and the sphere when the run ends.
             metrics = self.telemetry.metrics
-            self._tm_drains = metrics.counter("capo.cbuf_drains")
             self._tm_batch = metrics.histogram("capo.cbuf_batch_entries")
-            self._tm_events = metrics.counter("capo.input_events")
-            self._tm_payload = metrics.counter("capo.input_payload_bytes")
-            self._tm_threads = metrics.counter("capo.sphere_threads")
-            self._tm_dedup = metrics.counter("capo.input_payload_dedup_bytes")
             # Pre-created per-kind counters: the logging hot path indexes
             # this dict instead of paying a registry lookup (and an f-string
             # format) per event.
@@ -162,7 +159,6 @@ class ReplaySphereManager:
                 core.cycles += charge
                 self.stats.cycles_cbuf_drain += charge
             if self._tm_on:
-                self._tm_drains.inc()
                 self._tm_batch.observe(len(batch))
                 self.telemetry.tracer.instant(
                     "cbuf.drain", cat="capo", tid=core.core_id,
@@ -176,7 +172,6 @@ class ReplaySphereManager:
     def thread_started(self, task) -> None:
         self.sphere.register(task.rthread)
         if self._tm_on:
-            self._tm_threads.inc()
             self.telemetry.tracer.instant(
                 "sphere.thread_started", cat="capo", tid=task.rthread)
             self.telemetry.tracer.thread_name(
@@ -219,7 +214,7 @@ class ReplaySphereManager:
         self._cores[task.core_id].cycles += charge
         stats.cycles_input_log += charge
         if self._tm_on:
-            self._tm_input(event, payload, fresh)
+            self._tm_input(event, payload)
 
     def log_nondet(self, task, kind: str, value: int) -> None:
         rthread = task.rthread
@@ -231,7 +226,7 @@ class ReplaySphereManager:
         self._cores[task.core_id].cycles += self._cost_event
         self.stats.cycles_input_log += self._cost_event
         if self._tm_on:
-            self._tm_input(event, 0, 0)
+            self._tm_input(event, 0)
 
     def log_signal(self, task, signo: int) -> None:
         rthread = task.rthread
@@ -243,7 +238,7 @@ class ReplaySphereManager:
         self._cores[task.core_id].cycles += self._cost_event
         self.stats.cycles_input_log += self._cost_event
         if self._tm_on:
-            self._tm_input(event, 0, 0)
+            self._tm_input(event, 0)
 
     def log_sigreturn(self, task) -> None:
         rthread = task.rthread
@@ -255,7 +250,7 @@ class ReplaySphereManager:
         self._cores[task.core_id].cycles += self._cost_event
         self.stats.cycles_input_log += self._cost_event
         if self._tm_on:
-            self._tm_input(event, 0, 0)
+            self._tm_input(event, 0)
 
     def log_exit(self, task, code: int) -> None:
         rthread = task.rthread
@@ -267,13 +262,9 @@ class ReplaySphereManager:
         self._cores[task.core_id].cycles += self._cost_event
         self.stats.cycles_input_log += self._cost_event
         if self._tm_on:
-            self._tm_input(event, 0, 0)
+            self._tm_input(event, 0)
 
-    def _tm_input(self, event: InputEvent, payload_bytes: int,
-                  fresh: int) -> None:
-        self._tm_events.inc()
-        self._tm_payload.inc(payload_bytes)
-        self._tm_dedup.inc(payload_bytes - fresh)
+    def _tm_input(self, event: InputEvent, payload_bytes: int) -> None:
         self._tm_kind[event.kind].inc()
         self.telemetry.tracer.instant(
             f"input:{event.kind}", cat="capo", tid=event.rthread,

@@ -37,13 +37,9 @@ from .analysis import chunks as chunk_analysis
 from .perf import bench
 from .analysis.report import render_kv, render_metrics, render_table
 from .capo.recording import FLIGHT_META_KEY, Recording
-from .config import (
-    COHERENCE_MODELS,
-    DEFAULT_CONFIG,
-    SimConfig,
-    TelemetryConfig,
-)
+from .config import COHERENCE_MODELS, DEFAULT_CONFIG, SimConfig
 from .errors import ReproError
+from .telemetry import Telemetry
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -115,13 +111,6 @@ def _flight_overrides(args: argparse.Namespace,
     return config
 
 
-def _traced_config(args: argparse.Namespace) -> SimConfig:
-    """The default config with telemetry switched on."""
-    return dataclasses.replace(
-        DEFAULT_CONFIG,
-        telemetry=TelemetryConfig(enabled=True, sampling=args.sampling))
-
-
 def _flight_trigger(args: argparse.Namespace, outcome) -> str | None:
     """Why a crash bundle should be captured, or None."""
     from .flight import detect_fault
@@ -157,10 +146,11 @@ def _log_sizes(recording: Recording) -> dict[str, int]:
 def _cmd_record(args: argparse.Namespace) -> int:
     program, inputs = workloads.build(args.workload, threads=args.threads,
                                       scale=args.scale)
-    config = _traced_config(args) if args.trace else DEFAULT_CONFIG
-    config = _flight_overrides(args, _machine_overrides(args, config))
+    config = _flight_overrides(args, _machine_overrides(args, DEFAULT_CONFIG))
+    telemetry = Telemetry(sampling=args.sampling) if args.trace else None
     outcome = session.record(program, seed=args.seed, policy=args.policy,
-                             input_files=inputs, config=config)
+                             input_files=inputs, config=config,
+                             telemetry=telemetry)
     recording = outcome.recording
     rows = {
         "workload": args.workload,
@@ -233,7 +223,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                              input_files=inputs,
                              config=_flight_overrides(
                                  args, _machine_overrides(
-                                     args, _traced_config(args))))
+                                     args, DEFAULT_CONFIG)),
+                             telemetry=Telemetry(sampling=args.sampling))
     telemetry = outcome.telemetry
     if not args.no_replay:
         session.replay_recording(outcome.recording, telemetry=telemetry)
@@ -468,8 +459,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         run_campaign,
         write_artifact,
     )
-    from .telemetry import Telemetry
-
     if args.from_artifact:
         failures, which = rerun_artifact(args.from_artifact)
         if not failures:

@@ -184,24 +184,6 @@ class CapoConfig:
                  "flight_epoch_chunks must be >= 1")
 
 
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Observability opt-in (see :mod:`repro.telemetry`).
-
-    Telemetry is strictly observational: enabling it never changes the
-    executed instructions, the interleaving, the logs or the cycle
-    accounting — only whether trace events and metrics are collected.
-    ``sampling`` thins the per-step machine events (1 = every step); the
-    coarse events (chunks, syscalls, CBUF drains) are never sampled.
-    """
-
-    enabled: bool = False
-    sampling: int = 64
-
-    def __post_init__(self) -> None:
-        _require(self.sampling >= 1, "sampling must be >= 1")
-
-
 #: Keys older manifests and soak triage artifacts carry, by config
 #: section, that no setting reads any more: the log formats the capo
 #: knobs selected are negotiated from each section's header now, and
@@ -223,7 +205,6 @@ class SimConfig:
     mrr: MRRConfig = field(default_factory=MRRConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
     capo: CapoConfig = field(default_factory=CapoConfig)
-    telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
 
     def to_dict(self) -> dict[str, Any]:
         return dataclasses.asdict(self)
@@ -231,8 +212,10 @@ class SimConfig:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SimConfig":
         """The config :meth:`to_dict` produced. Retired keys are dropped,
-        and ``telemetry`` may be absent (bundles recorded before the
-        telemetry subsystem)."""
+        and so is the ``telemetry`` section older manifests and triage
+        artifacts carry: telemetry is switched on by the
+        :class:`~repro.telemetry.Telemetry` a run is given, not by the
+        config."""
         def section(name: str, kind: type, values: dict[str, Any]) -> Any:
             retired = RETIRED_KEYS.get(name, ())
             return kind(**{key: value for key, value in values.items()
@@ -247,8 +230,6 @@ class SimConfig:
             mrr=section("mrr", MRRConfig, data["mrr"]),
             kernel=section("kernel", KernelConfig, data["kernel"]),
             capo=section("capo", CapoConfig, data["capo"]),
-            telemetry=section("telemetry", TelemetryConfig,
-                              data.get("telemetry", {})),
         )
 
 

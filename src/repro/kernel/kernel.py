@@ -133,13 +133,12 @@ class Kernel:
         self._cost_ctx_flush = cost.context_switch_flush
         self._rsm_full = rsm is not None and rsm.mode == MODE_FULL
         if self._tm_on:
+            # Syscalls, preemptions, blocks and signal deliveries are
+            # published from KernelStats when the run ends; these two have
+            # no stats twin.
             metrics = self.telemetry.metrics
-            self._tm_syscalls = metrics.counter("kernel.syscalls")
             self._tm_futex_wakes = metrics.counter("kernel.futex_wakes")
-            self._tm_preempts = metrics.counter("kernel.preemptions")
-            self._tm_blocks = metrics.counter("kernel.blocks")
             self._tm_dispatches = metrics.counter("kernel.dispatches")
-            self._tm_signals = metrics.counter("kernel.signals_delivered")
 
     # -- setup -------------------------------------------------------------
 
@@ -476,8 +475,6 @@ class Kernel:
         by_name = stats.syscalls_by_name
         by_name[name] = by_name.get(name, 0) + 1
         if self._tm_on:
-            self._tm_syscalls.inc()
-            self.telemetry.metrics.counter(f"kernel.syscalls.{name}").inc()
             self.telemetry.tracer.instant(
                 f"sys.{name}", cat="kernel", tid=task.tid,
                 args={"sysno": sysno, "core": core.core_id})
@@ -575,7 +572,6 @@ class Kernel:
         stats.preemptions += 1
         stats.context_switches += 1
         if self._tm_on:
-            self._tm_preempts.inc()
             self.telemetry.tracer.instant(
                 "sched.preempt", cat="kernel", tid=task.tid,
                 args={"core": core.core_id})
@@ -655,7 +651,6 @@ class Kernel:
         else:  # pragma: no cover - handlers only emit the two kinds above
             raise KernelError(f"unknown wait channel {channel!r}")
         if self._tm_on:
-            self._tm_blocks.inc()
             self.telemetry.tracer.instant(
                 "sched.block", cat="kernel", tid=task.tid,
                 args={"kind": kind, "value": value})
@@ -708,7 +703,6 @@ class Kernel:
             engine.cur_memops = 0
             self.stats.signals_delivered += 1
             if self._tm_on:
-                self._tm_signals.inc()
                 self.telemetry.tracer.instant(
                     "signal.deliver", cat="kernel", tid=task.tid,
                     args={"signo": signo, "handler": handler})

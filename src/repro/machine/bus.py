@@ -16,7 +16,8 @@ caches it snoops and in how the notifies are counted:
 
 - :class:`SnoopBus` — the reference broadcast fabric: every transaction
   architecturally reaches all other agents (``num_cores - 1`` snoops),
-  with the conservative presence filter skipping the provable no-ops.
+  with the conservative presence filter skipping the (barring Bloom
+  false positives) provable no-ops.
 - :class:`DirectoryBus` — a home-node directory that additionally keeps
   the *exact* per-line sharer set (maintained on fill and eviction) and
   notifies caches point-to-point, O(sharers) instead of O(num_cores).
@@ -101,8 +102,8 @@ class SnoopBus:
         self.order_clock = 0
         # Hoisted broadcast fan-out for the notify accounting.
         self._broadcast = num_cores - 1
-        # Presence-based snoop filtering (observationally free; the MESI
-        # invariant suite compares filtered and unfiltered runs).
+        # Presence-based snoop filtering (see transaction for when it is
+        # not free; the MESI invariant suite compares both settings).
         self.filter_snoops = filter_snoops
         # Conservative per-line presence summary: bit c set means core c
         # *may* hold the line. Lines with no transaction history default to
@@ -111,8 +112,8 @@ class SnoopBus:
         # which invalidates that core's copy AND tests its recorder in the
         # same transaction — and is never cleared on eviction, so the
         # summary is always a superset of the true holder set and of every
-        # line in any recorder signature (pinned by the MESI invariant
-        # suite). Always maintained, even with filtering off.
+        # line truly inserted in a recorder signature (pinned by the MESI
+        # invariant suite). Always maintained, even with filtering off.
         self._all_mask = (1 << num_cores) - 1
         self._presence: dict[int, int] = {}
         # The directory's exact per-line cache-holder set; None on the
@@ -125,11 +126,6 @@ class SnoopBus:
         self._cost_writeback = cost.writeback
         self.telemetry = telemetry = telemetry or NULL_TELEMETRY
         self._tm_enabled = telemetry.enabled
-        if telemetry.enabled:
-            metrics = telemetry.metrics
-            self._tm_bus_reads = metrics.counter("machine.bus_reads")
-            self._tm_bus_writes = metrics.counter("machine.bus_writes")
-            self._tm_bus_upgrades = metrics.counter("machine.bus_upgrades")
 
     def presence_mask(self, line: int) -> int:
         """The conservative holder bitmask for ``line``."""
@@ -163,14 +159,16 @@ class SnoopBus:
 
         # Presence-filtered snooping: cores whose presence bit is clear can
         # hold neither the line (their copy was invalidated by the write
-        # that cleared the bit) nor a signature entry for it (that same
-        # transaction tested their recorder, and a true member always
+        # that cleared the bit) nor a true signature entry for it (that
+        # same transaction tested their recorder, and a true member always
         # tests positive, terminating the chunk and clearing the
-        # signatures). Skipping them is therefore a no-op — they would
-        # mutate no cache state, no stats, and no recorder state. The
-        # filtered mask is read once, before any update, so a transaction
-        # never filters on its own effects. Filtering off degrades to
-        # broadcast, preserving the ablation.
+        # signatures). Skipping them mutates no cache state and no stats,
+        # and no recorder state barring a Bloom false positive: a skipped
+        # signature that tests positive on a line it never saw is cut by
+        # the broadcast fabric only (radix differs at 128-bit signatures,
+        # not at 512). The filtered mask is read once, before any update,
+        # so a transaction never filters on its own effects. Filtering off
+        # degrades to broadcast, preserving the ablation.
         all_mask = self._all_mask
         present = (self._presence.get(line, all_mask)
                    if self.filter_snoops else all_mask)
@@ -302,16 +300,7 @@ class SnoopBus:
         core.cycles += cycles
         if self._tm_enabled:
             telemetry = self.telemetry
-            if upgrade:
-                self._tm_bus_upgrades.inc()
-            elif is_write:
-                self._tm_bus_writes.inc()
-            else:
-                self._tm_bus_reads.inc()
-            transactions = (self._tm_bus_reads.value
-                            + self._tm_bus_writes.value
-                            + self._tm_bus_upgrades.value)
-            if transactions % telemetry.sampling == 0:
+            if stats.transactions % telemetry.sampling == 0:
                 telemetry.tracer.instant(
                     "bus.txn", cat="machine", tid=core.core_id,
                     args={"line": line, "write": is_write,

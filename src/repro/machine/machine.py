@@ -263,9 +263,10 @@ class Machine:
     """The QuickIA box: ``num_cores`` cores over one snoop bus.
 
     ``decode_cache`` (compiled engines) and ``filter_snoops`` (presence-
-    filtered snoops) are observationally free implementation switches: a
-    run is bit-identical with either off, which the equivalence suites and
-    the soak lattice check.
+    filtered snoops) are implementation switches: a run is bit-identical
+    with either off, which the equivalence suites and the soak lattice
+    check, unless a Bloom signature false-positives on a core the filter
+    skips (see :meth:`SnoopBus.transaction`).
     """
 
     def __init__(self, config: MachineConfig | None = None,

@@ -115,8 +115,9 @@ class MemoryRaceRecorder:
         self._exact_reads: set[int] = set()
         self._exact_writes: set[int] = set()
         if self.telemetry.enabled:
+            # The chunk total is published from RSMStats.chunks when the
+            # run ends.
             metrics = self.telemetry.metrics
-            self._tm_chunks = metrics.counter("mrr.chunks_total")
             self._tm_snoop_cuts = metrics.counter("mrr.snoop_terminations")
             self._tm_bloom_fp = metrics.counter("mrr.bloom_false_positives")
             self._tm_chunk_hist = metrics.histogram("mrr.chunk_instructions")
@@ -313,7 +314,6 @@ class MemoryRaceRecorder:
             telemetry = self.telemetry
             read_pct = 100.0 * self.read_sig.saturation
             write_pct = 100.0 * self.write_sig.saturation
-            self._tm_chunks.inc()
             telemetry.metrics.counter(f"mrr.chunks.{reason}").inc()
             self._tm_chunk_hist.observe(entry.icount)
             self._tm_rsw_hist.observe(entry.rsw)

@@ -107,10 +107,10 @@ def measure_overhead(program: Program, config: SimConfig | None = None,
                      telemetry: Telemetry | None = None) -> OverheadResult:
     """Run the three-mode comparison for one program.
 
-    ``telemetry`` (or ``config.telemetry.enabled``) instruments all three
-    runs with the same tracer/metrics, so the trace shows the native, the
-    hardware-only and the full-stack pass back to back — the raw material
-    of the paper's F2 breakdown.
+    ``telemetry`` instruments all three runs with the same tracer/metrics,
+    so the trace shows the native, the hardware-only and the full-stack
+    pass back to back — the raw material of the paper's F2 breakdown —
+    and the counters sum over the three passes.
     """
     label = name or program.name
     runs: dict[str, RunOutcome] = {}
@@ -127,9 +127,8 @@ def measure_overhead(program: Program, config: SimConfig | None = None,
                             full=runs[MODE_FULL])
     logger.info("%s: hw overhead %.2f%%, full overhead %.2f%%", label,
                 100 * result.hw_overhead, 100 * result.full_overhead)
-    run_telemetry = runs[MODE_FULL].telemetry
-    if run_telemetry is not None and run_telemetry.enabled:
-        gauges = run_telemetry.metrics
+    if telemetry is not None and telemetry.enabled:
+        gauges = telemetry.metrics
         gauges.gauge("overhead.native_cycles").set(result.native.total_cycles)
         gauges.gauge("overhead.hw_pct").set(100 * result.hw_overhead)
         gauges.gauge("overhead.full_pct").set(100 * result.full_overhead)

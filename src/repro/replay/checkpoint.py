@@ -241,6 +241,7 @@ def restore_replayer(recording: Recording, state: ReplayState,
     stats = replayer.stats
     for field, value in state.header["stats"].items():
         setattr(stats, field, value)
+    replayer._chunks_restored = stats.chunks
     replayer._next_index = state.position
     if replayer.telemetry.enabled:
         metrics = replayer.telemetry.metrics

@@ -186,6 +186,8 @@ class Replayer:
         # the ReplayPort interface and must not change replay semantics.
         self.port_wrapper = None
         self.stats = ReplayStats()
+        # stats.chunks set by a checkpoint restore, not stepped here.
+        self._chunks_restored = 0
         # (kernel seq, file name, payload) — assembled per file in kernel
         # order at finalize, since chunk-schedule order and kernel order
         # may legally differ for writes of unrelated threads.
@@ -198,9 +200,8 @@ class Replayer:
             # machine clock on the replay side).
             if self.telemetry.tracer.clock is None:
                 self.telemetry.tracer.clock = lambda: self.stats.units
-            metrics = self.telemetry.metrics
-            self._tm_chunks = metrics.counter("replay.chunks")
-            metrics.gauge("replay.schedule_chunks").set(len(self.schedule))
+            self.telemetry.metrics.gauge("replay.schedule_chunks").set(
+                len(self.schedule))
         main_sp = recording.metadata.get(
             "main_sp", self.config.machine.memory_bytes - 16)
         self._create_thread(MAIN_RTHREAD, pc=recording.program.entry,
@@ -329,7 +330,6 @@ class Replayer:
         self.stats.chunks += 1
         if traced:
             tracer = self.telemetry.tracer
-            self._tm_chunks.inc()
             tracer.complete(f"replay:{chunk.reason}", start, cat="replay",
                             tid=chunk.rthread,
                             args={"icount": chunk.icount, "rsw": chunk.rsw,
@@ -350,6 +350,8 @@ class Replayer:
         self._finalize()
         if self.telemetry.enabled:
             metrics = self.telemetry.metrics
+            metrics.counter("replay.chunks").inc(
+                self.stats.chunks - self._chunks_restored)
             metrics.gauge("replay.units").set(self.stats.units)
             metrics.gauge("replay.events_applied").set(self.stats.events)
             metrics.gauge("replay.signals").set(self.stats.signals)

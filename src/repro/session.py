@@ -37,7 +37,7 @@ from .machine.machine import Machine
 from .perf.costmodel import CostModel
 from .replay.replayer import ReplayResult
 from .replay.verify import VerificationReport, verify_replay
-from .telemetry import Telemetry
+from .telemetry import NULL_TELEMETRY, MetricsRegistry, Telemetry
 
 MODE_OFF = "off"
 MODES = (MODE_OFF, MODE_HW, MODE_FULL)
@@ -115,15 +115,16 @@ def simulate(program: Program, config: SimConfig | None = None,
     replay sphere; verification then scopes to its region, its writes,
     and its threads' exit codes.
 
+    ``telemetry`` is the one switch for tracing and metrics.
+
     ``decode_cache`` and ``filter_snoops`` switch off the machine's
-    compiled engines and presence-filtered snoops (see :class:`Machine`);
-    the run is bit-identical either way.
+    compiled engines and presence-filtered snoops; see :class:`Machine`
+    for when the run is bit-identical either way.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {MODES}")
     config = config or DEFAULT_CONFIG
-    if telemetry is None:
-        telemetry = Telemetry.from_config(config.telemetry)
+    telemetry = telemetry or NULL_TELEMETRY
     machine = Machine(config.machine, cost=cost, telemetry=telemetry,
                       decode_cache=decode_cache, filter_snoops=filter_snoops)
     if telemetry.enabled:
@@ -176,12 +177,17 @@ def simulate(program: Program, config: SimConfig | None = None,
                                  telemetry=telemetry)
         rsm.attach_flight(flight_ring)
     interleaver = make_interleaver(policy, seed)
-    units = kernel.run(interleaver, max_units=max_units)
+    try:
+        units = kernel.run(interleaver, max_units=max_units)
+        if rsm is not None:
+            rsm.finalize()
+    finally:
+        if telemetry.enabled:
+            _publish_stats(telemetry.metrics, machine, kernel, rsm)
 
     recording = None
     rsm_stats = None
     if rsm is not None:
-        rsm.finalize()
         rsm_stats = rsm.stats.as_dict()
     exit_codes = {tid: task.exit_code for tid, task in kernel.tasks.items()}
     outputs = kernel.vfs.written()
@@ -228,12 +234,6 @@ def simulate(program: Program, config: SimConfig | None = None,
         metrics = telemetry.metrics
         metrics.gauge("session.units").set(units)
         metrics.gauge("session.total_cycles").set(machine.total_cycles)
-        # Fabric notify accounting (directory vs broadcast): scalar bus
-        # stats become gauges so `quickrec stats` / `record --trace`
-        # surface them alongside the recorder metrics.
-        for key, value in machine.bus.stats.as_dict().items():
-            if isinstance(value, int):
-                metrics.gauge(f"machine.bus.{key}").set(value)
         if recording is not None:
             metrics.gauge("recording.chunks").set(len(recording.chunks))
             metrics.gauge("recording.input_events").set(len(recording.events))
@@ -258,6 +258,35 @@ def simulate(program: Program, config: SimConfig | None = None,
         recording=recording,
         telemetry=telemetry,
     )
+
+
+def _publish_stats(metrics: MetricsRegistry, machine: Machine,
+                   kernel: Kernel, rsm: ReplaySphereManager | None) -> None:
+    """The bus stats as ``machine.bus.*`` gauges, and the counters read
+    from the bus, kernel and RSM stats instead of counted per event: all
+    created even at 0 (``capo.*``/``mrr.*`` only with an RSM), and
+    incremented, so a registry shared across runs sums them."""
+    bus = machine.bus.stats
+    for key, value in bus.as_dict().items():
+        if isinstance(value, int):
+            metrics.gauge(f"machine.bus.{key}").set(value)
+    counts = {"machine.bus_reads": bus.reads,
+              "machine.bus_writes": bus.read_exclusives,
+              "machine.bus_upgrades": bus.upgrades}
+    stats = kernel.stats
+    for name in ("syscalls", "preemptions", "blocks", "signals_delivered"):
+        counts[f"kernel.{name}"] = getattr(stats, name)
+    for name, count in stats.syscalls_by_name.items():
+        counts[f"kernel.syscalls.{name}"] = count
+    if rsm is not None:
+        rsm_stats = rsm.stats
+        counts["mrr.chunks_total"] = rsm_stats.chunks
+        for name in ("cbuf_drains", "input_events", "input_payload_bytes",
+                     "input_payload_dedup_bytes"):
+            counts[f"capo.{name}"] = getattr(rsm_stats, name)
+        counts["capo.sphere_threads"] = len(rsm.sphere.rthreads)
+    for name, count in counts.items():
+        metrics.counter(name).inc(count)
 
 
 def record(program: Program, **kwargs) -> RunOutcome:

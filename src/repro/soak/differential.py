@@ -33,6 +33,7 @@ from ..capo.input_log import encode_events_v1
 from ..capo.recording import CHUNKS_NAME, Recording
 from ..errors import ReproError
 from ..mrr.logfmt import encode_chunks
+from ..telemetry import Telemetry
 from ..workloads.fuzz import FuzzCase, build_program
 from .variants import BASELINE, Variant, matrix_variants
 
@@ -113,7 +114,9 @@ def run_variant(case: FuzzCase, variant: Variant, inject: str | None = None):
     program = build_program(ops, repeats=case.repeats)
     config = variant.apply(case.config)
     switches = {"decode_cache": variant.decode_cache,
-                "filter_snoops": variant.snoop_filter}
+                "filter_snoops": variant.snoop_filter,
+                "telemetry": Telemetry(sampling=64) if variant.telemetry
+                else None}
     if variant.checkpoint_every:
         # Checkpointed path: embed checkpoints post-hoc, then replay
         # interval by interval — restoring every checkpoint and

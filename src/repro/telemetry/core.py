@@ -2,8 +2,9 @@
 
 One :class:`Telemetry` value bundles a :class:`~repro.telemetry.tracer.Tracer`
 and a :class:`~repro.telemetry.metrics.MetricsRegistry` and travels with a
-run: the session builds it from ``SimConfig.telemetry`` and hands it to the
-machine, the RSM, the kernel and the replayer.
+run: passing one to ``session.simulate``/``record`` or to a replay is the
+only way to switch telemetry on. The session hands it to the machine, the
+RSM, the kernel and the replayer.
 
 The disabled path is the contract that matters: every instrumentation site
 guards with ``if telemetry.enabled:`` — a single attribute load — so a run
@@ -17,12 +18,16 @@ finalize summaries) go through stdlib logging under the ``repro.*``
 namespace via :func:`get_logger`; the root ``repro`` logger carries a
 ``NullHandler`` so the library stays silent unless the application opts
 in.
+
+Counts the simulator's stats already keep are not counted again: the
+session and the replayer publish them into the registry at run end.
 """
 
 from __future__ import annotations
 
 import logging
 
+from ..errors import ConfigError
 from .metrics import MetricsRegistry
 from .tracer import Tracer
 
@@ -35,21 +40,16 @@ def get_logger(name: str) -> logging.Logger:
 
 
 class Telemetry:
-    """Tracer + metrics + the enabled flag, as one value."""
+    """Tracer + metrics + the enabled flag, as one value. ``sampling``
+    thins the per-step and per-transaction events (1 = every one)."""
 
     def __init__(self, enabled: bool = True, sampling: int = 1):
+        if sampling < 1:
+            raise ConfigError("sampling must be >= 1")
         self.enabled = enabled
-        self.sampling = max(1, sampling)
+        self.sampling = sampling
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-
-    @classmethod
-    def from_config(cls, config) -> "Telemetry":
-        """Build from a :class:`~repro.config.TelemetryConfig`; a disabled
-        config yields the shared no-op singleton."""
-        if not config.enabled:
-            return NULL_TELEMETRY
-        return cls(enabled=True, sampling=config.sampling)
 
     def snapshot(self) -> dict:
         """The metrics registry as plain values (see ``quickrec stats``)."""

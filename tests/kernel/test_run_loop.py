@@ -26,6 +26,7 @@ from repro.machine.machine import Machine
 from repro.mrr.chunk import Reason
 from repro.mrr.logfmt import encode_chunks
 from repro.mrr.recorder import NEVER, MemoryRaceRecorder
+from repro.telemetry import Telemetry
 from repro.workloads.base import WorkloadHarness
 from tests.conftest import wire_recorder
 
@@ -53,7 +54,7 @@ def _fingerprint(outcome):
 
 
 def _record(monkeypatch, name, seed, *, stepped=False, decode_cache=True,
-            config=None, threads=4):
+            config=None, threads=4, telemetry=None):
     """Record ``name`` at scale 1; returns the outcome and the number of
     ``Machine.step_core`` calls (zero on the fused loop)."""
     program, inputs = workloads.build(name, threads=threads, scale=1)
@@ -71,7 +72,8 @@ def _record(monkeypatch, name, seed, *, stepped=False, decode_cache=True,
                           lambda policy, seed: _ChooseOnly(seed))
         outcome = session.record(program, seed=seed, input_files=inputs,
                                  decode_cache=decode_cache,
-                                 config=config or DEFAULT_CONFIG)
+                                 config=config or DEFAULT_CONFIG,
+                                 telemetry=telemetry)
     return outcome, len(steps)
 
 
@@ -92,12 +94,10 @@ def test_fused_loop_records_what_the_stepped_loop_records(monkeypatch, name,
 
 
 def test_fused_loop_with_telemetry_matches_the_stepped_loop(monkeypatch):
-    config = dataclasses.replace(
-        DEFAULT_CONFIG,
-        telemetry=dataclasses.replace(DEFAULT_CONFIG.telemetry,
-                                      enabled=True, sampling=7))
-    fused, _ = _record(monkeypatch, "locks", 5, config=config)
-    stepped, _ = _record(monkeypatch, "locks", 5, stepped=True, config=config)
+    fused, _ = _record(monkeypatch, "locks", 5,
+                       telemetry=Telemetry(sampling=7))
+    stepped, _ = _record(monkeypatch, "locks", 5, stepped=True,
+                         telemetry=Telemetry(sampling=7))
     assert _fingerprint(stepped) == _fingerprint(fused)
     assert fused.telemetry.tracer.export() == \
         stepped.telemetry.tracer.export()

@@ -189,10 +189,6 @@ def _method_bus_transaction(self, core, line, is_write, upgrade=False):
         core.cycles += bus._cost_writeback
     if core.cache.fill(line, fill_state):
         core.cycles += bus._cost_writeback
-    if bus._tm_enabled:
-        counter = (bus._tm_bus_upgrades if upgrade else
-                   bus._tm_bus_writes if is_write else bus._tm_bus_reads)
-        counter.inc()
 
 
 def _method_snoops():
@@ -395,15 +391,7 @@ def _chain_bus_transaction(self, core, line, is_write, upgrade=False):
         core.cycles += bus._cost_writeback
     if bus._tm_enabled:
         telemetry = bus.telemetry
-        if upgrade:
-            bus._tm_bus_upgrades.inc()
-        elif is_write:
-            bus._tm_bus_writes.inc()
-        else:
-            bus._tm_bus_reads.inc()
-        transactions = (bus._tm_bus_reads.value + bus._tm_bus_writes.value
-                        + bus._tm_bus_upgrades.value)
-        if transactions % telemetry.sampling == 0:
+        if bus.stats.transactions % telemetry.sampling == 0:
             telemetry.tracer.instant(
                 "bus.txn", cat="machine", tid=core.core_id,
                 args={"line": line, "write": is_write,
@@ -431,7 +419,6 @@ def _chain_terminate(self, reason):
         telemetry = self.telemetry
         read_pct = 100.0 * self.read_sig.saturation
         write_pct = 100.0 * self.write_sig.saturation
-        self._tm_chunks.inc()
         telemetry.metrics.counter(f"mrr.chunks.{reason}").inc()
         self._tm_chunk_hist.observe(entry.icount)
         self._tm_rsw_hist.observe(entry.rsw)
@@ -563,8 +550,6 @@ class _ReferenceKernel:
         self.stats.syscalls_by_name[name] = \
             self.stats.syscalls_by_name.get(name, 0) + 1
         if self._tm_on:
-            self._tm_syscalls.inc()
-            self.telemetry.metrics.counter(f"kernel.syscalls.{name}").inc()
             self.telemetry.tracer.instant(
                 f"sys.{name}", cat="kernel", tid=task.tid,
                 args={"sysno": sysno, "core": core.core_id})
@@ -670,7 +655,6 @@ class _ReferenceKernel:
         self.stats.preemptions += 1
         self.stats.context_switches += 1
         if self._tm_on:
-            self._tm_preempts.inc()
             self.telemetry.tracer.instant(
                 "sched.preempt", cat="kernel", tid=task.tid,
                 args={"core": core.core_id})
@@ -690,7 +674,6 @@ class _ReferenceKernel:
         else:  # pragma: no cover - handlers only emit the two kinds above
             raise KernelError(f"unknown wait channel {channel!r}")
         if self._tm_on:
-            self._tm_blocks.inc()
             self.telemetry.tracer.instant(
                 "sched.block", cat="kernel", tid=task.tid,
                 args={"kind": kind, "value": value})
@@ -739,7 +722,6 @@ class _ReferenceKernel:
             engine.cur_memops = 0
             self.stats.signals_delivered += 1
             if self._tm_on:
-                self._tm_signals.inc()
                 self.telemetry.tracer.instant(
                     "signal.deliver", cat="kernel", tid=task.tid,
                     args={"signo": signo, "handler": handler})
@@ -794,9 +776,6 @@ class _ReferenceRSM:
             core.cycles += charge
         stats.cycles_input_log += charge
         if self._tm_on:
-            self._tm_events.inc()
-            self._tm_payload.inc(payload_bytes)
-            self._tm_dedup.inc(payload_bytes - fresh)
             self._tm_kind[event.kind].inc()
             self.telemetry.tracer.instant(
                 f"input:{event.kind}", cat="capo", tid=event.rthread,

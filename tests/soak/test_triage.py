@@ -36,6 +36,15 @@ def test_case_with_retired_config_keys_loads():
     assert _case_from_dict(data) == case
 
 
+def test_case_with_a_telemetry_section_loads():
+    # artifacts written while the config carried a telemetry section
+    case = generate_case(123)
+    data = json.loads(json.dumps(_case_to_dict(case)))
+    assert "telemetry" not in data["config"]
+    data["config"]["telemetry"] = {"enabled": True, "sampling": 64}
+    assert _case_from_dict(data) == case
+
+
 def test_repro_command_reflects_options():
     options = SoakOptions(matrix=True, shrink=True, inject="decode-cache")
     command = repro_command(7, options)

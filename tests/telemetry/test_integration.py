@@ -13,8 +13,11 @@ The two contracts the subsystem lives by:
 import dataclasses
 import json
 
+import pytest
+
 from repro import session, workloads
-from repro.config import DEFAULT_CONFIG, TelemetryConfig
+from repro.config import DEFAULT_CONFIG
+from repro.errors import ConfigError, ReproError
 from repro.mrr.logfmt import encode_chunks
 from repro.telemetry import NULL_TELEMETRY, Telemetry, validate_trace
 
@@ -25,10 +28,8 @@ def _record(config=None, **kwargs):
                           input_files=inputs, **kwargs)
 
 
-def _traced_config(sampling=1):
-    return dataclasses.replace(
-        DEFAULT_CONFIG,
-        telemetry=TelemetryConfig(enabled=True, sampling=sampling))
+def _traced(sampling=1, **kwargs):
+    return _record(telemetry=Telemetry(sampling=sampling), **kwargs)
 
 
 def test_disabled_run_uses_null_telemetry():
@@ -41,7 +42,7 @@ def test_disabled_run_uses_null_telemetry():
 
 def test_enabled_run_is_bit_identical_to_disabled():
     plain = _record()
-    traced = _record(config=_traced_config())
+    traced = _traced()
     assert traced.final_memory_digest == plain.final_memory_digest
     assert traced.total_cycles == plain.total_cycles
     assert traced.units == plain.units
@@ -54,7 +55,7 @@ def test_enabled_run_is_bit_identical_to_disabled():
 
 
 def test_counters_match_recording_totals():
-    outcome = _record(config=_traced_config())
+    outcome = _traced()
     recording = outcome.recording
     snap = outcome.telemetry.snapshot()
     assert snap["mrr.chunks_total"] == len(recording.chunks)
@@ -72,7 +73,7 @@ def test_counters_match_recording_totals():
 
 
 def test_trace_covers_all_recording_layers(tmp_path):
-    outcome = _record(config=_traced_config())
+    outcome = _traced()
     tracer = outcome.telemetry.tracer
     assert {"machine", "mrr", "capo", "kernel"} <= tracer.categories()
     document = json.loads(tracer.save(tmp_path / "t.json").read_text())
@@ -80,7 +81,7 @@ def test_trace_covers_all_recording_layers(tmp_path):
 
 
 def test_replay_metrics_and_stalls():
-    outcome = _record(config=_traced_config())
+    outcome = _traced()
     telemetry = outcome.telemetry
     result = session.replay_recording(outcome.recording, telemetry=telemetry)
     snap = telemetry.snapshot()
@@ -92,10 +93,69 @@ def test_replay_metrics_and_stalls():
 
 def test_explicit_telemetry_overrides_config():
     telemetry = Telemetry(sampling=4)
-    outcome = _record(telemetry=telemetry)  # default (disabled) config
+    outcome = _record(telemetry=telemetry)  # the default config
     assert outcome.telemetry is telemetry
     assert telemetry.snapshot()["mrr.chunks_total"] == \
         len(outcome.recording.chunks)
+
+
+def test_counters_are_read_from_the_stats_twins():
+    # The counters with a stats twin are published from it when the run
+    # ends, every one of them, even at 0.
+    program, inputs = workloads.build("sigping", scale=1)
+    telemetry = Telemetry()
+    outcome = session.record(program, seed=1, input_files=inputs,
+                             telemetry=telemetry)
+    snap = telemetry.snapshot()
+    bus = outcome.machine_stats["bus"]
+    kernel = outcome.kernel_stats
+    rsm = outcome.rsm_stats
+    assert (snap["machine.bus_reads"], snap["machine.bus_writes"],
+            snap["machine.bus_upgrades"]) == (
+        bus["reads"], bus["read_exclusives"], bus["upgrades"])
+    assert snap["machine.bus.reads"] == bus["reads"]
+    for name in ("syscalls", "preemptions", "blocks", "signals_delivered"):
+        assert snap[f"kernel.{name}"] == kernel[name]
+    for name, count in kernel["syscalls_by_name"].items():
+        assert snap[f"kernel.syscalls.{name}"] == count
+    assert snap["mrr.chunks_total"] == rsm["chunks"]
+    for name in ("cbuf_drains", "input_events", "input_payload_bytes",
+                 "input_payload_dedup_bytes"):
+        assert snap[f"capo.{name}"] == rsm[name]
+    assert snap["capo.sphere_threads"] == len(
+        {event.rthread for event in outcome.recording.events})
+    assert snap["kernel.signals_delivered"] > 0
+    # A run without recording has no RSM, so no capo/mrr counters.
+    bare = Telemetry()
+    session.simulate(program, seed=1, input_files=inputs, telemetry=bare)
+    names = bare.snapshot()
+    assert names["kernel.blocks"] == kernel["blocks"]
+    assert not any(name.startswith(("capo.", "mrr.")) for name in names)
+
+
+def test_counters_sum_over_a_shared_telemetry():
+    telemetry = Telemetry()
+    first = _record(telemetry=telemetry)
+    second = _record(telemetry=telemetry)
+    snap = telemetry.snapshot()
+    assert snap["mrr.chunks_total"] == (first.rsm_stats["chunks"]
+                                        + second.rsm_stats["chunks"])
+    assert snap["kernel.syscalls"] == 2 * first.kernel_stats["syscalls"]
+
+
+def test_a_run_that_raises_still_publishes_its_counts():
+    program, inputs = workloads.build("sigping", scale=1)
+    telemetry = Telemetry()
+    try:
+        session.record(program, seed=1, input_files=inputs, max_units=5000,
+                       telemetry=telemetry)
+    except ReproError:
+        pass
+    else:  # pragma: no cover - the unit budget is far below the run
+        raise AssertionError("the run should exceed max_units")
+    snap = telemetry.snapshot()
+    assert snap["mrr.chunks_total"] > 0
+    assert snap["kernel.syscalls"] > 0
 
 
 def test_bloom_false_positives_counted_under_tiny_signature():
@@ -104,24 +164,36 @@ def test_bloom_false_positives_counted_under_tiny_signature():
     # detect. The run must still record and count every termination.
     program, inputs = workloads.build("counter", threads=4)
     config = dataclasses.replace(
-        _traced_config(),
+        DEFAULT_CONFIG,
         mrr=dataclasses.replace(DEFAULT_CONFIG.mrr, signature_bits=32,
                                 saturation_threshold=1.0))
     outcome = session.record(program, seed=1, config=config,
-                             input_files=inputs)
+                             input_files=inputs, telemetry=Telemetry())
     snap = outcome.telemetry.snapshot()
     assert snap["mrr.snoop_terminations"] > 0
     assert snap["mrr.bloom_false_positives"] <= snap["mrr.snoop_terminations"]
 
 
 def test_telemetry_config_round_trips_in_bundle(tmp_path):
+    # Telemetry is not part of the config, so a traced run's bundle
+    # carries no telemetry section and loads to the run's config.
     from repro.capo.recording import Recording
 
-    outcome = _record(config=_traced_config(sampling=16))
+    outcome = _traced(sampling=16)
     path = outcome.recording.save(tmp_path / "rec")
-    loaded = Recording.load(path)
-    assert loaded.config.telemetry.enabled
-    assert loaded.config.telemetry.sampling == 16
+    manifest = json.loads((path / "manifest.json").read_text())
+    assert "telemetry" not in manifest["config"]
+    assert Recording.load(path).config == outcome.recording.config
+
+
+def test_traced_and_untraced_runs_save_identical_bundles(tmp_path):
+    plain = _record().recording.save(tmp_path / "plain")
+    traced = _traced(sampling=16).recording.save(tmp_path / "traced")
+    names = sorted(entry.name for entry in plain.iterdir())
+    assert names == sorted(entry.name for entry in traced.iterdir())
+    assert "manifest.json" in names
+    for name in names:
+        assert (plain / name).read_bytes() == (traced / name).read_bytes()
 
 
 def test_old_bundles_without_telemetry_section_load(tmp_path):
@@ -129,10 +201,31 @@ def test_old_bundles_without_telemetry_section_load(tmp_path):
 
     outcome = _record()
     path = outcome.recording.save(tmp_path / "rec")
+    manifest = json.loads((path / "manifest.json").read_text())
+    assert "telemetry" not in manifest["config"]
+    loaded = Recording.load(path)
+    assert loaded.config == outcome.recording.config
+    assert session.replay_recording(loaded) is not None
+
+
+def test_bundles_with_a_telemetry_section_load(tmp_path):
+    # Bundles written while the config carried a telemetry section.
+    from repro.capo.recording import Recording
+
+    outcome = _record()
+    path = outcome.recording.save(tmp_path / "rec")
     manifest_path = path / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    del manifest["config"]["telemetry"]  # pre-telemetry bundle
+    manifest["config"]["telemetry"] = {"enabled": True, "sampling": 16}
     manifest_path.write_text(json.dumps(manifest))
     loaded = Recording.load(path)
-    assert not loaded.config.telemetry.enabled
-    assert session.replay_recording(loaded) is not None
+    assert loaded.config == outcome.recording.config
+    result = session.replay_recording(loaded)
+    assert session.verify(outcome, result).ok
+
+
+def test_telemetry_sampling_must_be_positive():
+    with pytest.raises(ConfigError):
+        Telemetry(sampling=0)
+    with pytest.raises(ConfigError):
+        Telemetry(enabled=False, sampling=-1)

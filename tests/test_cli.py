@@ -94,6 +94,13 @@ def test_replay_missing_directory_is_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_record_trace_with_zero_sampling_is_clean_error(tmp_path, capsys):
+    assert main(["record", "counter", "--trace", str(tmp_path / "t.json"),
+                 "--sampling", "0"]) == 1
+    assert "sampling must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["record"]) == 2  # missing workload operand
     assert main(["nosuchcommand"]) == 2

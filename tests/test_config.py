@@ -11,7 +11,6 @@ from repro.config import (
     MRRConfig,
     SimConfig,
     StoreBufferConfig,
-    TelemetryConfig,
     TsoMode,
 )
 from repro.errors import ConfigError
@@ -156,8 +155,7 @@ RETIRED = [
     ("capo", "chunk_log_version", 1),
 ]
 SECTIONS = {"machine": MachineConfig, "mrr": MRRConfig,
-            "kernel": KernelConfig, "capo": CapoConfig,
-            "telemetry": TelemetryConfig}
+            "kernel": KernelConfig, "capo": CapoConfig}
 
 
 def test_retired_key_table_names_every_retired_key():
@@ -187,8 +185,7 @@ PINNED_CONFIG_JSON = [
      '"rsw", "saturation_threshold": 0.75, "log_load_hash": false}, '
      '"kernel": {"quantum_instructions": 5000, "max_threads": 64, '
      '"timeslice_jitter": 0}, "capo": {"flight_window": 0, '
-     '"flight_epoch_chunks": 64}, "telemetry": {"enabled": false, '
-     '"sampling": 64}}'),
+     '"flight_epoch_chunks": 64}}'),
     (SimConfig(machine=MachineConfig(num_cores=2, memory_bytes=1 << 20,
                                      coherence="directory"),
                mrr=MRRConfig(signature_bits=256, log_load_hash=True),
@@ -203,8 +200,7 @@ PINNED_CONFIG_JSON = [
      '"rsw", "saturation_threshold": 0.75, "log_load_hash": true}, '
      '"kernel": {"quantum_instructions": 100, "max_threads": 64, '
      '"timeslice_jitter": 3}, "capo": {"flight_window": 2, '
-     '"flight_epoch_chunks": 8}, "telemetry": {"enabled": false, '
-     '"sampling": 64}}'),
+     '"flight_epoch_chunks": 8}}'),
 ]
 
 
@@ -212,3 +208,13 @@ PINNED_CONFIG_JSON = [
 def test_manifest_config_json_is_pinned(config, expected):
     assert json.dumps(config.to_dict()) == expected
     assert SimConfig.from_dict(json.loads(expected)) == config
+
+
+def test_telemetry_section_loads_and_is_refused():
+    # Manifests written while the config carried telemetry still load;
+    # telemetry is switched on by the Telemetry a run is given instead.
+    data = SimConfig().to_dict()
+    data["telemetry"] = {"enabled": True, "sampling": 16}
+    assert SimConfig.from_dict(data) == SimConfig()
+    with pytest.raises(TypeError):
+        SimConfig(telemetry={"enabled": True})
