@@ -19,6 +19,7 @@ Run:  python examples/time_travel_debug.py
 from repro import KernelBuilder, session
 from repro.analysis.timeline import interleaving_window, render_timeline
 from repro.replay.inspect import ReplayInspector
+from repro.replay.schedule import build_schedule
 
 UPDATES = 40
 
@@ -93,8 +94,8 @@ def main() -> None:
         if invariant_broken(inspector):
             guilty_index = inspector.position - 1
             break
-    chunk = recording.chunks and sorted(
-        recording.chunks, key=lambda c: c.sort_key)[guilty_index]
+    chunk = recording.chunks and build_schedule(
+        recording.chunks)[guilty_index]
     print(f"\ninvariant first broken after chunk #{guilty_index} "
           f"(t{chunk.rthread}, ts={chunk.timestamp}, {chunk.reason}): "
           f"ledger={inspector.read_word('ledger')}, "

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..mrr.chunk import ChunkEntry, Reason
+from ..replay.schedule import build_schedule
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,11 @@ def iter_schedule(chunks: Sequence[ChunkEntry]) -> list[ScheduledChunk]:
     """The chunk log in replay order, with both coordinate systems.
 
     This is the single chunk-walk used by the timeline renderer, the
-    happens-before builder and the race detector; the ordering matches
-    :func:`repro.replay.schedule.build_schedule` exactly (sorted by
-    ``(timestamp, rthread)``).
+    happens-before builder and the race detector; the ordering is
+    :func:`repro.replay.schedule.build_schedule`'s, so analysis and replay
+    share one chunk order.
     """
-    ordered = sorted(chunks, key=lambda chunk: chunk.sort_key)
+    ordered = build_schedule(chunks)
     counters: Counter[int] = Counter()
     out = []
     for index, chunk in enumerate(ordered):

@@ -261,6 +261,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             recording=recording, directory=args.directory, jobs=args.jobs)
     else:
         result, report = session.replay_recording(recording), None
+    # A flight window's replay resumes the stats of its base record; the
+    # rows count the window's own chunks, units and events. The result
+    # digest stays cumulative, comparable with the unbounded recording's.
+    from .replay.checkpoint import flight_base_state
+    stats = result.stats
+    base = flight_base_state(recording)
+    if base is not None:
+        carried = base.header["stats"]
+        stats = dataclasses.replace(stats, **{
+            field: value - carried.get(field, 0)
+            for field, value in stats.as_dict().items()})
     ok = True
     if "final_memory_digest" in recording.metadata:
         from .replay.verify import verify_recording
@@ -270,9 +281,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     else:
         print("replayed (no verification metadata in bundle)")
     rows = {
-        "chunks replayed": result.stats.chunks,
-        "units executed": result.stats.units,
-        "events applied": result.stats.events,
+        "chunks replayed": stats.chunks,
+        "units executed": stats.units,
+        "events applied": stats.events,
         "result digest": result.digest(),
     }
     if report is not None:

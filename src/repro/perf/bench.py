@@ -9,36 +9,37 @@ regression tripwire:
 - a **digest mismatch** against the previous entry for the same
   (bench, scale, seed) means the simulation changed behaviour — that is
   blocking (exit 1); so is a **replay digest mismatch** (the replayed
-  outcome changed, or parallel replay stopped matching serial);
+  outcome changed);
 - a **rate drop** is reported as a warning only: absolute throughput
   depends on the host and is never a correctness signal.
 
-Each bench also measures *replay* throughput: a serial replay of the
-fresh recording, then — after the record pool has drained — a parallel
-interval replay at ``--replay-jobs`` over the recording's embedded
-checkpoints. The parallel pass runs in the parent process (pool workers
-are daemonic and cannot fork children of their own) against the bundle
-the worker saved, and its result digest must equal the serial one.
+Benches run one after another in the calling process. Each also measures
+*replay* throughput: a serial replay of the fresh recording, then a
+parallel interval replay at ``--replay-jobs`` over the recording's
+embedded checkpoints, run on the bundle saved and loaded back, whose
+result digest must equal the serial one.
 
-Benches fan out across a ``multiprocessing`` pool (one process per
-workload; each run is single-threaded and deterministic, so parallelism
-cannot perturb results). ``--workers 1`` runs everything serially
-in-process, which is what the test suite uses.
-
-Exposed as ``python -m repro bench-all`` and ``benchmarks/runner.py``.
+Exposed as ``python -m repro bench-all``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
-import hashlib
 import json
-import multiprocessing
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from .. import session, workloads
+from ..capo.recording import Recording
+from ..config import COHERENCE_MODELS, DEFAULT_CONFIG
+from ..replay.checkpoint import build_checkpoints
+from ..replay.parallel import replay_parallel
+from ..session import digest_of
+from .overhead import measure_overhead
 
 SCHEMA = "repro-bench-simrate/v1"
 
@@ -74,38 +75,21 @@ def chunk_rate_per_kilo_instruction(chunks: int, instructions: int) -> float:
     return 1000.0 * chunks / instructions if instructions else 0.0
 
 
-def digest_of(outcome) -> str:
-    """Determinism digest of a record run: memory image, chunk log, cycle
-    and unit counts. Bit-identical runs — and only those — share it."""
-    from ..mrr.logfmt import encode_chunks
-
-    h = hashlib.sha256()
-    h.update(outcome.final_memory_digest.encode())
-    h.update(encode_chunks(outcome.recording.chunks))
-    h.update(str(outcome.total_cycles).encode())
-    h.update(str(outcome.units).encode())
-    return h.hexdigest()
-
-
-def run_bench(spec: tuple) -> dict:
-    """Run one bench: ``spec`` is (workload, scale, seed, repeats,
-    bundle_dir).
+def run_bench(name: str, scale: int, seed: int, repeats: int,
+              replay_jobs: int) -> dict:
+    """Run one bench.
 
     Records ``repeats`` times and keeps the best wall time (the digest is
     checked identical across repeats — a varying digest would mean the
     simulator itself is nondeterministic, which is blocking by definition).
-    Then embeds checkpoints, times a serial replay, and saves the bundle
-    under ``bundle_dir`` for the parent's parallel-replay pass. Finally
-    runs the recording-overhead trajectory (native / hw-only / full, plus
-    v1-vs-v2 log bandwidth) and nests it under the
-    ``overhead`` key, so the bench history tracks recorded-vs-native cost
-    alongside throughput.
+    Then embeds checkpoints and times a serial replay, saves the bundle,
+    loads it back and times a parallel replay at ``replay_jobs`` on it,
+    whose digest must equal the serial one. Finally runs the
+    recording-overhead trajectory (native / hw-only / full, plus
+    v1-vs-v2 log bandwidth) and nests it under the ``overhead`` key, so
+    the bench history tracks recorded-vs-native cost alongside
+    throughput.
     """
-    from .. import session, workloads
-    from ..replay.checkpoint import build_checkpoints
-    from .overhead import measure_overhead
-
-    name, scale, seed, repeats, bundle_dir = spec
     workload = workloads.REGISTRY[name]
     program, inputs = workloads.build(name, scale=scale)
     best_wall = None
@@ -144,7 +128,22 @@ def run_bench(spec: tuple) -> dict:
         replay_wall = time.perf_counter() - start
     finally:
         gc.enable()
-    recording.save(Path(bundle_dir) / name)
+    replay_digest = replayed.digest()
+    with tempfile.TemporaryDirectory(prefix="qr-bench-") as directory:
+        recording.save(directory)
+        loaded = Recording.load(directory)
+        gc.collect()
+        gc.disable()
+        try:
+            result, report = replay_parallel(recording=loaded,
+                                             directory=directory,
+                                             jobs=replay_jobs)
+        finally:
+            gc.enable()
+    if result.digest() != replay_digest:
+        raise RuntimeError(
+            f"bench {name}: parallel replay digest diverged from serial "
+            f"({result.digest()[:16]} != {replay_digest[:16]})")
     overhead = measure_overhead(program, seed=seed, input_files=inputs,
                                 name=name)
     overhead_row = overhead.as_row()
@@ -163,58 +162,23 @@ def run_bench(spec: tuple) -> dict:
         "replay_wall_s": round(replay_wall, 6),
         "replay_rate_units_per_s": round(replayed.stats.units / replay_wall,
                                          1),
-        "replay_digest": replayed.digest(),
+        "replay_digest": replay_digest,
         "replay_checkpoints": len(recording.checkpoints),
+        "replay_jobs": report.jobs,
+        "replay_parallel_wall_s": round(report.wall_s, 6),
+        "replay_speedup": round(replay_wall / report.wall_s, 3)
+        if report.wall_s else 0.0,
+        "replay_speedup_bound": round(report.speedup_bound, 2),
         "overhead": overhead_row,
     }
 
 
-def measure_parallel_replay(results: list[dict], bundle_dir: Path,
-                            jobs: int) -> None:
-    """Parallel-replay each saved bundle in the parent process, recording
-    wall time and speedup into the result rows. The parallel result digest
-    must equal the worker's serial one — a mismatch is a hard error, not a
-    perf signal."""
-    from ..capo.recording import Recording
-    from ..replay.parallel import replay_parallel
-
-    for row in results:
-        directory = bundle_dir / row["workload"]
-        recording = Recording.load(directory)
-        gc.collect()
-        gc.disable()
-        try:
-            result, report = replay_parallel(recording=recording,
-                                             directory=directory, jobs=jobs)
-        finally:
-            gc.enable()
-        if result.digest() != row["replay_digest"]:
-            raise RuntimeError(
-                f"bench {row['workload']}: parallel replay digest diverged "
-                f"from serial ({result.digest()[:16]} != "
-                f"{row['replay_digest'][:16]})")
-        row["replay_jobs"] = report.jobs
-        row["replay_parallel_wall_s"] = round(report.wall_s, 6)
-        row["replay_speedup"] = round(
-            row["replay_wall_s"] / report.wall_s, 3) if report.wall_s else 0.0
-        row["replay_speedup_bound"] = round(report.speedup_bound, 2)
-
-
 def run_all(names: tuple[str, ...], scale: int, seed: int, repeats: int,
-            workers: int, replay_jobs: int = 4) -> list[dict]:
-    """Run every bench, fanning across ``workers`` processes (serial
-    in-process when 1), then measure parallel replay against each saved
-    bundle. Result order always follows ``names``."""
-    with tempfile.TemporaryDirectory(prefix="qr-bench-") as bundle_dir:
-        specs = [(name, scale, seed, repeats, bundle_dir) for name in names]
-        if workers <= 1:
-            results = [run_bench(spec) for spec in specs]
-        else:
-            with multiprocessing.Pool(
-                    processes=min(workers, len(specs))) as pool:
-                results = pool.map(run_bench, specs)
-        measure_parallel_replay(results, Path(bundle_dir), jobs=replay_jobs)
-    return results
+            replay_jobs: int = 4) -> list[dict]:
+    """Run every bench, one after another; result order follows
+    ``names``."""
+    return [run_bench(name, scale, seed, repeats, replay_jobs)
+            for name in names]
 
 
 # -- many-core scaling -------------------------------------------------------
@@ -231,11 +195,6 @@ def run_scaling(core_counts: tuple[int, ...] = SCALING_CORES,
     contract) is blocking, as is a directory that fails to beat broadcast
     by ``SCALING_SAVED_RATIO_MIN`` at the largest core count.
     """
-    import dataclasses
-
-    from .. import session, workloads
-    from ..config import COHERENCE_MODELS, DEFAULT_CONFIG
-
     rows: list[dict] = []
     blocking: list[str] = []
     for cores in core_counts:
@@ -291,37 +250,6 @@ def run_scaling(core_counts: tuple[int, ...] = SCALING_CORES,
     return rows, blocking
 
 
-def compare_scaling(previous: dict | None,
-                    rows: list[dict]) -> tuple[list[str], list[str]]:
-    """Digest-gate the scaling series against the previous entry, same
-    contract as :func:`compare` (mismatch blocks, rate drops warn)."""
-    blocking: list[str] = []
-    warnings: list[str] = []
-    if not previous:
-        return blocking, warnings
-    prior = {(r["workload"], r["cores"], r["scale"], r["seed"]): r
-             for r in previous.get("scaling", [])}
-    for row in rows:
-        old = prior.get((row["workload"], row["cores"], row["scale"],
-                         row["seed"]))
-        if old is None:
-            continue
-        if old["digest"] != row["digest"]:
-            blocking.append(
-                f"scaling {row['workload']}@{row['cores']}: determinism "
-                f"digest changed ({old['digest'][:16]} -> "
-                f"{row['digest'][:16]})")
-        for coherence in ("snoop", "directory"):
-            old_rate = old.get(coherence, {}).get("rate_units_per_s")
-            new_rate = row[coherence]["rate_units_per_s"]
-            if old_rate and new_rate / old_rate < SLOWDOWN_WARN_RATIO:
-                warnings.append(
-                    f"scaling {row['workload']}@{row['cores']} "
-                    f"[{coherence}]: rate dropped to "
-                    f"{new_rate / old_rate:.0%} of the previous run")
-    return blocking, warnings
-
-
 # -- history file ------------------------------------------------------------
 
 def load_history(path: Path) -> dict:
@@ -334,50 +262,62 @@ def load_history(path: Path) -> dict:
     return history
 
 
-def compare(previous: dict | None, results: list[dict]) -> tuple[list[str],
-                                                                 list[str]]:
-    """Compare fresh results against the previous history entry.
+def _gated(row: dict) -> tuple[tuple, str, dict, dict]:
+    """A history row's match key, its label, its digests and its rates.
 
-    Returns (blocking, warnings): digest mismatches on a matching
-    (bench, scale, seed) block; rate drops merely warn.
+    Bench rows match on (bench, scale, seed); scaling-series rows, which
+    carry one rate per coherence fabric, on (workload, cores, scale,
+    seed).
+    """
+    if "cores" in row:
+        key = (row["workload"], row["cores"], row["scale"], row["seed"])
+        label = f"scaling {row['workload']}@{row['cores']}"
+        digests = {"determinism": row["digest"]}
+        rates = {f"[{coherence}] rate":
+                 row.get(coherence, {}).get("rate_units_per_s")
+                 for coherence in COHERENCE_MODELS}
+        return key, label, digests, rates
+    key = (row["bench"], row["scale"], row["seed"])
+    digests = {"determinism": row["digest"],
+               "replay": row.get("replay_digest")}
+    rates = {"rate": row["rate_units_per_s"],
+             "replay rate": row.get("replay_rate_units_per_s")}
+    return key, row["bench"], digests, rates
+
+
+def compare(previous: dict | None, rows: list[dict]) -> tuple[list[str],
+                                                              list[str]]:
+    """Compare fresh bench and scaling rows against the previous history
+    entry.
+
+    Returns (blocking, warnings): a digest change on a matching key
+    blocks, a rate below ``SLOWDOWN_WARN_RATIO`` of the previous one
+    warns, and rows whose key the previous entry lacks are skipped.
     """
     blocking: list[str] = []
     warnings: list[str] = []
-    if previous is None:
+    if not previous:
         return blocking, warnings
-    prior = {(r["bench"], r["scale"], r["seed"]): r
-             for r in previous["results"]}
-    for result in results:
-        old = prior.get((result["bench"], result["scale"], result["seed"]))
-        if old is None:
+    prior = {}
+    for row in (*previous.get("results", ()), *previous.get("scaling", ())):
+        key, _label, digests, rates = _gated(row)
+        prior[key] = digests, rates
+    for row in rows:
+        key, label, digests, rates = _gated(row)
+        if key not in prior:
             continue
-        if old["digest"] != result["digest"]:
-            blocking.append(
-                f"{result['bench']}: determinism digest changed "
-                f"({old['digest'][:16]} -> {result['digest'][:16]}) — "
-                "the simulation is no longer bit-identical")
-        if old.get("replay_digest") and result.get("replay_digest") \
-                and old["replay_digest"] != result["replay_digest"]:
-            blocking.append(
-                f"{result['bench']}: replay digest changed "
-                f"({old['replay_digest'][:16]} -> "
-                f"{result['replay_digest'][:16]}) — replay no longer "
-                "reproduces the same outcome")
-        ratio = (result["rate_units_per_s"] / old["rate_units_per_s"]
-                 if old["rate_units_per_s"] else 1.0)
-        if ratio < SLOWDOWN_WARN_RATIO:
-            warnings.append(
-                f"{result['bench']}: rate dropped to {ratio:.0%} of the "
-                f"previous run ({old['rate_units_per_s']:,.0f} -> "
-                f"{result['rate_units_per_s']:,.0f} units/s)")
-        old_replay = old.get("replay_rate_units_per_s")
-        new_replay = result.get("replay_rate_units_per_s")
-        if old_replay and new_replay \
-                and new_replay / old_replay < SLOWDOWN_WARN_RATIO:
-            warnings.append(
-                f"{result['bench']}: replay rate dropped to "
-                f"{new_replay / old_replay:.0%} of the previous run "
-                f"({old_replay:,.0f} -> {new_replay:,.0f} units/s)")
+        old_digests, old_rates = prior[key]
+        for kind, new in digests.items():
+            old = old_digests.get(kind)
+            if old and new and old != new:
+                blocking.append(f"{label}: {kind} digest changed "
+                                f"({old[:16]} -> {new[:16]})")
+        for kind, new in rates.items():
+            old = old_rates.get(kind)
+            if old and new and new / old < SLOWDOWN_WARN_RATIO:
+                warnings.append(
+                    f"{label}: {kind} dropped to {new / old:.0%} of the "
+                    f"previous run ({old:,.0f} -> {new:,.0f} units/s)")
     return blocking, warnings
 
 
@@ -394,9 +334,6 @@ def add_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repeats per bench; best wall kept "
                              "(default 3)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: one per bench, "
-                             "capped at CPU count); 1 = serial in-process")
     parser.add_argument("--replay-jobs", type=int, default=4,
                         help="worker processes for the parallel replay "
                              "measurement (default 4)")
@@ -416,20 +353,16 @@ def add_args(parser: argparse.ArgumentParser) -> None:
 
 def run(args: argparse.Namespace) -> int:
     names = QUICK_WORKLOADS if args.quick else FULL_WORKLOADS
-    workers = args.workers
-    if workers is None:
-        workers = min(len(names), multiprocessing.cpu_count())
     out_path = Path(args.out) if args.out else Path("BENCH_simrate.json")
 
     history = load_history(out_path)
     previous = history["entries"][-1] if history["entries"] else None
 
     results = run_all(names, scale=args.scale, seed=args.seed,
-                      repeats=args.repeats, workers=workers,
-                      replay_jobs=args.replay_jobs)
-    blocking, warnings = compare(previous, results)
+                      repeats=args.repeats, replay_jobs=args.replay_jobs)
 
     scaling_rows: list[dict] = []
+    scaling_blocking: list[str] = []
     if not args.no_scaling:
         if args.scaling_cores:
             core_counts = tuple(int(c) for c
@@ -438,11 +371,8 @@ def run(args: argparse.Namespace) -> int:
             core_counts = (4, 16) if args.quick else SCALING_CORES
         scaling_rows, scaling_blocking = run_scaling(core_counts,
                                                      seed=args.seed)
-        blocking.extend(scaling_blocking)
-        more_blocking, more_warnings = compare_scaling(previous,
-                                                       scaling_rows)
-        blocking.extend(more_blocking)
-        warnings.extend(more_warnings)
+    blocking, warnings = compare(previous, results + scaling_rows)
+    blocking.extend(scaling_blocking)
 
     entry = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

@@ -23,6 +23,7 @@ experiments isolate recording cost.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -34,6 +35,7 @@ from .isa.program import Program
 from .kernel.kernel import Kernel
 from .machine.interleave import make_interleaver
 from .machine.machine import Machine
+from .mrr.logfmt import encode_chunks
 from .perf.costmodel import CostModel
 from .replay.replayer import ReplayResult
 from .replay.verify import VerificationReport, verify_replay
@@ -77,6 +79,17 @@ class RunOutcome:
     @property
     def instructions(self) -> int:
         return sum(core["retired"] for core in self.machine_stats["cores"])
+
+
+def digest_of(outcome: RunOutcome) -> str:
+    """Determinism digest of a record run: memory image, chunk log, cycle
+    and unit counts. Bit-identical runs — and only those — share it."""
+    h = hashlib.sha256()
+    h.update(outcome.final_memory_digest.encode())
+    h.update(encode_chunks(outcome.recording.chunks))
+    h.update(str(outcome.total_cycles).encode())
+    h.update(str(outcome.units).encode())
+    return h.hexdigest()
 
 
 def _region_of(program: Program) -> tuple[int, int]:

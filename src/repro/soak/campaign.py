@@ -3,10 +3,10 @@
 A campaign maps seeds onto fully-deterministic verdicts: each seed's
 result depends only on ``(seed, options)``, never on worker count or
 scheduling, so ``--jobs 1`` and ``--jobs 8`` produce identical reports
-(the property the determinism tests pin). Fan-out follows the
-``benchmarks/runner.py`` pool pattern: one process per worker, results
-streamed back in seed order; ``jobs=1`` runs serially in-process, which
-is what the test suite uses.
+(the property the determinism tests pin). Fan-out is a
+``multiprocessing`` pool: one process per worker, results streamed back
+in seed order; ``jobs=1`` runs serially in-process, which is what the
+test suite uses.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from repro.config import (
 from repro.machine.bus import DirectoryBus, SnoopBus
 from repro.machine.cache import EXCLUSIVE, MODIFIED, SHARED
 from repro.mrr.chunk import Reason
-from repro.perf.bench import digest_of
+from repro.session import digest_of
 
 
 def _mesi_checked(bus_cls):

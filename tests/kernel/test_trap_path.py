@@ -39,7 +39,7 @@ from repro.isa.builder import (
     KernelBuilder,
 )
 from repro.kernel.kernel import Kernel
-from repro.perf.bench import digest_of
+from repro.session import digest_of
 from repro.telemetry import Telemetry
 from repro.workloads.fuzz import build_program
 from tests.integration.test_spheres import background_program, sphere_program

@@ -37,8 +37,8 @@ from repro.isa.assembler import assemble
 from repro.machine.machine import Machine
 from repro.mrr import recorder as recorder_module
 from repro.mrr.chunk import Reason
-from repro.perf.bench import digest_of
 from repro.replay.schedule import build_schedule
+from repro.session import digest_of
 from tests.conftest import wire_recorder
 
 

@@ -38,7 +38,7 @@ from repro.config import (
 from repro.kernel.kernel import Kernel
 from repro.mrr.chunk import Reason
 from repro.mrr.recorder import MemoryRaceRecorder
-from repro.perf.bench import digest_of
+from repro.session import digest_of
 from repro.telemetry import Telemetry
 from repro.workloads.fuzz import build_program
 from tests.kernel.test_trap_path import _first_difference

@@ -34,7 +34,7 @@ from repro.isa.assembler import assemble
 from repro.machine.machine import Machine
 from repro.mrr.chunk import Reason
 from repro.mrr.recorder import MemoryRaceRecorder
-from repro.perf.bench import digest_of
+from repro.session import digest_of
 from repro.telemetry import Telemetry
 from repro.workloads.fuzz import build_program
 from tests.conftest import wire_recorder

@@ -36,7 +36,7 @@ from repro.machine.bus import SnoopBus
 from repro.machine.cache import EXCLUSIVE, SHARED
 from repro.machine.machine import Machine
 from repro.mrr.chunk import Reason
-from repro.perf.bench import digest_of
+from repro.session import digest_of
 from repro.telemetry import Telemetry
 from tests.conftest import wire_recorder
 

@@ -17,7 +17,7 @@ from repro.isa.assembler import assemble
 from repro.isa.operands import Reg
 from repro.machine.core import Engine, OUTCOME_OK, OUTCOME_SYSCALL
 from repro.machine.memory import PhysicalMemory
-from repro.perf.bench import digest_of
+from repro.session import digest_of
 
 from tests.conftest import DirectPort
 

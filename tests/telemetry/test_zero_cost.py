@@ -9,7 +9,7 @@ with the run and this suite fails.
 """
 
 from repro import session, workloads
-from repro.perf.bench import digest_of
+from repro.session import digest_of
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 

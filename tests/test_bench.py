@@ -9,8 +9,8 @@ from repro.perf import bench
 
 def _run(tmp_path, extra=()):
     out = tmp_path / "bench.json"
-    argv = ["--quick", "--workers", "1", "--repeats", "1",
-            "--scale", "1", "--out", str(out), *extra]
+    argv = ["--quick", "--repeats", "1", "--scale", "1", "--out", str(out),
+            *extra]
     return bench.main(argv), out
 
 
@@ -83,11 +83,31 @@ def test_compare_scaling_gates_digests_and_warns_on_rate():
                             row(16, "bbbb", 100_000.0)]}
     rows = [row(4, "XXXX", 100_000.0),
             row(16, "bbbb", 100_000.0 * bench.SLOWDOWN_WARN_RATIO / 2)]
-    blocking, warnings = bench.compare_scaling(previous, rows)
+    blocking, warnings = bench.compare(previous, rows)
     assert len(blocking) == 1 and "pingpong@4" in blocking[0]
     assert len(warnings) == 2  # both fabrics slowed at 16 cores
-    # unseen (workload, cores) pairs are ignored, same as compare()
-    assert bench.compare_scaling(previous, [row(64, "cccc", 1.0)]) == ([], [])
+    # unseen (workload, cores) pairs are ignored, as unseen benches are
+    assert bench.compare(previous, [row(64, "cccc", 1.0)]) == ([], [])
+
+
+def test_parallel_replay_digest_mismatch_raises(monkeypatch):
+    real = bench.replay_parallel
+
+    def diverging(**kwargs):
+        result, report = real(**kwargs)
+        result.final_memory_digest = "0" * 64
+        return result, report
+
+    monkeypatch.setattr(bench, "replay_parallel", diverging)
+    with pytest.raises(RuntimeError, match="parallel replay digest diverged"):
+        bench.run_bench("counter", scale=1, seed=2, repeats=1, replay_jobs=1)
+
+
+def test_digest_varying_across_repeats_raises(monkeypatch):
+    digests = iter(["a" * 64, "b" * 64])
+    monkeypatch.setattr(bench, "digest_of", lambda outcome: next(digests))
+    with pytest.raises(RuntimeError, match="nondeterministic digest"):
+        bench.run_bench("counter", scale=1, seed=2, repeats=2, replay_jobs=1)
 
 
 def test_digest_mismatch_blocks_with_exit_1(tmp_path, capsys):
@@ -140,7 +160,7 @@ def test_cli_integration(tmp_path):
     from repro.cli import main as cli_main
 
     out = tmp_path / "cli.json"
-    code = cli_main(["bench-all", "--quick", "--workers", "1",
-                     "--repeats", "1", "--scale", "1", "--out", str(out)])
+    code = cli_main(["bench-all", "--quick", "--repeats", "1",
+                     "--scale", "1", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["schema"] == bench.SCHEMA

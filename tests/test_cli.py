@@ -373,3 +373,41 @@ def test_stats_renders_capture_rows(capsys):
 def test_fuzz_flight_requires_artifacts(capsys):
     assert main(["fuzz", "--count", "1", "--flight", "2"]) == 2
     assert "--flight needs --artifacts" in capsys.readouterr().err
+
+
+def _replayed_chunks(directory, capsys, jobs=1):
+    assert main(["replay", str(directory), "--jobs", str(jobs)]) == 0
+    for line in capsys.readouterr().out.splitlines():
+        if line.strip().startswith("chunks replayed"):
+            return int(line.split()[-1].replace(",", ""))
+    raise AssertionError("no 'chunks replayed' row")
+
+
+def test_replay_counts_a_flight_windows_own_chunks(tmp_path, capsys):
+    from repro import session
+    from repro.capo.recording import Recording
+
+    window = tmp_path / "window"
+    assert main(["record", "locks", "--seed", "1", "--flight-window", "2",
+                 "--flight-epoch", "16", "-o", str(window)]) == 0
+    capsys.readouterr()
+    recording = Recording.load(window)
+    # the window evicted: its replay starts from a position-0 base record
+    assert recording.checkpoint_at(0) is not None
+    chunks = len(recording.chunks)
+    assert _replayed_chunks(window, capsys) == chunks
+    checkpointed = tmp_path / "checkpointed"
+    session.add_checkpoints(recording, 8).save(checkpointed)
+    assert _replayed_chunks(checkpointed, capsys, jobs=2) == chunks
+
+
+def test_replay_counts_an_ordinary_bundles_chunks(tmp_path, capsys):
+    from repro.capo.recording import Recording
+
+    rec_dir = tmp_path / "rec"
+    assert main(["record", "locks", "--seed", "1", "-o", str(rec_dir),
+                 "--checkpoint-every", "64"]) == 0
+    capsys.readouterr()
+    chunks = len(Recording.load(rec_dir).chunks)
+    assert _replayed_chunks(rec_dir, capsys) == chunks
+    assert _replayed_chunks(rec_dir, capsys, jobs=2) == chunks
