@@ -97,9 +97,12 @@ def test_t4_checkpoint_codec_throughput(benchmark):
     start = time.perf_counter()
     decode_checkpoints(blob)
     decode_s = time.perf_counter() - start
+    # The committed figure holds only the deterministic sizes; the host
+    # timings are printed, so a suite run leaves the result unchanged.
     publish("t4_checkpoints",
             f"T4: checkpoint section, {len(records)} x "
             f"{raw / len(records) / 1e6:.1f} MB payloads -> "
-            f"{len(blob) / 1e3:.0f} KB; encode {encode_s * 1e3:.0f} ms "
-            f"({raw / encode_s / 1e6:.0f} MB/s), decode with digest checks "
-            f"{decode_s * 1e3:.0f} ms ({raw / decode_s / 1e6:.0f} MB/s)")
+            f"{len(blob) / 1e3:.0f} KB")
+    print(f"T4: checkpoint encode {encode_s * 1e3:.0f} ms "
+          f"({raw / encode_s / 1e6:.0f} MB/s), decode with digest checks "
+          f"{decode_s * 1e3:.0f} ms ({raw / decode_s / 1e6:.0f} MB/s)")

@@ -683,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="re-run a triage artifact's (minimized) case "
                              "instead of a campaign")
     p_fuzz.add_argument("--inject", default=None,
-                        choices=("decode-cache", "snoop-filter"),
+                        choices=("decode-cache",),
                         help="fault-inject one variant (harness self-test; "
                              "needs --matrix)")
     p_fuzz.add_argument("--trace", default=None, metavar="PATH",

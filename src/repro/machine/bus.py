@@ -12,17 +12,20 @@ front-side bus. Two kinds of agents observe transactions:
 
 Both fabrics (selected by ``MachineConfig.coherence``) run the one
 transaction body, :meth:`SnoopBus.transaction`; they differ only in which
-caches it snoops and in how the notifies are counted:
+caches it snoops, which recorders it tests and how the notifies are
+counted:
 
 - :class:`SnoopBus` — the reference broadcast fabric: every transaction
-  architecturally reaches all other agents (``num_cores - 1`` snoops),
-  with the conservative presence filter skipping the (barring Bloom
-  false positives) provable no-ops.
+  reaches all other agents (``num_cores - 1`` snoops). Every other
+  recorder tests its signatures against the line; the conservative
+  presence summary lets the simulator skip only the cache snoops that are
+  provable no-ops.
 - :class:`DirectoryBus` — a home-node directory that additionally keeps
   the *exact* per-line sharer set (maintained on fill and eviction) and
   notifies caches point-to-point, O(sharers) instead of O(num_cores).
-  Recorder notifications deliberately stay presence-based — see the class
-  docstring for why anything tighter would break bit-identity.
+  It forwards the recorder test to the cores in the presence summary
+  only, so it records what the snooping bus records only while no Bloom
+  signature aliases the line — see the class docstring.
 
 The transaction also fills the requester's cache and charges its cycles,
 so a miss is one call from the core's memory path.
@@ -85,8 +88,7 @@ class BusStats:
 class SnoopBus:
     """Serializes coherence transactions across ``num_cores`` agents."""
 
-    def __init__(self, num_cores: int, filter_snoops: bool = True,
-                 cost: CostModel | None = None,
+    def __init__(self, num_cores: int, cost: CostModel | None = None,
                  telemetry: Telemetry | None = None):
         self.num_cores = num_cores
         self._caches: list[MESICache | None] = [None] * num_cores
@@ -102,9 +104,6 @@ class SnoopBus:
         self.order_clock = 0
         # Hoisted broadcast fan-out for the notify accounting.
         self._broadcast = num_cores - 1
-        # Presence-based snoop filtering (see transaction for when it is
-        # not free; the MESI invariant suite compares both settings).
-        self.filter_snoops = filter_snoops
         # Conservative per-line presence summary: bit c set means core c
         # *may* hold the line. Lines with no transaction history default to
         # "anyone may hold it" (tests pre-fill caches directly, bypassing
@@ -113,7 +112,7 @@ class SnoopBus:
         # same transaction — and is never cleared on eviction, so the
         # summary is always a superset of the true holder set and of every
         # line truly inserted in a recorder signature (pinned by the MESI
-        # invariant suite). Always maintained, even with filtering off.
+        # invariant suite).
         self._all_mask = (1 << num_cores) - 1
         self._presence: dict[int, int] = {}
         # The directory's exact per-line cache-holder set; None on the
@@ -142,9 +141,10 @@ class SnoopBus:
                     upgrade: bool = False) -> None:
         """Run one transaction for the requesting ``core``.
 
-        Snoops the other present cores' caches and tests their recorders'
-        signatures, terminating a recorder's chunk on a hit; then fills
-        the requester's cache and charges its cycles. ``upgrade`` marks a
+        Snoops the other present cores' caches and tests the other
+        recorders' signatures (on the directory, the present ones'),
+        terminating a recorder's chunk on a hit; then fills the
+        requester's cache and charges its cycles. ``upgrade`` marks a
         Shared-to-Modified upgrade (the requester already holds the line;
         no data transfer, but invalidations and snooping still occur).
         """
@@ -157,37 +157,33 @@ class SnoopBus:
         else:
             stats.reads += 1
 
-        # Presence-filtered snooping: cores whose presence bit is clear can
-        # hold neither the line (their copy was invalidated by the write
-        # that cleared the bit) nor a true signature entry for it (that
-        # same transaction tested their recorder, and a true member always
-        # tests positive, terminating the chunk and clearing the
-        # signatures). Skipping them mutates no cache state and no stats,
-        # and no recorder state barring a Bloom false positive: a skipped
-        # signature that tests positive on a line it never saw is cut by
-        # the broadcast fabric only (radix differs at 128-bit signatures,
-        # not at 512). The filtered mask is read once, before any update,
-        # so a transaction never filters on its own effects. Filtering off
-        # degrades to broadcast, preserving the ablation.
+        # Presence filters the cache snoops: a core whose presence bit is
+        # clear cannot hold the line (the write that cleared the bit
+        # invalidated its copy), so skipping its snoop mutates nothing.
+        # It does not filter the snooping bus's recorder tests: that core
+        # holds no true signature entry for the line (the same write
+        # tested its recorder, and a true member always tests positive),
+        # but a Bloom signature can still alias the line, and every MRR on
+        # a shared bus sees every transaction. The mask is read once,
+        # before any update, so a transaction never filters on its own
+        # effects.
         all_mask = self._all_mask
-        present = (self._presence.get(line, all_mask)
-                   if self.filter_snoops else all_mask)
+        present = self._presence.get(line, all_mask)
         req_bit = 1 << core.core_id
         notify = present & ~req_bit
         broadcast = self._broadcast
         stats.broadcast_snoops += broadcast
         sharer_sets = self._sharers
         if sharer_sets is None:
-            # A shared bus is architecturally a broadcast: every other
-            # agent observes the transaction, whether or not the presence
-            # filter lets the simulator skip the provable no-op snoops.
             stats.notifies_sent += broadcast
             cache_mask = notify
+            tested = all_mask ^ req_bit
         else:
             # The directory sends one message per present core and snoops
             # only the caches that really hold the line.
             sharers = sharer_sets.get(line, all_mask)
             cache_mask = notify & sharers
+            tested = notify
             sent = notify.bit_count()
             stats.notifies_sent += sent
             stats.notifies_saved += broadcast - sent
@@ -204,7 +200,11 @@ class SnoopBus:
         flushed = False
         caches = self._caches
         recorders = self._recorders
-        mask = notify
+        # The line's signature mask, looked up at the first non-empty
+        # signature: every recorder hashes with the one shared hasher of
+        # the machine's MRR geometry, so one lookup serves them all.
+        sig_mask = 0
+        mask = tested
         while mask:
             low = mask & -mask
             mask ^= low
@@ -243,9 +243,9 @@ class SnoopBus:
             read_word = recorder.read_sig._word if is_write else 0
             if not (write_word or read_word):
                 continue
-            sig_mask = recorder._masks.get(line)
-            if sig_mask is None:
-                sig_mask = recorder._hasher.mask(line)
+            if not sig_mask:
+                sig_mask = (recorder._masks.get(line)
+                            or recorder._hasher.mask(line))
             if write_word & sig_mask == sig_mask:
                 reason = _WAW if is_write else _RAW
                 if recorder._tm_on:
@@ -327,15 +327,16 @@ class DirectoryBus(SnoopBus):
       non-holder is a pure no-op (no state change, no stats), so skipping
       it is bit-identical — same argument as the presence filter, with a
       tight set instead of a superset.
-    - **Recorders**: every core in the *presence* set has its signatures
-      tested, exactly as on the snooping bus. This set cannot be tightened further: a Bloom
-      signature can false-positive on a line the recorder never truly
-      touched, so a core that evicted the line (out of the sharer set,
-      still in presence) may still terminate its chunk on this snoop.
-      Skipping it would change which chunks get cut — not bit-identical.
-      The directory models this as the home node forwarding the
-      transaction to every core whose recorder may hold the line in a
-      signature, which is precisely what presence summarizes.
+    - **Recorders**: the home node forwards the transaction to every core
+      in the *presence* set, whose recorder may hold the line truly in a
+      signature. The sharer set is too tight for that: a core that evicted
+      the line (out of the sharer set, still in presence) still carries it
+      in its signatures. Presence is as far as a home node can see, since
+      it cannot know which signatures alias the line. The snooping bus
+      tests every recorder instead, so the two fabrics record alike only
+      while no Bloom signature false-positives on a core whose presence
+      bit a remote write cleared: that core's chunk is cut on the
+      snooping bus and not here.
 
     The transaction is the shared :meth:`SnoopBus.transaction`; its notify
     counters record the point-to-point messages actually sent
@@ -343,10 +344,9 @@ class DirectoryBus(SnoopBus):
     would have cost, and ``sharer_hist`` the exact holder-set sizes.
     """
 
-    def __init__(self, num_cores: int, filter_snoops: bool = True,
-                 cost: CostModel | None = None,
+    def __init__(self, num_cores: int, cost: CostModel | None = None,
                  telemetry: Telemetry | None = None):
-        super().__init__(num_cores, filter_snoops, cost, telemetry)
+        super().__init__(num_cores, cost, telemetry)
         # Same untracked default as presence ("anyone may hold it").
         self._sharers = {}
 

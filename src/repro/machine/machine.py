@@ -262,17 +262,15 @@ class _RecordPort:
 class Machine:
     """The QuickIA box: ``num_cores`` cores over one snoop bus.
 
-    ``decode_cache`` (compiled engines) and ``filter_snoops`` (presence-
-    filtered snoops) are implementation switches: a run is bit-identical
-    with either off, which the equivalence suites and the soak lattice
-    check, unless a Bloom signature false-positives on a core the filter
-    skips (see :meth:`SnoopBus.transaction`).
+    ``decode_cache`` (compiled engines) is an implementation switch: a
+    run is bit-identical with it off, which the equivalence suites and
+    the soak lattice check.
     """
 
     def __init__(self, config: MachineConfig | None = None,
                  cost: CostModel | None = None,
                  telemetry: Telemetry | None = None,
-                 decode_cache: bool = True, filter_snoops: bool = True):
+                 decode_cache: bool = True):
         self.config = config or MachineConfig()
         self.decode_cache = decode_cache
         self.cost = cost or DEFAULT_COST_MODEL
@@ -282,8 +280,7 @@ class Machine:
         # checked subclasses by monkeypatching this module's names.
         bus_cls = (DirectoryBus if self.config.coherence == COHERENCE_DIRECTORY
                    else SnoopBus)
-        self.bus = bus_cls(self.config.num_cores, filter_snoops, self.cost,
-                           self.telemetry)
+        self.bus = bus_cls(self.config.num_cores, self.cost, self.telemetry)
         self.cores = [Core(core_id, self) for core_id in range(self.config.num_cores)]
         for core in self.cores:
             self.bus.attach_cache(core.core_id, core.cache)

@@ -118,8 +118,7 @@ def simulate(program: Program, config: SimConfig | None = None,
              background_programs: Sequence[Program] = (),
              max_units: int = 200_000_000,
              telemetry: Telemetry | None = None,
-             decode_cache: bool = True,
-             filter_snoops: bool = True) -> RunOutcome:
+             decode_cache: bool = True) -> RunOutcome:
     """Run ``program`` to completion under the given recording mode.
 
     ``background_programs`` are loaded as additional *unrecorded*
@@ -130,16 +129,15 @@ def simulate(program: Program, config: SimConfig | None = None,
 
     ``telemetry`` is the one switch for tracing and metrics.
 
-    ``decode_cache`` and ``filter_snoops`` switch off the machine's
-    compiled engines and presence-filtered snoops; see :class:`Machine`
-    for when the run is bit-identical either way.
+    ``decode_cache=False`` switches off the machine's compiled engines;
+    the run is bit-identical either way (see :class:`Machine`).
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; choose from {MODES}")
     config = config or DEFAULT_CONFIG
     telemetry = telemetry or NULL_TELEMETRY
     machine = Machine(config.machine, cost=cost, telemetry=telemetry,
-                      decode_cache=decode_cache, filter_snoops=filter_snoops)
+                      decode_cache=decode_cache)
     if telemetry.enabled:
         # Trace time is simulated time: one tick per machine step.
         telemetry.tracer.clock = lambda: machine.global_step

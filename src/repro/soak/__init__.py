@@ -5,9 +5,9 @@ The paper's guarantee is that the logs capture *all* nondeterminism; this
 subsystem turns that into a continuously-testable property. A campaign
 fans random racy programs (:mod:`repro.workloads.fuzz`) across worker
 processes, runs each seed through a lattice of implementation variants
-(decode cache, snoop filter, compression, telemetry, store-buffer and
-scheduler shapes), and fails on any divergence between variants that must
-agree bit-for-bit — then delta-debugs failing seeds down to minimal
+(decode cache, coherence fabric, checkpoints, telemetry, store-buffer
+and scheduler shapes), and fails on any divergence between variants that
+must agree bit-for-bit — then delta-debugs failing seeds down to minimal
 reproducers and writes triage artifacts.
 
 See ``docs/TESTING.md`` for the campaign semantics and the lattice.
@@ -21,7 +21,7 @@ from .campaign import (
     run_case,
     run_seed,
 )
-from .differential import INJECTABLE, SeedFailure, outcome_digest
+from .differential import SeedFailure, outcome_digest
 from .shrink import ShrinkResult, ddmin, shrink_case
 from .triage import (
     load_artifact,
@@ -34,7 +34,6 @@ from .variants import BASELINE, Variant, matrix_variants
 __all__ = [
     "BASELINE",
     "CampaignReport",
-    "INJECTABLE",
     "SeedFailure",
     "SeedVerdict",
     "ShrinkResult",

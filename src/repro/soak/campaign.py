@@ -17,7 +17,7 @@ from typing import Callable
 
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..workloads.fuzz import FuzzCase, generate_case
-from .differential import INJECTABLE, SeedFailure, run_case_checks
+from .differential import SeedFailure, run_case_checks
 from .shrink import ShrinkResult, shrink_case
 
 
@@ -25,10 +25,9 @@ from .shrink import ShrinkResult, shrink_case
 class SoakOptions:
     """Everything that parameterizes a campaign besides the seed range.
 
-    ``inject`` perturbs one variant's program (see
-    :data:`~repro.soak.differential.INJECTABLE`) — the harness's own
-    end-to-end self-test; it requires ``matrix`` since the perturbed
-    variant only runs there.
+    ``inject="decode-cache"`` perturbs the ``decode-off`` variant's
+    program — the harness's own end-to-end self-test; it requires
+    ``matrix`` since that variant only runs there.
 
     ``flight_window`` > 0 makes triage re-record each failing seed under
     an N-epoch flight ring and package the window as a crash bundle
@@ -42,10 +41,9 @@ class SoakOptions:
     flight_window: int = 0
 
     def __post_init__(self) -> None:
-        if self.inject is not None and self.inject not in INJECTABLE:
-            raise ValueError(
-                f"unknown injection {self.inject!r}; choose from "
-                f"{INJECTABLE}")
+        if self.inject not in (None, "decode-cache"):
+            raise ValueError(f"unknown injection {self.inject!r}; the one "
+                             "fault is 'decode-cache'")
         if self.flight_window < 0:
             raise ValueError("flight_window must be >= 0")
 

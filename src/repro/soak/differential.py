@@ -14,10 +14,10 @@ baseline plus (with the matrix on) every lattice variant, and collects
 - ``roundtrip``  — a recording failed to survive ``Recording`` save/load
   including the load from the compact chunk log alone.
 
-Fault injection (``inject=``) perturbs the op list of one variant's
-program, simulating a miscompiled decode template or a snoop filter that
-drops a conflict: the end-to-end self-test that the oracle, the shrinker
-and the triage pipeline actually catch real divergences.
+Fault injection (``inject="decode-cache"``) perturbs the op list of the
+``decode-off`` variant's program, simulating a miscompiled decode
+template: the end-to-end self-test that the oracle, the shrinker and the
+triage pipeline actually catch real divergences.
 """
 
 from __future__ import annotations
@@ -36,15 +36,6 @@ from ..mrr.logfmt import encode_chunks
 from ..telemetry import Telemetry
 from ..workloads.fuzz import FuzzCase, build_program
 from .variants import BASELINE, Variant, matrix_variants
-
-#: Faults the campaign can inject (``quickrec fuzz --inject``), mapping to
-#: the variant whose program gets perturbed.
-INJECTABLE = ("decode-cache", "snoop-filter")
-_INJECT_TARGET = {
-    "decode-cache": "decode-off",
-    "snoop-filter": "snoop-filter-off",
-}
-
 
 @dataclass
 class SeedFailure:
@@ -109,12 +100,11 @@ def run_variant(case: FuzzCase, variant: Variant, inject: str | None = None):
     propagate to the caller, which records them as ``exception`` failures.
     """
     ops = case.threads_ops
-    if inject is not None and _INJECT_TARGET.get(inject) == variant.name:
+    if inject == "decode-cache" and variant.name == "decode-off":
         ops = _injected_ops(case)
     program = build_program(ops, repeats=case.repeats)
     config = variant.apply(case.config)
     switches = {"decode_cache": variant.decode_cache,
-                "filter_snoops": variant.snoop_filter,
                 "telemetry": Telemetry(sampling=64) if variant.telemetry
                 else None}
     if variant.checkpoint_every:

@@ -3,14 +3,14 @@
 Variants come in two strengths:
 
 - **bit-identical** variants toggle mechanisms that are documented as
-  observationally free — the decode cache, presence-based snoop
-  filtering, the directory coherence fabric, telemetry, embedded
-  checkpoints. A run under any of these must produce exactly the
-  baseline's digest (memory image, chunk log, input log, outputs, exit
-  codes, cycle and unit counts). Snoop filtering is free only while no
-  Bloom signature false-positives on a core whose presence bit a remote
-  write cleared (the unfiltered fabric then cuts a chunk the filtered
-  one skips); the generated cases have not hit that so far.
+  observationally free — the decode cache, the directory coherence
+  fabric, telemetry, embedded checkpoints. A run under any of these must
+  produce exactly the baseline's digest (memory image, chunk log, input
+  log, outputs, exit codes, cycle and unit counts). The directory is free
+  only while no Bloom signature false-positives on a core whose presence
+  bit a remote write cleared (the snooping bus then cuts a chunk the
+  directory does not forward); the generated cases have not hit that so
+  far.
 - **self-verifying** variants change real machine/kernel shape
   (store-buffer depth and drain cadence, scheduler quantum), so they
   legitimately execute a different interleaving. For those the oracle is
@@ -35,10 +35,10 @@ class Variant:
 
     name: str
     decode_cache: bool = True
-    snoop_filter: bool = True
     #: Coherence fabric override (``"directory"`` swaps the snooping bus
     #: for the exact-sharer directory; None keeps the case's fabric).
-    #: Documented observationally free — directory runs are bit-identical.
+    #: Directory runs are bit-identical while no signature aliases a line
+    #: on a core outside its presence set (see the module docstring).
     coherence: str | None = None
     #: Record with a :class:`~repro.telemetry.Telemetry` (the soak's
     #: sampling period, 64) instead of none.
@@ -82,7 +82,6 @@ BASELINE = Variant("baseline")
 #: The fixed lattice a ``--matrix`` campaign runs besides the baseline.
 MATRIX_VARIANTS: tuple[Variant, ...] = (
     Variant("decode-off", decode_cache=False),
-    Variant("snoop-filter-off", snoop_filter=False),
     Variant("directory", coherence="directory"),
     Variant("directory-checkpointed", coherence="directory",
             checkpoint_every=8),

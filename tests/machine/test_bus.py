@@ -108,22 +108,23 @@ def recorders_holding(cores, line):
 
 
 def test_present_snoopers_are_called():
-    # An untracked line is present everywhere, so every other core's
-    # recorder is tested, in ascending core id, with or without a copy.
+    # Every other core's recorder is tested, in ascending core id, with
+    # or without a copy.
     bus, cores, caches = make_bus(cores=3)
     caches[2].fill(0, SHARED)
     recorders, chunks = recorders_holding(cores, 0)
     bus.transaction(cores[0], 0, is_write=True)
     assert [(c.rthread, c.reason) for c in chunks] == [
         (2, Reason.WAW), (3, Reason.WAW)]
-    # The write left core 0 the only present core: its recorder is the
-    # one a later read by core 1 reaches, though core 2's signature holds
-    # the line again.
+    # The write left core 0 the only present core, yet a later read by
+    # core 1 tests core 2's recorder too: every MRR on the bus sees every
+    # transaction, and core 2's signature holds the line again.
     chunks.clear()
     for recorder in recorders[1:]:
         recorder.on_store_drain(0)
     bus.transaction(cores[1], 0, is_write=False)
-    assert [(c.rthread, c.reason) for c in chunks] == [(1, Reason.RAW)]
+    assert [(c.rthread, c.reason) for c in chunks] == [
+        (1, Reason.RAW), (3, Reason.RAW)]
 
 
 def test_requester_snooper_skipped():

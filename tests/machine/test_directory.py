@@ -1,15 +1,18 @@
 """Directory coherence: exact-sharer tracking, lockstep equivalence.
 
 The :class:`DirectoryBus` keeps the exact per-line cache-holder set next
-to the conservative presence summary and notifies caches point-to-point.
-Its contract is *bit-identity* with the reference snooping fabric:
+to the conservative presence summary, notifies caches point-to-point and
+forwards the recorder test to the present cores. Its contract is
+*bit-identity* with the reference snooping fabric, which tests every
+recorder, for as long as no Bloom signature aliases a line on a core
+outside its presence set:
 
 - **lockstep**: driving both fabrics with the identical transaction
   sequence (on independent machines) must yield identical flush
-  decisions, identical recorder notifications (the chunks each signature
-  hit cuts), identical cache contents/states after every step, and the
-  sharer set must stay a subset of presence and a superset of the true
-  holder set;
+  decisions, identical cache contents/states after every step, identical
+  recorder notifications while signatures hold only their true members,
+  and the sharer set must stay a subset of presence and a superset of
+  the true holder set;
 - **end-to-end**: recording any workload under ``coherence="directory"``
   produces exactly the snooping run's digest (chunks, logs, memory,
   cycles), at small and large core counts, and replays clean.
@@ -42,14 +45,12 @@ from repro.session import digest_of
 from tests.conftest import wire_recorder
 
 
-def _fabric_with_caches(coherence, num_cores=4, sets=4, ways=1,
-                        filter_snoops=True):
+def _fabric_with_caches(coherence, num_cores=4, sets=4, ways=1):
     """A machine's fabric, its cores and their caches."""
     machine = Machine(
         MachineConfig(num_cores=num_cores, memory_bytes=1 << 12,
                       cache=CacheConfig(sets=sets, ways=ways),
-                      coherence=coherence),
-        filter_snoops=filter_snoops)
+                      coherence=coherence))
     machine.load_program(assemble("main:\n    syscall\n"))
     return machine.bus, machine.cores, [core.cache for core in machine.cores]
 
@@ -128,38 +129,57 @@ def test_evicted_core_recorder_is_still_snooped():
 
 # -- lockstep equivalence -----------------------------------------------------
 
-@pytest.mark.parametrize("filter_snoops", [True, False])
+@pytest.mark.parametrize("aliasing", [True, False])
 @pytest.mark.parametrize("num_cores", [2, 4, 16])
-def test_fabrics_agree_transaction_by_transaction(num_cores, filter_snoops):
+def test_fabrics_agree_transaction_by_transaction(num_cores, aliasing):
     """Random transaction storms: both fabrics, fed the same sequence
-    against independent cache pairs, agree on every observable — and the
-    directory's exact sharer set stays wedged between the true holder set
-    and the presence superset."""
-    rng = random.Random(num_cores * 31 + filter_snoops)
+    against independent cache sets, agree on every cache observable — and
+    the directory's exact sharer set stays wedged between the true holder
+    set and the presence superset.
+
+    Before each transaction recorders take the line into their write
+    sets: with ``aliasing`` every recorder does, as a signature that
+    aliases the line would test; otherwise only the present cores' do, as
+    true members. The snooping bus cuts every other such recorder, the
+    directory only the present ones, so without aliasing both cut the
+    same chunks in the same order."""
+    rng = random.Random(num_cores * 31 + aliasing)
     snoop_bus, snoop_cores, snoop_caches = _fabric_with_caches(
-        COHERENCE_SNOOP, num_cores=num_cores, filter_snoops=filter_snoops)
+        COHERENCE_SNOOP, num_cores=num_cores)
     dir_bus, dir_cores, dir_caches = _fabric_with_caches(
-        COHERENCE_DIRECTORY, num_cores=num_cores,
-        filter_snoops=filter_snoops)
-    # Mirrored recorders: each holds the next line in its write set, so
-    # every recorder a fabric reaches cuts a chunk, and both fabrics must
-    # cut the same chunks in the same order.
+        COHERENCE_DIRECTORY, num_cores=num_cores)
     snoop_recorders, snoop_chunks = _recorders(snoop_cores)
     dir_recorders, dir_chunks = _recorders(dir_cores)
+    everyone = (1 << num_cores) - 1
 
     lines = [0x100 + 64 * k for k in range(10)]  # a few set-aliasing pairs
     for step in range(600):
         core_id = rng.randrange(num_cores)
         line = rng.choice(lines)
         is_write = rng.random() < 0.4
-        for recorder in snoop_recorders + dir_recorders:
-            recorder.on_store_drain(line)
+        present = snoop_bus.presence_mask(line)
+        assert present == dir_bus.presence_mask(line), f"step {step}"
+        holding = everyone if aliasing else present
+        for recorders in (snoop_recorders, dir_recorders):
+            for cid, recorder in enumerate(recorders):
+                if holding >> cid & 1:
+                    recorder.on_store_drain(line)
+        cut = len(snoop_chunks), len(dir_chunks)
         flushes = snoop_bus.stats.flushes, dir_bus.stats.flushes
         snoop_bus.transaction(snoop_cores[core_id], line, is_write)
         dir_bus.transaction(dir_cores[core_id], line, is_write)
         assert (snoop_bus.stats.flushes - flushes[0]
                 == dir_bus.stats.flushes - flushes[1]), f"step {step}"
-        assert snoop_chunks == dir_chunks, f"step {step}"
+        reason = Reason.WAW if is_write else Reason.RAW
+        others = holding & ~(1 << core_id)
+        assert [(c.rthread, c.reason) for c in snoop_chunks[cut[0]:]] == [
+            (cid + 1, reason) for cid in range(num_cores)
+            if others >> cid & 1], f"step {step}"
+        assert [(c.rthread, c.reason) for c in dir_chunks[cut[1]:]] == [
+            (cid + 1, reason) for cid in range(num_cores)
+            if (others & present) >> cid & 1], f"step {step}"
+        if not aliasing:
+            assert snoop_chunks == dir_chunks, f"step {step}"
         for sc, dc in zip(snoop_caches, dir_caches):
             assert sc.cached_lines() == dc.cached_lines()
             for cached in sc.cached_lines():
@@ -174,9 +194,18 @@ def test_fabrics_agree_transaction_by_transaction(num_cores, filter_snoops):
                 if cache.state(check) is not None)
             assert true_holders & ~sharers == 0, \
                 f"sharer set misses a holder for line {check:#x}"
-    assert snoop_chunks, "no recorder was reached"
-    assert [core.cycles for core in snoop_cores] == \
-        [core.cycles for core in dir_cores]
+    assert dir_chunks, "no recorder was reached"
+    if aliasing:
+        assert len(snoop_chunks) > len(dir_chunks)
+    # Each chunk cut charges its core one CBUF entry write; the rest of
+    # the cycles are the identical transactions'.
+    entry_write = snoop_cores[0].machine.cost.cbuf_entry_write
+    for cid, (snoop_core, dir_core) in enumerate(zip(snoop_cores,
+                                                     dir_cores)):
+        extra_cuts = (sum(c.rthread == cid + 1 for c in snoop_chunks)
+                      - sum(c.rthread == cid + 1 for c in dir_chunks))
+        assert (snoop_core.cycles - dir_core.cycles
+                == entry_write * extra_cuts)
     assert snoop_bus.stats.flushes == dir_bus.stats.flushes
     assert snoop_bus.stats.broadcast_snoops == dir_bus.stats.broadcast_snoops
     assert dir_bus.stats.notifies_sent <= snoop_bus.stats.notifies_sent

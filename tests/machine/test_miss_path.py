@@ -1,13 +1,14 @@
 """The one-body coherence miss and chunk cut against the chain they inline.
 
 A miss runs one fabric body, :meth:`SnoopBus.transaction`: it snoops the
-present caches, tests each present recorder's signatures inline (the
-test :meth:`MemoryRaceRecorder.snoop` makes), terminates a recorder's
-chunk on a hit, then fills and charges the requester. Every cut runs one
-recorder body, :meth:`MemoryRaceRecorder.terminate`, which writes its
-entry into its core's CBUF itself and raises the overflow drain when the
-CBUF fills. :func:`tests.reference.install_miss_reference` puts back the
-chain those bodies replaced, ``Machine.bus_transaction`` →
+present caches, tests the other recorders' signatures inline (the test
+:meth:`MemoryRaceRecorder.snoop` makes; the directory tests the present
+ones), terminates a recorder's chunk on a hit, then fills and charges the
+requester. Every cut runs one recorder body,
+:meth:`MemoryRaceRecorder.terminate`, which writes its entry into its
+core's CBUF itself and raises the overflow drain when the CBUF fills.
+:func:`tests.reference.install_miss_reference` puts back the chain those
+bodies replaced, ``Machine.bus_transaction`` →
 ``SnoopBus.transaction`` → ``snoop`` → ``terminate`` → the RSM's ``sink``
 → ``ReplaySphere.note_chunk``/``ChunkBuffer.append``. A recording made
 either way must leave the same trace: digest, chunk log, RSM, bus and
@@ -55,7 +56,7 @@ def _config(coherence=COHERENCE_SNOOP, tso_mode=TsoMode.RSW,
     conflict or a kernel entry, so DRAIN would record what RSW does.
     ``small_caches``: one two-way set, so fills evict dirty victims."""
     if tso_mode == TsoMode.DRAIN:
-        mrr = dict(max_chunk_instructions=300, signature_bits=128, **mrr)
+        mrr = {"max_chunk_instructions": 300, "signature_bits": 128, **mrr}
     machine = dataclasses.replace(DEFAULT_CONFIG.machine,
                                   coherence=coherence)
     if small_caches:
@@ -141,15 +142,19 @@ def _lockstep(program, *, telemetry=None, **kwargs):
 
 @pytest.mark.parametrize("name", BENCH_PROGRAMS)
 @pytest.mark.parametrize("coherence", [COHERENCE_SNOOP, COHERENCE_DIRECTORY])
-@pytest.mark.parametrize("filter_snoops", [True, False])
+@pytest.mark.parametrize("narrow", [True, False])
 @pytest.mark.parametrize("tso_mode", [TsoMode.RSW, TsoMode.DRAIN])
-def test_bench_programs_miss_and_cut_alike(name, coherence, filter_snoops,
+def test_bench_programs_miss_and_cut_alike(name, coherence, narrow,
                                            tso_mode):
+    """``narrow``: 64-bit signatures, which alias lines on cores outside
+    the presence set — the recorder tests the snooping bus makes and the
+    directory does not forward."""
     program, inputs = workloads.build(name, scale=1)
-    config = _config(coherence, tso_mode)
+    config = _config(coherence, tso_mode,
+                     **({"signature_bits": 64} if narrow else {}))
     for seed in (1, 2, 3):
         state = _lockstep(program, seed=seed, config=config,
-                          input_files=inputs, filter_snoops=filter_snoops)
+                          input_files=inputs)
         chunks, rsm_stats, bus_stats = state[1], state[3], state[4]
         assert rsm_stats["chunks"] == len(chunks) > 0
         assert bus_stats["transactions"] > 0
@@ -223,18 +228,16 @@ def test_small_cbufs_drain_alike():
     cores=st.sampled_from([1, 2, 4]),
     sb_entries=st.integers(1, 12),
     coherence=st.sampled_from([COHERENCE_SNOOP, COHERENCE_DIRECTORY]),
-    filter_snoops=st.booleans(),
     tso_mode=st.sampled_from([TsoMode.RSW, TsoMode.DRAIN]),
     small_caches=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
 def test_fuzz_programs_miss_and_cut_alike(threads_ops, repeats, seed, policy,
                                           cores, sb_entries, coherence,
-                                          filter_snoops, tso_mode,
-                                          small_caches):
+                                          tso_mode, small_caches):
     base = _config(coherence, tso_mode, small_caches, cbuf_entries=4)
     config = dataclasses.replace(base, machine=dataclasses.replace(
         base.machine, num_cores=cores, memory_bytes=1 << 18,
         store_buffer=StoreBufferConfig(entries=sb_entries)))
     _lockstep(build_program(threads_ops, repeats), seed=seed, policy=policy,
-              config=config, filter_snoops=filter_snoops)
+              config=config)

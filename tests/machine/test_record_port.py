@@ -46,10 +46,13 @@ BENCH_PROGRAMS = ("locks", "fft", "sigping", "radix")
 
 # -- recordings -------------------------------------------------------------------
 
-def _config(coherence, small=False):
+def _config(coherence, small=False, narrow=False):
     """The default machine, or a small one: a single two-way cache set
     (LRU evictions) and 64-bit signatures saturating at 10% (SATURATION
-    cuts and Bloom false positives)."""
+    cuts and Bloom false positives). ``narrow``: the default machine with
+    64-bit signatures, which alias lines on cores outside the presence
+    set — the recorder tests the snooping bus makes and the directory
+    does not forward."""
     config = DEFAULT_CONFIG
     machine = dataclasses.replace(config.machine, coherence=coherence)
     mrr = config.mrr
@@ -58,11 +61,13 @@ def _config(coherence, small=False):
             machine, cache=CacheConfig(sets=1, ways=2))
         mrr = dataclasses.replace(mrr, signature_bits=64,
                                   saturation_threshold=0.1)
+    elif narrow:
+        mrr = dataclasses.replace(mrr, signature_bits=64)
     return dataclasses.replace(config, machine=machine, mrr=mrr)
 
 
 def _record(monkeypatch, name, seed, config, *, reference,
-            filter_snoops=True, telemetry=None):
+            telemetry=None):
     """Record ``name`` at scale 1 through the flat or the method path.
 
     Returns the outcome and the signatures (words, popcounts, insert
@@ -70,7 +75,7 @@ def _record(monkeypatch, name, seed, config, *, reference,
     program, inputs = workloads.build(name, scale=1)
     return _record_program(monkeypatch, program, seed, config,
                            reference=reference, input_files=inputs,
-                           filter_snoops=filter_snoops, telemetry=telemetry)
+                           telemetry=telemetry)
 
 
 def _record_program(monkeypatch, program, seed, config, *, reference,
@@ -107,15 +112,13 @@ def _fingerprint(outcome, signatures):
 
 @pytest.mark.parametrize("name", BENCH_PROGRAMS)
 @pytest.mark.parametrize("coherence", [COHERENCE_SNOOP, COHERENCE_DIRECTORY])
-@pytest.mark.parametrize("filter_snoops", [True, False])
+@pytest.mark.parametrize("narrow", [True, False])
 def test_flat_path_records_what_the_method_path_records(
-        monkeypatch, name, coherence, filter_snoops):
-    config = _config(coherence)
+        monkeypatch, name, coherence, narrow):
+    config = _config(coherence, narrow=narrow)
     for seed in (1, 2, 3):
-        flat = _record(monkeypatch, name, seed, config, reference=False,
-                       filter_snoops=filter_snoops)
-        method = _record(monkeypatch, name, seed, config, reference=True,
-                         filter_snoops=filter_snoops)
+        flat = _record(monkeypatch, name, seed, config, reference=False)
+        method = _record(monkeypatch, name, seed, config, reference=True)
         assert _fingerprint(*flat) == _fingerprint(*method), f"seed {seed}"
 
 
@@ -165,13 +168,11 @@ def test_telemetry_counts_the_same_bloom_false_positives(monkeypatch):
     cores=st.sampled_from([1, 2, 4]),
     sb_entries=st.integers(1, 12),
     coherence=st.sampled_from([COHERENCE_SNOOP, COHERENCE_DIRECTORY]),
-    filter_snoops=st.booleans(),
     small=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
 def test_fuzz_programs_record_alike(threads_ops, repeats, seed, policy,
-                                    cores, sb_entries, coherence,
-                                    filter_snoops, small):
+                                    cores, sb_entries, coherence, small):
     """Fuzz programs (races, atomics, fences, syscalls) on any core count
     and store-buffer depth, with the small caches and signatures too."""
     base = _config(coherence, small)
@@ -182,8 +183,7 @@ def test_fuzz_programs_record_alike(threads_ops, repeats, seed, policy,
     # No function-scoped fixture under hypothesis: MonkeyPatch.context is
     # a classmethod, so the class serves as _record_program's patcher.
     runs = [_record_program(pytest.MonkeyPatch, program, seed, config,
-                            reference=reference, policy=policy,
-                            filter_snoops=filter_snoops)
+                            reference=reference, policy=policy)
             for reference in (False, True)]
     assert _fingerprint(*runs[0]) == _fingerprint(*runs[1])
 

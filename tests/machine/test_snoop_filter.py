@@ -1,22 +1,22 @@
-"""Presence-based snoop filtering: MESI invariants and equivalence.
+"""Presence-based filtering: MESI invariants and where it is free.
 
 The bus keeps a conservative per-line presence summary (bit ``c`` set means
-core ``c`` *may* hold the line) and, when filtering is on, skips snooping
-cores whose bit is clear. Soundness rests on two invariants pinned here:
+core ``c`` *may* hold the line). Both fabrics skip the cache snoops of
+cores whose bit is clear, and the directory also forwards the recorder
+test only to present cores. Soundness rests on two invariants pinned here:
 
 - **cache superset**: every core actually caching a line has its presence
   bit set — through fills, evictions (which do NOT clear bits) and kernel
   coherent copies;
 - **signature superset**: every line a recorder has inserted into its live
-  signatures has that core's presence bit set, so a filtered transaction
-  can never skip a snoop that a *true* signature member would have
-  terminated a chunk on.
+  signatures has that core's presence bit set, so a presence-filtered
+  transaction can never skip a snoop that a *true* signature member would
+  have terminated a chunk on.
 
-A Bloom signature also tests positive on lines it never saw. On a core
-whose presence bit a remote write cleared, such a false positive cuts a
-chunk on the broadcast fabric and is skipped by the filtered one, so the
-end-to-end check (filtering on and off produce bit-identical recordings)
-holds only while that does not happen: at the default 512-bit signatures,
+A Bloom signature also tests positive on lines it never saw. The snooping
+bus tests every recorder's signatures, so on a core whose presence bit a
+remote write cleared such a false positive cuts a chunk there and not on
+the directory: the fabrics record alike at the default 512-bit signatures,
 not at 128.
 """
 
@@ -24,6 +24,8 @@ import pytest
 
 from repro import session, workloads
 from repro.config import (
+    COHERENCE_DIRECTORY,
+    COHERENCE_SNOOP,
     CacheConfig,
     KernelConfig,
     MachineConfig,
@@ -36,6 +38,7 @@ from repro.machine.bus import SnoopBus
 from repro.machine.cache import EXCLUSIVE, SHARED
 from repro.machine.machine import Machine
 from repro.mrr.chunk import Reason
+from repro.mrr.hashing import shared_hasher
 from repro.session import digest_of
 from repro.telemetry import Telemetry
 from tests.conftest import wire_recorder
@@ -44,11 +47,12 @@ from tests.conftest import wire_recorder
 class _Fabric:
     """A machine's fabric with its cores' caches, driven by core id."""
 
-    def __init__(self, num_cores=3, sets=4, ways=1, filter_snoops=True):
+    def __init__(self, num_cores=3, sets=4, ways=1,
+                 coherence=COHERENCE_SNOOP):
         self.machine = Machine(
             MachineConfig(num_cores=num_cores, memory_bytes=1 << 12,
-                          cache=CacheConfig(sets=sets, ways=ways)),
-            filter_snoops=filter_snoops)
+                          cache=CacheConfig(sets=sets, ways=ways),
+                          coherence=coherence))
         self.machine.load_program(assemble("main:\n    syscall\n"))
         self.bus = self.machine.bus
         self.caches = [core.cache for core in self.machine.cores]
@@ -92,28 +96,41 @@ def test_eviction_keeps_the_presence_bit():
     assert fabric.bus.presence_mask(line) == 0b01  # bit still set
 
 
-def test_filter_skips_absent_cores_and_off_snoops_everyone():
-    for filtered in (True, False):
-        fabric = _Fabric(num_cores=3, filter_snoops=filtered)
-        chunks = []
-        recorders = [wire_recorder(core, MRRConfig(), chunks)
-                     for core in fabric.machine.cores]
-        for rthread, recorder in enumerate(recorders, 1):
-            recorder.set_thread(rthread)
-        fabric.fill(1, 0x100, is_write=True)  # presence -> {1}
-        # Every signature now holds the line, so each recorder the second
-        # write reaches cuts its chunk.
-        for recorder in recorders:
-            recorder.on_store_drain(0x100)
-        fabric.fill(1, 0x100, is_write=True)
-        # The requester is never tested against its own request.
-        expected = [] if filtered else [(1, Reason.WAW), (3, Reason.WAW)]
-        assert [(c.rthread, c.reason) for c in chunks] == expected
+def _alias(line, mrr):
+    """A line other than ``line`` with the same signature mask: inserting
+    it makes a signature test positive on ``line`` without holding it."""
+    hasher = shared_hasher(mrr.signature_bits, mrr.signature_hashes)
+    target = hasher.mask(line)
+    return next(candidate for candidate in range(line + 64, 1 << 20, 64)
+                if hasher.mask(candidate) == target)
+
+
+@pytest.mark.parametrize("coherence", [COHERENCE_SNOOP, COHERENCE_DIRECTORY])
+def test_only_the_snooping_bus_cuts_an_aliasing_absent_core(coherence):
+    """Core 2's presence bit for the line is cleared by core 1's write;
+    then core 2 stores to a line its 16-bit signature cannot tell apart.
+    Core 0's write reaches core 2's recorder on the snooping bus, where
+    every MRR sees every transaction, and not on the directory, which
+    forwards by presence."""
+    mrr = MRRConfig(signature_bits=16)
+    line = 0x100
+    fabric = _Fabric(num_cores=3, coherence=coherence)
+    chunks = []
+    recorders = [wire_recorder(core, mrr, chunks)
+                 for core in fabric.machine.cores]
+    for rthread, recorder in enumerate(recorders, 1):
+        recorder.set_thread(rthread)
+    fabric.fill(1, line, is_write=True)
+    assert fabric.bus.presence_mask(line) == 0b010
+    recorders[2].on_store_drain(_alias(line, mrr))
+    fabric.fill(0, line, is_write=True)
+    expected = [(3, Reason.WAW)] if coherence == COHERENCE_SNOOP else []
+    assert [(c.rthread, c.reason) for c in chunks] == expected
 
 
 def test_mesi_conflict_detection_unchanged_by_filtering():
     """A genuinely-present sharer is always snooped and invalidated."""
-    fabric = _Fabric(num_cores=2, filter_snoops=True)
+    fabric = _Fabric(num_cores=2)
     fabric.fill(0, 0x200, is_write=False)
     fabric.fill(1, 0x200, is_write=False)
     assert fabric.caches[0].state(0x200) in (SHARED, EXCLUSIVE)
@@ -186,29 +203,21 @@ def test_presence_superset_invariant_throughout_recording(
     assert errors == []
 
 
-def test_recording_digest_identical_with_filtering_off():
-    program, inputs = workloads.build("pingpong", scale=1)
-    filtered = session.record(program, seed=4, input_files=inputs)
-    unfiltered = session.record(program, seed=4, input_files=inputs,
-                                filter_snoops=False)
-    assert digest_of(filtered) == digest_of(unfiltered)
-    assert filtered.total_cycles == unfiltered.total_cycles
-    assert (len(filtered.recording.chunks)
-            == len(unfiltered.recording.chunks))
-
-
-def _radix_digest(signature_bits, filter_snoops):
+def _radix_digest(signature_bits, coherence):
     program, inputs = workloads.build("radix", scale=1)
-    config = SimConfig(mrr=MRRConfig(signature_bits=signature_bits))
+    config = SimConfig(machine=MachineConfig(coherence=coherence),
+                       mrr=MRRConfig(signature_bits=signature_bits))
     return digest_of(session.record(program, seed=1, input_files=inputs,
-                                    config=config,
-                                    filter_snoops=filter_snoops))
+                                    config=config))
 
 
 def test_filtering_is_free_only_without_bloom_false_positives():
     # 128-bit signatures false-positive on lines whose presence bit a
-    # remote write cleared: the unfiltered fabric cuts chunks there that
-    # the filtered one skips, so the recordings differ.
-    assert _radix_digest(128, True) != _radix_digest(128, False)
-    # At the default 512 bits radix records alike either way.
-    assert _radix_digest(512, True) == _radix_digest(512, False)
+    # remote write cleared: the snooping bus cuts chunks there that the
+    # directory, forwarding by presence, does not, so the recordings
+    # differ.
+    assert (_radix_digest(128, COHERENCE_SNOOP)
+            != _radix_digest(128, COHERENCE_DIRECTORY))
+    # At the default 512 bits radix records alike on both fabrics.
+    assert (_radix_digest(512, COHERENCE_SNOOP)
+            == _radix_digest(512, COHERENCE_DIRECTORY))

@@ -205,9 +205,7 @@ def _method_snoops():
     flat = _chain_transaction
 
     def transaction(self, requester, line, is_write, upgrade=False):
-        reached = ((self._presence.get(line, self._all_mask)
-                    if self.filter_snoops else self._all_mask)
-                   & ~(1 << requester))
+        reached = self._presence.get(line, self._all_mask) & ~(1 << requester)
         if self._sharers is not None:
             reached &= self._sharers.get(line, self._all_mask)
         caches = self._caches
@@ -286,9 +284,10 @@ _OWNED = (MODIFIED, EXCLUSIVE)
 
 
 def _chain_transaction(self, requester, line, is_write, upgrade=False):
-    """The fabric transaction of the chain: caches snooped inline, each
-    present recorder notified through ``snoop``. Returns the requester's
-    fill state and whether a remote Modified copy was flushed."""
+    """The fabric transaction of the chain: present caches snooped
+    inline, each other recorder (on the directory, each present one)
+    notified through ``snoop``. Returns the requester's fill state and
+    whether a remote Modified copy was flushed."""
     stats = self.stats
     stats.transactions += 1
     if upgrade:
@@ -299,8 +298,7 @@ def _chain_transaction(self, requester, line, is_write, upgrade=False):
         stats.reads += 1
 
     all_mask = self._all_mask
-    present = (self._presence.get(line, all_mask)
-               if self.filter_snoops else all_mask)
+    present = self._presence.get(line, all_mask)
     req_bit = 1 << requester
     notify = present & ~req_bit
     broadcast = self._broadcast
@@ -309,9 +307,11 @@ def _chain_transaction(self, requester, line, is_write, upgrade=False):
     if sharer_sets is None:
         stats.notifies_sent += broadcast
         cache_mask = notify
+        tested = all_mask & ~req_bit
     else:
         sharers = sharer_sets.get(line, all_mask)
         cache_mask = notify & sharers
+        tested = notify
         sent = notify.bit_count()
         stats.notifies_sent += sent
         stats.notifies_saved += broadcast - sent
@@ -323,7 +323,7 @@ def _chain_transaction(self, requester, line, is_write, upgrade=False):
     flushed = False
     caches = self._caches
     snoopers = self._recorders
-    mask = notify
+    mask = tested
     while mask:
         low = mask & -mask
         mask ^= low
