@@ -6,7 +6,9 @@ against record wall time and verify every replay.
 
 Shape: replay is the same order of magnitude as recording in this
 simulator (both are interpreters); the paper's hardware-vs-software gap
-does not exist here, and EXPERIMENTS.md discusses the difference.
+does not exist here, and EXPERIMENTS.md discusses the difference. The
+committed table lists the verified workloads; the host-time ratios are
+printed only.
 """
 
 import time
@@ -41,15 +43,21 @@ def test_f7_replay_cost(benchmark, suite: BenchSuite):
         replayed, replay_seconds = replays[name]
         report = session.verify(outcome, replayed)
         assert report.ok, f"{name}: {report.summary()}"
-        rows.append((name, outcome.instructions, record_seconds * 1000,
+        rows.append((name, outcome.instructions, "yes", record_seconds * 1000,
                      replay_seconds * 1000,
                      replay_seconds / max(record_seconds, 1e-9)))
 
-    table = render_table(
-        ("workload", "instructions", "record ms", "replay ms",
-         "replay/record"),
-        rows, title="F7: replay vs record cost (all replays verified)")
-    publish("f7_replay", table)
+    # The committed figure holds only the deterministic columns; the host
+    # timings and their ratio are printed, so a suite run leaves the
+    # result unchanged.
+    publish("f7_replay", render_table(
+        ("workload", "instructions", "verified"),
+        [row[:3] for row in rows],
+        title="F7: replayed workloads (every replay verified)"))
+    print(render_table(
+        ("workload", "record ms", "replay ms", "replay/record"),
+        [(row[0], *row[3:]) for row in rows],
+        title="F7: replay vs record cost (host time)"))
 
     # replay should not be catastrophically slower than recording here
-    assert all(row[4] < 10 for row in rows)
+    assert all(row[5] < 10 for row in rows)

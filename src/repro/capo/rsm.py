@@ -18,7 +18,8 @@ its ``log_*`` methods for each input. Two modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 from ..config import SimConfig
 from ..errors import RecordingError
@@ -48,7 +49,9 @@ logger = get_logger("capo.rsm")
 @dataclass
 class RSMStats:
     chunks: int = 0
-    input_events: int = 0
+    #: Logged input events by kind, every kind present from 0.
+    events_by_kind: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(KINDS, 0))
     input_payload_bytes: int = 0
     #: Payload bytes whose content was already in the recording's pool
     #: (copy avoidance: stored once, referenced again).
@@ -61,12 +64,18 @@ class RSMStats:
     cycles_cbuf_write: int = 0
 
     @property
+    def input_events(self) -> int:
+        return sum(self.events_by_kind.values())
+
+    @property
     def cycles_software(self) -> int:
         return (self.cycles_interpose + self.cycles_input_log
                 + self.cycles_cbuf_drain + self.cycles_ctx_flush)
 
     def as_dict(self) -> dict:
         out = dict(self.__dict__)
+        out["events_by_kind"] = dict(self.events_by_kind)
+        out["input_events"] = self.input_events
         out["cycles_software"] = self.cycles_software
         return out
 
@@ -93,6 +102,9 @@ class ReplaySphereManager:
         # cycle charge are identical either way.
         self.flight = None
         self.stats = RSMStats()
+        # With telemetry on, each drained entry's (reason, icount, rsw),
+        # counted: a flight ring keeps no chunk log to take them from.
+        self.drained_chunks: Counter[tuple[str, int, int]] = Counter()
         self.telemetry = machine.telemetry
         # Hoisted enablement flag: the interposition paths run per kernel
         # event, so they read a plain attribute rather than chasing the
@@ -104,9 +116,10 @@ class ReplaySphereManager:
         # carries them.
         self._payload_pool: dict[bytes, bytes] = {}
         # Logging hoists: where events go (the log, or the flight ring
-        # once attached), the per-thread chunk counts, the cores and the
-        # input-log charges.
+        # once attached), the per-kind event counts, the per-thread chunk
+        # counts, the cores and the input-log charges.
         self._keep_event = self.events.append
+        self._event_counts = self.stats.events_by_kind
         self._chunk_counts = self.sphere.chunk_counts
         self._cores = machine.cores
         self._cost_event = machine.cost.input_log_event
@@ -125,15 +138,9 @@ class ReplaySphereManager:
             self.recorders.append(recorder)
             machine.attach_recorder(core.core_id, recorder)
         if self._tm_on:
-            # Drains, input events, payload bytes and sphere threads are
-            # published from the stats and the sphere when the run ends.
-            metrics = self.telemetry.metrics
-            self._tm_batch = metrics.histogram("capo.cbuf_batch_entries")
-            # Pre-created per-kind counters: the logging hot path indexes
-            # this dict instead of paying a registry lookup (and an f-string
-            # format) per event.
-            self._tm_kind = {kind: metrics.counter(f"capo.input_events.{kind}")
-                             for kind in KINDS}
+            # The one metric no stat holds (see session._publish_stats).
+            self._tm_batch = self.telemetry.metrics.histogram(
+                "capo.cbuf_batch_entries")
 
     # -- wiring ---------------------------------------------------------------
 
@@ -159,6 +166,9 @@ class ReplaySphereManager:
                 core.cycles += charge
                 self.stats.cycles_cbuf_drain += charge
             if self._tm_on:
+                self.drained_chunks.update(
+                    (entry.reason, entry.icount, entry.rsw)
+                    for entry in batch)
                 self._tm_batch.observe(len(batch))
                 self.telemetry.tracer.instant(
                     "cbuf.drain", cat="capo", tid=core.core_id,
@@ -179,9 +189,10 @@ class ReplaySphereManager:
 
     # -- input logging -----------------------------------------------------------------
     # The kernel's trap bodies call these for recorded tasks of a full
-    # recording only, while the task is on a core. Each is one body: the
-    # event (sequence number and the thread's chunk count at event time),
-    # its retention (the log, or the flight ring), the statistics and the
+    # recording only, while the task is on a core. log_syscall is one
+    # body, and the four payload-free kinds share _log_event: the event
+    # (sequence number and the thread's chunk count at event time), its
+    # retention (the log, or the flight ring), the statistics and the
     # per-event and per-byte charge to the task's core.
 
     def log_syscall(self, task, sysno: int, retval: int,
@@ -206,66 +217,43 @@ class ReplaySphereManager:
         event = InputEvent(rthread, seq, self._chunk_counts[rthread],
                            EV_SYSCALL, sysno, retval, "", copies)
         self._keep_event(event)
+        self._event_counts[EV_SYSCALL] += 1
         stats = self.stats
-        stats.input_events += 1
         stats.input_payload_bytes += payload
         stats.input_payload_dedup_bytes += payload - fresh
         charge = self._cost_event + self._cost_per_byte * payload
         self._cores[task.core_id].cycles += charge
         stats.cycles_input_log += charge
         if self._tm_on:
-            self._tm_input(event, payload)
+            self._trace_input(event, payload)
 
     def log_nondet(self, task, kind: str, value: int) -> None:
-        rthread = task.rthread
-        self._seq = seq = self._seq + 1
-        event = InputEvent(rthread, seq, self._chunk_counts[rthread],
-                           EV_NONDET, 0, value, kind)
-        self._keep_event(event)
-        self.stats.input_events += 1
-        self._cores[task.core_id].cycles += self._cost_event
-        self.stats.cycles_input_log += self._cost_event
-        if self._tm_on:
-            self._tm_input(event, 0)
+        self._log_event(task, EV_NONDET, 0, value, kind)
 
     def log_signal(self, task, signo: int) -> None:
-        rthread = task.rthread
-        self._seq = seq = self._seq + 1
-        event = InputEvent(rthread, seq, self._chunk_counts[rthread],
-                           EV_SIGNAL, 0, signo)
-        self._keep_event(event)
-        self.stats.input_events += 1
-        self._cores[task.core_id].cycles += self._cost_event
-        self.stats.cycles_input_log += self._cost_event
-        if self._tm_on:
-            self._tm_input(event, 0)
+        self._log_event(task, EV_SIGNAL, 0, signo)
 
     def log_sigreturn(self, task) -> None:
-        rthread = task.rthread
-        self._seq = seq = self._seq + 1
-        event = InputEvent(rthread, seq, self._chunk_counts[rthread],
-                           EV_SIGRETURN)
-        self._keep_event(event)
-        self.stats.input_events += 1
-        self._cores[task.core_id].cycles += self._cost_event
-        self.stats.cycles_input_log += self._cost_event
-        if self._tm_on:
-            self._tm_input(event, 0)
+        self._log_event(task, EV_SIGRETURN)
 
     def log_exit(self, task, code: int) -> None:
+        self._log_event(task, EV_EXIT, 0, code)
+
+    def _log_event(self, task, kind: str, *fields) -> None:
+        """The body of the four payload-free kinds; ``fields`` are the
+        event's ``sysno``, ``value`` and ``nondet_kind``, as given."""
         rthread = task.rthread
         self._seq = seq = self._seq + 1
-        event = InputEvent(rthread, seq, self._chunk_counts[rthread],
-                           EV_EXIT, 0, code)
+        event = InputEvent(rthread, seq, self._chunk_counts[rthread], kind,
+                           *fields)
         self._keep_event(event)
-        self.stats.input_events += 1
+        self._event_counts[kind] += 1
         self._cores[task.core_id].cycles += self._cost_event
         self.stats.cycles_input_log += self._cost_event
         if self._tm_on:
-            self._tm_input(event, 0)
+            self._trace_input(event, 0)
 
-    def _tm_input(self, event: InputEvent, payload_bytes: int) -> None:
-        self._tm_kind[event.kind].inc()
+    def _trace_input(self, event: InputEvent, payload_bytes: int) -> None:
         self.telemetry.tracer.instant(
             f"input:{event.kind}", cat="capo", tid=event.rthread,
             args={"seq": event.seq, "chunk_seq": event.chunk_seq,

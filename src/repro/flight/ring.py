@@ -82,6 +82,7 @@ class FlightRing:
         self._shadow = Replayer(view, schedule=[])
         self._epochs: deque[list[ChunkEntry]] = deque()
         self._open: list[ChunkEntry] = []
+        # session._publish_stats takes the capture.* metrics from these.
         self.evictions = 0
         self.chunks_seen = 0
         self.events_seen = 0
@@ -89,13 +90,6 @@ class FlightRing:
         self.max_events_retained = 0
         self.telemetry = telemetry or NULL_TELEMETRY
         self._tm_on = self.telemetry.enabled
-        if self._tm_on:
-            metrics = self.telemetry.metrics
-            metrics.gauge("capture.flight_window").set(window)
-            metrics.gauge("capture.flight_epoch_chunks").set(epoch_chunks)
-            self._tm_evictions = metrics.counter("capture.evictions")
-            self._tm_chunks = metrics.gauge("capture.chunks_retained")
-            self._tm_events = metrics.gauge("capture.events_retained")
 
     # -- observation ----------------------------------------------------------
 
@@ -144,9 +138,6 @@ class FlightRing:
             shadow.step_chunk()
         self.evictions += 1
         if self._tm_on:
-            self._tm_evictions.inc()
-            self._tm_chunks.set(self.chunks_retained)
-            self._tm_events.set(self.events_retained)
             self.telemetry.tracer.instant(
                 "flight.evict", cat="flight",
                 args={"base_position": shadow.position,
@@ -201,13 +192,6 @@ class FlightRing:
             "max_events_retained": self.max_events_retained,
         }
         meta[FLIGHT_META_KEY] = info
-        if self._tm_on:
-            metrics = self.telemetry.metrics
-            metrics.gauge("capture.chunks_retained").set(len(window_chunks))
-            metrics.gauge("capture.events_retained").set(len(events))
-            metrics.gauge("capture.chunks_seen").set(self.chunks_seen)
-            metrics.gauge("capture.events_seen").set(self.events_seen)
-            metrics.gauge("capture.base_position").set(self.base_position)
         if self.evictions == 0 or not window_chunks:
             # Nothing was dropped: the window is the whole recording and
             # replays from a fresh replayer, no base state needed.

@@ -82,6 +82,7 @@ class KernelStats:
     signals_delivered: int = 0
     spawns: int = 0
     blocks: int = 0
+    dispatches: int = 0
     idle_ticks: int = 0
     copy_to_user_bytes: int = 0
 
@@ -132,13 +133,6 @@ class Kernel:
         self._cost_nondet_interpose = cost.rsm_nondet_interpose
         self._cost_ctx_flush = cost.context_switch_flush
         self._rsm_full = rsm is not None and rsm.mode == MODE_FULL
-        if self._tm_on:
-            # Syscalls, preemptions, blocks and signal deliveries are
-            # published from KernelStats when the run ends; these two have
-            # no stats twin.
-            metrics = self.telemetry.metrics
-            self._tm_futex_wakes = metrics.counter("kernel.futex_wakes")
-            self._tm_dispatches = metrics.counter("kernel.dispatches")
 
     # -- setup -------------------------------------------------------------
 
@@ -241,7 +235,6 @@ class Kernel:
             task.wait_channel = None
             self.sched.enqueue(tid)
         if self._tm_on:
-            self._tm_futex_wakes.inc()
             self.telemetry.tracer.instant(
                 "futex.wake", cat="kernel",
                 args={"addr": addr, "woken": len(woken),
@@ -606,8 +599,8 @@ class Kernel:
         if self._quantum_jitter:
             quantum += self.rng.randrange(self._quantum_jitter + 1)
         task.quantum_limit = quantum
+        self.stats.dispatches += 1
         if self._tm_on:
-            self._tm_dispatches.inc()
             self.telemetry.tracer.instant(
                 "sched.dispatch", cat="kernel", tid=task.tid,
                 args={"core": core_id, "quantum": quantum})

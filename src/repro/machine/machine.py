@@ -103,6 +103,7 @@ class Core:
             self._cache_stats.write_misses += 1
             self._bus.transaction(self, line, True)
         machine.buffered_stores -= 1
+        machine.store_drains += 1
         if entry.size == 4:
             if addr & 3:
                 raise misaligned("write", addr)
@@ -115,8 +116,6 @@ class Core:
                 raise outside_memory(addr, 1, self._mem_size)
             self._mem_data[addr] = entry.value & 0xFF
         self.cycles += self._store_drain_cost
-        if machine._tm_enabled:
-            machine._tm_drains.inc()
         recorder = self.recorder
         if recorder is not None:
             recorder.on_store_drain(line)
@@ -288,20 +287,19 @@ class Machine:
         # Stores sitting in any core's store buffer: the drain tick has
         # work only while this is nonzero.
         self.buffered_stores = 0
+        # Stores drained, and lines kernel copy-to-user wrote.
+        self.store_drains = 0
+        self.coherent_copy_lines = 0
         self.program: Program | None = None
         # Hot-path hoists: read once, fixed for the machine's lifetime. The
         # telemetry flag in particular keeps the disabled case zero-cost in
-        # the run loop, step_core and drain paths (one attribute read, no
+        # the run loop and step_core (one attribute read, no
         # singleton-object chasing).
         self._tm_enabled = self.telemetry.enabled
         self._tm_sampling = self.telemetry.sampling
         self._unit_cost = self.cost.unit
         self._drain_period = self.config.store_buffer.drain_period
         self._drain_burst = self.config.store_buffer.drain_burst
-        if self.telemetry.enabled:
-            metrics = self.telemetry.metrics
-            self._tm_drains = metrics.counter("machine.store_drains")
-            self._tm_copy_lines = metrics.counter("machine.coherent_copy_lines")
 
     def load_program(self, program: Program) -> None:
         """Load the data segment and point every core's engine at the code."""
@@ -330,6 +328,7 @@ class Machine:
         line_bytes = self.config.cache.line_bytes
         first = self.config.cache.line_of(addr)
         last = self.config.cache.line_of(addr + len(data) - 1)
+        self.coherent_copy_lines += (last - first) // line_bytes + 1
         for line in range(first, last + line_bytes, line_bytes):
             classification = core.cache.classify_write(line)
             if classification == CACHE_MISS:
@@ -338,8 +337,6 @@ class Machine:
                 self.bus.transaction(core, line, True, True)
             if core.recorder is not None:
                 core.recorder.on_copy_write(line)
-            if self._tm_enabled:
-                self._tm_copy_lines.inc()
         self.memory.write(addr, data)
 
     def coherent_read(self, core: Core, addr: int, size: int) -> bytes:
@@ -451,6 +448,8 @@ class Machine:
         return {
             "global_steps": self.global_step,
             "total_cycles": self.total_cycles,
+            "store_drains": self.store_drains,
+            "coherent_copy_lines": self.coherent_copy_lines,
             "bus": self.bus.stats.as_dict(),
             "cores": [
                 {

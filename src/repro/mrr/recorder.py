@@ -115,13 +115,10 @@ class MemoryRaceRecorder:
         self._exact_reads: set[int] = set()
         self._exact_writes: set[int] = set()
         if self.telemetry.enabled:
-            # The chunk total is published from RSMStats.chunks when the
-            # run ends.
+            # The two metrics no chunk entry holds (session._publish_stats
+            # takes the others from the entries).
             metrics = self.telemetry.metrics
-            self._tm_snoop_cuts = metrics.counter("mrr.snoop_terminations")
             self._tm_bloom_fp = metrics.counter("mrr.bloom_false_positives")
-            self._tm_chunk_hist = metrics.histogram("mrr.chunk_instructions")
-            self._tm_rsw_hist = metrics.histogram("mrr.chunk_rsw")
             self._tm_occupancy = metrics.histogram("mrr.signature_occupancy_pct")
 
     @property
@@ -213,9 +210,10 @@ class MemoryRaceRecorder:
     def snoop(self, line: int, is_write: bool) -> None:
         """Check a remote transaction; terminate the chunk on a hit.
 
-        The fabric runs this test inline for every present recorder
-        (:meth:`SnoopBus.transaction`); the lockstep suite holds the two
-        equal."""
+        The snooping bus runs this test inline for every recorder whose
+        signature is non-empty, the directory for every recorder its
+        presence summary names (:meth:`SnoopBus.transaction`); the
+        lockstep suite holds the two equal."""
         if self.rthread is None:
             return
         # BloomSignature.test inline. A remote read tests the write set
@@ -240,9 +238,8 @@ class MemoryRaceRecorder:
 
     def _note_snoop_cut(self, line: int, exact: set[int],
                         reason: str) -> None:
-        """Telemetry for a signature hit: count it, and classify it as a
-        Bloom false positive when the exact shadow set disagrees."""
-        self._tm_snoop_cuts.inc()
+        """Telemetry for a signature hit: a Bloom false positive when the
+        exact shadow set disagrees."""
         if line not in exact:
             self._tm_bloom_fp.inc()
             self.telemetry.tracer.instant(
@@ -314,9 +311,6 @@ class MemoryRaceRecorder:
             telemetry = self.telemetry
             read_pct = 100.0 * self.read_sig.saturation
             write_pct = 100.0 * self.write_sig.saturation
-            telemetry.metrics.counter(f"mrr.chunks.{reason}").inc()
-            self._tm_chunk_hist.observe(entry.icount)
-            self._tm_rsw_hist.observe(entry.rsw)
             self._tm_occupancy.observe(read_pct)
             self._tm_occupancy.observe(write_pct)
             telemetry.tracer.complete(

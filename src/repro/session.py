@@ -24,6 +24,7 @@ experiments isolate recording cost.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -35,6 +36,7 @@ from .isa.program import Program
 from .kernel.kernel import Kernel
 from .machine.interleave import make_interleaver
 from .machine.machine import Machine
+from .mrr.chunk import Reason
 from .mrr.logfmt import encode_chunks
 from .perf.costmodel import CostModel
 from .replay.replayer import ReplayResult
@@ -273,29 +275,62 @@ def simulate(program: Program, config: SimConfig | None = None,
 
 def _publish_stats(metrics: MetricsRegistry, machine: Machine,
                    kernel: Kernel, rsm: ReplaySphereManager | None) -> None:
-    """The bus stats as ``machine.bus.*`` gauges, and the counters read
-    from the bus, kernel and RSM stats instead of counted per event: all
-    created even at 0 (``capo.*``/``mrr.*`` only with an RSM), and
-    incremented, so a registry shared across runs sums them."""
+    """Every record-side metric that a stat, a chunk entry or the flight
+    ring holds. Counters exist even at 0 (``capo.*``/``mrr.*`` only with
+    an RSM, ``mrr.chunks.<reason>`` only for reasons that occurred) and are
+    incremented, histograms observed, so a registry shared across runs
+    sums them."""
     bus = machine.bus.stats
     for key, value in bus.as_dict().items():
         if isinstance(value, int):
             metrics.gauge(f"machine.bus.{key}").set(value)
     counts = {"machine.bus_reads": bus.reads,
               "machine.bus_writes": bus.read_exclusives,
-              "machine.bus_upgrades": bus.upgrades}
+              "machine.bus_upgrades": bus.upgrades,
+              "machine.store_drains": machine.store_drains,
+              "machine.coherent_copy_lines": machine.coherent_copy_lines}
     stats = kernel.stats
-    for name in ("syscalls", "preemptions", "blocks", "signals_delivered"):
+    for name in ("syscalls", "preemptions", "blocks", "signals_delivered",
+                 "dispatches"):
         counts[f"kernel.{name}"] = getattr(stats, name)
     for name, count in stats.syscalls_by_name.items():
         counts[f"kernel.syscalls.{name}"] = count
+    # The futex_wake syscall is the one caller of Kernel.wake_futex.
+    counts["kernel.futex_wakes"] = stats.syscalls_by_name.get("futex_wake", 0)
     if rsm is not None:
         rsm_stats = rsm.stats
         counts["mrr.chunks_total"] = rsm_stats.chunks
         for name in ("cbuf_drains", "input_events", "input_payload_bytes",
                      "input_payload_dedup_bytes"):
             counts[f"capo.{name}"] = getattr(rsm_stats, name)
+        for kind, count in rsm_stats.events_by_kind.items():
+            counts[f"capo.input_events.{kind}"] = count
         counts["capo.sphere_threads"] = len(rsm.sphere.rthreads)
+        # The drained chunk entries, and any a run that raised left in
+        # the CBUFs.
+        shapes = rsm.drained_chunks + Counter(
+            (entry.reason, entry.icount, entry.rsw)
+            for recorder in rsm.recorders for entry in recorder.cbuf._entries)
+        by_reason: Counter[str] = Counter()
+        icounts = metrics.histogram("mrr.chunk_instructions")
+        rsws = metrics.histogram("mrr.chunk_rsw")
+        for (reason, icount, rsw), count in shapes.items():
+            by_reason[reason] += count
+            for _ in range(count):
+                icounts.observe(icount)
+                rsws.observe(rsw)
+        counts.update((f"mrr.chunks.{reason}", count)
+                      for reason, count in by_reason.items())
+        counts["mrr.snoop_terminations"] = sum(
+            by_reason[reason] for reason in Reason.CONFLICTS)
+        ring = rsm.flight
+        if ring is not None:
+            counts["capture.evictions"] = ring.evictions
+            metrics.gauge("capture.flight_window").set(ring.window)
+            metrics.gauge("capture.flight_epoch_chunks").set(ring.epoch_chunks)
+            for name in ("chunks_retained", "events_retained", "chunks_seen",
+                         "events_seen", "base_position"):
+                metrics.gauge(f"capture.{name}").set(getattr(ring, name))
     for name, count in counts.items():
         metrics.counter(name).inc(count)
 

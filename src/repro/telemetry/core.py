@@ -19,8 +19,11 @@ namespace via :func:`get_logger`; the root ``repro`` logger carries a
 ``NullHandler`` so the library stays silent unless the application opts
 in.
 
-Counts the simulator's stats already keep are not counted again: the
-session and the replayer publish them into the registry at run end.
+A metric is taken per event only when no stat or log holds its value;
+the rest are published at run end (``session._publish_stats``,
+``Replayer.result``). The record path's per-event sites emit trace
+events and keep only ``mrr.bloom_false_positives``,
+``mrr.signature_occupancy_pct`` and ``capo.cbuf_batch_entries``.
 """
 
 from __future__ import annotations

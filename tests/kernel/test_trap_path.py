@@ -2,7 +2,8 @@
 
 The kernel runs each trap kind (syscall, trapped nondeterministic
 instruction, preemption with its undispatch and dispatch, signal
-delivery) as one body, and the RSM logs each input in one ``log_*`` body.
+delivery) as one body, and the RSM logs a syscall in one body and the
+other input kinds in one shared body.
 :func:`tests.reference.install_trap_reference` puts back the chain of
 calls those bodies replaced. A run through either must leave the same
 trace: chunk log, input events, kernel, RSM and machine statistics,

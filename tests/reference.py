@@ -169,13 +169,12 @@ def _method_drain_one(self):
     line = entry.addr & self._line_mask
     _acquire_for_write(self, line)
     machine.buffered_stores -= 1
+    machine.store_drains += 1
     if entry.size == 4:
         machine.memory.write_word(entry.addr, entry.value)
     else:
         machine.memory.write_byte(entry.addr, entry.value)
     self.cycles += self._store_drain_cost
-    if machine._tm_enabled:
-        machine._tm_drains.inc()
     if self.recorder is not None:
         self.recorder.on_store_drain(line)
 
@@ -419,9 +418,6 @@ def _chain_terminate(self, reason):
         telemetry = self.telemetry
         read_pct = 100.0 * self.read_sig.saturation
         write_pct = 100.0 * self.write_sig.saturation
-        telemetry.metrics.counter(f"mrr.chunks.{reason}").inc()
-        self._tm_chunk_hist.observe(entry.icount)
-        self._tm_rsw_hist.observe(entry.rsw)
         self._tm_occupancy.observe(read_pct)
         self._tm_occupancy.observe(write_pct)
         telemetry.tracer.complete(
@@ -623,8 +619,8 @@ class _ReferenceKernel:
         task.state = STATE_RUNNING
         task.units_in_quantum = 0
         task.quantum_limit = self._quantum()
+        self.stats.dispatches += 1
         if self._tm_on:
-            self._tm_dispatches.inc()
             self.telemetry.tracer.instant(
                 "sched.dispatch", cat="kernel", tid=task.tid,
                 args={"core": core.core_id,
@@ -763,7 +759,7 @@ class _ReferenceRSM:
         fresh = payload_bytes if fresh_payload_bytes is None \
             else fresh_payload_bytes
         stats = self.stats
-        stats.input_events += 1
+        stats.events_by_kind[event.kind] += 1
         stats.input_payload_bytes += payload_bytes
         stats.input_payload_dedup_bytes += payload_bytes - fresh
         if self.flight is None:
@@ -776,7 +772,6 @@ class _ReferenceRSM:
             core.cycles += charge
         stats.cycles_input_log += charge
         if self._tm_on:
-            self._tm_kind[event.kind].inc()
             self.telemetry.tracer.instant(
                 f"input:{event.kind}", cat="capo", tid=event.rthread,
                 args={"seq": event.seq, "chunk_seq": event.chunk_seq,

@@ -12,14 +12,19 @@ The two contracts the subsystem lives by:
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
 from repro import session, workloads
+from repro.capo.events import KINDS
+from repro.capo.recording import FLIGHT_META_KEY
 from repro.config import DEFAULT_CONFIG
 from repro.errors import ConfigError, ReproError
+from repro.mrr.chunk import Reason
 from repro.mrr.logfmt import encode_chunks
 from repro.telemetry import NULL_TELEMETRY, Telemetry, validate_trace
+from repro.telemetry.metrics import Counter as CounterMetric, Histogram
 
 
 def _record(config=None, **kwargs):
@@ -131,6 +136,127 @@ def test_counters_are_read_from_the_stats_twins():
     names = bare.snapshot()
     assert names["kernel.blocks"] == kernel["blocks"]
     assert not any(name.startswith(("capo.", "mrr.")) for name in names)
+
+
+def _sigping(telemetry, config=None, **kwargs):
+    program, inputs = workloads.build("sigping", scale=1)
+    return session.record(program, seed=1, input_files=inputs,
+                          config=config, telemetry=telemetry, **kwargs)
+
+
+def _flight_config(window=2):
+    return dataclasses.replace(
+        DEFAULT_CONFIG,
+        capo=dataclasses.replace(DEFAULT_CONFIG.capo, flight_window=window))
+
+
+def _histogram(values):
+    histogram = Histogram("expected")
+    for value in values:
+        histogram.observe(value)
+    return histogram.snapshot()
+
+
+def test_chunk_and_event_metrics_are_taken_from_the_logs():
+    # The per-reason split, the snoop cuts and the size and RSW
+    # histograms are the recording's own chunk entries; the per-kind
+    # split is its events, every kind present even at 0.
+    telemetry = Telemetry()
+    outcome = _sigping(telemetry)
+    chunks, events = outcome.recording.chunks, outcome.recording.events
+    snap = telemetry.snapshot()
+    reasons = Counter(chunk.reason for chunk in chunks)
+    assert {name: value for name, value in snap.items()
+            if name.startswith("mrr.chunks.")} == {
+        f"mrr.chunks.{reason}": count for reason, count in reasons.items()}
+    assert snap["mrr.snoop_terminations"] == sum(
+        reasons[reason] for reason in Reason.CONFLICTS)
+    assert snap["mrr.chunk_instructions"] == _histogram(
+        chunk.icount for chunk in chunks)
+    assert snap["mrr.chunk_rsw"] == _histogram(chunk.rsw for chunk in chunks)
+    kinds = Counter(event.kind for event in events)
+    assert {kind: snap[f"capo.input_events.{kind}"] for kind in KINDS} == {
+        kind: kinds[kind] for kind in KINDS}
+    assert 0 in {snap[f"capo.input_events.{kind}"] for kind in KINDS}
+    assert snap["kernel.dispatches"] == outcome.kernel_stats["dispatches"]
+    assert snap["kernel.futex_wakes"] == \
+        outcome.kernel_stats["syscalls_by_name"].get("futex_wake", 0)
+    assert snap["machine.store_drains"] == \
+        outcome.machine_stats["store_drains"] > 0
+    assert snap["machine.coherent_copy_lines"] == \
+        outcome.machine_stats["coherent_copy_lines"]
+
+
+def test_a_flight_window_publishes_what_the_unbounded_run_does():
+    # A flight ring keeps no chunk log and evicts its oldest epochs; the
+    # chunk metrics still cover every chunk of the run, because every
+    # entry passes the CBUF drain handler once in either retention mode.
+    unbounded, flight = Telemetry(), Telemetry()
+    _sigping(unbounded)
+    outcome = _sigping(flight, config=_flight_config())
+    full, windowed = unbounded.snapshot(), flight.snapshot()
+    assert windowed["capture.evictions"] > 0
+    assert len(outcome.recording.chunks) < windowed["mrr.chunks_total"]
+
+    def record_side(snap):
+        return {name: value for name, value in snap.items()
+                if not name.startswith(("capture.", "recording."))}
+
+    assert record_side(windowed) == record_side(full)
+    for telemetry in (unbounded, flight):
+        batches = telemetry.metrics.histogram("capo.cbuf_batch_entries")
+        assert batches.total == telemetry.snapshot()["mrr.chunks_total"]
+    ring = outcome.recording.metadata[FLIGHT_META_KEY]
+    assert windowed["capture.chunks_seen"] == ring["chunks_seen"]
+    assert windowed["capture.evictions"] == ring["evictions"]
+    assert windowed["capture.chunks_retained"] == len(outcome.recording.chunks)
+    assert windowed["capture.events_retained"] == len(outcome.recording.events)
+
+
+def test_a_run_that_raises_counts_the_entries_left_in_the_cbufs():
+    telemetry = Telemetry()
+    with pytest.raises(ReproError):
+        _sigping(telemetry, max_units=5000)
+    snap = telemetry.snapshot()
+    by_reason = sum(value for name, value in snap.items()
+                    if name.startswith("mrr.chunks."))
+    assert snap["mrr.chunk_instructions"]["count"] == by_reason \
+        == snap["mrr.chunk_rsw"]["count"] == snap["mrr.chunks_total"]
+    # Some entries never reached a drain.
+    drained = telemetry.metrics.histogram("capo.cbuf_batch_entries").total
+    assert 0 < drained < snap["mrr.chunks_total"]
+
+
+def test_published_metrics_sum_over_the_overhead_passes():
+    # measure_overhead shares one Telemetry across its off, hw and full
+    # passes: each published counter and histogram is the sum of the
+    # three runs' own.
+    from repro.perf.overhead import measure_overhead
+
+    program, inputs = workloads.build("sigping", scale=1)
+    shared = Telemetry()
+    measure_overhead(program, seed=1, input_files=inputs, telemetry=shared)
+    passes = []
+    for mode in session.MODES:
+        telemetry = Telemetry()
+        session.simulate(program, seed=1, mode=mode, input_files=inputs,
+                         telemetry=telemetry)
+        passes.append(telemetry)
+    metrics = shared.metrics
+    assert metrics.counter("mrr.chunks.syscall").value > 0
+    for name, metric in metrics._metrics.items():
+        if isinstance(metric, CounterMetric):
+            assert metric.value == sum(
+                telemetry.metrics.counter(name).value
+                for telemetry in passes if name in telemetry.metrics), name
+        elif isinstance(metric, Histogram) and name.startswith("mrr.chunk"):
+            parts = [telemetry.metrics.histogram(name)
+                     for telemetry in passes if name in telemetry.metrics]
+            assert len(parts) == 2
+            assert metric.count == sum(part.count for part in parts)
+            assert metric.total == sum(part.total for part in parts)
+            assert metric.buckets == dict(sum(
+                (Counter(part.buckets) for part in parts), Counter()))
 
 
 def test_counters_sum_over_a_shared_telemetry():
