@@ -125,6 +125,10 @@ def _record_repro(args: argparse.Namespace) -> str:
              f"--policy {args.policy}", f"--scale {args.scale}"]
     if args.threads is not None:
         parts.append(f"--threads {args.threads}")
+    if args.cores is not None:
+        parts.append(f"--cores {args.cores}")
+    if args.coherence is not None:
+        parts.append(f"--coherence {args.coherence}")
     if getattr(args, "flight_window", 0):
         parts.append(f"--flight-window {args.flight_window}")
     if getattr(args, "flight_epoch", None) is not None:

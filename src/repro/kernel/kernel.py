@@ -30,7 +30,6 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from ..capo.rsm import MODE_FULL
 from ..config import KernelConfig
@@ -115,7 +114,7 @@ class Kernel:
         self._next_pid = 1
         self._live = 0
         # Core ids with a dispatched task, ascending — replaced (a new
-        # list, which the fused loop notices) by _dispatch, _undispatch and
+        # list, which the run loop notices) by _dispatch, _undispatch and
         # _preempt, the only writers of ``core.task``, so the run loop need
         # not recompute it every unit.
         self._running_ids: list[int] = []
@@ -255,21 +254,21 @@ class Kernel:
     def run(self, interleaver: Interleaver, max_units: int = 200_000_000) -> int:
         """Run until every task exits; returns units executed.
 
-        Two loops execute identical units in identical order:
-
-        - the *fused* loop, taken for the random interleaver when every
-          core's engine has a decode cache. It takes the interleaver's
-          choices a run at a time (``choice_run``/``consume``: one C-level
-          pass over bulk-drawn words per run) and inlines
-          ``Machine.step_core`` (compiled dispatch, pc bounds check and
-          fault tagging, cycles, ``global_step``, the recorder's one-compare
-          termination gate, the drain tick — skipped while no store is
-          buffered — and telemetry sampling) and the kernel's post-unit
-          fast path;
-        - the *stepped* loop, the oracle: ``interleaver.choose`` then
-          ``Machine.step_core`` per unit. Stateful interleavers (``rr``,
-          ``bursty``), which must see every choice, and engines without a
-          decode cache take it.
+        One loop serves every interleaver and both engines. Each pass of
+        the outer loop takes a run of choices for the current candidate
+        cores (``interleaver.choice_run``, reported back with ``consume``)
+        and executes units until the run ends or the slow path changes the
+        running set. The unit body inlines ``Machine.step_core``: the
+        engine's unit table (generated unit functions, or the interpretive
+        handlers without a decode cache), the pc bounds check and fault
+        tagging, cycles, ``global_step``, the recorder's one-compare
+        termination gate, the drain tick — skipped while no store is
+        buffered — and telemetry sampling; then the kernel's post-unit
+        fast path. ``step`` counts the pass's units ahead of
+        ``machine.global_step``, which a unit's own work still reads as the
+        previous step (as under ``Machine.step_core``).
+        ``tests/reference.py`` keeps the loop of ``choose`` and
+        ``step_core`` per unit as its lockstep reference.
 
         After a unit, the slow path (:meth:`_after_unit_slow`) runs only on
         a trap, an expired quantum or a due sleeper. A task waiting in the
@@ -278,47 +277,6 @@ class Kernel:
         is busy. ``sched.sleepers`` is mutated in place by the scheduler
         (never rebound), so hoisting the reference is safe.
         """
-        if getattr(interleaver, "choice_run", None) is None or not all(
-                core.engine is not None and core.engine.decode_cache
-                for core in self.machine.cores):
-            return self._run_stepped(interleaver, max_units)
-        return self._run_fused(interleaver, max_units)
-
-    def _run_stepped(self, interleaver: Interleaver, max_units: int) -> int:
-        units = 0
-        idle_streak = 0
-        machine = self.machine
-        cores = machine.cores
-        step_core = machine.step_core
-        choose = interleaver.choose
-        sleepers = self.sched.sleepers
-        while self._live > 0:
-            candidates = self._running_ids
-            if not candidates:
-                idle_streak = self._idle(idle_streak)
-                continue
-            idle_streak = 0
-            core_id = choose(candidates)
-            outcome = step_core(core_id)
-            core = cores[core_id]
-            task = core.task
-            task.units_in_quantum += 1
-            if (outcome != OUTCOME_OK
-                    or task.units_in_quantum >= task.quantum_limit
-                    or (sleepers and sleepers[0][0] <= machine.global_step)):
-                self._after_unit_slow(core, task, outcome)
-            units += 1
-            if units > max_units:
-                raise KernelError(f"unit budget {max_units} exceeded")
-        return units
-
-    def _run_fused(self, interleaver, max_units: int) -> int:
-        """The fused loop. Each pass of the outer loop takes a run of
-        choices for the current candidate cores (``repeat`` for one core)
-        and executes units until the run ends or the slow path changes the
-        running set. ``step`` counts the pass's units ahead of
-        ``machine.global_step``, which a unit's own work still reads as
-        the previous step (as under ``Machine.step_core``)."""
         units = 0
         idle_streak = 0
         machine = self.machine
@@ -343,12 +301,7 @@ class Kernel:
             idle_streak = 0
             # At most one unit past the budget, so the check after the
             # pass sees an overrun.
-            budget = max_units + 1 - units
-            drawn = len(candidates) > 1
-            if drawn:
-                choices = choice_run(candidates)[:budget]
-            else:
-                choices = repeat(candidates[0], budget)
+            choices = choice_run(candidates, max_units + 1 - units)
             first = step = machine.global_step
             try:
                 for core_id in choices:
@@ -383,8 +336,7 @@ class Kernel:
                             break
             finally:
                 # Counts a unit that faulted too: it had drawn its choice.
-                if drawn:
-                    consume(step - first)
+                consume(step - first)
             units += step - first
             if units > max_units:
                 raise KernelError(f"unit budget {max_units} exceeded")

@@ -81,16 +81,18 @@ def _signed(value: int) -> int:
 class Engine:
     """Architectural state plus the instruction interpreter.
 
-    ``decode_cache`` runs the unit functions that
+    Every engine has a unit table, ``_dispatch``, indexed by pc. With
+    ``decode_cache`` it holds the unit functions that
     :mod:`repro.machine.decode` generates from its instruction templates
-    (the same templates build replay's translation blocks); without it
-    the engine interprets each instruction, the reference path the
-    equivalence suites run in lockstep with the generated one.
+    (the same templates build replay's translation blocks); without it,
+    :func:`_interpret` at every pc, which runs the instruction's
+    interpretive handler: the reference path the equivalence suites run
+    in lockstep with the generated one.
     """
 
     def __init__(self, program: Program, decode_cache: bool = True):
         self._decode_cache = decode_cache
-        self.program = program  # property: also binds the dispatch table
+        self.program = program  # property: also binds the unit table
         self.regs: list[int] = [0] * NUM_REGS
         self.pc = program.entry
         self.zf = 0
@@ -132,7 +134,7 @@ class Engine:
             from .decode import decoded_program
             self._dispatch = decoded_program(program)
         else:
-            self._dispatch = None
+            self._dispatch = [_interpret] * len(program.instructions)
 
     # -- context save/restore ------------------------------------------------
 
@@ -260,27 +262,17 @@ class Engine:
     def step(self, port: MemoryPort) -> str:
         """Execute one unit. Returns an OUTCOME_* constant.
 
-        With the decode cache this calls the generated unit function at
-        ``pc`` (compiled on its first run); without it, the interpretive
-        handler of the instruction. Trap outcomes (syscall, nondet) leave
-        all architectural state untouched; the caller processes the trap
-        and calls :meth:`complete_trap`.
+        Calls the unit at ``pc`` in the engine's unit table: the generated
+        unit function with the decode cache (compiled on its first run),
+        :func:`_interpret` without it. Trap outcomes (syscall, nondet)
+        leave all architectural state untouched; the caller processes the
+        trap and calls :meth:`complete_trap`.
         """
         dispatch = self._dispatch
-        if dispatch is not None:
-            pc = self.pc
-            if not 0 <= pc < len(dispatch):
-                raise MachineFault(f"pc {pc} outside code", pc=pc)
-            outcome = dispatch[pc](self, port)
-            return OUTCOME_OK if outcome is None else outcome
-        if not 0 <= self.pc < len(self.program.instructions):
-            raise MachineFault(f"pc {self.pc} outside code", pc=self.pc)
-        instr = self.program.instructions[self.pc]
-        handler = _DISPATCH.get(instr.mnemonic)
-        if handler is None:
-            raise IllegalInstructionError(f"no handler for {instr.mnemonic}",
-                                          pc=self.pc)
-        outcome = handler(self, port, instr)
+        pc = self.pc
+        if not 0 <= pc < len(dispatch):
+            raise MachineFault(f"pc {pc} outside code", pc=pc)
+        outcome = dispatch[pc](self, port)
         return OUTCOME_OK if outcome is None else outcome
 
     def current_instr(self) -> Instr:
@@ -289,6 +281,18 @@ class Engine:
 
 # -- instruction handlers ----------------------------------------------------
 # Each handler takes (engine, port, instr); returning None means OUTCOME_OK.
+
+def _interpret(e: Engine, port) -> str | None:
+    """The unit an engine without a decode cache runs at every pc: the
+    interpretive handler of the instruction at ``e.pc``, returning what a
+    generated unit function returns (None, or a trap outcome)."""
+    instr = e.program.instructions[e.pc]
+    handler = _DISPATCH.get(instr.mnemonic)
+    if handler is None:
+        raise IllegalInstructionError(f"no handler for {instr.mnemonic}",
+                                      pc=e.pc)
+    return handler(e, port, instr)
+
 
 def _h_mov(e: Engine, port, i: Instr):
     e._set_reg(i.ops[0], e.value_of(i.ops[1]))

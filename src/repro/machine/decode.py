@@ -9,9 +9,12 @@ kinds of function:
 
 - a *unit function* ``fn(engine, port) -> outcome | None`` runs one unit of
   the instruction at its pc and updates ``pc`` and ``retired`` itself.
-  :func:`decoded_program` is the table of them, indexed by pc, that record
-  runs (``Engine.step``, the kernel's fused loop) and that replay's unit
-  loop in ``Replayer.step_chunk`` calls directly;
+  :func:`decoded_program` is the unit table, indexed by pc, of an engine
+  with the decode cache: ``Kernel.run``'s loop, ``Machine.step_core``,
+  ``Engine.step`` and replay's unit loop in ``Replayer.step_chunk`` call
+  its entries directly. An engine without the decode cache has the same
+  kind of table, holding ``core._interpret`` (the interpretive handler,
+  with the same contract) at every pc;
 - a *translation block* ``fn(engine, port) -> units`` runs a basic block
   of units back to back. :func:`block_table` is the table of them, indexed
   by leader, that the same loop enters where a block fits.

@@ -8,26 +8,36 @@ reproduces the run.
 
 Different policies stress the recorder differently: ``random`` maximizes
 fine-grained races, ``bursty`` creates longer chunks with abrupt conflict
-storms, ``rr`` is the most cache-friendly.
+storms, ``rr`` is the most cache-friendly. Each hands ``Kernel.run`` its
+choices a run at a time and keeps ``choose`` as the single-choice API.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Protocol, Sequence
+from bisect import bisect_right
+from itertools import cycle, islice, repeat
+from typing import Iterable, Protocol, Sequence
 
 from ..errors import ConfigError
 
 
 class Interleaver(Protocol):
-    """Chooses the next core to step among those with runnable work.
+    """Chooses which core steps next among those with runnable work.
 
-    An interleaver whose choices depend only on its random stream may also
-    offer ``choice_run``/``consume`` (see :class:`RandomInterleaver`);
-    ``Kernel.run`` then takes its fused loop.
+    ``choice_run(candidates, budget)`` returns the next at most ``budget``
+    (at least one) choices among ``candidates``, the ascending ids of the
+    cores with runnable work, without taking them; ``consume(used)`` then
+    takes the first ``used`` of them, at least one. Taking ``used``
+    choices this way leaves the interleaver as ``used`` calls of its
+    ``choose(candidates)`` would — also for a single candidate, where
+    ``rr`` and ``bursty`` update their state as ``choose`` does.
     """
 
-    def choose(self, candidates: Sequence[int]) -> int: ...
+    def choice_run(self, candidates: Sequence[int],
+                   budget: int) -> Iterable[int]: ...
+
+    def consume(self, used: int) -> None: ...
 
 
 #: 32-bit words drawn per ``getrandbits`` call by :class:`RandomInterleaver`.
@@ -88,10 +98,13 @@ class RandomInterleaver:
             r = self._word() >> shift
         return candidates[r]
 
-    def choice_run(self, candidates: Sequence[int]) -> bytes:
+    def choice_run(self, candidates: Sequence[int],
+                   budget: int) -> Iterable[int]:
         """The core ids that the next draws choose among ``candidates``
-        (2 to 64 cores with ids below 255), as many as the next
-        :data:`RUN_WORDS` buffered words yield, rejected draws dropped.
+        (1 to 64 cores with ids below 255), at most ``budget`` of them: as
+        many as the next :data:`RUN_WORDS` buffered words yield, rejected
+        draws dropped. One candidate draws nothing, so its run is
+        ``budget`` repeats of it.
 
         Nothing is consumed: the caller reports how many choices it used
         with :meth:`consume` before asking for another run or calling
@@ -100,6 +113,8 @@ class RandomInterleaver:
         ``bytes.translate`` maps a run of those bytes to core ids (or the
         reject mark) and ``bytes.replace`` drops the rejects.
         """
+        if len(candidates) == 1:
+            return repeat(candidates[0], budget)
         key = tuple(candidates)
         table = self._tables.get(key)
         if table is None:
@@ -114,7 +129,7 @@ class RandomInterleaver:
             run = marks.replace(b"\xff", b"")
             if run:
                 self._marks = marks
-                return run
+                return run[:budget]
             # Every draw rejected: look further ahead.
             words *= 2
 
@@ -122,8 +137,10 @@ class RandomInterleaver:
         """Advance past the words that produced the first ``used`` choices
         of the last :meth:`choice_run` (a rejected word after the last
         used choice stays unconsumed: the next choice may have other
-        candidates)."""
+        candidates). A one-candidate run drew no words."""
         marks = self._marks
+        if not marks:
+            return
         # The shortest prefix of the run's words holding ``used`` accepted
         # draws: accepted-before(p) = p - count of rejects in marks[:p].
         lo, hi = used, len(marks)
@@ -154,6 +171,7 @@ class RoundRobinInterleaver:
 
     def __init__(self, seed: int = 0):
         self._last = -1
+        self._rotation: Sequence[int] = ()
 
     def choose(self, candidates: Sequence[int]) -> int:
         for candidate in candidates:
@@ -162,6 +180,17 @@ class RoundRobinInterleaver:
                 return candidate
         self._last = candidates[0]
         return candidates[0]
+
+    def choice_run(self, candidates: Sequence[int],
+                   budget: int) -> Iterable[int]:
+        """``budget`` choices: the rotation of the ascending
+        ``candidates`` that starts after the last core chosen, repeated."""
+        start = bisect_right(candidates, self._last) % len(candidates)
+        rotation = self._rotation = candidates[start:] + candidates[:start]
+        return islice(cycle(rotation), budget)
+
+    def consume(self, used: int) -> None:
+        self._last = self._rotation[(used - 1) % len(self._rotation)]
 
 
 class BurstyInterleaver:
@@ -187,6 +216,20 @@ class BurstyInterleaver:
         self._current = candidates[self._rng.randrange(len(candidates))]
         self._remaining = self._rng.randint(self._min, self._max) - 1
         return self._current
+
+    def choice_run(self, candidates: Sequence[int],
+                   budget: int) -> Iterable[int]:
+        """The rest of the current burst, at most ``budget`` choices. A new
+        burst is drawn where :meth:`choose` would draw it, at the run's
+        first choice, so the run's first choice must be taken."""
+        if self._current not in candidates or self._remaining <= 0:
+            self._current = candidates[self._rng.randrange(len(candidates))]
+            # The whole burst: consume takes the first choice too.
+            self._remaining = self._rng.randint(self._min, self._max)
+        return repeat(self._current, min(self._remaining, budget))
+
+    def consume(self, used: int) -> None:
+        self._remaining -= used
 
 
 _POLICIES = {

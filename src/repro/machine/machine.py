@@ -28,7 +28,7 @@ from .cache import (
     SHARED,
     UPGRADE,
 )
-from .core import OUTCOME_OK, Engine
+from .core import Engine
 from .memory import MASK32, PhysicalMemory, misaligned, outside_memory
 from .store_buffer import PendingStore, StoreBuffer
 
@@ -365,27 +365,16 @@ class Machine:
     def step_core(self, core_id: int) -> str:
         """Execute one unit on ``core_id`` and run post-unit housekeeping.
 
-        The single-step API: ``Kernel.run``'s stepped loop (the oracle of
-        its fused loop) and the machine tests call it. The compiled-dispatch
-        indexing from ``Engine.step`` is inlined (same bounds check, same
-        fault); engines without a decode cache go through ``Engine.step``.
-        ``Kernel.run``'s fused loop inlines this whole body.
+        The single-step API, which the machine tests and the stepped
+        reference loop in ``tests/reference.py`` call. ``Kernel.run``
+        inlines this whole body.
         """
         core = self.cores[core_id]
         engine = core.engine
         if engine is None:
             raise MachineFault("no program loaded", core_id=core_id)
-        dispatch = engine._dispatch
         try:
-            if dispatch is not None:
-                pc = engine.pc
-                if not 0 <= pc < len(dispatch):
-                    raise MachineFault(f"pc {pc} outside code", pc=pc)
-                outcome = dispatch[pc](engine, core.port)
-                if outcome is None:
-                    outcome = OUTCOME_OK
-            else:
-                outcome = engine.step(core.port)
+            outcome = engine.step(core.port)
         except MachineFault as fault:
             fault.core_id = core_id
             raise

@@ -207,8 +207,7 @@ def restore_replayer(recording: Recording, state: ReplayState,
         engine.restore_arch(data["engine"])
         withheld = WithheldStores(replayer.memory)
         withheld.restore(data["withheld"])
-        port = ReplayPort(replayer.memory, withheld,
-                          telemetry=replayer.telemetry)
+        port = ReplayPort(replayer.memory, withheld)
         events = events_by_thread.setdefault(rthread, deque())
         for _ in range(data["events_consumed"]):
             if not events:

@@ -29,7 +29,6 @@ from ..machine.store_buffer import (
     RESOLVE_HIT,
     PendingStore,
 )
-from ..telemetry import NULL_TELEMETRY, Telemetry
 
 MASK32 = 0xFFFFFFFF
 
@@ -46,6 +45,10 @@ class WithheldStores:
         # lists, not deques: they almost always hold one entry, and a
         # one-entry deque takes over ten times the memory of such a list.
         self._by_word: dict[int, list[PendingStore]] = {}
+        # Loads that found a partial overlap and committed the FIFO (the
+        # ``replay.pending_store_stalls`` metric). Kept here, not on the
+        # port, which an observability layer may wrap.
+        self.stalls = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -179,14 +182,9 @@ class WithheldStores:
 class ReplayPort:
     """Engine memory port: withheld FIFO in front of shared replay memory."""
 
-    def __init__(self, memory: PhysicalMemory, withheld: WithheldStores,
-                 telemetry: Telemetry | None = None):
+    def __init__(self, memory: PhysicalMemory, withheld: WithheldStores):
         self._memory = memory
         self._withheld = withheld
-        self._telemetry = telemetry or NULL_TELEMETRY
-        if self._telemetry.enabled:
-            self._tm_stalls = self._telemetry.metrics.counter(
-                "replay.pending_store_stalls")
 
     def load(self, addr: int, size: int) -> int:
         status, value = self._withheld.resolve(addr, size)
@@ -194,8 +192,7 @@ class ReplayPort:
             return value  # type: ignore[return-value]
         if status == RESOLVE_CONFLICT:
             # Recording drained the store buffer at this exact point.
-            if self._telemetry.enabled:
-                self._tm_stalls.inc()
+            self._withheld.stalls += 1
             self._withheld.commit_all()
         if size == 4:
             return self._memory.read_word(addr)

@@ -119,15 +119,11 @@ class _ReplayThread:
         self.withheld = withheld
         self.port = port
         self.events = events
-        # Unit functions and translation blocks of the thread's program,
-        # indexed by pc. An engine without the decode cache runs no blocks
-        # and steps every unit through the interpretive Engine.step.
-        if engine.decode_cache:
-            self.unit_fns = engine._dispatch
-            self.blocks = block_table(engine.program)
-        else:
-            self.unit_fns = [_interpret] * len(engine.program.instructions)
-            self.blocks = None
+        # Translation blocks of the thread's program, indexed by pc. An
+        # engine without the decode cache runs none: its unit table steps
+        # every unit through the interpretive handlers.
+        self.blocks = (block_table(engine.program) if engine.decode_cache
+                       else None)
         self.completed_chunks = 0
         self.boundary_retired = 0
         self.pending_copies: tuple[tuple[int, bytes], ...] = ()
@@ -219,7 +215,7 @@ class Replayer:
         engine.regs[3] = arg & MASK32   # rdi
         engine.regs[15] = sp & MASK32   # sp
         withheld = WithheldStores(self.memory)
-        port = ReplayPort(self.memory, withheld, telemetry=self.telemetry)
+        port = ReplayPort(self.memory, withheld)
         if self.port_wrapper is not None:
             port = self.port_wrapper(rthread, engine, port)
         # setdefault, not get: the thread context and the event map must
@@ -273,7 +269,7 @@ class Replayer:
                 self._pre_chunk(ctx)
             engine = ctx.engine
             port = ctx.port
-            dispatch = ctx.unit_fns
+            dispatch = engine._dispatch
             end = len(dispatch)
             # A block runs only where it fits whole before ``target`` and
             # no rep_* instruction is in flight, so it never overshoots.
@@ -352,6 +348,8 @@ class Replayer:
             metrics = self.telemetry.metrics
             metrics.counter("replay.chunks").inc(
                 self.stats.chunks - self._chunks_restored)
+            metrics.counter("replay.pending_store_stalls").inc(
+                sum(ctx.withheld.stalls for ctx in self.threads.values()))
             metrics.gauge("replay.units").set(self.stats.units)
             metrics.gauge("replay.events_applied").set(self.stats.events)
             metrics.gauge("replay.signals").set(self.stats.signals)
@@ -519,13 +517,6 @@ class Replayer:
                 raise ReplayDivergenceError(
                     f"{len(ctx.withheld)} uncommitted stores at exit",
                     rthread=ctx.rthread)
-
-
-def _interpret(engine: Engine, port: ReplayPort) -> str | None:
-    """A unit through the interpretive :meth:`Engine.step`, returning as a
-    generated unit function does."""
-    outcome = engine.step(port)
-    return None if outcome == OUTCOME_OK else outcome
 
 
 def _unit_error(ctx: _ReplayThread, outcome: str | None,

@@ -1,9 +1,10 @@
-"""The fused run loop against its oracle, the stepped loop.
+"""The one run loop against its reference, the stepped loop.
 
-``Kernel.run`` takes the fused loop for the random interleaver when every
-engine has a decode cache; stateful interleavers and interpreting engines
-take the stepped loop (``interleaver.choose`` + ``Machine.step_core`` per
-unit). The two must execute identical units in identical order, so every
+``Kernel.run`` takes every interleaver's choices a run at a time
+(``choice_run``/``consume``) and inlines ``Machine.step_core``, for both
+engines. ``tests/reference.py`` keeps the stepped loop
+(``interleaver.choose`` + ``Machine.step_core`` per unit) as its oracle:
+the two must execute identical units in identical order, so every
 recording made through one equals the recording made through the other.
 """
 
@@ -21,7 +22,12 @@ from repro.isa.builder import SYS_NANOSLEEP
 from repro.kernel.kernel import Kernel
 from repro.machine import interleave
 from repro.machine.core import OUTCOME_OK
-from repro.machine.interleave import RandomInterleaver
+from repro.machine.interleave import (
+    BurstyInterleaver,
+    RandomInterleaver,
+    RoundRobinInterleaver,
+    make_interleaver,
+)
 from repro.machine.machine import Machine
 from repro.mrr.chunk import Reason
 from repro.mrr.logfmt import encode_chunks
@@ -29,20 +35,11 @@ from repro.mrr.recorder import NEVER, MemoryRaceRecorder
 from repro.telemetry import Telemetry
 from repro.workloads.base import WorkloadHarness
 from tests.conftest import wire_recorder
+from tests.reference import install_run_reference
 
 BENCH_PROGRAMS = ("locks", "fft", "sigping", "radix")
+POLICIES = ("random", "rr", "bursty")
 MASK32 = 0xFFFFFFFF
-
-
-class _ChooseOnly:
-    """A random interleaver seen only through ``choose``: without
-    ``choice_run`` the kernel must take the stepped loop."""
-
-    def __init__(self, seed):
-        self._inner = RandomInterleaver(seed)
-
-    def choose(self, candidates):
-        return self._inner.choose(candidates)
 
 
 def _fingerprint(outcome):
@@ -50,13 +47,15 @@ def _fingerprint(outcome):
     return (outcome.final_memory_digest,
             hashlib.sha256(encode_chunks(recording.chunks)).hexdigest(),
             hashlib.sha256(encode_events_v1(recording.events)).hexdigest(),
-            outcome.units, outcome.total_cycles, outcome.kernel_stats)
+            outcome.units, outcome.total_cycles, outcome.kernel_stats,
+            outcome.rsm_stats, outcome.machine_stats)
 
 
 def _record(monkeypatch, name, seed, *, stepped=False, decode_cache=True,
-            config=None, threads=4, telemetry=None):
-    """Record ``name`` at scale 1; returns the outcome and the number of
-    ``Machine.step_core`` calls (zero on the fused loop)."""
+            config=None, threads=4, telemetry=None, policy="random"):
+    """Record ``name`` at scale 1 through the one loop or (``stepped``)
+    the reference; returns the outcome and the number of
+    ``Machine.step_core`` calls (zero on the one loop)."""
     program, inputs = workloads.build(name, threads=threads, scale=1)
     steps = []
     original = Machine.step_core
@@ -68,39 +67,42 @@ def _record(monkeypatch, name, seed, *, stepped=False, decode_cache=True,
     with monkeypatch.context() as patch:
         patch.setattr(Machine, "step_core", counting)
         if stepped:
-            patch.setattr(session, "make_interleaver",
-                          lambda policy, seed: _ChooseOnly(seed))
+            install_run_reference(patch)
         outcome = session.record(program, seed=seed, input_files=inputs,
-                                 decode_cache=decode_cache,
+                                 decode_cache=decode_cache, policy=policy,
                                  config=config or DEFAULT_CONFIG,
                                  telemetry=telemetry)
     return outcome, len(steps)
 
 
-# -- fused loop == stepped loop ------------------------------------------------
+# -- the one loop == the stepped loop -----------------------------------------
 
 @pytest.mark.parametrize("name", BENCH_PROGRAMS)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_fused_loop_records_what_the_stepped_loop_records(monkeypatch, name,
                                                           seed):
-    fused, fused_steps = _record(monkeypatch, name, seed)
-    stepped, stepped_steps = _record(monkeypatch, name, seed, stepped=True)
-    interpreted, interpreted_steps = _record(monkeypatch, name, seed,
-                                             decode_cache=False)
-    assert fused_steps == 0
-    assert stepped_steps == interpreted_steps == fused.units
-    assert _fingerprint(stepped) == _fingerprint(fused)
-    assert _fingerprint(interpreted) == _fingerprint(fused)
+    """Every policy, and the interpretive engine under the one loop."""
+    for policy in POLICIES:
+        fused, fused_steps = _record(monkeypatch, name, seed, policy=policy)
+        stepped, stepped_steps = _record(monkeypatch, name, seed,
+                                         stepped=True, policy=policy)
+        interpreted, interpreted_steps = _record(
+            monkeypatch, name, seed, decode_cache=False, policy=policy)
+        assert fused_steps == interpreted_steps == 0
+        assert stepped_steps == fused.units
+        assert _fingerprint(stepped) == _fingerprint(fused)
+        assert _fingerprint(interpreted) == _fingerprint(fused)
 
 
 def test_fused_loop_with_telemetry_matches_the_stepped_loop(monkeypatch):
-    fused, _ = _record(monkeypatch, "locks", 5,
-                       telemetry=Telemetry(sampling=7))
-    stepped, _ = _record(monkeypatch, "locks", 5, stepped=True,
-                         telemetry=Telemetry(sampling=7))
-    assert _fingerprint(stepped) == _fingerprint(fused)
-    assert fused.telemetry.tracer.export() == \
-        stepped.telemetry.tracer.export()
+    for policy in POLICIES:
+        fused, _ = _record(monkeypatch, "locks", 5, policy=policy,
+                           telemetry=Telemetry(sampling=7))
+        stepped, _ = _record(monkeypatch, "locks", 5, stepped=True,
+                             policy=policy, telemetry=Telemetry(sampling=7))
+        assert _fingerprint(stepped) == _fingerprint(fused)
+        assert fused.telemetry.tracer.export() == \
+            stepped.telemetry.tracer.export()
 
 
 def _harness_program(name, body):
@@ -126,13 +128,16 @@ def test_sleepers_wake_alike_on_both_loops(monkeypatch):
     """Sleepers fall due while other cores run units: the fast path's
     sleeper check must hand those units to the slow path."""
     program = _harness_program("sleepy", _sleepy)
-    outcomes = []
-    for interleaver in (RandomInterleaver(6), _ChooseOnly(6)):
-        monkeypatch.setattr(session, "make_interleaver",
-                            lambda policy, seed, it=interleaver: it)
-        outcomes.append(session.record(program, seed=6))
-    assert outcomes[0].kernel_stats["blocks"] >= 40
-    assert _fingerprint(outcomes[0]) == _fingerprint(outcomes[1])
+    for policy in POLICIES:
+        outcomes = []
+        for stepped in (False, True):
+            with monkeypatch.context() as patch:
+                if stepped:
+                    install_run_reference(patch)
+                outcomes.append(session.record(program, seed=6,
+                                               policy=policy))
+        assert outcomes[0].kernel_stats["blocks"] >= 40
+        assert _fingerprint(outcomes[0]) == _fingerprint(outcomes[1])
 
 
 def _faulty(b):
@@ -145,18 +150,24 @@ def _faulty(b):
 
 def test_fault_is_tagged_alike_and_consumes_its_choice(monkeypatch):
     program = _harness_program("faulty", _faulty)
-    faults, after = [], []
-    for interleaver in (RandomInterleaver(2), _ChooseOnly(2)):
-        monkeypatch.setattr(session, "make_interleaver",
-                            lambda policy, seed, it=interleaver: it)
-        with pytest.raises(MachineFault) as info:
-            session.record(program, seed=2)
-        faults.append((str(info.value), info.value.core_id))
-        # The interleaver continues after the faulting unit's choice.
-        after.append([interleaver.choose([0, 1, 2, 3]) for _ in range(16)])
-    assert faults[0][1] is not None
-    assert faults[0] == faults[1]
-    assert after[0] == after[1]
+    for policy in POLICIES:
+        faults, after = [], []
+        for stepped in (False, True):
+            interleaver = make_interleaver(policy, 2)
+            with monkeypatch.context() as patch:
+                patch.setattr(session, "make_interleaver",
+                              lambda policy, seed: interleaver)
+                if stepped:
+                    install_run_reference(patch)
+                with pytest.raises(MachineFault) as info:
+                    session.record(program, seed=2, policy=policy)
+            faults.append((str(info.value), info.value.core_id))
+            # The interleaver continues after the faulting unit's choice.
+            after.append([interleaver.choose([0, 1, 2, 3])
+                          for _ in range(16)])
+        assert faults[0][1] is not None
+        assert faults[0] == faults[1]
+        assert after[0] == after[1]
 
 
 # -- the recorder's termination gate ------------------------------------------
@@ -311,34 +322,55 @@ def test_choose_is_randrange(n):
             candidates[reference.randrange(n)]
 
 
+def _check_choice_runs(make, script, min_used):
+    """Choices taken a run at a time, interleaved with ``choose`` calls
+    and changes of the candidate set (down to one core and back), are the
+    choices ``choose`` alone makes, and leave the interleaver where those
+    calls leave it. Half the steps keep the previous candidates, so runs
+    also continue one another."""
+    runs, reference = make(), make()
+    cores = list(range(8))
+    candidates = cores
+    for _ in range(400):
+        if script.random() < 0.5:
+            candidates = sorted(script.sample(cores, script.randint(1, 8)))
+        if script.random() < 0.3:
+            assert runs.choose(candidates) == reference.choose(candidates)
+            continue
+        run = list(runs.choice_run(candidates, script.randint(1, 300)))
+        assert run
+        used = script.randint(min_used, len(run))
+        assert run[:used] == [reference.choose(candidates)
+                              for _ in range(used)]
+        runs.consume(used)
+    for candidates in (cores, [3], cores[2:5]):
+        assert [runs.choose(candidates) for _ in range(50)] == \
+            [reference.choose(candidates) for _ in range(50)]
+
+
 @pytest.mark.parametrize("bulk_words,run_words", [(1024, 128), (5, 2),
                                                   (3, 8), (1, 1)])
 def test_choice_runs_continue_the_choose_stream(monkeypatch, bulk_words,
                                                 run_words):
-    """Choices taken a run at a time, interleaved with ``choose`` calls
-    and changes of the candidate set, are the choices ``choose`` alone
-    makes — across bulk-draw and run boundaries, including runs whose
-    every draw is rejected."""
+    """Across bulk-draw and run boundaries, including runs whose every
+    draw is rejected; a run may be consumed not at all."""
     monkeypatch.setattr(interleave, "BULK_WORDS", bulk_words)
     monkeypatch.setattr(interleave, "RUN_WORDS", run_words)
-    script = random.Random(3)
-    runs = RandomInterleaver(4)
-    reference = RandomInterleaver(4)
-    cores = list(range(8))
-    for _ in range(400):
-        candidates = sorted(script.sample(cores, script.randint(2, 8)))
-        if script.random() < 0.3:
-            assert runs.choose(candidates) == reference.choose(candidates)
-            continue
-        run = runs.choice_run(candidates)
-        assert run
-        used = script.randint(0, len(run))
-        for core_id in run[:used]:
-            assert core_id == reference.choose(candidates)
-        runs.consume(used)
-    assert runs.choose(cores) == reference.choose(cores)
+    _check_choice_runs(lambda: RandomInterleaver(4), random.Random(3), 0)
+
+
+@pytest.mark.parametrize("make", [
+    RoundRobinInterleaver,
+    lambda: BurstyInterleaver(4),
+    lambda: BurstyInterleaver(5, min_burst=1, max_burst=6),
+], ids=["rr", "bursty", "bursty-short"])
+@pytest.mark.parametrize("script_seed", [3, 11])
+def test_stateful_choice_runs_continue_the_choose_stream(make, script_seed):
+    """rr's rotation and bursty's bursts, run by run: every run's first
+    choice is taken (the kernel's first unit of a pass always runs)."""
+    _check_choice_runs(make, random.Random(script_seed), 1)
 
 
 def test_choice_runs_refuse_too_many_candidates():
     with pytest.raises(ValueError):
-        RandomInterleaver(1).choice_run(list(range(65)))
+        RandomInterleaver(1).choice_run(list(range(65)), 10)

@@ -411,11 +411,13 @@ def _rep_signal_program():
 def test_cur_memops_is_nonzero_only_parked_on_a_rep(monkeypatch):
     """Generated code other than ``rep_*`` never writes ``cur_memops``:
     that is sound because it is nonzero only while the engine is parked on
-    a ``rep_*`` instruction. Pinned at every unit of stepped recordings,
-    across preemption and signal delivery mid-``rep``."""
+    a ``rep_*`` instruction. Pinned at every unit of recordings through
+    the stepped reference loop, across preemption and signal delivery
+    mid-``rep``."""
     from repro.config import KernelConfig, MachineConfig, SimConfig
     from repro.kernel.kernel import Kernel
     from repro.machine.machine import Machine
+    from tests.reference import install_run_reference
 
     seen = {"parked": 0, "preempted": 0, "signalled": 0}
 
@@ -452,6 +454,7 @@ def test_cur_memops_is_nonzero_only_parked_on_a_rep(monkeypatch):
         if len(task.sig_saved) > saved:
             seen["signalled"] += task.sig_saved[-1].cur_memops != 0
 
+    install_run_reference(monkeypatch)
     monkeypatch.setattr(Machine, "step_core", checked_step)
     monkeypatch.setattr(Kernel, "_dispatch", checked_dispatch)
     monkeypatch.setattr(Kernel, "_deliver_signal", checked_deliver)

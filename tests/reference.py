@@ -31,6 +31,9 @@ chain instead; a lockstep test records once each way and compares.
   ``on_kernel_entry``/``on_dispatch``/``on_undispatch`` and ``log_*`` →
   ``_intern_copies`` → ``_event`` → ``_log``. The method bodies are kept
   verbatim.
+- :func:`install_run_reference` — ``Kernel.run`` as the stepped loop it
+  kept beside the one loop for stateful interleavers and interpretive
+  engines: ``interleaver.choose`` then ``Machine.step_core`` per unit.
 """
 
 from __future__ import annotations
@@ -850,3 +853,42 @@ def install_trap_reference(patch):
     for name in _RSM_CHAIN:
         patch.setattr(ReplaySphereManager, name, _ReferenceRSM.__dict__[name],
                       raising=False)
+
+
+# -- the run loop ------------------------------------------------------------------
+
+def _run_stepped(self, interleaver, max_units: int = 200_000_000) -> int:
+    """``Kernel.run`` one unit at a time: ``interleaver.choose`` among the
+    running cores, ``Machine.step_core``, then the kernel's post-unit
+    fast path."""
+    units = 0
+    idle_streak = 0
+    machine = self.machine
+    cores = machine.cores
+    step_core = machine.step_core
+    choose = interleaver.choose
+    sleepers = self.sched.sleepers
+    while self._live > 0:
+        candidates = self._running_ids
+        if not candidates:
+            idle_streak = self._idle(idle_streak)
+            continue
+        idle_streak = 0
+        core_id = choose(candidates)
+        outcome = step_core(core_id)
+        core = cores[core_id]
+        task = core.task
+        task.units_in_quantum += 1
+        if (outcome != OUTCOME_OK
+                or task.units_in_quantum >= task.quantum_limit
+                or (sleepers and sleepers[0][0] <= machine.global_step)):
+            self._after_unit_slow(core, task, outcome)
+        units += 1
+        if units > max_units:
+            raise KernelError(f"unit budget {max_units} exceeded")
+    return units
+
+
+def install_run_reference(patch):
+    """Record through the stepped run loop while ``patch`` is active."""
+    patch.setattr(Kernel, "run", _run_stepped)

@@ -9,7 +9,6 @@ from repro.machine.store_buffer import (
     PendingStore,
 )
 from repro.replay.pending import ReplayPort, WithheldStores
-from repro.telemetry import Telemetry
 
 
 @pytest.fixture
@@ -178,13 +177,22 @@ def test_peek_leaves_port_state_alone(memory):
     """A word store and a byte store into the same word, then a look at
     the word: the next boundary must still see both stores withheld."""
     withheld = WithheldStores(memory)
-    telemetry = Telemetry()
-    port = ReplayPort(memory, withheld, telemetry=telemetry)
+    port = ReplayPort(memory, withheld)
     port.store(0, 4, 0x01020304)
     port.store(1, 1, 0xFF)
     assert withheld.peek(0, 4) == 0x0102FF04
     withheld.commit_keep_last(2)
-    assert telemetry.metrics.counter("replay.pending_store_stalls").value == 0
+    assert withheld.stalls == 0
+
+
+def test_conflicting_load_counts_a_stall(memory):
+    withheld = WithheldStores(memory)
+    port = ReplayPort(memory, withheld)
+    port.store(0, 1, 0xAA)
+    assert port.load(0, 1) == 0xAA
+    assert withheld.stalls == 0
+    assert port.load(0, 4) == 0xAA
+    assert withheld.stalls == 1 and len(withheld) == 0
 
 
 # -- restore: snapshots from a checkpoint header are validated ----------------

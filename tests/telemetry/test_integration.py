@@ -23,8 +23,10 @@ from repro.config import DEFAULT_CONFIG
 from repro.errors import ConfigError, ReproError
 from repro.mrr.chunk import Reason
 from repro.mrr.logfmt import encode_chunks
+from repro.replay.checkpoint import base_replayer
 from repro.telemetry import NULL_TELEMETRY, Telemetry, validate_trace
 from repro.telemetry.metrics import Counter as CounterMetric, Histogram
+from repro.workloads.base import WorkloadHarness
 
 
 def _record(config=None, **kwargs):
@@ -94,6 +96,29 @@ def test_replay_metrics_and_stalls():
     assert snap["replay.schedule_chunks"] == len(outcome.recording.chunks)
     assert snap["replay.events_applied"] == result.stats.events
     assert "replay" in telemetry.tracer.categories()
+
+
+def test_pending_store_stalls_sum_the_threads_counts():
+    """A byte store then a word load of the same word forwards nothing:
+    each such load commits the thread's withheld stores, and the metric
+    sums those stalls over every replay thread."""
+    harness = WorkloadHarness(2, "stalls")
+    harness.b.space("cells", 8)
+    harness.emit_main()
+    harness.b.label("body")
+    harness.b.ins("shl", "r1", "rdi", 2)
+    harness.b.ins("add", "r1", "r1", "cells")
+    with harness.b.for_range("r6", 0, 5):
+        harness.b.ins("storeb", "[r1]", 7)
+        harness.b.ins("load", "r2", "[r1]")
+    harness.b.ins("ret")
+    outcome = session.record(harness.build(), seed=1)
+    telemetry = Telemetry()
+    replayer = base_replayer(outcome.recording, telemetry=telemetry)
+    replayer.run()
+    stalls = [ctx.withheld.stalls for ctx in replayer.threads.values()]
+    assert len(stalls) == 2 and all(stalls)
+    assert telemetry.snapshot()["replay.pending_store_stalls"] == sum(stalls)
 
 
 def test_explicit_telemetry_overrides_config():

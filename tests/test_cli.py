@@ -1,3 +1,5 @@
+import json
+
 from repro.cli import main
 
 
@@ -345,6 +347,26 @@ def test_record_flight_window_captures_crash(tmp_path, capsys):
     assert (bundle / "crash.json").exists()
     assert main(["replay", str(bundle / "recording")]) == 0
     assert "replay verified" in capsys.readouterr().out
+
+
+def test_crash_repro_line_keeps_the_machine_flags(tmp_path, capsys):
+    """The repro command reruns the machine that crashed: 2 cores on the
+    directory fabric, not the default 4-core snooping bus."""
+    out_dir = tmp_path / "rec"
+    assert main(["record", "crasher", "--cores", "2", "--coherence",
+                 "directory", "--flight-window", "2", "-o",
+                 str(out_dir)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "rec-crash" / "crash.json").read_text())
+    assert manifest["repro"] == (
+        "quickrec record crasher --seed 0 --policy random --scale 1 "
+        "--cores 2 --coherence directory --flight-window 2")
+    rerun = tmp_path / "rerun"
+    assert main(manifest["repro"].split()[1:] + ["-o", str(rerun)]) == 0
+    capsys.readouterr()
+    machine = json.loads((rerun / "manifest.json").read_text())[
+        "config"]["machine"]
+    assert (machine["num_cores"], machine["coherence"]) == (2, "directory")
 
 
 def test_record_flight_capture_explicit_trigger(tmp_path, capsys):
