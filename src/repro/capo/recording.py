@@ -12,12 +12,16 @@ Bundles round-trip to a directory::
 
     rec/
       manifest.json    config + metadata + log sizes
-      program.json     the exact program image
+      program.qrp      the exact program image (QRPG: columnar header,
+                       then its canonical JSON deflated)
       input.bin        input-event log (columnar QRIL v3)
       chunks.bin       packed chunk log (QRCL v1, what loading reads)
       chunks.qrz       compact chunk log (columnar QRCZ; loading reads it
                        when chunks.bin is absent)
       checkpoints.bin  page-delta checkpoint section (when present)
+
+Bundles written before the deflated program image hold a plain
+``program.json`` instead; ``load`` reads it when ``program.qrp`` is absent.
 
 Loading is *lazy*: ``Recording.load`` reads and validates only the
 manifest and program image; each log section is read and decoded on first
@@ -45,12 +49,14 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import zlib
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from ..config import SimConfig
 from ..errors import ConfigError, LogFormatError, ReproError
 from ..isa.program import Program
+from ..mrr import columnar
 from ..mrr.chunk import ChunkEntry
 from ..mrr.compression import compress_chunks, decompress_chunks
 from ..mrr.logfmt import (
@@ -76,15 +82,19 @@ from .input_log import (
 FLIGHT_META_KEY = "flight"
 
 MANIFEST_NAME = "manifest.json"
-PROGRAM_NAME = "program.json"
+PROGRAM_NAME = "program.qrp"
+#: The plain-JSON program image of bundles written before ``program.qrp``.
+PROGRAM_JSON_NAME = "program.json"
 INPUT_NAME = "input.bin"
 CHUNKS_NAME = "chunks.bin"
 CHUNKS_COMPRESSED_NAME = "chunks.qrz"
 CHECKPOINTS_NAME = "checkpoints.bin"
 #: Every file a bundle directory may hold.
-BUNDLE_NAMES = frozenset({MANIFEST_NAME, PROGRAM_NAME, INPUT_NAME,
-                          CHUNKS_NAME, CHUNKS_COMPRESSED_NAME,
+BUNDLE_NAMES = frozenset({MANIFEST_NAME, PROGRAM_NAME, PROGRAM_JSON_NAME,
+                          INPUT_NAME, CHUNKS_NAME, CHUNKS_COMPRESSED_NAME,
                           CHECKPOINTS_NAME})
+_PROGRAM_MAGIC = b"QRPG"
+PROGRAM_VERSION = 1
 #: Bytes a checkpoint payload may hold beyond the memory image: its
 #: length-prefixed JSON header (thread contexts, withheld stores, output
 #: written so far). Loading rejects any checkpoint declaring more.
@@ -98,16 +108,71 @@ def _sibling(directory: Path, purpose: str) -> Path:
         f".{directory.name}.{purpose}-{os.urandom(6).hex()}")
 
 
-def _read_json(path: Path, what: str) -> Any:
-    """Parse one JSON file of a bundle; a missing, truncated or non-UTF-8
-    file raises :class:`LogFormatError` naming ``what`` and the bundle."""
+def _parse_json(raw: bytes, what: str, directory: Path) -> Any:
+    """Parse one JSON document of a bundle; truncated or non-UTF-8 bytes
+    raise :class:`LogFormatError` naming ``what`` and the bundle."""
     try:
-        return json.loads(path.read_bytes().decode("utf-8"))
-    except FileNotFoundError as exc:
-        raise LogFormatError(f"no {what} in {path.parent}") from exc
+        return json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise LogFormatError(
-            f"malformed {what} in {path.parent}: {exc}") from exc
+            f"malformed {what} in {directory}: {exc}") from exc
+
+
+def _read_json(path: Path, what: str) -> Any:
+    """Parse one JSON file of a bundle; a missing file raises
+    :class:`LogFormatError` naming ``what`` and the bundle, as a malformed
+    one does."""
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise LogFormatError(f"no {what} in {path.parent}") from exc
+    return _parse_json(raw, what, path.parent)
+
+
+def encode_program(program: Program) -> bytes:
+    """The ``program.qrp`` section: a columnar header declaring the
+    inflated length, then ``program``'s canonical JSON deflated."""
+    raw = json.dumps(program.to_dict()).encode("utf-8")
+    return (columnar.header(_PROGRAM_MAGIC, PROGRAM_VERSION, 0, len(raw))
+            + zlib.compress(raw, columnar.LEVEL))
+
+
+def decode_program_json(blob: bytes) -> bytes:
+    """Invert the deflate of :func:`encode_program`: the JSON bytes,
+    never inflating past the header's declared length plus one byte."""
+    what = "program image"
+    if blob[:4] != _PROGRAM_MAGIC:
+        raise LogFormatError(f"bad {what} magic")
+    if len(blob) < columnar.FIXED_HEADER:
+        raise LogFormatError(f"truncated {what} header")
+    version, flags = blob[4], blob[5]
+    if version != PROGRAM_VERSION:
+        raise LogFormatError(f"unsupported {what} version {version}")
+    if flags:
+        raise LogFormatError(f"unknown {what} flags {flags:#x}")
+    (size,), offset = columnar.read_fields(blob, 1, what)
+    return columnar.inflate(blob[offset:], size, what)
+
+
+def _load_program(directory: Path) -> Program:
+    """The bundle's program image: ``program.qrp``, or the plain
+    ``program.json`` of a bundle written before it."""
+    what = "program image"
+    path = directory / PROGRAM_NAME
+    if path.exists():
+        try:
+            raw = decode_program_json(path.read_bytes())
+        except LogFormatError as exc:
+            raise LogFormatError(
+                f"malformed {what} in {directory}: {exc}") from exc
+        image = _parse_json(raw, what, directory)
+    else:
+        image = _read_json(directory / PROGRAM_JSON_NAME, what)
+    try:
+        return Program.from_dict(image)
+    except LogFormatError as exc:
+        raise LogFormatError(
+            f"malformed {what} in {directory}: {exc}") from exc
 
 
 class Recording:
@@ -227,6 +292,10 @@ class Recording:
     def total_log_bytes(self) -> int:
         return self.chunk_log_bytes() + self.input_log_bytes()
 
+    def program_image_bytes(self) -> int:
+        """Size of the program image as saved (``program.qrp``)."""
+        return len(encode_program(self.program))
+
     def checkpoint_log_bytes(self) -> int:
         return len(encode_checkpoints(self.checkpoints)) \
             if self.checkpoints else 0
@@ -304,7 +373,7 @@ class Recording:
             "input_log_version": INPUT_LOG_VERSION,
         }
         (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
-        (directory / PROGRAM_NAME).write_text(json.dumps(self.program.to_dict()))
+        (directory / PROGRAM_NAME).write_bytes(encode_program(self.program))
 
     @classmethod
     def load(cls, directory: str | Path) -> "Recording":
@@ -320,8 +389,7 @@ class Recording:
             raise LogFormatError(
                 f"bad config in manifest of {directory}: "
                 f"{type(exc).__name__}: {exc}") from exc
-        program = Program.from_dict(
-            _read_json(directory / PROGRAM_NAME, "program image"))
+        program = _load_program(directory)
 
         def load_chunks() -> list[ChunkEntry]:
             chunk_path = directory / CHUNKS_NAME

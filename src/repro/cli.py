@@ -138,12 +138,13 @@ def _record_repro(args: argparse.Namespace) -> str:
 
 def _log_sizes(recording: Recording) -> dict[str, int]:
     """Each log's size in the frozen v1 serialization and in the compact
-    columnar form the bundle stores."""
+    columnar form the bundle stores, and the stored program image's."""
     return {
         "chunk log bytes (v1)": recording.chunk_log_bytes(),
         "chunk log bytes (compact)": recording.chunk_log_compressed_bytes(),
         "input log bytes (v1)": recording.input_log_v1_bytes(),
         "input log bytes (compact)": recording.input_log_bytes(),
+        "program image bytes": recording.program_image_bytes(),
     }
 
 

@@ -17,6 +17,10 @@ Decoding inverts each step in bulk: :func:`inflate` never produces more
 than the inflated length the header declares, and :func:`unpack` restores
 the columns by slice assignment. Callers check codes, signs and indices
 over whole columns before building any entry.
+
+The program image section (``program.qrp``, see
+:mod:`repro.capo.recording`) shares only the header and :func:`inflate`:
+its body is one deflated JSON document, not columns.
 """
 
 from __future__ import annotations

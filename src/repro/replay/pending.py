@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import LogFormatError, MemoryAccessError, ReplayDivergenceError
-from ..machine.memory import PhysicalMemory
+from ..machine.memory import PhysicalMemory, misaligned, outside_memory
 from ..machine.store_buffer import (
     _RESOLVED_CONFLICT,
     _RESOLVED_MISS,
@@ -38,6 +38,8 @@ class WithheldStores:
 
     def __init__(self, memory: PhysicalMemory):
         self._memory = memory
+        self._data = memory._data
+        self._size = memory.size
         # Commit order, oldest first.
         self._entries: deque[PendingStore] = deque()
         # Aligned word address -> the entries inside that word, oldest
@@ -63,42 +65,61 @@ class WithheldStores:
         else:
             bucket.append(entry)
 
-    def _write(self, entry: PendingStore) -> None:
-        if entry.size == 4:
-            self._memory.write_word(entry.addr, entry.value)
-        else:
-            self._memory.write_byte(entry.addr, entry.value)
-
-    def _commit_one(self) -> None:
-        entry = self._entries.popleft()
-        # The global oldest entry is also the oldest of its word.
-        word = entry.addr & ~3
-        bucket = self._by_word[word]
-        del bucket[0]
-        if not bucket:
-            del self._by_word[word]
-        self._write(entry)
-
     def commit_all(self) -> None:
         entries = self._entries
         if entries:
+            # PhysicalMemory.write_word/write_byte inline: same checks,
+            # same faults, entry by entry.
+            data = self._data
+            memory_size = self._size
             for entry in entries:
-                self._write(entry)
+                addr = entry.addr
+                if entry.size == 4:
+                    if addr & 3:
+                        raise misaligned("write", addr)
+                    if addr < 0 or addr + 4 > memory_size:
+                        raise outside_memory(addr, 4, memory_size)
+                    data[addr:addr + 4] = entry.value.to_bytes(4, "little")
+                else:
+                    if addr < 0 or addr + 1 > memory_size:
+                        raise outside_memory(addr, 1, memory_size)
+                    data[addr] = entry.value & 0xFF
             entries.clear()
             self._by_word.clear()
 
     def commit_keep_last(self, keep: int) -> None:
         """Commit the oldest entries, keeping the youngest ``keep``."""
-        excess = len(self._entries) - keep
+        entries = self._entries
+        excess = len(entries) - keep
         if excess <= 0:
             if excess:
                 raise ReplayDivergenceError(
-                    f"RSW {keep} exceeds {len(self._entries)} withheld stores")
+                    f"RSW {keep} exceeds {len(entries)} withheld stores")
         elif not keep:
             self.commit_all()
         else:
+            by_word = self._by_word
+            data = self._data
+            memory_size = self._size
             for _ in range(excess):
-                self._commit_one()
+                entry = entries.popleft()
+                # The global oldest entry is also the oldest of its word.
+                addr = entry.addr
+                word = addr & ~3
+                bucket = by_word[word]
+                del bucket[0]
+                if not bucket:
+                    del by_word[word]
+                if entry.size == 4:
+                    if addr & 3:
+                        raise misaligned("write", addr)
+                    if addr < 0 or addr + 4 > memory_size:
+                        raise outside_memory(addr, 4, memory_size)
+                    data[addr:addr + 4] = entry.value.to_bytes(4, "little")
+                else:
+                    if addr < 0 or addr + 1 > memory_size:
+                        raise outside_memory(addr, 1, memory_size)
+                    data[addr] = entry.value & 0xFF
 
     def snapshot(self) -> list[tuple[int, int, int]]:
         """FIFO contents, oldest first, as (addr, size, value) triples."""
@@ -116,8 +137,9 @@ class WithheldStores:
             raise LogFormatError(
                 f"withheld stores must be a list, got {type(entries).__name__}")
         checked = [self._checked_entry(entry) for entry in entries]
-        self._entries = deque()
-        self._by_word = {}
+        # Cleared in place: a port holds references to both.
+        self._entries.clear()
+        self._by_word.clear()
         for addr, size, value in checked:
             self.push(addr, size, value)
 
@@ -180,26 +202,62 @@ class WithheldStores:
 
 
 class ReplayPort:
-    """Engine memory port: withheld FIFO in front of shared replay memory."""
+    """Engine memory port: withheld FIFO in front of shared replay memory.
+
+    Loads and stores are flat bodies. A load runs the per-word forwarding
+    lookup with its cover, extract and overlap tests (``WithheldStores.
+    resolve``), counts a stall and commits the FIFO on a partial overlap,
+    then does the aligned access on the memory's bytearray (``PhysicalMemory.
+    read_word``/``read_byte``: same checks, same ``MemoryAccessError``
+    messages), in the order those methods ran. A store is
+    ``WithheldStores.push`` inline. ``tests/replay/test_replay_port.py``
+    runs it in lockstep against the method chain ``tests/reference.py``
+    keeps.
+    """
 
     def __init__(self, memory: PhysicalMemory, withheld: WithheldStores):
         self._memory = memory
         self._withheld = withheld
+        self._entries = withheld._entries
+        self._by_word = withheld._by_word
+        self._data = memory._data
+        self._size = memory.size
 
     def load(self, addr: int, size: int) -> int:
-        status, value = self._withheld.resolve(addr, size)
-        if status == RESOLVE_HIT:
-            return value  # type: ignore[return-value]
-        if status == RESOLVE_CONFLICT:
-            # Recording drained the store buffer at this exact point.
-            self._withheld.stalls += 1
-            self._withheld.commit_all()
+        bucket = self._by_word.get(addr & ~3)
+        if bucket is not None:
+            for entry in reversed(bucket):
+                start = entry.addr
+                end = start + entry.size
+                if start <= addr and addr + size <= end:
+                    return ((entry.value >> (8 * (addr - start)))
+                            & ((1 << (8 * size)) - 1))
+                if start < addr + size and addr < end:
+                    # Recording drained the store buffer at this exact point.
+                    withheld = self._withheld
+                    withheld.stalls += 1
+                    withheld.commit_all()
+                    break
+        memory_size = self._size
         if size == 4:
-            return self._memory.read_word(addr)
-        return self._memory.read_byte(addr)
+            if addr & 3:
+                raise misaligned("read", addr)
+            if addr < 0 or addr + 4 > memory_size:
+                raise outside_memory(addr, 4, memory_size)
+            return int.from_bytes(self._data[addr:addr + 4], "little")
+        if addr < 0 or addr + 1 > memory_size:
+            raise outside_memory(addr, 1, memory_size)
+        return self._data[addr]
 
     def store(self, addr: int, size: int, value: int) -> None:
-        self._withheld.push(addr, size, value)
+        entry = PendingStore(addr, size, value & MASK32)
+        self._entries.append(entry)
+        word = addr & ~3
+        bucket = self._by_word.get(word)
+        if bucket is None:
+            self._by_word[word] = [entry]
+        else:
+            bucket.append(entry)
 
     def fence(self) -> None:
         self._withheld.commit_all()

@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import pytest
 
@@ -26,8 +27,9 @@ def test_save_load_round_trip(recording, tmp_path):
 def test_saved_layout(recording, tmp_path):
     directory = recording.save(tmp_path / "rec")
     names = {path.name for path in directory.iterdir()}
-    assert {"manifest.json", "program.json", "input.bin", "chunks.bin"} <= names
+    assert {"manifest.json", "program.qrp", "input.bin", "chunks.bin"} <= names
     assert "chunks.qrz" in names  # the compact chunk log, always written
+    assert "program.json" not in names  # the image is stored deflated
 
 
 def test_compressed_chunk_fallback(recording, tmp_path):
@@ -81,7 +83,7 @@ def _truncate(name):
     # a bundle saved while CapoConfig still had this knob
     (_forge_capo("input_batch_events", 0), "input_batch_events"),
     (_forge_capo("flight_window", -1), "flight_window"),
-    (_truncate("program.json"), "malformed program image"),
+    (_truncate("program.qrp"), "malformed program image"),
 ], ids=["truncated-manifest", "non-utf8-manifest", "list-manifest",
         "no-config", "unknown-config-key", "out-of-range-config",
         "truncated-program"])
@@ -93,12 +95,29 @@ def test_malformed_manifest_or_program_is_log_format_error(
         Recording.load(directory)
 
 
+def _program_section(raw, magic=b"QRPG", version=1, flags=0, size=None,
+                     body=None):
+    """A ``program.qrp`` section holding the JSON bytes ``raw``; each
+    keyword forges one part of it."""
+    from repro.mrr.columnar import header
+
+    return (header(magic, version, flags, len(raw) if size is None else size)
+            + (zlib.compress(raw) if body is None else body))
+
+
+def _image_json(directory):
+    from repro.capo.recording import decode_program_json
+
+    return decode_program_json((directory / "program.qrp").read_bytes())
+
+
 def _forge_program(mutate):
+    """Inflate the saved image, ``mutate`` its JSON, deflate it back."""
     def forge(directory):
-        path = directory / "program.json"
-        image = json.loads(path.read_text())
+        image = json.loads(_image_json(directory))
         mutate(image)
-        path.write_text(json.dumps(image))
+        (directory / "program.qrp").write_bytes(
+            _program_section(json.dumps(image).encode()))
     return forge
 
 
@@ -140,6 +159,98 @@ def test_hostile_program_image_is_log_format_error(recording, tmp_path,
     forge(directory)
     with pytest.raises(LogFormatError, match="malformed"):
         Recording.load(directory)
+
+
+def _with_section(make):
+    """Replace the saved ``program.qrp`` by ``make(blob, raw)``, given
+    the saved section and its JSON bytes."""
+    def forge(directory):
+        path = directory / "program.qrp"
+        path.write_bytes(make(path.read_bytes(), _image_json(directory)))
+    return forge
+
+
+def _flip_body_byte(blob, raw):
+    body = bytearray(blob[len(_program_section(raw, body=b"")):])
+    body[len(body) // 2] ^= 0x40
+    return _program_section(raw, body=bytes(body))
+
+
+@pytest.mark.parametrize("forge, match", [
+    (_with_section(lambda b, r: b"QRPX" + b[4:]), "bad program image magic"),
+    (_with_section(lambda b, r: _program_section(r, version=2)),
+     "unsupported program image version 2"),
+    (_with_section(lambda b, r: _program_section(r, flags=1)),
+     "unknown program image flags 0x1"),
+    (_with_section(lambda b, r: b[:5]), "truncated program image header"),
+    (_with_section(lambda b, r: b[:6]), "truncated program image header"),
+    (_with_section(lambda b, r: b[:len(b) - 8]),
+     "truncated program image body"),
+    (_with_section(_flip_body_byte), "program image body"),
+    (_with_section(lambda b, r: _program_section(r, size=len(r) - 1)),
+     "inflates past its declared"),
+    (_with_section(lambda b, r: _program_section(r, size=len(r) + 1)),
+     "header declares"),
+    (_with_section(lambda b, r: b + b"\x00"),
+     "trailing bytes after program image body"),
+    (_with_section(lambda b, r: _program_section(b'{"name": "\xff"}')),
+     "malformed program image"),
+    (_with_section(lambda b, r: _program_section(b"[1, 2]")),
+     "malformed program payload"),
+    (_with_section(lambda b, r: _program_section(b"{}")),
+     "malformed program payload"),
+], ids=["bad-magic", "bad-version", "bad-flags", "header-cut-in-fixed",
+        "header-cut-in-length", "truncated-body", "bit-flipped-body",
+        "declared-too-short", "declared-too-long", "trailing-bytes",
+        "non-utf8-json", "json-list", "json-missing-fields"])
+def test_hostile_program_section_is_log_format_error(recording, tmp_path,
+                                                     forge, match):
+    """Every malformed ``program.qrp`` names the program image and the
+    bundle, whatever part of the section is forged."""
+    directory = recording.save(tmp_path / "rec")
+    forge(directory)
+    with pytest.raises(LogFormatError, match=match) as error:
+        Recording.load(directory)
+    assert "program image" in str(error.value)
+    assert str(directory) in str(error.value)
+
+
+def test_program_section_inflate_bomb_is_refused_cheaply(recording, tmp_path):
+    """A 64 KiB body that inflates to 64 MiB, behind a header declaring
+    100 bytes: loading stops one byte past the declared length."""
+    import tracemalloc
+
+    directory = recording.save(tmp_path / "rec")
+    deflater = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    body = b"".join(deflater.compress(zeros) for _ in range(64)) \
+        + deflater.flush()
+    assert len(body) < 1 << 17
+    (directory / "program.qrp").write_bytes(
+        _program_section(b"", size=100, body=body))
+    tracemalloc.start()
+    try:
+        with pytest.raises(LogFormatError,
+                           match="inflates past its declared 100 bytes"):
+            Recording.load(directory)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_program_section_round_trips_every_workload():
+    from repro.capo.recording import decode_program_json, encode_program
+    from repro.isa.program import Program
+
+    for name in workloads.REGISTRY:
+        program, _inputs = workloads.build(name)
+        blob = encode_program(program)
+        assert blob[:5] == b"QRPG\x01"
+        image = json.loads(decode_program_json(blob))
+        assert image == program.to_dict()
+        assert Program.from_dict(image).to_dict() == program.to_dict()
+        assert encode_program(program) == blob  # deterministic bytes
 
 
 def test_manifest_count_mismatch_detected(recording, tmp_path):
@@ -210,6 +321,7 @@ def test_size_helpers(recording, tmp_path):
     assert sizes["chunks.bin"] == recording.chunk_log_bytes()
     assert sizes["chunks.qrz"] == recording.chunk_log_compressed_bytes()
     assert sizes["input.bin"] == recording.input_log_bytes()
+    assert sizes["program.qrp"] == recording.program_image_bytes()
 
 
 def test_thread_slicing(recording):
@@ -337,6 +449,22 @@ def test_pre_v3_bundle_loads_identically(recording, tmp_path):
         recording.metadata["final_memory_digest"]
 
 
+def test_pre_v3_bundle_resaves_with_the_deflated_image(recording, tmp_path):
+    """A bundle holding a plain ``program.json`` replays as the recording
+    does, and saving over it leaves the deflated image alone."""
+    reference = session.replay_recording(recording).digest()
+    directory = _write_pre_v3_bundle(recording, tmp_path / "old")
+    old = Recording.load(directory)
+    assert old.program.to_dict() == recording.program.to_dict()
+    assert session.replay_recording(old).digest() == reference
+    old.save(directory)
+    names = {path.name for path in directory.iterdir()}
+    assert "program.qrp" in names and "program.json" not in names
+    resaved = Recording.load(directory)
+    assert resaved.program.to_dict() == recording.program.to_dict()
+    assert session.replay_recording(resaved).digest() == reference
+
+
 def test_bundle_saved_with_log_version_2_names_it(recording, tmp_path):
     loaded = Recording.load(
         _write_pre_v3_bundle(recording, tmp_path / "v2", version=2))
@@ -355,7 +483,7 @@ def test_bundle_saved_with_log_version_2_names_it(recording, tmp_path):
 
 def test_load_missing_program_image_is_log_format_error(recording, tmp_path):
     directory = recording.save(tmp_path / "rec")
-    (directory / "program.json").unlink()
+    (directory / "program.qrp").unlink()  # and no plain program.json
     with pytest.raises(LogFormatError, match="no program image"):
         Recording.load(directory)
 

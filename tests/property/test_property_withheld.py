@@ -1,12 +1,13 @@
 """The word-indexed withheld-store FIFO vs a plain FIFO model.
 
 Random sequences of pushes (bursts of up to a few hundred stores over a
-handful of adjacent words), forwards, peeks, boundary commits, full
+handful of adjacent words, pushed directly or stored through a
+:class:`ReplayPort`), forwards, peeks, port loads, boundary commits, full
 commits and snapshot/restore round trips drive a :class:`WithheldStores`
 and a list-and-bytearray model side by side. After every operation:
-forwarding agrees with the byte-level reference, committed memory agrees
-with the model, and the per-word buckets, merged back in FIFO order, are
-exactly the global FIFO.
+forwarding and loads agree with the byte-level reference, committed
+memory agrees with the model, and the per-word buckets, merged back in
+FIFO order, are exactly the global FIFO.
 """
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ReplayDivergenceError
 from repro.machine.memory import PhysicalMemory
-from repro.replay.pending import WithheldStores
+from repro.replay.pending import ReplayPort, WithheldStores
 
 from .test_property_store_buffer import reference_resolve
 
@@ -41,6 +42,8 @@ def stores(draw):
 
 operations = st.one_of(
     st.tuples(st.just("push"), st.lists(stores(), min_size=1, max_size=300)),
+    st.tuples(st.just("store"), st.lists(stores(), min_size=1, max_size=30)),
+    st.tuples(st.just("load"), accesses()),
     st.tuples(st.just("resolve"), accesses()),
     st.tuples(st.just("peek"), accesses()),
     st.tuples(st.just("keep"), st.integers(min_value=0, max_value=400)),
@@ -80,14 +83,22 @@ def assert_index_consistent(withheld):
 def test_indexed_fifo_matches_model(ops):
     memory = PhysicalMemory(MEMORY_BYTES)
     withheld = WithheldStores(memory)
+    port = ReplayPort(memory, withheld)
     fifo: list[tuple[int, int, int]] = []
     model = bytearray(MEMORY_BYTES)
     depth = 0
     for op, *args in ops:
-        if op == "push":
+        if op in ("push", "store"):
+            put = withheld.push if op == "push" else port.store
             for store in args[0]:
-                withheld.push(*store)
+                put(*store)
                 fifo.append(store)
+        elif op == "load":
+            addr, size = args[0]
+            expected = model_load(fifo, model, addr, size)
+            if reference_resolve(fifo, addr, size)[0] == "conflict":
+                model_commit(fifo, model, len(fifo))
+            assert port.load(addr, size) == expected
         elif op == "resolve":
             addr, size = args[0]
             assert withheld.resolve(addr, size) == \
@@ -111,6 +122,7 @@ def test_indexed_fifo_matches_model(ops):
             restored = WithheldStores(memory)
             restored.restore(withheld.snapshot())
             withheld = restored
+            port = ReplayPort(memory, withheld)
         assert withheld.snapshot() == fifo
         assert memory.snapshot() == bytes(model)
         assert_index_consistent(withheld)

@@ -34,6 +34,13 @@ chain instead; a lockstep test records once each way and compares.
 - :func:`install_run_reference` — ``Kernel.run`` as the stepped loop it
   kept beside the one loop for stateful interleavers and interpretive
   engines: ``interleaver.choose`` then ``Machine.step_core`` per unit.
+- :func:`install_replay_port_reference` — the replay memory path as the
+  chain that ran before ``ReplayPort.load``/``store`` and the withheld
+  commits became flat bodies: ``ReplayPort`` → ``WithheldStores.push``/
+  ``resolve``/``_write``/``_commit_one``/``commit_all``/
+  ``commit_keep_last`` → ``PhysicalMemory.read_word``/``write_word``/
+  ``read_byte``/``write_byte``. The bodies are kept verbatim. Unlike the
+  others it acts on replay, not on recording.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from repro.capo.events import (
 from repro.capo.chunk_buffer import ChunkBuffer
 from repro.capo.rsm import MODE_FULL, ReplaySphereManager
 from repro.capo.sphere import ReplaySphere
-from repro.errors import KernelError
+from repro.errors import KernelError, ReplayDivergenceError
 from repro.isa.operands import Reg
 from repro.isa.registers import RAX, RCX
 from repro.kernel import syscalls
@@ -79,10 +86,18 @@ from repro.machine.cache import (
 )
 from repro.machine.core import OUTCOME_NONDET, OUTCOME_OK, OUTCOME_SYSCALL
 from repro.machine.machine import Core, Machine
-from repro.machine.store_buffer import RESOLVE_CONFLICT, RESOLVE_HIT
+from repro.machine.memory import PhysicalMemory, misaligned
+from repro.machine.store_buffer import (
+    _RESOLVED_CONFLICT,
+    _RESOLVED_MISS,
+    RESOLVE_CONFLICT,
+    RESOLVE_HIT,
+    PendingStore,
+)
 from repro.errors import RecordingError
 from repro.mrr.chunk import ChunkEntry, Reason
 from repro.mrr.recorder import MemoryRaceRecorder
+from repro.replay.pending import ReplayPort, WithheldStores
 
 
 # -- the fabric entry both references share --------------------------------------
@@ -892,3 +907,141 @@ def _run_stepped(self, interleaver, max_units: int = 200_000_000) -> int:
 def install_run_reference(patch):
     """Record through the stepped run loop while ``patch`` is active."""
     patch.setattr(Kernel, "run", _run_stepped)
+
+
+# -- the replay memory path --------------------------------------------------------
+
+class _ChainReplayPort:
+    def load(self, addr: int, size: int) -> int:
+        status, value = self._withheld.resolve(addr, size)
+        if status == RESOLVE_HIT:
+            return value  # type: ignore[return-value]
+        if status == RESOLVE_CONFLICT:
+            # Recording drained the store buffer at this exact point.
+            self._withheld.stalls += 1
+            self._withheld.commit_all()
+        if size == 4:
+            return self._memory.read_word(addr)
+        return self._memory.read_byte(addr)
+
+    def store(self, addr: int, size: int, value: int) -> None:
+        self._withheld.push(addr, size, value)
+
+    def fence(self) -> None:
+        self._withheld.commit_all()
+
+    def atomic_load(self, addr: int, size: int) -> int:
+        # The engine fences before atomics, so the FIFO is already empty.
+        if size == 4:
+            return self._memory.read_word(addr)
+        return self._memory.read_byte(addr)
+
+    def atomic_store(self, addr: int, size: int, value: int) -> None:
+        if size == 4:
+            self._memory.write_word(addr, value)
+        else:
+            self._memory.write_byte(addr, value)
+
+
+class _ChainWithheld:
+    def push(self, addr: int, size: int, value: int) -> None:
+        entry = PendingStore(addr, size, value & MASK32)
+        self._entries.append(entry)
+        word = addr & ~3
+        bucket = self._by_word.get(word)
+        if bucket is None:
+            self._by_word[word] = [entry]
+        else:
+            bucket.append(entry)
+
+    def _write(self, entry: PendingStore) -> None:
+        if entry.size == 4:
+            self._memory.write_word(entry.addr, entry.value)
+        else:
+            self._memory.write_byte(entry.addr, entry.value)
+
+    def _commit_one(self) -> None:
+        entry = self._entries.popleft()
+        # The global oldest entry is also the oldest of its word.
+        word = entry.addr & ~3
+        bucket = self._by_word[word]
+        del bucket[0]
+        if not bucket:
+            del self._by_word[word]
+        self._write(entry)
+
+    def commit_all(self) -> None:
+        entries = self._entries
+        if entries:
+            for entry in entries:
+                self._write(entry)
+            entries.clear()
+            self._by_word.clear()
+
+    def commit_keep_last(self, keep: int) -> None:
+        """Commit the oldest entries, keeping the youngest ``keep``."""
+        excess = len(self._entries) - keep
+        if excess <= 0:
+            if excess:
+                raise ReplayDivergenceError(
+                    f"RSW {keep} exceeds {len(self._entries)} withheld stores")
+        elif not keep:
+            self.commit_all()
+        else:
+            for _ in range(excess):
+                self._commit_one()
+
+    def resolve(self, addr: int, size: int) -> tuple[str, int | None]:
+        """Store-to-load forwarding, mirroring the store buffer's rules."""
+        bucket = self._by_word.get(addr & ~3)
+        if bucket is None:
+            return _RESOLVED_MISS
+        for entry in reversed(bucket):
+            if entry.covers(addr, size):
+                return RESOLVE_HIT, entry.extract(addr, size)
+            if entry.overlaps(addr, size):
+                return _RESOLVED_CONFLICT
+        return _RESOLVED_MISS
+
+
+class _ChainMemory:
+    def read_word(self, addr: int) -> int:
+        """Read an aligned little-endian 32-bit word."""
+        if addr & 3:
+            raise misaligned("read", addr)
+        self._check(addr, 4)
+        return int.from_bytes(self._data[addr:addr + 4], "little")
+
+    def write_word(self, addr: int, value: int) -> None:
+        """Write an aligned little-endian 32-bit word."""
+        if addr & 3:
+            raise misaligned("write", addr)
+        self._check(addr, 4)
+        self._data[addr:addr + 4] = (value & MASK32).to_bytes(4, "little")
+
+    def read_byte(self, addr: int) -> int:
+        self._check(addr, 1)
+        return self._data[addr]
+
+    def write_byte(self, addr: int, value: int) -> None:
+        self._check(addr, 1)
+        self._data[addr] = value & 0xFF
+
+
+_REPLAY_CHAIN = (
+    (ReplayPort, _ChainReplayPort,
+     ("load", "store", "fence", "atomic_load", "atomic_store")),
+    (WithheldStores, _ChainWithheld,
+     ("push", "_write", "_commit_one", "commit_all", "commit_keep_last",
+      "resolve")),
+    (PhysicalMemory, _ChainMemory,
+     ("read_word", "write_word", "read_byte", "write_byte")),
+)
+
+
+def install_replay_port_reference(patch):
+    """Replay through the method-built memory path while ``patch`` is
+    active. Methods the flat port no longer has are added."""
+    for owner, chain, names in _REPLAY_CHAIN:
+        for name in names:
+            patch.setattr(owner, name, chain.__dict__[name], raising=False)

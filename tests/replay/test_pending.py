@@ -185,6 +185,17 @@ def test_peek_leaves_port_state_alone(memory):
     assert withheld.stalls == 0
 
 
+def test_port_forwards_each_byte_of_a_withheld_word(memory):
+    withheld = WithheldStores(memory)
+    port = ReplayPort(memory, withheld)
+    port.store(4, 4, 0x12345678)
+    assert [port.load(addr, 1) for addr in range(4, 8)] == \
+        [0x78, 0x56, 0x34, 0x12]
+    port.store(6, 1, 0xAB)
+    assert port.load(6, 1) == 0xAB and port.load(7, 1) == 0x12
+    assert withheld.stalls == 0 and memory.read_word(4) == 0
+
+
 def test_conflicting_load_counts_a_stall(memory):
     withheld = WithheldStores(memory)
     port = ReplayPort(memory, withheld)
@@ -205,6 +216,19 @@ def test_restore_rebuilds_the_index(memory):
     assert sorted(withheld._by_word) == [0, 12]
     withheld.restore([])
     assert len(withheld) == 0 and withheld._by_word == {}
+
+
+def test_restore_keeps_the_ports_view(memory):
+    """The port holds the FIFO and its index: a restore after the port
+    is built must refill those, not replace them."""
+    withheld = WithheldStores(memory)
+    port = ReplayPort(memory, withheld)
+    port.store(8, 4, 5)
+    withheld.restore([[0, 4, 7]])
+    assert port.load(0, 4) == 7
+    assert port.load(8, 4) == 0
+    port.store(4, 1, 9)
+    assert withheld.snapshot() == [(0, 4, 7), (4, 1, 9)]
 
 
 @pytest.mark.parametrize("entries", [

@@ -21,6 +21,10 @@ def test_record_and_info_and_replay(tmp_path, capsys):
     assert main(["info", rec_dir]) == 0
     out = capsys.readouterr().out
     assert "chunk terminations" in out
+    row = next(line for line in out.splitlines()
+               if line.strip().startswith("program image bytes"))
+    assert int(row.split()[-1].replace(",", "")) == \
+        (tmp_path / "rec" / "program.qrp").stat().st_size
 
     assert main(["replay", rec_dir]) == 0
     out = capsys.readouterr().out
@@ -278,6 +282,8 @@ def test_info_json_outputs_summary_and_terminations(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["summary"]["program"] == "counter"
     assert payload["summary"]["chunks"] > 0
+    assert payload["summary"]["program image bytes"] == \
+        (tmp_path / "rec" / "program.qrp").stat().st_size
     assert abs(sum(payload["terminations"].values()) - 1.0) < 1e-9
 
 
