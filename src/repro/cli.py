@@ -36,7 +36,10 @@ from . import __version__, session, workloads
 from .analysis import chunks as chunk_analysis
 from .perf import bench
 from .analysis.report import render_kv, render_metrics, render_table
-from .capo.recording import FLIGHT_META_KEY, Recording
+from .capo.input_log import VERSION as INPUT_LOG_VERSION
+from .capo.recording import (CHECKPOINTS_NAME, CHUNKS_COMPRESSED_NAME,
+                             FLIGHT_META_KEY, INPUT_NAME, PROGRAM_NAME,
+                             Recording)
 from .config import COHERENCE_MODELS, DEFAULT_CONFIG, SimConfig
 from .errors import ReproError
 from .telemetry import Telemetry
@@ -136,15 +139,35 @@ def _record_repro(args: argparse.Namespace) -> str:
     return " ".join(parts)
 
 
-def _log_sizes(recording: Recording) -> dict[str, int]:
+def _stored_sizes(directory: str | Path) -> dict[str, int]:
+    """The sizes of the sections a saved bundle stores as a save writes
+    them, from the files: absent sections are left out, and so is the v1
+    ``input.bin`` of older bundles."""
+    sizes = {}
+    for name in (CHUNKS_COMPRESSED_NAME, INPUT_NAME, PROGRAM_NAME,
+                 CHECKPOINTS_NAME):
+        path = Path(directory) / name
+        if path.is_file():
+            with path.open("rb") as stream:
+                if name != INPUT_NAME or \
+                        stream.read(5)[4:] == bytes([INPUT_LOG_VERSION]):
+                    sizes[name] = path.stat().st_size
+    return sizes
+
+
+def _log_sizes(recording: Recording, stored: dict[str, int]) -> dict[str, int]:
     """Each log's size in the frozen v1 serialization and in the compact
-    columnar form the bundle stores, and the stored program image's."""
+    columnar form the bundle stores, and the stored program image's;
+    sizes found in ``stored`` are not encoded again."""
     return {
         "chunk log bytes (v1)": recording.chunk_log_bytes(),
-        "chunk log bytes (compact)": recording.chunk_log_compressed_bytes(),
+        "chunk log bytes (compact)": stored.get(CHUNKS_COMPRESSED_NAME)
+        or recording.chunk_log_compressed_bytes(),
         "input log bytes (v1)": recording.input_log_v1_bytes(),
-        "input log bytes (compact)": recording.input_log_bytes(),
-        "program image bytes": recording.program_image_bytes(),
+        "input log bytes (compact)": stored.get(INPUT_NAME)
+        or recording.input_log_bytes(),
+        "program image bytes": stored.get(PROGRAM_NAME)
+        or recording.program_image_bytes(),
     }
 
 
@@ -162,7 +185,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         "instructions": outcome.instructions,
         "chunks": len(recording.chunks),
         "input events": len(recording.events),
-        **_log_sizes(recording),
+        **_log_sizes(recording, {}),
         "cycles": outcome.total_cycles,
     }
     if config.machine.coherence == "directory":
@@ -337,6 +360,7 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     recording = Recording.load(args.directory)
+    stored = _stored_sizes(args.directory)
     stats = chunk_analysis.chunk_size_stats(recording.chunks)
     breakdown = chunk_analysis.termination_breakdown(recording.chunks,
                                                      group_conflicts=True)
@@ -347,9 +371,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
         "mean chunk (instr)": stats.mean,
         "p90 chunk": stats.p90,
         "input events": len(recording.events),
-        **_log_sizes(recording),
+        **_log_sizes(recording, stored),
         "checkpoints": len(recording.checkpoints),
-        "checkpoint section bytes": recording.checkpoint_log_bytes(),
+        "checkpoint section bytes": stored.get(CHECKPOINTS_NAME)
+        or recording.checkpoint_log_bytes(),
     }
     if args.json:
         print(json.dumps({"summary": summary,

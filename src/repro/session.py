@@ -363,19 +363,10 @@ def add_checkpoints(recording: Recording, every: int,
 
 
 def replay_recording(recording: Recording,
-                     telemetry: Telemetry | None = None,
-                     jobs: int = 1) -> ReplayResult:
-    """Replay a recording from its logs alone.
-
-    With ``jobs > 1`` and embedded checkpoints, replays checkpoint
-    intervals in parallel worker processes, verifying state digests at
-    every seam; the result is bit-identical to ``jobs=1``.
-    """
-    if jobs > 1:
-        from .replay.parallel import replay_parallel
-        result, _report = replay_parallel(recording=recording, jobs=jobs,
-                                          telemetry=telemetry)
-        return result
+                     telemetry: Telemetry | None = None) -> ReplayResult:
+    """Replay a recording from its logs alone, serially; its checkpoint
+    intervals replay in parallel, bit-identically, through
+    :func:`~repro.replay.parallel.replay_parallel`."""
     from .replay.checkpoint import base_replayer
     return base_replayer(recording, telemetry=telemetry).run()
 
@@ -396,13 +387,9 @@ def verify(outcome: RunOutcome, replayed: ReplayResult) -> VerificationReport:
                          outcome.exit_codes, replayed)
 
 
-def record_and_replay(program: Program, decode_cache: bool = True,
-                      **kwargs) -> tuple[
+def record_and_replay(program: Program, **kwargs) -> tuple[
         RunOutcome, ReplayResult, VerificationReport]:
-    """Record, replay, verify — the full round trip in one call.
-    ``decode_cache`` applies to both the recording and the replay."""
-    from .replay.checkpoint import base_replayer
-    outcome = record(program, decode_cache=decode_cache, **kwargs)
-    replayed = base_replayer(outcome.recording,
-                             decode_cache=decode_cache).run()
+    """Record, replay, verify — the full round trip in one call."""
+    outcome = record(program, **kwargs)
+    replayed = replay_recording(outcome.recording)
     return outcome, replayed, verify(outcome, replayed)

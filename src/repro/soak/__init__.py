@@ -2,13 +2,15 @@
 "bit-identical" claim.
 
 The paper's guarantee is that the logs capture *all* nondeterminism; this
-subsystem turns that into a continuously-testable property. A campaign
-fans random racy programs (:mod:`repro.workloads.fuzz`) across worker
-processes, runs each seed through a lattice of implementation variants
-(decode cache, coherence fabric, checkpoints, telemetry, store-buffer
-and scheduler shapes), and fails on any divergence between variants that
-must agree bit-for-bit — then delta-debugs failing seeds down to minimal
-reproducers and writes triage artifacts.
+subsystem turns that into a continuously-testable property, and is the
+repository's one equivalence check. A campaign fans random racy programs
+(:mod:`repro.workloads.fuzz`) across worker processes, runs each seed
+through a lattice of implementation variants (decode cache, coherence
+fabric, checkpoints, telemetry, store-buffer and scheduler shapes) and
+its recording modes, and fails on any divergence between runs that must
+agree — then delta-debugs failing seeds down to minimal reproducers and
+writes triage artifacts. The same checks run over the bench programs at
+scale 1 (:func:`~.differential.bench_subject`) in tier-1.
 
 See ``docs/TESTING.md`` for the campaign semantics and the lattice.
 """

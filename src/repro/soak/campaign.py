@@ -19,6 +19,7 @@ from ..telemetry import NULL_TELEMETRY, Telemetry
 from ..workloads.fuzz import FuzzCase, generate_case
 from .differential import SeedFailure, run_case_checks
 from .shrink import ShrinkResult, shrink_case
+from .variants import matrix_variants
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,9 @@ class CampaignReport:
 
 def run_case(case: FuzzCase, options: SoakOptions) -> list[SeedFailure]:
     """All differential checks for one explicit case."""
-    return run_case_checks(case, matrix=options.matrix,
-                           inject=options.inject)
+    return run_case_checks(
+        case, matrix_variants() if options.matrix else (),
+        inject=options.inject)
 
 
 def run_seed(seed: int, options: SoakOptions) -> SeedVerdict:

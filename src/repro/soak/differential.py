@@ -1,8 +1,9 @@
-"""Per-seed differential checking: one case, many variants, one verdict.
+"""The one equivalence check: one subject, many variants, one verdict.
 
-For each :class:`~repro.workloads.fuzz.FuzzCase` this module runs the
-baseline plus (with the matrix on) every lattice variant, and collects
-:class:`SeedFailure` records for:
+A subject is a :class:`~repro.workloads.fuzz.FuzzCase` or a
+:class:`BenchSubject`. :func:`run_case_checks` runs its baseline (also
+with recording off and hardware-only) and each requested lattice
+variant, and collects :class:`SeedFailure` records for:
 
 - ``exception``  — a run raised instead of completing;
 - ``verify``     — record → replay → verify diverged for some variant;
@@ -10,12 +11,17 @@ baseline plus (with the matrix on) every lattice variant, and collects
   replay's :meth:`~repro.replay.replayer.ReplayResult.digest`, differs
   from the baseline's (the differential oracle proper). Comparing replays
   checks the compiled replay path, translation blocks included, bit for
-  bit against the interpretive ``decode-off`` replay;
+  bit against the interpretive ``decode-off`` replay, and the traced
+  replay of ``telemetry-on`` against the untraced one;
+- ``modes``      — the baseline re-run with recording off, hardware-only
+  or traced executed differently (final memory digest, units or
+  outputs), or hardware-only cut other chunks than the traced recording
+  (its ``mrr.*`` metrics): recording may charge cycles, never steer;
 - ``roundtrip``  — a recording failed to survive ``Recording`` save/load
   including the load from the compact chunk log alone.
 
-Fault injection (``inject="decode-cache"``) perturbs the op list of the
-``decode-off`` variant's program, simulating a miscompiled decode
+Fault injection (``inject="decode-cache"``) perturbs the op list of a
+fuzz case's ``decode-off`` program, simulating a miscompiled decode
 template: the end-to-end self-test that the oracle, the shrinker and the
 triage pipeline actually catch real divergences.
 """
@@ -27,15 +33,49 @@ import tempfile
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping, Union
 
-from .. import session
+from .. import session, workloads
 from ..capo.input_log import encode_events_v1
 from ..capo.recording import CHUNKS_NAME, Recording
+from ..config import DEFAULT_CONFIG, SimConfig
 from ..errors import ReproError
+from ..isa.program import Program
 from ..mrr.logfmt import encode_chunks
+from ..replay.checkpoint import base_replayer
+from ..replay.parallel import replay_parallel
 from ..telemetry import Telemetry
 from ..workloads.fuzz import FuzzCase, build_program
-from .variants import BASELINE, Variant, matrix_variants
+from .variants import BASELINE, Variant
+
+
+@dataclass(frozen=True)
+class BenchSubject:
+    """A registered workload as a lattice subject: its program and input
+    files at scale 1, run with ``run_seed``, ``policy`` and ``config``."""
+
+    name: str
+    program: Program
+    input_files: Mapping[str, bytes]
+    policy: str = "random"
+    run_seed: int = 1
+    config: SimConfig = DEFAULT_CONFIG
+
+
+def bench_subject(name: str, policy: str = "random", seed: int = 1,
+                  config: SimConfig = DEFAULT_CONFIG) -> BenchSubject:
+    program, input_files = workloads.build(name, scale=1)
+    return BenchSubject(name, program, input_files, policy, seed, config)
+
+
+Subject = Union[FuzzCase, BenchSubject]
+
+#: Every run's unit budget: about twenty times the largest subject
+#: (``radix`` records ~48k units at scale 1; fuzz cases stay under 10k),
+#: so a fault that makes a program spin fails as an ``exception`` within
+#: seconds instead of running on to the simulator's default budget.
+MAX_UNITS = 1_000_000
+
 
 @dataclass
 class SeedFailure:
@@ -93,39 +133,82 @@ def _injected_ops(case: FuzzCase) -> list[list[tuple]]:
     return [[*case.threads_ops[0], ("alu", "add", 1)], *case.threads_ops[1:]]
 
 
-def run_variant(case: FuzzCase, variant: Variant, inject: str | None = None):
-    """Record, replay and verify ``case`` under ``variant``.
+def _program(subject: Subject, variant: Variant, inject: str | None
+             ) -> tuple[Program, Mapping[str, bytes] | None]:
+    """The program ``variant`` runs for ``subject``, and its input files."""
+    if isinstance(subject, BenchSubject):
+        return subject.program, subject.input_files
+    ops = subject.threads_ops
+    if inject == "decode-cache" and variant.name == "decode-off":
+        ops = _injected_ops(subject)
+    return build_program(ops, repeats=subject.repeats), None
+
+
+def run_variant(subject: Subject, variant: Variant,
+                inject: str | None = None):
+    """Record, replay and verify ``subject`` under ``variant``.
 
     Returns ``(outcome, replay_result, verification_report)``; exceptions
     propagate to the caller, which records them as ``exception`` failures.
     """
-    ops = case.threads_ops
-    if inject == "decode-cache" and variant.name == "decode-off":
-        ops = _injected_ops(case)
-    program = build_program(ops, repeats=case.repeats)
-    config = variant.apply(case.config)
-    switches = {"decode_cache": variant.decode_cache,
-                "telemetry": Telemetry(sampling=64) if variant.telemetry
-                else None}
+    program, input_files = _program(subject, variant, inject)
+    telemetry = Telemetry(sampling=64) if variant.telemetry else None
+    outcome = session.record(
+        program, seed=subject.run_seed, policy=subject.policy,
+        config=variant.apply(subject.config), input_files=input_files,
+        decode_cache=variant.decode_cache, telemetry=telemetry,
+        max_units=MAX_UNITS)
     if variant.checkpoint_every:
         # Checkpointed path: embed checkpoints post-hoc, then replay
         # interval by interval — restoring every checkpoint and
         # verifying every seam digest — before the usual verification.
         # Checkpoint building and interval replay keep the decode cache.
-        from ..replay.parallel import replay_parallel
-        outcome = session.record(program, seed=case.run_seed,
-                                 policy=case.policy, config=config,
-                                 **switches)
         session.add_checkpoints(outcome.recording,
                                 variant.checkpoint_every)
         replayed, _report = replay_parallel(
-            recording=outcome.recording, jobs=1)
-        report = session.verify(outcome, replayed)
+            recording=outcome.recording, jobs=1, telemetry=telemetry)
     else:
-        outcome, replayed, report = session.record_and_replay(
-            program, seed=case.run_seed, policy=case.policy,
-            config=config, **switches)
-    return outcome, replayed, report
+        replayed = base_replayer(
+            outcome.recording, telemetry=telemetry,
+            decode_cache=variant.decode_cache).run()
+    return outcome, replayed, session.verify(outcome, replayed)
+
+
+def _execution(outcome) -> dict[str, object]:
+    """What a run executed, whatever it recorded or charged."""
+    return {"memory": outcome.final_memory_digest, "units": outcome.units,
+            "outputs": outcome.outputs}
+
+
+def _modes_failures(subject: Subject, full) -> list[SeedFailure]:
+    """Recording off, hardware-only and a traced full recording must
+    execute what the baseline recording executed, and hardware-only must
+    cut the chunks the traced recording cuts (its ``mrr.*`` metrics): the
+    software stack and telemetry may charge cycles, never steer."""
+    program, input_files = _program(subject, BASELINE, None)
+    expected = _execution(full)
+    failures: list[SeedFailure] = []
+    for mode in (session.MODE_FULL, session.MODE_OFF, session.MODE_HW):
+        traced = mode != session.MODE_OFF
+        outcome = session.simulate(
+            program, seed=subject.run_seed, policy=subject.policy,
+            config=subject.config, input_files=input_files, mode=mode,
+            telemetry=Telemetry(sampling=64) if traced else None,
+            max_units=MAX_UNITS)
+        execution = _execution(outcome)
+        if traced:
+            metrics = outcome.telemetry.snapshot()
+            execution["mrr"] = {name: metrics[name] for name in metrics
+                                if name.startswith("mrr.")}
+            expected.setdefault("mrr", execution["mrr"])
+        differing = [key for key in execution
+                     if execution[key] != expected[key]]
+        if differing:
+            failures.append(SeedFailure(
+                "modes", BASELINE.name,
+                f"mode {mode!r} executes differently from the baseline "
+                f"recording; differing components: {', '.join(differing)}"))
+    return failures
 
 
 def _roundtrip_failures(recording: Recording,
@@ -164,17 +247,19 @@ def _roundtrip_failures(recording: Recording,
     return failures
 
 
-def run_case_checks(case: FuzzCase, matrix: bool = False,
+def run_case_checks(subject: Subject, variants: tuple[Variant, ...] = (),
                     inject: str | None = None) -> list[SeedFailure]:
-    """All differential checks for one case; empty list means the seed
-    passed."""
+    """All differential checks for one subject: the baseline, its
+    recording modes, then each of ``variants``. An empty list means the
+    subject passed."""
     failures: list[SeedFailure] = []
-    variants = (BASELINE, *matrix_variants()) if matrix else (BASELINE,)
     base_fingerprint: dict[str, str] | None = None
-    for variant in variants:
+    for variant in (BASELINE, *variants):
         try:
-            outcome, replayed, report = run_variant(case, variant,
+            outcome, replayed, report = run_variant(subject, variant,
                                                     inject=inject)
+            if variant is BASELINE:
+                failures.extend(_modes_failures(subject, outcome))
         except Exception as exc:  # noqa: BLE001 - the campaign reports
             failures.append(SeedFailure(
                 "exception", variant.name,

@@ -1,4 +1,8 @@
-"""The config lattice: implementation variants a seed is run across.
+"""The config lattice: implementation variants a subject is run across.
+
+A subject's baseline always runs (see :mod:`.differential`); these run
+besides it: all of them under ``quickrec fuzz --matrix``, and
+``decode-off``, ``directory`` and ``telemetry-on`` in tier-1.
 
 Variants come in two strengths:
 
@@ -6,7 +10,8 @@ Variants come in two strengths:
   observationally free — the decode cache, the directory coherence
   fabric, telemetry, embedded checkpoints. A run under any of these must
   produce exactly the baseline's digest (memory image, chunk log, input
-  log, outputs, exit codes, cycle and unit counts). The directory is free
+  log, outputs, exit codes, cycle and unit counts) and replay to the
+  baseline's replay digest. The directory is free
   only while no Bloom signature false-positives on a core whose presence
   bit a remote write cleared (the snooping bus then cuts a chunk the
   directory does not forward); the generated cases have not hit that so
@@ -40,8 +45,8 @@ class Variant:
     #: Directory runs are bit-identical while no signature aliases a line
     #: on a core outside its presence set (see the module docstring).
     coherence: str | None = None
-    #: Record with a :class:`~repro.telemetry.Telemetry` (the soak's
-    #: sampling period, 64) instead of none.
+    #: Record and replay with a :class:`~repro.telemetry.Telemetry` (the
+    #: soak's sampling period, 64) instead of none.
     telemetry: bool = False
     store_buffer_entries: int | None = None
     store_buffer_drain: int | None = None

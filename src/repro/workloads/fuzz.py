@@ -4,21 +4,22 @@ Generates small multithreaded programs over a handful of shared cache
 lines, mixing every recording-relevant mechanism: plain and byte stores,
 loads, LOCK atomics, fences, ``rep`` string ops, nondeterministic
 instructions, syscalls (time/yield/write), and asynchronous signals. Used
-three ways:
+two ways:
 
-- the hypothesis property suite drives :func:`emit_ops` with shrinkable
-  op lists (this is what minimized two real soundness bugs to a few ops);
-- ``quickrec fuzz`` runs seeded soak campaigns from the CLI;
-- :func:`fuzz_once` / :func:`fuzz_many` are the library API.
+- the hypothesis property suites drive :func:`emit_ops` and
+  :func:`build_program` with shrinkable op lists (this is what minimized
+  two real soundness bugs to a few ops);
+- :func:`generate_case` turns a seed into a :class:`FuzzCase`, a subject
+  of the equivalence lattice (:mod:`repro.soak`): ``quickrec fuzz`` runs
+  seeded campaigns of them, and tier-1 runs seeds 1–3 through the
+  lattice's slice.
 """
 
 from __future__ import annotations
 
 import random
-import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .. import session
 from ..config import (
     KernelConfig,
     MachineConfig,
@@ -230,8 +231,8 @@ class FuzzCase:
 def generate_case(seed: int) -> FuzzCase:
     """Derive the :class:`FuzzCase` for ``seed``.
 
-    Draw order is load-bearing: it must match what :func:`fuzz_once` has
-    always done so historical seed numbers keep reproducing the same runs.
+    Draw order is load-bearing: historical seed numbers (in triage
+    artifacts and repro commands) must keep reproducing the same runs.
     """
     rng = random.Random(seed)
     threads = rng.randint(2, 3)
@@ -243,44 +244,3 @@ def generate_case(seed: int) -> FuzzCase:
     return FuzzCase(seed=seed, threads_ops=threads_ops, repeats=repeats,
                     config=config, run_seed=run_seed, policy=policy)
 
-
-@dataclass
-class FuzzReport:
-    """Outcome of a fuzz campaign."""
-
-    runs: int = 0
-    verified: int = 0
-    failures: list[tuple[int, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and self.verified == self.runs
-
-
-def fuzz_once(seed: int) -> tuple[bool, str]:
-    """One seeded fuzz round: generate, record, replay, verify."""
-    case = generate_case(seed)
-    try:
-        _outcome, _replayed, report = session.record_and_replay(
-            case.build(), seed=case.run_seed, policy=case.policy,
-            config=case.config)
-    except Exception as exc:  # noqa: BLE001 - soak harness reports, not dies
-        return False, (f"{type(exc).__name__}: {exc}\n"
-                       f"{traceback.format_exc()}")
-    if not report.ok:
-        return False, report.summary()
-    return True, "ok"
-
-
-def fuzz_many(count: int, base_seed: int = 0) -> FuzzReport:
-    """Run ``count`` fuzz rounds; collect failures instead of raising."""
-    report = FuzzReport()
-    for offset in range(count):
-        seed = base_seed + offset
-        report.runs += 1
-        ok, detail = fuzz_once(seed)
-        if ok:
-            report.verified += 1
-        else:
-            report.failures.append((seed, detail))
-    return report

@@ -5,6 +5,7 @@ import pytest
 
 from repro import session, workloads
 from repro.capo.recording import Recording
+from repro.replay.parallel import replay_parallel
 from repro.errors import LogFormatError
 
 
@@ -615,7 +616,7 @@ def test_interrupted_resave_keeps_the_previous_bundle(recording, tmp_path,
     assert loaded.metadata == json.loads(json.dumps(rec.metadata))
     assert loaded.chunks == rec.chunks
     assert loaded.checkpoints == rec.checkpoints  # digests verified
-    result = session.replay_recording(loaded, jobs=1)
+    result, _report = replay_parallel(recording=loaded, jobs=1)
     assert result.final_memory_digest == rec.metadata["final_memory_digest"]
 
 

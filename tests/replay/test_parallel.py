@@ -113,9 +113,10 @@ def test_replay_from_saved_bundle(recording, serial_digest, tmp_path):
     assert result.digest() == serial_digest
 
 
-def test_session_replay_recording_jobs(recording, serial_digest):
-    result = session.replay_recording(recording, jobs=3)
-    assert result.digest() == serial_digest
+def test_replay_parallel_three_jobs_matches_session_replay(recording):
+    result, report = replay_parallel(recording=recording, jobs=3)
+    assert result.digest() == session.replay_recording(recording).digest()
+    assert report.jobs == 3
 
 
 def test_tampered_seam_digest_detected(recording):

@@ -14,7 +14,7 @@ from repro.soak import (
     run_campaign,
     run_seed,
 )
-from repro.soak.differential import outcome_fingerprint, run_variant
+from repro.soak.differential import run_case_checks, run_variant
 from repro.telemetry import Telemetry
 from repro.workloads.fuzz import generate_case
 
@@ -54,23 +54,11 @@ def test_bit_identical_variants_share_the_baseline_digest():
     shape_variant_diverged = False
     for seed in (11, 12, 13):
         case = generate_case(seed)
-        base, base_replay, report = run_variant(case, BASELINE)
-        assert report.ok
-        expected = outcome_digest(base)
-        base_fingerprint = outcome_fingerprint(base)
-        for variant in matrix_variants():
-            outcome, replayed, report = run_variant(case, variant)
-            assert report.ok, f"{variant.name}: {report.summary()}"
-            if variant.bit_identical:
-                fingerprint = outcome_fingerprint(outcome)
-                differing = [key for key in fingerprint
-                             if fingerprint[key] != base_fingerprint[key]]
-                assert not differing, \
-                    f"seed {seed}: {variant.name} differs in {differing}"
-                assert replayed.digest() == base_replay.digest(), \
-                    f"seed {seed}: {variant.name} replays differently"
-            elif outcome_digest(outcome) != expected:
-                shape_variant_diverged = True
+        assert run_case_checks(case, matrix_variants()) == []
+        expected = outcome_digest(run_variant(case, BASELINE)[0])
+        shape_variant_diverged |= any(
+            outcome_digest(run_variant(case, variant)[0]) != expected
+            for variant in matrix_variants() if not variant.bit_identical)
     # Shape-changing variants only self-verify; a tiny program may happen
     # to execute identically, but across seeds they must not be vacuous.
     assert shape_variant_diverged
@@ -135,15 +123,44 @@ def test_template_miscompile_is_caught_by_decode_off(monkeypatch):
     interpretive ``decode-off`` variant can tell, and it differs from the
     baseline in the memory image, the outputs and the replay digest."""
     from repro.machine import decode
-    from repro.soak.differential import run_case_checks
 
     def store_plus_one(w, instr, pc):
         addr = decode._mem_addr(w, instr.ops[0])
         w.access(pc, addr, "word store")
         w.store(addr, 4, f"({decode._val(instr.ops[1])} + 1) & 4294967295")
     monkeypatch.setitem(decode._TEMPLATES, "store", store_plus_one)
-    failures = run_case_checks(generate_case(11), matrix=True)
+    failures = run_case_checks(generate_case(11), matrix_variants())
     [divergence] = [f for f in failures if f.kind == "divergence"]
     assert divergence.variant == "decode-off"
     assert divergence.detail.endswith(
         "differing components: memory, outputs, replay")
+
+
+def test_recording_modes_must_execute_alike(monkeypatch):
+    """Recording off or hardware-only executing one unit more than the
+    full recording is a ``modes`` failure of the baseline, per mode."""
+    from repro import session
+
+    simulate = session.simulate
+
+    def one_more_unit(program, mode=session.MODE_OFF, **kwargs):
+        outcome = simulate(program, mode=mode, **kwargs)
+        outcome.units += mode != session.MODE_FULL
+        return outcome
+    monkeypatch.setattr(session, "simulate", one_more_unit)
+    failures = run_case_checks(generate_case(11))
+    assert [(f.kind, f.variant, f.detail.split(": ")[-1])
+            for f in failures] == [("modes", "baseline", "units")] * 2
+
+
+def test_exception_failure_detail_has_traceback(monkeypatch):
+    from repro import session
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected crash")
+
+    monkeypatch.setattr(session, "record", boom)
+    [failure] = run_case_checks(generate_case(1))
+    assert (failure.kind, failure.variant) == ("exception", "baseline")
+    assert failure.detail.startswith("RuntimeError: injected crash")
+    assert "Traceback (most recent call last)" in failure.detail

@@ -247,6 +247,49 @@ def test_record_trace_writes_valid_chrome_trace(tmp_path, capsys):
     assert {"machine", "mrr", "capo", "kernel"} <= cats
 
 
+def test_traced_and_untraced_recordings_save_the_same_bundle(tmp_path):
+    """Telemetry is switched by the Telemetry a run is given, not by the
+    config, so it leaves no trace in the bundle: every file, manifest.json
+    included, is byte-equal."""
+    record = ["record", "locks", "--scale", "1", "--seed", "1"]
+    assert main([*record, "-o", str(tmp_path / "plain")]) == 0
+    assert main([*record, "--trace", str(tmp_path / "trace.json"),
+                 "-o", str(tmp_path / "traced")]) == 0
+    plain, traced = ({path.name: path.read_bytes()
+                      for path in (tmp_path / name).iterdir()}
+                     for name in ("plain", "traced"))
+    assert "manifest.json" in plain
+    assert sorted(traced) == sorted(plain)
+    assert [name for name in plain if traced[name] != plain[name]] == []
+
+
+def test_info_sizes_stored_sections_without_encoding(tmp_path, capsys,
+                                                     monkeypatch):
+    """``info`` reads the stored sections' sizes from the bundle, and they
+    are the sizes encoding the loaded recording gives."""
+    from repro.capo import recording as recording_module
+    from repro.cli import _log_sizes
+
+    directory = tmp_path / "rec"
+    assert main(["record", "locks", "--scale", "1", "--seed", "1",
+                 "--checkpoint-every", "32", "-o", str(directory)]) == 0
+    loaded = recording_module.Recording.load(directory)
+    expected = {**_log_sizes(loaded, {}), "checkpoint section bytes":
+                loaded.checkpoint_log_bytes()}
+    assert expected["checkpoint section bytes"] > 0
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("info encoded a stored section")
+
+    for name in ("compress_chunks", "encode_checkpoints", "encode_events",
+                 "encode_program"):
+        monkeypatch.setattr(recording_module, name, refuse)
+    assert main(["info", str(directory), "--json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert {key: summary[key] for key in expected} == expected
+
+
 def test_stats_command_renders_metrics_tables(capsys):
     assert main(["stats", "counter", "--threads", "2"]) == 0
     out = capsys.readouterr().out

@@ -4,12 +4,10 @@ import random
 
 import pytest
 
+from repro.soak import run_campaign
 from repro.workloads.fuzz import (
-    FuzzReport,
     build_program,
     emit_ops,
-    fuzz_many,
-    fuzz_once,
     generate_case,
     random_config,
     random_ops,
@@ -58,32 +56,7 @@ def test_generate_case_is_deterministic_and_buildable():
     assert len(case.build()) > 0
 
 
-def test_fuzz_once_verifies():
-    ok, detail = fuzz_once(seed=77)
-    assert ok, detail
-
-
-def test_fuzz_once_failure_detail_has_traceback(monkeypatch):
-    from repro.workloads import fuzz as fuzz_mod
-
-    def boom(*args, **kwargs):
-        raise RuntimeError("injected crash")
-
-    monkeypatch.setattr(fuzz_mod.session, "record_and_replay", boom)
-    ok, detail = fuzz_once(seed=1)
-    assert not ok
-    assert detail.startswith("RuntimeError: injected crash")
-    assert "Traceback (most recent call last)" in detail
-
-
-def test_fuzz_many_counts():
-    report = fuzz_many(5, base_seed=500)
-    assert isinstance(report, FuzzReport)
-    assert report.runs == 5
-    assert report.verified == 5
-    assert report.ok
-
-
 def test_fuzz_campaign_across_seeds():
-    report = fuzz_many(12, base_seed=9000)
-    assert report.ok, report.failures
+    report = run_campaign(12, base_seed=9000)
+    assert report.ok, [failure.headline() for verdict in report.failing
+                       for failure in verdict.failures]
