@@ -6,12 +6,14 @@ deltas, byte planes ordered by significance, a content-keyed pool for
 duplicate copy payloads, one zlib stream (:mod:`repro.mrr.columnar`).
 This bench measures the size of the *same* recording serialized both
 ways — the compression ratio is the whole argument for the format — plus
-the throughput of the page-delta checkpoint section codec.
+the throughput of the page-delta checkpoint section codec and the size of
+the section for the real checkpoints of ``radix``.
 """
 
 import json
 import random
 import time
+import zlib
 
 from repro.analysis.logs import log_rates
 from repro.analysis.report import render_table
@@ -21,6 +23,7 @@ from repro.mrr.logfmt import (
     decode_checkpoints,
     encode_checkpoints,
 )
+from repro.replay.checkpoint import build_checkpoints
 
 from conftest import MICROS, SPLASH, BenchSuite, publish
 
@@ -82,7 +85,39 @@ def checkpoint_sequence(count: int = 16, image: int = 1 << 22,
     return records
 
 
-def test_t4_checkpoint_codec_throughput(benchmark):
+def stored_pages(records: list[CheckpointRecord]) -> list[list[bytes]]:
+    """The pages each record stores: those differing from the previous
+    record's page at the same index, or from zeros where there is none."""
+    stored = []
+    previous: tuple[bytes, ...] = ()
+    for record in records:
+        stored.append([page for index, page in enumerate(record.pages)
+                       if page != (previous[index] if index < len(previous)
+                                   else bytes(len(page)))])
+        previous = record.pages
+    return stored
+
+
+def radix_checkpoint_row(suite: BenchSuite) -> str:
+    """The section of ``radix`` x8's 16 checkpoints, as the benchmark's
+    ``checkpointed`` workload records them (4 threads, seed 1). The
+    synthetic images above rewrite whole pages with random bytes, so
+    only real pages show what deflating a page against the page it
+    replaces saves over deflating a record's pages as one stream."""
+    recording = suite.record("radix", threads=4, scale=8, seed=1).recording
+    records = build_checkpoints(recording,
+                                every=max(1, len(recording.chunks) // 16))
+    stored = stored_pages(records)
+    pages = [page for record in stored for page in record]
+    one_stream = sum(len(zlib.compress(b"".join(record), 6))
+                     for record in stored if record)
+    return (f"T4: radix x8 checkpoint section, {len(records)} records "
+            f"storing {len(pages)} pages ({sum(map(len, pages)):,} B) "
+            f"-> {len(encode_checkpoints(records)):,} B; the same pages "
+            f"deflated one stream per record: {one_stream:,} B")
+
+
+def test_t4_checkpoint_codec_throughput(benchmark, suite: BenchSuite):
     # the checkpoint section codec stores, loads and verifies 16 full
     # simulated memory images; its cost must follow the changed pages
     records = checkpoint_sequence()
@@ -102,7 +137,7 @@ def test_t4_checkpoint_codec_throughput(benchmark):
     publish("t4_checkpoints",
             f"T4: checkpoint section, {len(records)} x "
             f"{raw / len(records) / 1e6:.1f} MB payloads -> "
-            f"{len(blob) / 1e3:.0f} KB")
+            f"{len(blob) / 1e3:.0f} KB\n" + radix_checkpoint_row(suite))
     print(f"T4: checkpoint encode {encode_s * 1e3:.0f} ms "
           f"({raw / encode_s / 1e6:.0f} MB/s), decode with digest checks "
           f"{decode_s * 1e3:.0f} ms ({raw / decode_s / 1e6:.0f} MB/s)")

@@ -16,22 +16,29 @@ carries an extra 8 bytes. It is the ``chunks.bin`` section and the bytes
 the determinism digests hash, so it stays byte-for-byte frozen; the
 compact form of the same log is :mod:`repro.mrr.compression`.
 
-The checkpoint section (magic ``QRCK``, version 3) carries periodic
+The checkpoint section (magic ``QRCK``, version 4) carries periodic
 snapshots of the deterministic replay-visible machine state, keyed by
 chunk-schedule position. Payloads are opaque at this layer (see
 :mod:`repro.replay.checkpoint` for their contents). A payload is cut into
 4 KiB pages counted from its end, and a record stores only the pages that
 differ from the previous record's page at the same index (the first
-record is diffed against zeros), zlib-compressed: consecutive snapshots
-share almost all of their physical memory image, so a record is a
-handful of pages. In memory a :class:`CheckpointRecord` is the tuple of
-its pages, sharing every unchanged page with the previous record.
+record is diffed against zeros): consecutive snapshots share almost all
+of their physical memory image, so a record is a handful of pages. In
+memory a :class:`CheckpointRecord` is the tuple of its pages, sharing
+every unchanged page with the previous record.
+
+Each stored page is its own zlib stream whose preset dictionary is the
+page it replaces: the previous record's page at the same index, or zeros
+of the page's length where there is none. A rewritten page is mostly the
+page before it, so the compressor finds most of it in its history.
+Version 3 deflated all of a record's stored pages as one stream without
+a dictionary; it is still read.
 
 Each record carries one digest: the SHA-256 of its pages' SHA-256s,
 concatenated in page order (version 2 hashed the joined payload; its
-bytes are otherwise the same). Decoding hashes only the pages a record
-stores and verifies the digest without joining the payload; it is also
-the seam digest parallel replay validates against.
+bytes are otherwise version 3's). Decoding hashes only the pages a
+record stores and verifies the digest without joining the payload; it is
+also the seam digest parallel replay validates against.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ..errors import LogFormatError
 from .chunk import ChunkEntry, Reason
+from .columnar import LEVEL
 
 MAGIC = b"QRCL"
 VERSION = 1
@@ -116,7 +124,9 @@ def encoded_size(entries: Iterable[ChunkEntry],
 # -- checkpoint section -------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"QRCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+#: The one earlier version still read: one stream per record, no dictionary.
+_CHECKPOINT_V3 = 3
 #: Delta granularity: payloads are cut into pages of this many bytes.
 CHECKPOINT_PAGE = 4096
 _CKPT_HEADER = struct.Struct("<4sBBHI")
@@ -125,6 +135,8 @@ _CKPT_ENTRY = struct.Struct("<IIII32s")
 #: The one object every all-zero page of every record shares.
 _ZERO_PAGE = bytes(CHECKPOINT_PAGE)
 _ZERO_DIGEST = hashlib.sha256(_ZERO_PAGE).digest()
+#: FDICT, the zlib header bit of a stream deflated with a preset dictionary.
+_FDICT = 0x20
 
 
 def paged_digest(page_digests: Iterable[bytes]) -> str:
@@ -219,25 +231,35 @@ class CheckpointRecord:
 
 
 def encode_checkpoints(records: Sequence[CheckpointRecord]) -> bytes:
-    """Serialize checkpoint records (sorted by position) to the page-delta
-    section: each record stores only the pages that differ from the
-    previous record's page at the same index (every page of the first
-    record is diffed against zeros)."""
+    """Serialize checkpoint records (sorted by position; each position a
+    u32, at most once) to the page-delta section: each record stores only
+    the pages that differ from the previous record's page at the same
+    index, each deflated against that page (against zeros for every page
+    of the first record and for pages the previous record lacks)."""
     ordered = sorted(records, key=lambda record: record.position)
     out = bytearray(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                       0, 0, len(ordered)))
     previous: tuple[bytes, ...] = ()
-    for record in ordered:
+    for number, record in enumerate(ordered):
+        if number and record.position == ordered[number - 1].position:
+            raise LogFormatError(
+                f"two checkpoints at position {record.position}")
+        if not 0 <= record.position <= 0xFFFFFFFF:
+            raise LogFormatError(
+                f"checkpoint position {record.position} outside u32")
         pages = record.pages
         changed = []
+        streams = []
         for index, page in enumerate(pages):
             before = previous[index] if index < len(previous) \
                 else _ZERO_PAGE[:len(page)]
             # Shared pages, nearly all of them, compare by identity alone.
             if page is not before and page != before:
                 changed.append(index)
-        body = zlib.compress(b"".join(pages[index] for index in changed), 6) \
-            if changed else b""
+                compressor = zlib.compressobj(LEVEL, zdict=before)
+                streams.append(compressor.compress(page))
+                streams.append(compressor.flush())
+        body = b"".join(streams)
         out += _CKPT_ENTRY.pack(record.position, record.size,
                                 len(changed), len(body),
                                 bytes.fromhex(record.digest))
@@ -247,38 +269,62 @@ def encode_checkpoints(records: Sequence[CheckpointRecord]) -> bytes:
     return bytes(out)
 
 
-def _inflate_pages(body: bytes, lengths: list[int],
-                   position: int) -> list[bytes]:
+def _inflate_stream(decompressor, data: bytes,
+                    lengths: list[int]) -> tuple[list[bytes], bytes] | None:
+    """Inflate pages of exactly ``lengths`` from the zlib stream at the
+    start of ``data``, each straight into its own bytes object; the
+    pages and the bytes after the stream, or None unless the stream
+    holds exactly those pages."""
+    pages: list[bytes] = []
+    for length in lengths:
+        page = decompressor.decompress(data, length)
+        data = decompressor.unconsumed_tail
+        if len(page) != length:
+            return None
+        pages.append(page)
+    if not decompressor.eof:
+        # Every page is full; output before the stream's end is excess.
+        if decompressor.decompress(data, 1) or not decompressor.eof:
+            return None
+    return pages, decompressor.unused_data
+
+
+def _inflate_pages(body: bytes, lengths: list[int], position: int,
+                   replaced: list[bytes] | None) -> list[bytes]:
     """Decompress a record body that must hold exactly pages of the given
-    ``lengths``, each inflated straight into its own bytes object."""
+    ``lengths``: one stream per page, deflated against the page it
+    replaces (version 4, ``replaced`` holding those pages), or one stream
+    for them all (version 3, ``replaced`` None)."""
     if not lengths:
         if body:
             raise LogFormatError(
                 f"checkpoint at position {position} stores no pages but has "
                 f"a {len(body)}-byte body")
         return []
-    decompressor = zlib.decompressobj()
+    streams = [(None, lengths)] if replaced is None \
+        else [(before, [length]) for length, before in zip(lengths, replaced)]
     pages: list[bytes] = []
     pending = body
-    excess = b""
     try:
-        for length in lengths:
-            page = decompressor.decompress(pending, length)
-            pending = decompressor.unconsumed_tail
-            if len(page) != length:
+        for zdict, stream_lengths in streams:
+            if zdict is None:
+                decompressor = zlib.decompressobj()
+            elif len(pending) < 2 or not pending[1] & _FDICT:
+                raise LogFormatError(
+                    f"checkpoint at position {position} stores a page not "
+                    f"deflated against the page it replaces")
+            else:
+                decompressor = zlib.decompressobj(zdict=zdict)
+            inflated = _inflate_stream(decompressor, pending, stream_lengths)
+            if inflated is None:
                 break
-            pages.append(page)
-        else:
-            if not decompressor.eof:
-                # Every page is full; output before the stream's end is
-                # excess.
-                excess = decompressor.decompress(pending, 1)
+            stream_pages, pending = inflated
+            pages += stream_pages
     except zlib.error as exc:
         raise LogFormatError(
             f"corrupt checkpoint pages at position {position}: "
             f"{exc}") from exc
-    if len(pages) != len(lengths) or excess or not decompressor.eof \
-            or decompressor.unused_data:
+    if len(pages) != len(lengths) or pending:
         raise LogFormatError(
             f"checkpoint pages at position {position} do not inflate to "
             f"exactly {sum(lengths)} bytes")
@@ -307,7 +353,7 @@ def decode_checkpoints(blob: bytes,
         _CKPT_HEADER.unpack_from(blob, 0)
     if magic != CHECKPOINT_MAGIC:
         raise LogFormatError(f"bad checkpoint section magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
+    if version not in (CHECKPOINT_VERSION, _CHECKPOINT_V3):
         raise LogFormatError(f"unsupported checkpoint section version {version}")
     if count is not None and declared != count:
         raise LogFormatError(
@@ -347,10 +393,6 @@ def decode_checkpoints(blob: bytes,
                     f"checkpoint at position {position}: page index {index} "
                     f"out of order or outside its {len(lengths)} pages")
             last = index
-        inflated = _inflate_pages(blob[offset:offset + body_len],
-                                  [lengths[index] for index in changed],
-                                  position)
-        offset += body_len
         pages = list(previous[:len(lengths)])
         digests = list(previous_digests[:len(lengths)])
         for length in lengths[len(pages):]:
@@ -358,6 +400,12 @@ def decode_checkpoints(blob: bytes,
             pages.append(zeros)
             digests.append(_ZERO_DIGEST if length == CHECKPOINT_PAGE
                            else hashlib.sha256(zeros).digest())
+        inflated = _inflate_pages(
+            blob[offset:offset + body_len],
+            [lengths[index] for index in changed], position,
+            [pages[index] for index in changed]
+            if version == CHECKPOINT_VERSION else None)
+        offset += body_len
         for index, page in zip(changed, inflated):
             pages[index] = page
             digests[index] = hashlib.sha256(page).digest()

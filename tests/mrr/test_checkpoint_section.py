@@ -1,12 +1,16 @@
 """The QRCK checkpoint section: page-delta encoding, paged digests, page
-sharing, forged sections."""
+sharing, forged sections of version 3 and 4, and the frozen version 3
+writer's sections."""
 
 import hashlib
 import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import session, workloads
 from repro.errors import LogFormatError
 from repro.mrr.logfmt import (
     CHECKPOINT_PAGE,
@@ -14,6 +18,8 @@ from repro.mrr.logfmt import (
     decode_checkpoints,
     encode_checkpoints,
 )
+from repro.replay.checkpoint import build_checkpoints
+from tests.reference import encode_checkpoints_v3
 
 SECTION = struct.Struct("<4sBBHI")
 ENTRY = struct.Struct("<IIII32s")
@@ -344,6 +350,21 @@ def test_record_count_other_than_expected_rejected():
             decode_checkpoints(blob, count=count)
 
 
+@pytest.mark.parametrize("payloads", [(b"x", b"x"), (b"x", b"y")])
+def test_writer_refuses_repeated_positions(payloads):
+    # the reader refuses a position that does not follow the last, so a
+    # section the writer made must never hold one twice
+    records = [record(5, payload) for payload in payloads]
+    with pytest.raises(LogFormatError, match="two checkpoints at position 5"):
+        encode_checkpoints(records)
+
+
+@pytest.mark.parametrize("position", [-1, 1 << 32])
+def test_writer_refuses_positions_outside_u32(position):
+    with pytest.raises(LogFormatError, match="outside u32"):
+        encode_checkpoints([record(position, b"x")])
+
+
 @pytest.mark.parametrize("positions", [(5, 5), (5, 4)])
 def test_positions_must_strictly_increase(positions):
     fields = [honest(b"a" * PAGE, [0]), honest(b"b" * PAGE, [0])]
@@ -370,3 +391,225 @@ def test_forged_record_count_rebuilds_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# -- version 4: each page deflated against the page it replaces --------------
+
+def deflate(page, zdict=None):
+    compressor = zlib.compressobj(6) if zdict is None \
+        else zlib.compressobj(6, zdict=zdict)
+    return compressor.compress(page) + compressor.flush()
+
+
+def honest_v4(payload, indices, before=None):
+    """Fields of a version 4 record of ``payload`` storing the given
+    pages, each deflated against ``before``'s page at its index, or
+    zeros where there is none."""
+    pages = pages_from_end(payload)
+    old = pages_from_end(before) if before is not None else []
+    body = b"".join(
+        deflate(pages[i], old[i] if i < len(old) else bytes(len(pages[i])))
+        for i in indices)
+    return [1, len(payload), list(indices), body, paged_sha256(payload)]
+
+
+def test_writer_makes_version_4():
+    payload = chained(2 * PAGE + 5)
+    blob = encode_checkpoints([record(1, payload)])
+    assert blob[4] == 4
+    assert blob == forge([honest_v4(payload, [0, 1, 2])], version=4)
+
+
+def test_pages_are_deflated_against_the_page_they_replace():
+    first = chained(3 * PAGE + 9)
+    second = first[:PAGE] + b"!" + first[PAGE + 1:-4] + b"tail"
+    fields = honest_v4(second, [0, 2], before=first)
+    fields[0] = 2
+    blob = encode_checkpoints([record(1, first), record(2, second)])
+    assert blob == forge([honest_v4(first, [0, 1, 2, 3]), fields], version=4)
+    # two incompressible pages that changed a few bytes cost a few dozen
+    # bytes each, where version 3 stored them whole
+    assert len(blob) - len(encode_checkpoints([record(1, first)])) < 256
+    v3 = encode_checkpoints_v3([record(1, first), record(2, second)])
+    assert len(v3) - len(encode_checkpoints_v3([record(1, first)])) > 2 * PAGE
+
+
+def v4_case(body=None):
+    """A two-page version 4 record, its body replaced if given."""
+    fields = honest_v4(b"ab" * PAGE, [0, 1])
+    if body is not None:
+        fields[3] = body
+    return forge([fields], version=4)
+
+
+def test_v4_forge_helper_builds_a_valid_section():
+    assert decode_checkpoints(v4_case()) == [record(1, b"ab" * PAGE)]
+
+
+PAGE_AB = b"ab" * (PAGE // 2)
+ZEROS = bytes(PAGE)
+
+
+@pytest.mark.parametrize("body, match", [
+    # deflated without its dictionary: it would inflate alike
+    pytest.param(deflate(PAGE_AB) * 2, "not deflated against",
+                 id="no-dictionary"),
+    pytest.param(deflate(PAGE_AB, ZEROS) + deflate(PAGE_AB),
+                 "not deflated against", id="second-without-dictionary"),
+    # against the wrong dictionary
+    pytest.param(deflate(PAGE_AB, b"z" * PAGE) * 2, "corrupt",
+                 id="wrong-dictionary"),
+    pytest.param(deflate(PAGE_AB, ZEROS) + deflate(PAGE_AB, ZEROS[:-1]),
+                 "corrupt", id="second-against-short-zeros"),
+    # a page stream that inflates past its page, or stops short
+    pytest.param(deflate(PAGE_AB + b"a", ZEROS) + deflate(PAGE_AB, ZEROS),
+                 "do not inflate", id="past-the-page"),
+    pytest.param(deflate(PAGE_AB[:-1], ZEROS) + deflate(PAGE_AB, ZEROS),
+                 "do not inflate", id="short-of-the-page"),
+    pytest.param(deflate(PAGE_AB * 2, ZEROS), "do not inflate",
+                 id="both-pages-in-one-stream"),
+    # bytes after the last page's stream
+    pytest.param(deflate(PAGE_AB, ZEROS) * 2 + b"junk", "do not inflate",
+                 id="trailing-junk"),
+    pytest.param(deflate(PAGE_AB, ZEROS) * 3, "do not inflate",
+                 id="trailing-stream"),
+    # a truncated body: inside the second stream, or without it
+    pytest.param((deflate(PAGE_AB, ZEROS) * 2)[:-3], "do not inflate",
+                 id="truncated-stream"),
+    pytest.param(deflate(PAGE_AB, ZEROS), "not deflated against",
+                 id="missing-stream"),
+    pytest.param(deflate(PAGE_AB, ZEROS) + b"\x78", "not deflated against",
+                 id="one-byte-stream"),
+])
+def test_v4_body_not_exactly_the_pages_against_their_dictionaries(body,
+                                                                   match):
+    with pytest.raises(LogFormatError, match=match):
+        decode_checkpoints(v4_case(body))
+
+
+def test_v4_page_against_the_previous_page_not_zeros():
+    # the second record's page must be deflated against the first
+    # record's page at its index; against zeros it cannot inflate
+    first, second = b"a" * PAGE, b"a" * (PAGE - 1) + b"b"
+    later = [2, PAGE, [0], deflate(second, bytes(PAGE)), paged_sha256(second)]
+    with pytest.raises(LogFormatError, match="corrupt"):
+        decode_checkpoints(forge([honest_v4(first, [0]), later], version=4))
+    later[3] = deflate(second, first)
+    assert decode_checkpoints(forge([honest_v4(first, [0]), later],
+                                    version=4)) == \
+        [record(1, first), record(2, second)]
+
+
+# -- the frozen version 3 writer -----------------------------------------------
+
+def assert_same_records(decoded, records):
+    assert decoded == records
+    assert [r.page_digests for r in decoded] == \
+        [r.page_digests for r in records]
+
+
+def test_v3_writer_sections_decode_to_the_same_records():
+    memory = bytearray(chained(6 * PAGE))
+    records = []
+    for step in range(4):
+        memory[step * 1000] ^= 0xFF
+        records.append(CheckpointRecord.for_payload(
+            step + 1, b"h" * (40 * step), memory,
+            previous=records[-1] if records else None))
+    blob = encode_checkpoints_v3(records)
+    assert blob[4] == 3
+    assert_same_records(decode_checkpoints(blob), records)
+    assert decode_checkpoints(encode_checkpoints(records)) == records
+
+
+def test_v3_writer_sections_of_a_real_recording_decode_alike():
+    program, inputs = workloads.build("radix", scale=1)
+    recording = session.record(program, seed=1, input_files=inputs).recording
+    records = build_checkpoints(recording,
+                                every=max(1, len(recording.chunks) // 8))
+    assert len(records) >= 4
+    v3 = encode_checkpoints_v3(records)
+    v4 = encode_checkpoints(records)
+    assert_same_records(decode_checkpoints(v3), records)
+    assert_same_records(decode_checkpoints(v4), records)
+    assert len(v4) < len(v3)
+
+
+# -- round trips over page-change sequences --------------------------------------
+
+#: One step from a record's pages to the next record's: rewrite bytes of
+#: a page, grow or shrink the head page, add or drop a whole page, or
+#: keep every page.
+steps = st.one_of(
+    st.tuples(st.just("write"), st.integers(0, 1 << 16),
+              st.binary(min_size=1, max_size=24)),
+    st.tuples(st.just("head"), st.integers(-PAGE, PAGE)),
+    st.tuples(st.just("add"), st.binary(max_size=8)),
+    st.tuples(st.just("drop")),
+    st.tuples(st.just("keep")),
+)
+
+
+def apply_step(payload: bytes, step) -> bytes:
+    kind = step[0]
+    if kind == "write":
+        _, where, data = step
+        if not payload:
+            return data
+        start = where % len(payload)
+        return payload[:start] + data[:len(payload) - start] + \
+            payload[start + len(data):]
+    if kind == "head":
+        # the payload's first bytes are its head page: grow or shrink it
+        delta = step[1]
+        if delta >= 0:
+            return bytes([delta % 251]) * delta + payload
+        return payload[-delta:]
+    if kind == "add":
+        fill = step[1] or b"\x00"
+        return (fill * PAGE)[:PAGE] + payload
+    if kind == "drop":
+        return payload[PAGE:]
+    return payload
+
+
+@given(start=st.integers(0, 4 * PAGE + 100),
+       sequence=st.lists(steps, min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_page_change_sequences_round_trip_in_both_versions(start, sequence):
+    payload = chained(start)
+    payloads = [payload]
+    for step in sequence:
+        payload = apply_step(payload, step)
+        payloads.append(payload)
+    records = []
+    for position, payload in enumerate(payloads, 1):
+        records.append(CheckpointRecord.for_payload(
+            position, payload, previous=records[-1] if records else None))
+
+    blob = encode_checkpoints(records)
+    assert_same_records(decode_checkpoints(blob), records)
+    assert encode_checkpoints(decode_checkpoints(blob)) == blob
+    assert_same_records(decode_checkpoints(encode_checkpoints_v3(records)),
+                        records)
+    # every stored page inflates from the page it replaces
+    offset = SECTION.size
+    previous = []
+    for payload in payloads:
+        _pos, _raw, changed, body_len, _digest = ENTRY.unpack_from(blob,
+                                                                   offset)
+        offset += ENTRY.size
+        indices = struct.unpack_from(f"<{changed}I", blob, offset)
+        offset += 4 * changed
+        body = blob[offset:offset + body_len]
+        offset += body_len
+        pages = pages_from_end(payload)
+        for index in indices:
+            before = previous[index] if index < len(previous) \
+                else bytes(len(pages[index]))
+            decompressor = zlib.decompressobj(zdict=before)
+            assert decompressor.decompress(body) == pages[index]
+            body = decompressor.unused_data
+        assert body == b""
+        previous = pages
+    assert offset == len(blob)

@@ -22,11 +22,12 @@ from repro.mrr.logfmt import (
 SECTION = struct.Struct("<4sBBHI")
 ENTRY = struct.Struct("<IIII32s")
 #: Bound on a record's own bytes besides its stored pages: the entry
-#: header plus the zlib wrapper.
-RECORD_OVERHEAD = ENTRY.size + 16
-#: Bound on what one stored page adds besides its bytes: its index and
-#: deflate's worst-case expansion of 4 KiB.
-PAGE_OVERHEAD = 8
+#: header.
+RECORD_OVERHEAD = ENTRY.size
+#: Bound on what one stored page adds besides its bytes: its index (4),
+#: its zlib stream's header, dictionary id and checksum (10) and
+#: deflate's worst-case expansion of 4 KiB, one stored-block header (5).
+PAGE_OVERHEAD = 19
 
 header_lengths = st.one_of(
     st.integers(0, 64),

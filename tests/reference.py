@@ -41,9 +41,16 @@ chain instead; a lockstep test records once each way and compares.
   ``commit_keep_last`` → ``PhysicalMemory.read_word``/``write_word``/
   ``read_byte``/``write_byte``. The bodies are kept verbatim. Unlike the
   others it acts on replay, not on recording.
+
+It also keeps one frozen writer: :func:`encode_checkpoints_v3`, the QRCK
+version 3 checkpoint section (each record's changed pages deflated as one
+stream without a dictionary), which the decoder must still read.
 """
 
 from __future__ import annotations
+
+import struct
+import zlib
 
 from repro.capo.events import (
     EV_EXIT,
@@ -96,6 +103,7 @@ from repro.machine.store_buffer import (
 )
 from repro.errors import RecordingError
 from repro.mrr.chunk import ChunkEntry, Reason
+from repro.mrr.logfmt import CheckpointRecord
 from repro.mrr.recorder import MemoryRaceRecorder
 from repro.replay.pending import ReplayPort, WithheldStores
 
@@ -1045,3 +1053,28 @@ def install_replay_port_reference(patch):
     for owner, chain, names in _REPLAY_CHAIN:
         for name in names:
             patch.setattr(owner, name, chain.__dict__[name], raising=False)
+
+
+# -- the QRCK version 3 checkpoint writer -------------------------------------------
+
+def encode_checkpoints_v3(records: list[CheckpointRecord]) -> bytes:
+    """The version 3 checkpoint section, as version 3's writer made it:
+    each record's changed pages joined and deflated as one zlib stream
+    without a preset dictionary."""
+    ordered = sorted(records, key=lambda record: record.position)
+    out = bytearray(struct.pack("<4sBBHI", b"QRCK", 3, 0, 0, len(ordered)))
+    previous: tuple[bytes, ...] = ()
+    for record in ordered:
+        pages = record.pages
+        changed = [index for index, page in enumerate(pages)
+                   if page != (previous[index] if index < len(previous)
+                               else bytes(len(page)))]
+        body = zlib.compress(b"".join(pages[index] for index in changed), 6) \
+            if changed else b""
+        out += struct.pack("<IIII32s", record.position, record.size,
+                           len(changed), len(body),
+                           bytes.fromhex(record.digest))
+        out += struct.pack(f"<{len(changed)}I", *changed)
+        out += body
+        previous = pages
+    return bytes(out)
