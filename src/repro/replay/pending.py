@@ -1,12 +1,22 @@
 """Withheld stores: the replay-side image of the TSO store buffer.
 
-During replay every store first lands in its thread's withheld FIFO. At a
-chunk boundary with logged RSW ``k``, all but the youngest ``k`` entries
-commit to shared memory — exactly the set that had drained by that boundary
-during recording, because both structures are FIFO. Atomic instructions and
-fences commit everything (the recorder drained the store buffer at those
-points), as does a failed store-to-load forward (the recorder's pipeline
-drained there too).
+A replayed chunk withholds its stores only where its log says the store
+buffer kept some: a chunk with logged RSW ``k`` > 0, or one that starts
+while its thread still withholds stores from an earlier chunk. There every
+store first lands in the thread's withheld FIFO. At the chunk boundary all
+but the youngest ``k`` entries commit to shared memory — exactly the set
+that had drained by that boundary during recording, because both
+structures are FIFO. Atomic instructions and fences commit everything (the
+recorder drained the store buffer at those points), as does a failed
+store-to-load forward (the recorder's pipeline drained there too).
+
+Every other chunk runs *write-through* (``ReplayPort.write_through``): its
+stores write memory at once and its loads read memory. That is exact. No
+other thread runs between the chunk's start and its boundary, and RSW 0
+commits every store of the chunk there in FIFO order; a forwarded load
+returns the youngest store that covers it, and a stalled one reads memory
+after the FIFO commits, which are the bytes memory holds when the stores
+are written in program order.
 
 Within a chunk the FIFO is unbounded (hundreds of entries on compute-heavy
 workloads), so forwarding does not scan it. Beside the FIFO each thread
@@ -204,15 +214,21 @@ class WithheldStores:
 class ReplayPort:
     """Engine memory port: withheld FIFO in front of shared replay memory.
 
-    Loads and stores are flat bodies. A load runs the per-word forwarding
-    lookup with its cover, extract and overlap tests (``WithheldStores.
-    resolve``), counts a stall and commits the FIFO on a partial overlap,
-    then does the aligned access on the memory's bytearray (``PhysicalMemory.
-    read_word``/``read_byte``: same checks, same ``MemoryAccessError``
-    messages), in the order those methods ran. A store is
-    ``WithheldStores.push`` inline. ``tests/replay/test_replay_port.py``
-    runs it in lockstep against the method chain ``tests/reference.py``
-    keeps.
+    Loads and stores are flat bodies. Through the FIFO, a load runs the
+    per-word forwarding lookup with its cover, extract and overlap tests
+    (``WithheldStores.resolve``), counts a stall and commits the FIFO on a
+    partial overlap, then does the aligned access on the memory's bytearray
+    (``PhysicalMemory.read_word``/``read_byte``: same checks, same
+    ``MemoryAccessError`` messages), in the order those methods ran; a
+    store is ``WithheldStores.push`` inline.
+
+    ``write_through``, which ``Replayer.step_chunk`` sets at every chunk
+    start, skips the FIFO: a load reads memory without the lookup, and a
+    store writes memory at once with the checks of ``commit_all``. A store
+    that commit would fault on is withheld instead, and the rest of the
+    chunk runs through the FIFO, so the boundary commit raises its fault.
+    ``tests/replay/test_replay_port.py`` runs the port in lockstep against
+    the method chain ``tests/reference.py`` keeps, which always withholds.
     """
 
     def __init__(self, memory: PhysicalMemory, withheld: WithheldStores):
@@ -222,22 +238,24 @@ class ReplayPort:
         self._by_word = withheld._by_word
         self._data = memory._data
         self._size = memory.size
+        self.write_through = False
 
     def load(self, addr: int, size: int) -> int:
-        bucket = self._by_word.get(addr & ~3)
-        if bucket is not None:
-            for entry in reversed(bucket):
-                start = entry.addr
-                end = start + entry.size
-                if start <= addr and addr + size <= end:
-                    return ((entry.value >> (8 * (addr - start)))
-                            & ((1 << (8 * size)) - 1))
-                if start < addr + size and addr < end:
-                    # Recording drained the store buffer at this exact point.
-                    withheld = self._withheld
-                    withheld.stalls += 1
-                    withheld.commit_all()
-                    break
+        if not self.write_through:
+            bucket = self._by_word.get(addr & ~3)
+            if bucket is not None:
+                for entry in reversed(bucket):
+                    start = entry.addr
+                    end = start + entry.size
+                    if start <= addr and addr + size <= end:
+                        return ((entry.value >> (8 * (addr - start)))
+                                & ((1 << (8 * size)) - 1))
+                    if start < addr + size and addr < end:
+                        # Recording drained the store buffer here.
+                        withheld = self._withheld
+                        withheld.stalls += 1
+                        withheld.commit_all()
+                        break
         memory_size = self._size
         if size == 4:
             if addr & 3:
@@ -250,6 +268,18 @@ class ReplayPort:
         return self._data[addr]
 
     def store(self, addr: int, size: int, value: int) -> None:
+        if self.write_through:
+            if size == 4:
+                if not addr & 3 and 0 <= addr <= self._size - 4:
+                    self._data[addr:addr + 4] = (value & MASK32).to_bytes(
+                        4, "little")
+                    return
+            elif 0 <= addr < self._size:
+                self._data[addr] = value & 0xFF
+                return
+            # The boundary commit faults on this store, as it would had
+            # the whole chunk run through the FIFO.
+            self.write_through = False
         entry = PendingStore(addr, size, value & MASK32)
         self._entries.append(entry)
         word = addr & ~3

@@ -10,10 +10,12 @@ Per-chunk protocol (mirrors the recorder/kernel contract exactly):
    memory operations — chunks may start and end inside ``rep_*``
    instructions. A trap outcome inside a chunk is a divergence.
 3. *Boundary*: commit withheld stores, keeping the youngest ``rsw``
-   (TSO visibility); if the chunk ended at a kernel entry, consume the
-   thread's next input event — injecting the syscall return value and
-   retiring the trapped instruction into the *next* chunk, creating spawned
-   threads, restoring signal contexts on sigreturn, finishing on exit.
+   (TSO visibility) — a chunk logged with RSW 0 that starts with none
+   withheld ran write-through, so it has none to commit; if the chunk
+   ended at a kernel entry, consume the thread's next input event —
+   injecting the syscall return value and retiring the trapped
+   instruction into the *next* chunk, creating spawned threads, restoring
+   signal contexts on sigreturn, finishing on exit.
 
 Output files are reconstructed by emulating only the fd-bookkeeping of
 ``open``/``close``/``write`` against replayed memory; everything else is
@@ -117,7 +119,11 @@ class _ReplayThread:
         self.rthread = rthread
         self.engine = engine
         self.withheld = withheld
+        # ``port`` is what the engine runs against; an observability layer
+        # may wrap it. ``replay_port`` stays the thread's own ReplayPort,
+        # whose write-through mode step_chunk sets per chunk.
         self.port = port
+        self.replay_port = port
         self.events = events
         # Translation blocks of the thread's program, indexed by pc. An
         # engine without the decode cache runs none: its unit table steps
@@ -215,16 +221,16 @@ class Replayer:
         engine.regs[3] = arg & MASK32   # rdi
         engine.regs[15] = sp & MASK32   # sp
         withheld = WithheldStores(self.memory)
-        port = ReplayPort(self.memory, withheld)
-        if self.port_wrapper is not None:
-            port = self.port_wrapper(rthread, engine, port)
         # setdefault, not get: the thread context and the event map must
         # share one deque, so events appended *after* thread creation (the
         # flight ring feeds the shadow replayer incrementally) still reach
         # the context.
         events = self._events_by_thread.setdefault(rthread, deque())
-        self.threads[rthread] = _ReplayThread(rthread, engine, withheld,
-                                              port, events)
+        ctx = _ReplayThread(rthread, engine, withheld,
+                            ReplayPort(self.memory, withheld), events)
+        if self.port_wrapper is not None:
+            ctx.port = self.port_wrapper(rthread, engine, ctx.port)
+        self.threads[rthread] = ctx
 
     # -- main loop -------------------------------------------------------------
 
@@ -245,6 +251,12 @@ class Replayer:
         straight to the engine's unit table (or translation blocks), and
         a boundary that consumes no input event. The rest goes through
         helpers; telemetry wraps the same body.
+
+        A chunk logged with RSW 0 whose thread withholds no store when it
+        starts runs its thread's port write-through: no other thread runs
+        before its boundary, which would commit every store it makes, so
+        its stores go straight to memory. Every other chunk withholds its
+        stores in the thread's FIFO (see :mod:`repro.replay.pending`).
         """
         index = self._next_index
         if index >= len(self.schedule):
@@ -267,6 +279,9 @@ class Replayer:
             if (ctx.pending_actions or ctx.pending_copies or events
                     and events[0].chunk_seq == ctx.completed_chunks):
                 self._pre_chunk(ctx)
+            withheld = ctx.withheld
+            ctx.replay_port.write_through = not (chunk.rsw
+                                                 or withheld._entries)
             engine = ctx.engine
             port = ctx.port
             dispatch = engine._dispatch
@@ -312,7 +327,7 @@ class Replayer:
                     f"{chunk.load_hash:#x}", rthread=ctx.rthread,
                     icount=engine.retired)
             ctx.boundary_retired = target
-            ctx.withheld.commit_keep_last(chunk.rsw)
+            withheld.commit_keep_last(chunk.rsw)
             engine.load_hash = 0
             ctx.completed_chunks += 1
             if chunk.reason in _EVENT_REASONS:

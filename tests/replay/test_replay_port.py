@@ -4,11 +4,14 @@
 and the aligned memory access as one body, ``ReplayPort.store`` pushes
 inline, and the withheld commits write the memory's bytearray directly.
 :func:`tests.reference.install_replay_port_reference` restores the chain
-of ``WithheldStores`` and ``PhysicalMemory`` methods those bodies replaced.
-Replaying one recording each way must give the same digest, the same
-withheld FIFOs and stall counts after every chunk, and the same fault,
-type and message; for the bench programs, for fuzz programs with and
-without a forged RSW, and for a program built to stall.
+of ``WithheldStores`` and ``PhysicalMemory`` methods those bodies replaced,
+and withholds every store: it ignores the per-chunk write-through decision
+(``tests/replay/test_write_through.py`` compares the two paths chunk by
+chunk). Replaying one recording each way must give the same digest, the
+same withheld FIFOs after every chunk, the same stalls in every chunk the
+flat path replayed through the FIFO, and the same fault, type and message;
+for the bench programs, for fuzz programs with and without a forged RSW,
+and for a program built to stall.
 """
 
 import dataclasses
@@ -25,14 +28,16 @@ from repro.replay.checkpoint import base_replayer
 from repro.workloads.fuzz import build_program
 from tests.property.test_property_roundtrip import thread_strategy
 from tests.reference import install_replay_port_reference
+from tests.replay.test_write_through import BUFFERED_CONFIG
 
 BENCH_PROGRAMS = ("locks", "fft", "sigping", "radix")
 
 
 def _replay(recording, *, reference):
     """Replay ``recording`` through the flat or the method path: the
-    digest (None on a fault), each chunk's withheld FIFOs and stall
-    counts, and the fault as (type, message)."""
+    digest (None on a fault); after each chunk the withheld FIFOs, whether
+    the chunk ran write-through and the stalls it counted; and the fault
+    as (type, message)."""
     trail = []
     digest = fault = None
     with pytest.MonkeyPatch.context() as patch:
@@ -40,10 +45,15 @@ def _replay(recording, *, reference):
             install_replay_port_reference(patch)
         try:
             replayer = base_replayer(recording)
-            while replayer.step_chunk() is not None:
-                trail.append({rthread: (ctx.withheld.snapshot(),
-                                        ctx.withheld.stalls)
-                              for rthread, ctx in replayer.threads.items()})
+            stalls = 0
+            while (chunk := replayer.step_chunk()) is not None:
+                threads = replayer.threads
+                total = sum(ctx.withheld.stalls for ctx in threads.values())
+                trail.append(({rthread: ctx.withheld.snapshot()
+                               for rthread, ctx in threads.items()},
+                              threads[chunk.rthread].replay_port.write_through,
+                              total - stalls))
+                stalls = total
             digest = replayer.result().digest()
         except ReproError as exc:
             fault = (type(exc).__name__, str(exc))
@@ -51,9 +61,17 @@ def _replay(recording, *, reference):
 
 
 def _assert_lockstep(recording):
-    flat = _replay(recording, reference=False)
-    assert flat == _replay(recording, reference=True)
-    return flat
+    digest, trail, fault = _replay(recording, reference=False)
+    ref_digest, ref_trail, ref_fault = _replay(recording, reference=True)
+    assert (digest, fault) == (ref_digest, ref_fault)
+    assert [fifos for fifos, _, _ in trail] == \
+        [fifos for fifos, _, _ in ref_trail]
+    # A write-through chunk never waits for the FIFO; the method chain
+    # withholds every store, so it may stall there.
+    assert [stalls for _, through, stalls in trail if not through] == \
+        [stalls for (_, through, _), (_, _, stalls) in zip(trail, ref_trail)
+         if not through]
+    return digest, trail, fault
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -91,16 +109,19 @@ def test_fuzz_programs_replay_alike(threads_ops, repeats, seed, forge):
     _assert_lockstep(recording)
 
 
-def _byte_store_then_word_load():
-    """One thread stores a byte into a word and loads the whole word
-    back in the same chunk: the load overlaps the withheld byte without
-    covering it, so replay counts a stall and commits the FIFO."""
+def _byte_stores_then_word_loads():
+    """One thread stores a byte into a word and loads the whole word back,
+    over and over: each load overlaps the withheld byte without covering
+    it. Under ``BUFFERED_CONFIG`` some chunks end between the two, with
+    the byte still buffered; the next chunk starts with it withheld, so
+    replay runs that chunk through the FIFO, counts a stall and commits."""
     b = KernelBuilder()
     b.word("cell", 0x11223344)
     b.word("out", 0)
     b.label("main")
-    b.ins("storeb", "[cell + 1]", 0xAB)
-    b.ins("load", "r7", "[cell]")
+    with b.for_range("r6", 0, 40):
+        b.ins("storeb", "[cell + 1]", 0xAB)
+        b.ins("load", "r7", "[cell]")
     b.ins("store", "[out]", "r7")
     b.write(1, "out", 4)
     b.exit(0)
@@ -110,11 +131,12 @@ def _byte_store_then_word_load():
 def test_partial_overlap_stalls_alike():
     from repro.telemetry import Telemetry
 
-    recording = session.record(_byte_store_then_word_load(),
-                               seed=1).recording
+    recording = session.record(_byte_stores_then_word_loads(), seed=1,
+                               config=BUFFERED_CONFIG).recording
+    assert any(chunk.rsw for chunk in recording.chunks)
     digest, trail, fault = _assert_lockstep(recording)
     assert fault is None and digest is not None
-    assert any(stalls for chunk in trail for _fifo, stalls in chunk.values())
+    assert any(stalls for _fifos, through, stalls in trail if not through)
     telemetry = Telemetry()
     result = session.replay_recording(recording, telemetry=telemetry)
     assert result.outputs["stdout"] == (0x1122AB44).to_bytes(4, "little")

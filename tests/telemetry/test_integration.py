@@ -27,6 +27,7 @@ from repro.replay.checkpoint import base_replayer
 from repro.telemetry import NULL_TELEMETRY, Telemetry, validate_trace
 from repro.telemetry.metrics import Counter as CounterMetric, Histogram
 from repro.workloads.base import WorkloadHarness
+from tests.replay.test_write_through import BUFFERED_CONFIG
 
 
 def _record(config=None, **kwargs):
@@ -100,19 +101,22 @@ def test_replay_metrics_and_stalls():
 
 def test_pending_store_stalls_sum_the_threads_counts():
     """A byte store then a word load of the same word forwards nothing:
-    each such load commits the thread's withheld stores, and the metric
-    sums those stalls over every replay thread."""
+    each such load, in a chunk replayed through the FIFO, commits the
+    thread's withheld stores, and the metric sums those stalls over every
+    replay thread. ``BUFFERED_CONFIG`` cuts short chunks and drains the
+    store buffer rarely, so some chunks end with the byte still buffered
+    and the next one replays through the FIFO."""
     harness = WorkloadHarness(2, "stalls")
     harness.b.space("cells", 8)
     harness.emit_main()
     harness.b.label("body")
     harness.b.ins("shl", "r1", "rdi", 2)
     harness.b.ins("add", "r1", "r1", "cells")
-    with harness.b.for_range("r6", 0, 5):
+    with harness.b.for_range("r6", 0, 40):
         harness.b.ins("storeb", "[r1]", 7)
         harness.b.ins("load", "r2", "[r1]")
     harness.b.ins("ret")
-    outcome = session.record(harness.build(), seed=1)
+    outcome = session.record(harness.build(), seed=1, config=BUFFERED_CONFIG)
     telemetry = Telemetry()
     replayer = base_replayer(outcome.recording, telemetry=telemetry)
     replayer.run()
