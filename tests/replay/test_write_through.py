@@ -183,9 +183,10 @@ def test_fuzz_programs_replay_alike(threads_ops, repeats, seed, drain_period,
     _assert_alike(lambda: base_replayer(recording))
 
 
-def _store_through_pointer():
-    """One thread loads a pointer and stores through it, then loads the
-    stored word back, in one chunk that ends at its exit with RSW 0."""
+def _store_through_pointer(load_back):
+    """One thread loads a pointer and stores through it, in one chunk that
+    ends at its exit with RSW 0; ``load_back`` loads the stored word back
+    through the pointer, which forwards from the withheld store."""
     b = KernelBuilder()
     b.word("cell", 0)
     b.word("ptr", 0)
@@ -193,14 +194,18 @@ def _store_through_pointer():
     b.ins("load", "r1", "[ptr]")
     b.ins("store", "[cell]", 3)
     b.ins("store", "[r1]", 0x5A)
-    b.ins("load", "r2", "[r1]")
-    b.ins("store", "[cell]", "r2")
+    if load_back:
+        b.ins("load", "r2", "[r1]")
+        b.ins("store", "[cell]", "r2")
+    else:
+        b.ins("store", "[cell]", 4)
     b.exit(0)
     return b.build("pointer")
 
 
-def test_out_of_range_store_faults_alike():
-    program = _store_through_pointer()
+@pytest.mark.parametrize("load_back", [False, True])
+def test_out_of_range_store_faults_alike(load_back):
+    program = _store_through_pointer(load_back)
     ptr = program.symbol("ptr") - program.data_base
     data = bytearray(program.data)
     data[ptr:ptr + 4] = program.symbol("cell").to_bytes(4, "little")
