@@ -7,16 +7,19 @@ store first lands in the thread's withheld FIFO. At the chunk boundary all
 but the youngest ``k`` entries commit to shared memory — exactly the set
 that had drained by that boundary during recording, because both
 structures are FIFO. Atomic instructions and fences commit everything (the
-recorder drained the store buffer at those points), as does a failed
-store-to-load forward (the recorder's pipeline drained there too).
+recorder drained the store buffer at those points). A failed store-to-load
+forward commits the FIFO through the youngest store the load overlaps:
+the recorder had drained at least that far, either at the load or by an
+earlier drain tick that left the load no overlap to find, and the younger
+entries may still have been buffered when the chunk ended.
 
 Every other chunk runs *write-through* (``ReplayPort.write_through``): its
 stores write memory at once and its loads read memory. That is exact. No
 other thread runs between the chunk's start and its boundary, and RSW 0
 commits every store of the chunk there in FIFO order; a forwarded load
 returns the youngest store that covers it, and a stalled one reads memory
-after the FIFO commits, which are the bytes memory holds when the stores
-are written in program order.
+after the FIFO commits through the stores it overlaps, which are the bytes
+memory holds when the stores are written in program order.
 
 Within a chunk the FIFO is unbounded (hundreds of entries on compute-heavy
 workloads), so forwarding does not scan it. Beside the FIFO each thread
@@ -57,9 +60,9 @@ class WithheldStores:
         # lists, not deques: they almost always hold one entry, and a
         # one-entry deque takes over ten times the memory of such a list.
         self._by_word: dict[int, list[PendingStore]] = {}
-        # Loads that found a partial overlap and committed the FIFO (the
-        # ``replay.pending_store_stalls`` metric). Kept here, not on the
-        # port, which an observability layer may wrap.
+        # Loads that found a partial overlap and committed withheld stores
+        # (the ``replay.pending_store_stalls`` metric). Kept here, not on
+        # the port, which an observability layer may wrap.
         self.stalls = 0
 
     def __len__(self) -> int:
@@ -131,6 +134,15 @@ class WithheldStores:
                         raise outside_memory(addr, 1, memory_size)
                     data[addr] = entry.value & 0xFF
 
+    def commit_through(self, last: PendingStore) -> None:
+        """Commit the oldest entries up to and including ``last``."""
+        entries = self._entries
+        for count, entry in enumerate(entries, 1):
+            if entry is last:
+                self.commit_keep_last(len(entries) - count)
+                return
+        raise ValueError("store not withheld")
+
     def snapshot(self) -> list[tuple[int, int, int]]:
         """FIFO contents, oldest first, as (addr, size, value) triples."""
         return [(entry.addr, entry.size, entry.value)
@@ -192,9 +204,9 @@ class WithheldStores:
         without committing anything.
 
         Where :meth:`resolve` reports a conflict, a real load commits the
-        whole FIFO first; only this word's entries can touch the loaded
-        bytes, so overlaying them in FIFO order onto committed memory gives
-        the same value.
+        FIFO through the youngest overlapping entry first; only this word's
+        entries can touch the loaded bytes, so overlaying them in FIFO order
+        onto committed memory gives the same value.
         """
         if size == 4 and addr & 3:
             raise MemoryAccessError(f"misaligned word read at {addr:#x}")
@@ -216,8 +228,9 @@ class ReplayPort:
 
     Loads and stores are flat bodies. Through the FIFO, a load runs the
     per-word forwarding lookup with its cover, extract and overlap tests
-    (``WithheldStores.resolve``), counts a stall and commits the FIFO on a
-    partial overlap, then does the aligned access on the memory's bytearray
+    (``WithheldStores.resolve``), counts a stall and commits the FIFO
+    through the youngest overlapping entry on a partial overlap, then does
+    the aligned access on the memory's bytearray
     (``PhysicalMemory.read_word``/``read_byte``: same checks, same
     ``MemoryAccessError`` messages), in the order those methods ran; a
     store is ``WithheldStores.push`` inline.
@@ -251,10 +264,11 @@ class ReplayPort:
                         return ((entry.value >> (8 * (addr - start)))
                                 & ((1 << (8 * size)) - 1))
                     if start < addr + size and addr < end:
-                        # Recording drained the store buffer here.
+                        # Recording had drained the store buffer at
+                        # least through this entry.
                         withheld = self._withheld
                         withheld.stalls += 1
-                        withheld.commit_all()
+                        withheld.commit_through(entry)
                         break
         memory_size = self._size
         if size == 4:

@@ -65,8 +65,19 @@ def model_commit(fifo, memory, count):
     del fifo[:count]
 
 
+def model_stall_commits(fifo, addr, size):
+    """How many stores a conflicting load commits: the FIFO through the
+    youngest store that overlaps the load."""
+    for index in range(len(fifo) - 1, -1, -1):
+        start, length, _value = fifo[index]
+        if start < addr + size and addr < start + length:
+            return index + 1
+    raise AssertionError("no overlapping store")
+
+
 def model_load(fifo, memory, addr, size):
-    """What a load returns: a forward, or memory after a full drain."""
+    """What a load returns: a forward, or memory after a full drain (the
+    stores younger than the overlapping ones do not touch its bytes)."""
     status, value = reference_resolve(fifo, addr, size)
     if status == "hit":
         return value
@@ -106,7 +117,8 @@ def test_indexed_fifo_matches_model(ops):
             addr, size = args[0]
             expected = model_load(fifo, model, addr, size)
             if reference_resolve(fifo, addr, size)[0] == "conflict":
-                model_commit(fifo, model, len(fifo))
+                model_commit(fifo, model,
+                             model_stall_commits(fifo, addr, size))
             assert port.load(addr, size) == expected
         elif op == "resolve":
             addr, size = args[0]

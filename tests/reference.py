@@ -38,8 +38,11 @@ chain instead; a lockstep test records once each way and compares.
   chain that ran before ``ReplayPort.load``/``store`` and the withheld
   commits became flat bodies: ``ReplayPort`` → ``WithheldStores.push``/
   ``resolve``/``_write``/``_commit_one``/``commit_all``/
-  ``commit_keep_last`` → ``PhysicalMemory.read_word``/``write_word``/
-  ``read_byte``/``write_byte``. The bodies are kept verbatim. Unlike the
+  ``commit_through``/``commit_keep_last`` → ``PhysicalMemory.read_word``/
+  ``write_word``/``read_byte``/``write_byte``. The bodies are kept
+  verbatim, except that a partial overlap commits the FIFO through the
+  youngest overlapping store (it committed all of it, which lost stores
+  the log kept buffered), one ``_commit_one`` at a time. Unlike the
   others it acts on replay, not on recording.
 
 It also keeps one frozen writer: :func:`encode_checkpoints_v3`, the QRCK
@@ -925,9 +928,13 @@ class _ChainReplayPort:
         if status == RESOLVE_HIT:
             return value  # type: ignore[return-value]
         if status == RESOLVE_CONFLICT:
-            # Recording drained the store buffer at this exact point.
-            self._withheld.stalls += 1
-            self._withheld.commit_all()
+            # Recording had drained the store buffer at least through the
+            # youngest overlapping store.
+            withheld = self._withheld
+            withheld.stalls += 1
+            withheld.commit_through(next(
+                entry for entry in reversed(withheld._by_word[addr & ~3])
+                if entry.overlaps(addr, size)))
         if size == 4:
             return self._memory.read_word(addr)
         return self._memory.read_byte(addr)
@@ -986,6 +993,14 @@ class _ChainWithheld:
             entries.clear()
             self._by_word.clear()
 
+    def commit_through(self, last: PendingStore) -> None:
+        """Commit the oldest entries up to and including ``last``."""
+        while True:
+            entry = self._entries[0]
+            self._commit_one()
+            if entry is last:
+                return
+
     def commit_keep_last(self, keep: int) -> None:
         """Commit the oldest entries, keeping the youngest ``keep``."""
         excess = len(self._entries) - keep
@@ -1040,8 +1055,8 @@ _REPLAY_CHAIN = (
     (ReplayPort, _ChainReplayPort,
      ("load", "store", "fence", "atomic_load", "atomic_store")),
     (WithheldStores, _ChainWithheld,
-     ("push", "_write", "_commit_one", "commit_all", "commit_keep_last",
-      "resolve")),
+     ("push", "_write", "_commit_one", "commit_all", "commit_through",
+      "commit_keep_last", "resolve")),
     (PhysicalMemory, _ChainMemory,
      ("read_word", "write_word", "read_byte", "write_byte")),
 )

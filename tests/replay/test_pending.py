@@ -69,6 +69,39 @@ def test_port_load_conflict_commits_all(memory):
     assert len(withheld) == 0
 
 
+def test_port_load_conflict_commits_through_the_overlapping_store(memory):
+    # The recorder may have drained the byte stores by a drain tick, so the
+    # word store the load does not touch may still be buffered at the
+    # chunk's end: the log's RSW counts it.
+    withheld = WithheldStores(memory)
+    port = ReplayPort(memory, withheld)
+    port.store(1, 1, 0xAB)
+    port.store(8, 4, 5)
+    port.store(2, 1, 0xCD)
+    port.store(12, 4, 6)
+    assert port.load(0, 4) == 0xCDAB00
+    assert withheld.snapshot() == [(12, 4, 6)]
+    assert withheld._by_word == {12: [PendingStore(12, 4, 6)]}
+    assert memory.read_word(8) == 5
+    assert memory.read_word(12) == 0
+    withheld.commit_keep_last(1)
+
+
+def test_commit_through_stops_at_that_entry_not_an_equal_one(memory):
+    withheld = WithheldStores(memory)
+    withheld.push(0, 4, 1)
+    withheld.push(4, 4, 2)
+    withheld.push(0, 4, 1)
+    first = withheld._entries[0]
+    withheld.commit_through(first)
+    assert withheld.snapshot() == [(4, 4, 2), (0, 4, 1)]
+    withheld.commit_through(withheld._entries[-1])
+    assert len(withheld) == 0
+    assert withheld._by_word == {}
+    with pytest.raises(ValueError):
+        withheld.commit_through(first)
+
+
 def test_port_fence_commits(memory):
     withheld = WithheldStores(memory)
     port = ReplayPort(memory, withheld)
