@@ -84,7 +84,7 @@ class Engine:
     Every engine has a unit table, ``_dispatch``, indexed by pc. With
     ``decode_cache`` it holds the unit functions that
     :mod:`repro.machine.decode` generates from its instruction templates
-    (the same templates build replay's translation blocks); without it,
+    (the same templates build replay's compiled regions); without it,
     :func:`_interpret` at every pc, which runs the instruction's
     interpretive handler: the reference path the equivalence suites run
     in lockstep with the generated one.
@@ -117,7 +117,7 @@ class Engine:
     @property
     def decode_cache(self) -> bool:
         """Does this engine run generated unit functions (and, in
-        replay, translation blocks) rather than the interpretive
+        replay, compiled regions) rather than the interpretive
         handlers?"""
         return self._decode_cache
 

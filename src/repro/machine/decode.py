@@ -1,4 +1,4 @@
-"""The instruction compiler: generated unit functions and translation blocks.
+"""The instruction compiler: generated unit functions and compiled regions.
 
 The interpretive path in :mod:`repro.machine.core` re-inspects ``Instr``
 metadata on every unit — isinstance checks on operands, a dict lookup on the
@@ -15,9 +15,12 @@ kinds of function:
   its entries directly. An engine without the decode cache has the same
   kind of table, holding ``core._interpret`` (the interpretive handler,
   with the same contract) at every pc;
-- a *translation block* ``fn(engine, port) -> units`` runs a basic block
-  of units back to back. :func:`block_table` is the table of them, indexed
-  by leader, that the same loop enters where a block fits.
+- a *region function* ``fn(engine, port, budget) -> units`` runs the basic
+  blocks of one region back to back, entering each next block only while
+  it fits in ``budget`` units. A region is a strongly connected component
+  of the block graph, such as a loop, or a single block in no cycle.
+  :func:`region_table` is the table of them, indexed by block leader, that
+  the same replay loop enters where the block at the pc fits.
 
 Both tables are memoized per ``Program`` object (replay spawns one engine
 per thread over the same program; they share its tables), and every entry
@@ -57,8 +60,9 @@ UnitFn = Callable[[object, object], str | None]
 # when a memory access raises. Inside a block only memory instructions can
 # raise, and each sets ``engine.pc`` to its own pc before touching the port,
 # so the fault (and a port that reads ``engine.pc``) sees the faulting pc
-# and the units retired before it are ``engine.pc - leader``. A unit
-# function starts with ``engine.pc`` at its own pc and needs neither.
+# and the units retired before it are ``engine.pc - leader`` (in a region,
+# plus the units of the blocks it ran before). A unit function starts with
+# ``engine.pc`` at its own pc and needs neither.
 # Neither kind writes ``cur_memops``: it is nonzero only while the engine
 # is parked mid-``rep_*`` (delivering a signal clears it), and only the
 # ``rep_*`` templates touch it. The flag arithmetic relies on every register
@@ -122,8 +126,11 @@ def _aligned(mem: Mem) -> bool:
 class _Writer:
     """The body of one generated function, and which state it touches."""
 
-    def __init__(self, unit: bool):
+    def __init__(self, unit: bool, next_pc: str = "e.pc"):
         self.unit = unit
+        # Where a control transfer writes the next pc: the engine, or the
+        # ``lead`` local a region dispatches on.
+        self.next_pc = next_pc
         self.lines: list[str] = []
         self.loads = False
         self.stores = False
@@ -154,6 +161,10 @@ class _Writer:
             return self._read_first
         return self._read_first | (self.flags_written
                                    & self._unassigned_at_raise)
+
+    def flags_used(self) -> set[str]:
+        """Flags the body reads or writes anywhere."""
+        return self._read_first | self.flags_written
 
     def read_flags(self, flags) -> None:
         self._read_first.update(set(flags) - self._assigned)
@@ -341,7 +352,7 @@ def _t_nop(w, i, pc):
 
 
 def _t_jmp(w, i, pc):
-    w.emit(f"e.pc = {i.ops[0].value}")
+    w.emit(f"{w.next_pc} = {i.ops[0].value}")
 
 
 def _jcc_template(mnemonic: str):
@@ -349,7 +360,8 @@ def _jcc_template(mnemonic: str):
 
     def template(w, i, pc):
         w.read_flags(flags)
-        w.emit(f"e.pc = {i.ops[0].value} if {condition} else {pc + 1}")
+        w.emit(f"{w.next_pc} = {i.ops[0].value} if {condition} "
+               f"else {pc + 1}")
     return template
 
 
@@ -358,7 +370,7 @@ def _t_call(w, i, pc):
     w.access(pc, "sp", "word store")
     w.store("sp", 4, str((pc + 1) & MASK32))
     w.emit(f"regs[{SP}] = sp")
-    w.emit(f"e.pc = {i.ops[0].value}")
+    w.emit(f"{w.next_pc} = {i.ops[0].value}")
 
 
 def _t_ret(w, i, pc):
@@ -366,7 +378,7 @@ def _t_ret(w, i, pc):
     w.access(pc, "addr", "word load")
     w.load("t", "addr", 4)
     w.emit(f"regs[{SP}] = (addr + 4) & {_M}")
-    w.emit("e.pc = t")
+    w.emit(f"{w.next_pc} = t")
 
 
 def _t_xadd(w, i, pc):
@@ -524,27 +536,40 @@ def _in_block(instr: Instr) -> bool:
     return instr.mnemonic not in _UNIT_ONLY and _compilable(instr)
 
 
-def _source(instructions, leader: int, units: int, unit: bool) -> str:
-    w = _Writer(unit)
+def _write_block(w: _Writer, instructions, leader: int, units: int) -> None:
+    """Emit the ``units`` units at ``leader`` into ``w``, then the write
+    of the next pc when the last unit does not transfer control."""
     for pc in range(leader, leader + units):
         instr = instructions[pc]
         _TEMPLATES[instr.mnemonic](w, instr, pc)
     end = leader + units
     if not w.retires and instructions[end - 1].mnemonic not in _BLOCK_ENDS:
-        w.emit(f"e.pc = {end}")
-    loaded = w.flags_loaded()
-    prologue = ["regs = e.regs"] if any("regs[" in line
+        w.emit(f"{w.next_pc} = {end}")
+
+
+def _frame(writers: list[_Writer], loaded: set[str]) -> tuple[list, list]:
+    """The prologue that loads the engine state ``writers`` keep in locals
+    (flags ``loaded``), and the commit that writes it back."""
+    prologue = ["regs = e.regs"] if any("regs[" in line for w in writers
                                         for line in w.lines) else []
     prologue += [f"{flag} = e.{flag}" for flag in _FLAGS if flag in loaded]
     commit = [f"e.{flag} = {flag}" for flag in _FLAGS
-              if flag in w.flags_written]
-    if w.loads:
+              if any(flag in w.flags_written for w in writers)]
+    if any(w.loads for w in writers):
         prologue += ["h = e.load_hash", "ld = e.loads"]
         commit += ["e.load_hash = h", "e.loads = ld"]
-    if w.stores:
+    if any(w.stores for w in writers):
         prologue.append("st = e.stores")
         commit.append("e.stores = st")
-    body = [f"def {'unit' if unit else 'block'}_{leader}(e, port):"]
+    return prologue, commit
+
+
+def _source(instructions, leader: int, units: int, unit: bool) -> str:
+    w = _Writer(unit)
+    _write_block(w, instructions, leader, units)
+    prologue, commit = _frame([w], w.flags_loaded())
+    body = [f"def unit_{leader}(e, port):" if unit
+            else f"def block_{leader}(e, port, budget):"]
     body += ["    " + line for line in prologue]
     if w.loads or w.stores:
         body.append("    try:")
@@ -570,9 +595,54 @@ def unit_source(instructions, pc: int) -> str:
 
 
 def block_source(instructions, leader: int, units: int) -> str:
-    """Python source of the block function for ``units`` units at
-    ``leader``."""
+    """Python source of the one-block region of ``units`` units at
+    ``leader``: the block's units back to back (the caller checked that
+    they fit its budget)."""
     return _source(instructions, leader, units, unit=False)
+
+
+def region_source(instructions, blocks: list[tuple[int, int]]) -> str:
+    """Python source of the looping region over ``blocks``, its
+    ``(leader, units)`` pairs sorted by leader.
+
+    The function runs block after block while the pc it lands on is one
+    of the region's leaders and that block fits the units left of
+    ``budget``. It keeps flags, ``load_hash`` and the counters in locals
+    across blocks, and finds the block at the pc through a binary ``if``
+    tree over the leaders, so one dispatch costs O(log blocks)."""
+    writers = []
+    for leader, units in blocks:
+        w = _Writer(unit=False, next_pc="lead")
+        _write_block(w, instructions, leader, units)
+        writers.append(w)
+    prologue, commit = _frame(writers, set().union(
+        *(w.flags_used() for w in writers)))
+    body = [f"def region_{blocks[0][0]}(e, port, budget):"]
+    body += ["    " + line for line in prologue]
+    body += ["    n = 0", "    lead = e.pc", "    try:", "        while True:"]
+
+    def dispatch(low: int, high: int, indent: str) -> None:
+        # Recursion depth is log2 of the region's block count.
+        if high - low > 1:
+            mid = (low + high) // 2
+            body.append(f"{indent}if lead < {blocks[mid][0]}:")
+            dispatch(low, mid, indent + "    ")
+            body.append(f"{indent}else:")
+            dispatch(mid, high, indent + "    ")
+            return
+        leader, units = blocks[low]
+        body.extend([f"{indent}if lead != {leader} or n + {units} > budget:",
+                     f"{indent}    break"])
+        body.extend(indent + line for line in writers[low].lines)
+        body.append(f"{indent}n += {units}")
+    dispatch(0, len(blocks), " " * 12)
+    body += ["    except BaseException:",
+             "        e.retired += n + e.pc - lead",
+             "        raise",
+             "    finally:"]
+    body += ["        " + line for line in commit or ["pass"]]
+    body += ["    e.pc = lead", "    e.retired += n", "    return n"]
+    return "\n".join(body) + "\n"
 
 
 @functools.lru_cache(maxsize=1024)
@@ -600,18 +670,13 @@ def _compile_unit(instructions, pc: int, name: str) -> UnitFn:
                  f"unit_{pc}")
 
 
-def _compile_on_entry(table: list, instructions, pc: int, units: int | None,
-                      name: str) -> Callable:
-    """A stand-in that compiles the unit (``units`` None) or block at
-    ``pc`` on its first run, replaces its own table entry with the
-    compiled function, and runs it."""
+def _compile_on_entry(table: list, instructions, pc: int,
+                      name: str) -> UnitFn:
+    """A stand-in that compiles the unit at ``pc`` on its first run,
+    replaces its own table entry with the compiled function, and runs
+    it."""
     def first_entry(e, port):
-        if units is None:
-            fn = table[pc] = _compile_unit(instructions, pc, name)
-        else:
-            fn = _exec(block_source(instructions, pc, units),
-                       f"<block {name}@{pc}>", f"block_{pc}")
-            table[pc] = (units, fn)
+        fn = table[pc] = _compile_unit(instructions, pc, name)
         return fn(e, port)
     return first_entry
 
@@ -639,17 +704,21 @@ def decoded_program(program: Program) -> list[UnitFn]:
     instructions = program.instructions
     table: list = [None] * len(instructions)
     for pc in range(len(instructions)):
-        table[pc] = _compile_on_entry(table, instructions, pc, None,
-                                      program.name)
+        table[pc] = _compile_on_entry(table, instructions, pc, program.name)
     return table
 
 
-# -- translation blocks -------------------------------------------------------
-# A translation block is a straight run of units that ends at ``jmp``, a
-# conditional jump, ``call`` or ``ret``, and stops before any unit-only
-# mnemonic and any instruction whose operands are not compilable. Only
-# replay runs blocks: a replayed chunk has its thread to itself, so nothing
-# interleaves inside a block (see ``Replayer.step_chunk``).
+# -- regions ------------------------------------------------------------------
+# A block is a straight run of units that ends at ``jmp``, a conditional
+# jump, ``call`` or ``ret``, and stops before any unit-only mnemonic and
+# any instruction whose operands are not compilable. A region is one
+# strongly connected component of the block graph: its edges run from a
+# block to each successor that is itself a block leader (the jcc
+# fall-through, a jcc/jmp/call target; a ``ret`` has none). A block in no
+# cycle is a one-block region. Only replay runs regions: a replayed chunk
+# has its thread to itself, so nothing interleaves inside one (see
+# ``Replayer.step_chunk``), and a region leaves only at a block boundary,
+# where the state is what running its blocks one by one leaves.
 
 def _block_units(instructions, leader: int) -> int:
     """Units in the block at ``leader`` (0: its first unit cannot run in
@@ -682,20 +751,122 @@ def _block_leaders(program: Program) -> list[int]:
     return sorted(pc for pc in leaders if 0 <= pc < len(instructions))
 
 
-#: A block-table entry: ``(units, fn)`` at a block leader, None elsewhere.
-BlockEntry = tuple[int, Callable[[object, object], int]] | None
+def _successors(instructions, leader: int, units: int,
+                blocks: dict[int, int]) -> list[int]:
+    """Leaders in ``blocks`` that the block at ``leader`` can pass control
+    to. A block that ends without a branch stops before a unit-only
+    instruction or the end of the code, so no block follows it; a ``ret``
+    has no static target."""
+    instr = instructions[leader + units - 1]
+    mnemonic = instr.mnemonic
+    if mnemonic not in _BLOCK_ENDS or mnemonic == "ret":
+        return []
+    targets = [instr.ops[0].value]
+    if mnemonic in _JCC:
+        targets.append(leader + units)
+    return [pc for pc in targets if pc in blocks]
 
 
-@_per_program
-def block_table(program: Program) -> list[BlockEntry]:
-    """The translation-block table of ``program``, indexed by pc. Every
-    leader gets its entry up front; its function compiles on the block's
-    first run."""
+def _cycles(graph: dict[int, list[int]]) -> list[list[int]]:
+    """The strongly connected components of ``graph`` that hold a cycle,
+    each sorted: Tarjan's algorithm with an explicit stack, so a long
+    chain of blocks cannot exhaust the interpreter's recursion limit."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    found = []
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph[root]))]
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ not in index:
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    on_stack.add(succ)
+                    work.append((succ, iter(graph[succ])))
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] != index[node]:
+                    continue
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                if len(component) > 1 or node in graph[node]:
+                    found.append(sorted(component))
+    return found
+
+
+#: A region-table entry at a block leader: ``(units, fn)``, where
+#: ``units`` is the block's and ``fn(engine, port, budget) -> units`` runs
+#: the region from that leader. None elsewhere.
+RegionEntry = tuple[int, Callable[[object, object, int], int]] | None
+
+
+def _compile_region_on_entry(table: list, instructions,
+                             blocks: list[tuple[int, int]],
+                             looping: bool, name: str) -> Callable:
+    """A stand-in that compiles the region over ``blocks`` on its first
+    run, puts the compiled function in the entry of each of its leaders,
+    and runs it."""
+    def first_entry(e, port, budget):
+        first = blocks[0][0]
+        if looping:
+            fn = _exec(region_source(instructions, blocks),
+                       f"<region {name}@{first}>", f"region_{first}")
+        else:
+            fn = _exec(block_source(instructions, first, blocks[0][1]),
+                       f"<block {name}@{first}>", f"block_{first}")
+        for leader, units in blocks:
+            table[leader] = (units, fn)
+        return fn(e, port, budget)
+    return first_entry
+
+
+def _regions(program: Program) -> list[tuple[list[tuple[int, int]], bool]]:
+    """The regions of ``program``: each one's ``(leader, units)`` blocks,
+    sorted by leader, and whether it loops (holds a cycle)."""
     instructions = program.instructions
-    entries: list[BlockEntry] = [None] * len(instructions)
+    blocks = {}
     for leader in _block_leaders(program):
         units = _block_units(instructions, leader)
         if units:
-            entries[leader] = (units, _compile_on_entry(
-                entries, instructions, leader, units, program.name))
+            blocks[leader] = units
+    graph = {leader: _successors(instructions, leader, units, blocks)
+             for leader, units in blocks.items()}
+    cycles = _cycles(graph)
+    in_cycle = {leader for cycle in cycles for leader in cycle}
+    return ([([(leader, blocks[leader]) for leader in cycle], True)
+             for cycle in cycles]
+            + [([(leader, units)], False) for leader, units in blocks.items()
+               if leader not in in_cycle])
+
+
+@_per_program
+def region_table(program: Program) -> list[RegionEntry]:
+    """The region table of ``program``, indexed by pc. Every block leader
+    gets its entry up front, and the leaders of one region share its
+    function, which compiles on the region's first entry."""
+    entries: list[RegionEntry] = [None] * len(program.instructions)
+    for members, looping in _regions(program):
+        fn = _compile_region_on_entry(entries, program.instructions, members,
+                                      looping, program.name)
+        for leader, units in members:
+            entries[leader] = (units, fn)
     return entries

@@ -49,7 +49,7 @@ from ..kernel.syscalls import (
 )
 from ..kernel.vfs import STDOUT_FD, STDOUT_NAME
 from ..machine.core import Engine, OUTCOME_OK
-from ..machine.decode import block_table
+from ..machine.decode import region_table
 from ..machine.memory import PhysicalMemory
 from ..mrr.chunk import ChunkEntry, Reason
 from ..telemetry import NULL_TELEMETRY, Telemetry
@@ -59,7 +59,7 @@ from .schedule import build_schedule, validate_schedule
 MASK32 = 0xFFFFFFFF
 MAIN_RTHREAD = 1
 #: Chunks that retire fewer instructions than this step unit by unit: a
-#: translation block rarely fits in them, so a probe before every unit
+#: region's first block rarely fits in them, so a probe before every unit
 #: would buy little.
 BLOCK_MIN_CHUNK = 32
 #: Units one chunk may execute before replay calls its stop condition
@@ -125,11 +125,11 @@ class _ReplayThread:
         self.port = port
         self.replay_port = port
         self.events = events
-        # Translation blocks of the thread's program, indexed by pc. An
+        # Regions of the thread's program, indexed by block leader. An
         # engine without the decode cache runs none: its unit table steps
         # every unit through the interpretive handlers.
-        self.blocks = (block_table(engine.program) if engine.decode_cache
-                       else None)
+        self.regions = (region_table(engine.program) if engine.decode_cache
+                        else None)
         self.completed_chunks = 0
         self.boundary_retired = 0
         self.pending_copies: tuple[tuple[int, bytes], ...] = ()
@@ -156,8 +156,8 @@ class Replayer:
                  telemetry: Telemetry | None = None,
                  schedule: list | None = None, decode_cache: bool = True):
         self.recording = recording
-        # Do the thread engines run generated unit functions and translation
-        # blocks (see Engine)? Replay is bit-identical either way.
+        # Do the thread engines run generated unit functions and compiled
+        # regions (see Engine)? Replay is bit-identical either way.
         self.decode_cache = decode_cache
         self.config = recording.config
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -248,7 +248,7 @@ class Replayer:
 
         Every replay path, :meth:`run` included, steps through here. The
         common chunk runs inline: no pre-chunk work, units dispatched
-        straight to the engine's unit table (or translation blocks), and
+        straight to the engine's unit table (or compiled regions), and
         a boundary that consumes no input event. The rest goes through
         helpers; telemetry wraps the same body.
 
@@ -286,9 +286,12 @@ class Replayer:
             port = ctx.port
             dispatch = engine._dispatch
             end = len(dispatch)
-            # A block runs only where it fits whole before ``target`` and
-            # no rep_* instruction is in flight, so it never overshoots.
-            blocks = ctx.blocks if chunk.icount >= BLOCK_MIN_CHUNK else None
+            # A region is entered only where its first block fits whole
+            # before ``target`` and no rep_* instruction is in flight; it
+            # runs on only while its next block fits the budget left, so
+            # it never overshoots.
+            regions = (ctx.regions if chunk.icount >= BLOCK_MIN_CHUNK
+                       else None)
             target = ctx.boundary_retired + chunk.icount
             memops = chunk.memops
             units = 0
@@ -303,15 +306,17 @@ class Replayer:
                     pc = engine.pc
                     if not 0 <= pc < end:
                         raise MachineFault(f"pc {pc} outside code", pc=pc)
-                    if blocks is not None:
-                        block = blocks[pc]
-                        if (block is not None and retired + block[0] <= target
+                    if regions is not None:
+                        region = regions[pc]
+                        if (region is not None
+                                and retired + region[0] <= target
                                 and engine.cur_memops == 0):
                             try:
-                                units += block[1](engine, port)
+                                units += region[1](engine, port,
+                                                   target - retired)
                             except BaseException:
                                 # Units retired before the fault.
-                                units += engine.pc - pc
+                                units += engine.retired - retired
                                 raise
                             continue
                     outcome = dispatch[pc](engine, port)

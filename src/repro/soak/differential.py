@@ -10,7 +10,7 @@ variant, and collects :class:`SeedFailure` records for:
 - ``divergence`` — a bit-identical variant's outcome fingerprint, or its
   replay's :meth:`~repro.replay.replayer.ReplayResult.digest`, differs
   from the baseline's (the differential oracle proper). Comparing replays
-  checks the compiled replay path, translation blocks included, bit for
+  checks the compiled replay path, compiled regions included, bit for
   bit against the interpretive ``decode-off`` replay, and the traced
   replay of ``telemetry-on`` against the untraced one;
 - ``modes``      — the baseline re-run with recording off, hardware-only

@@ -1,17 +1,22 @@
-"""Translation blocks vs the interpretive path.
+"""Compiled regions vs the interpretive path.
 
-Replay runs each basic block of a chunk as one generated function
-(``repro.machine.decode.block_table``). Two properties pin it to the
-interpretive oracle, an engine with the decode cache off:
+Replay runs each region of a chunk (a basic block, or a loop of blocks)
+as one generated function (``repro.machine.decode.region_table``). Three
+properties pin it to the interpretive oracle, an engine with the decode
+cache off:
 
-- on single-threaded programs over every block mnemonic, running a block
-  wherever one starts leaves the state that stepping its units leaves,
-  and faults identically;
+- on single-threaded programs over every block mnemonic, running one
+  block wherever one starts leaves the state that stepping its units
+  leaves, and faults identically;
+- on looping programs, entering a region at a random budget retires
+  exactly the units that entering its blocks one by one under the fit
+  rule retires, leaves the same state, and faults identically;
 - hypothesis records racy fuzz programs and replays each one twice in
-  lockstep: once with blocks on every chunk (``BLOCK_MIN_CHUNK`` patched
-  to 0, so short fuzz chunks use them too) and once with the decode cache
-  off. After every chunk each thread's architectural state, its withheld
-  stores and the memory image must agree, and so must the final result.
+  lockstep: once with regions on every chunk (``BLOCK_MIN_CHUNK``
+  patched to 0, so short fuzz chunks use them too) and once with the
+  decode cache off. After every chunk each thread's architectural state,
+  its withheld stores and the memory image must agree, and so must the
+  final result.
 """
 
 from contextlib import contextmanager
@@ -22,13 +27,15 @@ from hypothesis import strategies as st
 from repro import session
 from repro.config import KernelConfig, MachineConfig, SimConfig
 from repro.machine.core import OUTCOME_OK
-from repro.machine.decode import block_table
+from repro.isa.assembler import assemble
+from repro.machine.decode import region_table
 from repro.replay import replayer as replayer_module
 from repro.replay.replayer import Replayer
 from repro.workloads.fuzz import build_program
 
 from tests.property.test_property_decode import (
     _MEMORY_BYTES,
+    _block,
     _make,
     _programs,
     _state,
@@ -52,9 +59,10 @@ def _replay_state(replayer):
             replayer.memory.digest(), replayer.stats.as_dict())
 
 
-def _compiled_blocks(program) -> int:
-    return sum(1 for entry in block_table(program)
-               if entry is not None and entry[1].__name__.startswith("block_"))
+def _compiled(entry) -> bool:
+    """Has the region of this region-table entry compiled?"""
+    return entry is not None and entry[1].__name__.startswith(
+        ("block_", "region_"))
 
 
 def _run_unit(run):
@@ -70,14 +78,16 @@ def _run_unit(run):
 def test_blocks_match_interpretive_stepping(program):
     fast, fast_port = _make(program, decode_cache=True)
     slow, slow_port = _make(program, decode_cache=False)
-    entries = block_table(program)
+    entries = region_table(program)
     for _ in range(5000):
         block = entries[fast.pc] if fast.pc < len(entries) else None
         if block is None:
             fast_out, fast_exc = _run_unit(lambda: fast.step(fast_port))
             slow_out, slow_exc = _run_unit(lambda: slow.step(slow_port))
         else:
-            fast_out, fast_exc = _run_unit(lambda: block[1](fast, fast_port))
+            # A budget of the block's own units runs just that block.
+            fast_out, fast_exc = _run_unit(
+                lambda: block[1](fast, fast_port, block[0]))
             slow_out, slow_exc = _run_unit(
                 lambda: [slow.step(slow_port) for _ in range(block[0])])
             if fast_exc is None:
@@ -92,6 +102,83 @@ def test_blocks_match_interpretive_stepping(program):
             break
     else:
         raise AssertionError("program did not stop within the unit budget")
+    assert (fast_port.memory.read(0, _MEMORY_BYTES)
+            == slow_port.memory.read(0, _MEMORY_BYTES))
+
+
+@st.composite
+def _looping_programs(draw):
+    """Fuzz blocks inside a loop that counts ``r7`` down from ``count``
+    (the blocks never write ``r7`` or ``r8``). An optional probe loads
+    ``[buf + r8*1]`` with ``r8`` = 1 once ``r7 < limit``, else 0: the load
+    is misaligned, so it faults, from the drawn iteration on."""
+    blocks = draw(st.lists(_block(), min_size=1, max_size=8))
+    lines = []
+    for n, block in enumerate(blocks):
+        lines.extend(line.format(n=n) for line in block)
+    count = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        limit = draw(st.integers(1, count + 1))
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = [f"sub r8, r7, {limit}", "shr r8, r8, 31",
+                        "load r1, [buf + r8*1]"]
+    body = "\n".join(line if line.endswith(":") else "    " + line
+                     for line in lines)
+    source = (".data\nbuf:\n"
+              + "".join(f"    .word {17 * (i + 1)}\n" for i in range(16))
+              + "buf2: .space 64\n"
+              + f".text\nmain:\n    mov r7, {count}\n    jmp top\ntop:\n"
+              + body + "\n    sub r7, r7, 1\n    cmp r7, 0\n    jne top\n"
+              + "    syscall\n")
+    return assemble(source, name="loop")
+
+
+def _enter_blocks_one_by_one(engine, port, entries, leaders, budget):
+    """Step whole blocks of the region with ``leaders`` while the next
+    one fits ``budget`` (the fit rule); returns the units retired."""
+    units = 0
+    while engine.pc in leaders:
+        block = entries[engine.pc][0]
+        if units + block > budget:
+            break
+        for _ in range(block):
+            assert engine.step(port) == OUTCOME_OK
+        units += block
+    return units
+
+
+@given(program=_looping_programs(),
+       budgets=st.lists(st.integers(0, 400), min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_region_stops_at_budget_like_block_by_block_entry(program, budgets):
+    fast, fast_port = _make(program, decode_cache=True)
+    slow, slow_port = _make(program, decode_cache=False)
+    entries = region_table(program)
+    for step in range(5000):
+        entry = entries[fast.pc] if fast.pc < len(entries) else None
+        budget = budgets[step % len(budgets)]
+        if entry is None or entry[0] > budget:
+            fast_out, fast_exc = _run_unit(lambda: fast.step(fast_port))
+            slow_out, slow_exc = _run_unit(lambda: slow.step(slow_port))
+        else:
+            leaders = {pc for pc, other in enumerate(entries)
+                       if other is not None and other[1] is entry[1]}
+            fast_out, fast_exc = _run_unit(
+                lambda: entry[1](fast, fast_port, budget))
+            slow_out, slow_exc = _run_unit(lambda: _enter_blocks_one_by_one(
+                slow, slow_port, entries, leaders, budget))
+            if fast_exc is None:
+                assert 0 < fast_out <= budget
+                assert fast_out == slow_out
+                fast_out = slow_out = OUTCOME_OK
+        assert type(fast_exc) is type(slow_exc), (fast_exc, slow_exc)
+        assert str(fast_exc) == str(slow_exc)
+        assert fast_out == slow_out
+        assert _state(fast) == _state(slow)
+        if fast_exc is not None or fast_out != OUTCOME_OK:
+            break
+    else:
+        raise AssertionError("program did not stop within the step budget")
     assert (fast_port.memory.read(0, _MEMORY_BYTES)
             == slow_port.memory.read(0, _MEMORY_BYTES))
 
@@ -119,7 +206,7 @@ def test_block_replay_matches_interpretive_replay_per_chunk(
     recording = session.record(program, seed=seed, config=config).recording
     slow = Replayer(recording, decode_cache=False)
     fast = Replayer(recording)
-    assert all(ctx.blocks is None for ctx in slow.threads.values())
+    assert all(ctx.regions is None for ctx in slow.threads.values())
     with _blocks_on_every_chunk():
         while not fast.finished:
             fast.step_chunk()
@@ -127,4 +214,4 @@ def test_block_replay_matches_interpretive_replay_per_chunk(
             assert _replay_state(fast) == _replay_state(slow), \
                 f"state differs after chunk {fast.position - 1}"
     assert fast.result().digest() == slow.result().digest()
-    assert _compiled_blocks(recording.program) > 0
+    assert any(_compiled(entry) for entry in region_table(recording.program))

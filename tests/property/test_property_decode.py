@@ -2,7 +2,7 @@
 
 The decode cache (``repro.machine.decode``) compiles every instruction into
 a generated unit function from the same templates that build replay's
-translation blocks. These tests pin the contract that the compiled path is
+compiled regions. These tests pin the contract that the compiled path is
 *bit-identical* to the interpretive reference — same architectural state
 after every unit, same faults with the same messages, same trap behaviour,
 and resumability from an :class:`EngineContext` alone, including
@@ -282,7 +282,7 @@ def test_every_mnemonic_has_a_template():
 _ALLOWED_NAMES = frozenset({
     "e", "port", "regs", "MachineFault", "BaseException",
     "a", "b", "r", "raw", "v", "t", "c", "addr", "sp", "src", "dst",
-    "h", "ld", "st", "zf", "sf", "cf", "of"})
+    "h", "ld", "st", "zf", "sf", "cf", "of", "budget", "n", "lead"})
 _PORT_CALLS = frozenset({"load", "store", "fence", "atomic_load",
                          "atomic_store"})
 _ENGINE_FIELDS = frozenset({"regs", "pc", "retired", "cur_memops",
@@ -296,7 +296,9 @@ def _check_generated(source: str) -> None:
     tree = ast.parse(source)
     [function] = tree.body
     assert isinstance(function, ast.FunctionDef)
-    assert [arg.arg for arg in function.args.args] == ["e", "port"]
+    args = ["e", "port"] if function.name.startswith("unit_") \
+        else ["e", "port", "budget"]
+    assert [arg.arg for arg in function.args.args] == args
     for node in ast.walk(function):
         if isinstance(node, (ast.Import, ast.ImportFrom, ast.Lambda,
                              ast.Global, ast.Nonlocal, ast.Delete,
@@ -320,29 +322,36 @@ def _check_generated(source: str) -> None:
             assert isinstance(node.value, ast.Name) \
                 and node.value.id == "regs", source
         elif isinstance(node, ast.Constant):
-            assert type(node.value) in (int, str), (node.value, source)
+            assert type(node.value) in (int, str) or node.value is True, \
+                (node.value, source)
 
 
 def test_generated_source_uses_only_allowed_names():
-    """Every unit and block source the workloads compile to reads only
+    """Every unit and region source the workloads compile to reads only
     the engine, its registers, the port and ``MachineFault``."""
     from repro.machine.decode import (
         _compilable,
+        _regions,
         block_source,
-        block_table,
+        region_source,
         unit_source,
     )
 
+    looping = 0
     for name in workloads.all_names():
         program, _ = workloads.build(name, scale=1)
         instructions = program.instructions
         for pc, instr in enumerate(instructions):
             assert _compilable(instr)
             _check_generated(unit_source(instructions, pc))
-        for leader, entry in enumerate(block_table(program)):
-            if entry is not None:
-                _check_generated(block_source(instructions, leader,
-                                              entry[0]))
+        for blocks, loops in _regions(program):
+            if loops:
+                looping += 1
+                _check_generated(region_source(instructions, blocks))
+            else:
+                [(leader, units)] = blocks
+                _check_generated(block_source(instructions, leader, units))
+    assert looping
 
 
 def _rep_signal_program():

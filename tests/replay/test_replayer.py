@@ -9,7 +9,7 @@ from repro import session
 from repro.capo.events import EV_SYSCALL
 from repro.errors import MachineFault, ReplayDivergenceError
 from repro.isa.builder import KernelBuilder, SYS_SIGACTION, SYS_KILL, SYS_GETTID, SYS_SIGRETURN
-from repro.machine.decode import block_table
+from repro.machine.decode import region_table
 from repro.mrr.chunk import Reason
 from repro.replay.replayer import Replayer
 
@@ -184,10 +184,10 @@ def test_exit_codes_collected(recorded):
     assert result.exit_codes == recorded.exit_codes
 
 
-# -- translation blocks: faults and divergences match stepping ----------------
+# -- compiled regions: faults and divergences match stepping ------------------
 
 def _replay_both_ways(recording, monkeypatch):
-    """Replay ``recording`` with translation blocks on every chunk, then
+    """Replay ``recording`` with compiled regions on every chunk, then
     with the decode cache off; returns each run's (exception, replayer
     state)."""
     results = []
@@ -209,18 +209,49 @@ def _replay_both_ways(recording, monkeypatch):
     return results
 
 
+def _compiled(entry) -> bool:
+    """Has the region of this region-table entry compiled?"""
+    return entry is not None and entry[1].__name__.startswith(
+        ("block_", "region_"))
+
+
 def _block_around(program, pc):
-    """The compiled block whose units include ``pc`` (None: none ran)."""
-    for leader, entry in enumerate(block_table(program)):
-        if entry is not None and leader < pc < leader + entry[0] \
-                and entry[1].__name__.startswith("block_"):
+    """The leader of the compiled block whose units include ``pc`` past
+    its first (None: none ran)."""
+    for leader, entry in enumerate(region_table(program)):
+        if _compiled(entry) and leader < pc < leader + entry[0]:
             return leader
     return None
 
 
+def _faulting_region_calls(monkeypatch):
+    """Make replay record, for each region call that raises, the pc it
+    was entered at and the units it retired before the fault."""
+    from repro.replay import replayer as replayer_module
+
+    faults = []
+
+    def recording_table(program):
+        table = region_table(program)
+
+        def enter(e, port, budget):
+            pc, retired = e.pc, e.retired
+            try:
+                return table[pc][1](e, port, budget)
+            except MachineFault:
+                faults.append((pc, e.retired - retired))
+                raise
+        return [entry and (entry[0], enter) for entry in table]
+    monkeypatch.setattr(replayer_module, "region_table", recording_table)
+    return faults
+
+
 def _misaligning_program(kind):
-    """Loops over a word whose address is ``buf + (tid - 1)``: aligned as
-    recorded, misaligned once the gettid result is forged."""
+    """Loops over a word whose address is ``buf + (tid - 1) * i`` in
+    iteration ``i``: aligned as recorded, misaligned from the second
+    iteration on once the gettid result is forged. The loop is one region
+    of two blocks (its test and its body), so the fault meets the body
+    after the region has run a whole body and test."""
     b = KernelBuilder()
     b.word("buf", 5, 6, 7, 8)
     b.label("main")
@@ -229,6 +260,7 @@ def _misaligning_program(kind):
     with b.for_range("r6", 0, 8):
         b.ins("mov", "r1", "r11")
         b.ins("sub", "r1", "r1", 1)
+        b.ins("mul", "r1", "r1", "r6")
         b.ins("add", "r1", "r1", "buf")
         b.ins("load", "r2", "[buf + 4]")
         b.ins("add", "r3", "r3", "r2")
@@ -251,14 +283,21 @@ def test_fault_inside_block_matches_stepping(kind, monkeypatch):
     assert events[index].value == 1
     events[index] = dataclasses.replace(events[index], value=2)
     forged = _mutate(recording, events=events)
+    faults = _faulting_region_calls(monkeypatch)
     (fast_error, fast_state), (slow_error, slow_state) = \
         _replay_both_ways(forged, monkeypatch)
     assert type(fast_error) is type(slow_error) is MachineFault
     assert f"misaligned word {kind} at" in str(fast_error)
     assert str(fast_error) == str(slow_error)
     assert fast_state == slow_state
-    # The fault hit a unit in the middle of a compiled block.
-    assert _block_around(forged.program, fast_error.pc) is not None
+    # The fault hit a unit in the middle of a compiled block, after the
+    # region call had retired at least one whole block before that one.
+    leader = _block_around(forged.program, fast_error.pc)
+    assert leader is not None
+    [(entered, retired)] = faults
+    assert retired > fast_error.pc - leader
+    assert region_table(forged.program)[entered][1].__name__.startswith(
+        "region_")
 
 
 def test_inflated_icount_into_syscall_matches_stepping(recorded, monkeypatch):
@@ -279,7 +318,7 @@ def test_inflated_icount_into_syscall_matches_stepping(recorded, monkeypatch):
 
 
 def test_race_report_identical_with_blocks_and_without(monkeypatch):
-    """The shadow port reads ``engine.pc`` on every access, so a block
+    """The shadow port reads ``engine.pc`` on every access, so a region
     must publish each unit's pc before its memory access."""
     from repro import workloads
     from repro.forensics import detect_races
@@ -296,14 +335,14 @@ def test_race_report_identical_with_blocks_and_without(monkeypatch):
         reports.append((report.as_dict(), report.syscall_args))
     assert reports[0][0]["races"]
     assert reports[0] == reports[1]
-    assert any(entry is not None and entry[1].__name__.startswith("block_")
-               for entry in block_table(recording.program))
+    assert any(_compiled(entry)
+               for entry in region_table(recording.program))
 
 
 def test_malformed_register_operand_stays_out_of_blocks(monkeypatch):
     """Operands come from the bundle's program image and are pasted into
     generated source: a register "number" that is not a valid int, or a
-    scale that is not an int, must keep its instruction out of every block
+    scale that is not an int, must keep its instruction out of every region
     and out of the generated unit functions. It runs its interpretive
     handler instead and fails exactly as the interpretive engine does."""
     import os
@@ -325,7 +364,7 @@ def test_malformed_register_operand_stays_out_of_blocks(monkeypatch):
         Instr("lea", (Reg(4), Mem(base=1, index=1, scale=4.0))),
         Instr("syscall"),
     ))
-    table = block_table(program)
+    table = region_table(program)
     assert [entry and entry[0] for entry in table] == \
         [1, None, 1, None, None, None]
 
