@@ -64,6 +64,23 @@ def test_self_loop_is_a_region_and_stops_at_the_budget():
     assert region_table(program)[0][1].__name__ == "region_0"
 
 
+def test_region_runs_the_longest_run_of_blocks_that_fits():
+    """Blocks of 2 and 3 units alternate around the loop: at every budget
+    the region runs exactly the blocks whose total fits, no unit more."""
+    program = _program(_add(), ("jmp", (Imm(2),)),
+                       _add(2), ("cmp", (Reg(2), Imm(100))),
+                       ("jl", (Imm(0),)), ("syscall", ()))
+    port = DirectPort(PhysicalMemory(1 << 12))
+    for budget in range(2, 40):
+        engine = Engine(program)
+        blocks, units = 0, 0
+        while units + (2, 3)[blocks % 2] <= budget:
+            units += (2, 3)[blocks % 2]
+            blocks += 1
+        assert region_table(program)[0][1](engine, port, budget) == units
+        assert (engine.pc, engine.retired) == ((0, 2)[blocks % 2], units)
+
+
 def test_a_cycle_of_5000_blocks_builds_and_runs_as_one_region():
     """One cycle through 5,000 blocks, half closed by ``jmp`` and half by a
     ``je`` whose fall-through goes on: discovery is iterative (no
